@@ -274,14 +274,17 @@ def _encoder_config(args) -> EncoderConfig:
 
 def cmd_train(args):
     config = _encoder_config(args)
+    try:
+        settings = TrainSettings(
+            lr=args.lr,
+            batch_size=args.batch_size,
+            max_epochs=args.epochs,
+            patience=args.patience,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     examples = load_examples(args.data)
     dev = load_examples(args.dev) if args.dev else examples
-    settings = TrainSettings(
-        lr=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-    )
     os.makedirs(args.out, exist_ok=True)
     checkpoint, log = train(
         examples,

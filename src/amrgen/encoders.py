@@ -18,6 +18,8 @@ from .tensor import (
     concat,
     dropout,
     embedding_lookup,
+    lstm_sequence,
+    lstm_step,
     matmul,
     mul,
     relu,
@@ -61,8 +63,16 @@ class EncoderConfig:
             raise ValueError(
                 f"kind {self.kind} requires input_repr in {allowed}, got {self.input_repr!r}"
             )
+        if self.embedding_dim < 1 or self.hidden_dim < 1:
+            raise ValueError(
+                f"embedding_dim and hidden_dim must be >= 1, got "
+                f"{self.embedding_dim} and {self.hidden_dim}"
+            )
         if self.hidden_dim % 2:
             raise ValueError("hidden_dim must be even (split across directions)")
+        for name in ("dropout", "edge_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.gcn_activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.gcn_activation!r}")
 
@@ -88,22 +98,13 @@ class LstmCell:
     """Single LSTM step; gate order i, f, o, g."""
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str):
-        self.hidden = hidden
         self.name = name
         self.W = uniform_param((in_dim, 4 * hidden), rng)
         self.U = uniform_param((hidden, 4 * hidden), rng)
         self.b = zeros_param((1, 4 * hidden))
 
     def step(self, x: Tensor, h: Tensor, c: Tensor):
-        z = add(add(matmul(x, self.W), matmul(h, self.U)), self.b)
-        n = self.hidden
-        i = sigmoid(slice_cols(z, 0, n))
-        f = sigmoid(slice_cols(z, n, 2 * n))
-        o = sigmoid(slice_cols(z, 2 * n, 3 * n))
-        g = tanh(slice_cols(z, 3 * n, 4 * n))
-        c_next = add(mul(f, c), mul(i, g))
-        h_next = mul(o, tanh(c_next))
-        return h_next, c_next
+        return lstm_step(x, h, c, self.W, self.U, self.b)
 
     def params(self) -> dict:
         return {f"{self.name}.W": self.W, f"{self.name}.U": self.U, f"{self.name}.b": self.b}
@@ -113,26 +114,15 @@ class BiLstmEncoder:
     """Single-layer BiLSTM; each direction gets hidden_dim / 2."""
 
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str = "bilstm"):
-        self.half = hidden_dim // 2
-        self.fwd = LstmCell(in_dim, self.half, rng, f"{name}.fwd")
-        self.bwd = LstmCell(in_dim, self.half, rng, f"{name}.bwd")
-
-    def _run(self, cell, rows):
-        h = Tensor(np.zeros((1, self.half)))
-        c = Tensor(np.zeros((1, self.half)))
-        states = []
-        for x in rows:
-            h, c = cell.step(x, h, c)
-            states.append(h)
-        return states
+        half = hidden_dim // 2
+        self.fwd = LstmCell(in_dim, half, rng, f"{name}.fwd")
+        self.bwd = LstmCell(in_dim, half, rng, f"{name}.bwd")
 
     def encode(self, inputs: Tensor) -> Tensor:
-        n = inputs.shape[0]
-        rows = [slice_rows(inputs, i, i + 1) for i in range(n)]
-        forward = self._run(self.fwd, rows)
-        backward = list(reversed(self._run(self.bwd, list(reversed(rows)))))
-        joined = [concat([f, b], axis=1) for f, b in zip(forward, backward)]
-        return concat(joined, axis=0)
+        f, b = self.fwd, self.bwd
+        forward = lstm_sequence(inputs, f.W, f.U, f.b)
+        backward = lstm_sequence(inputs, b.W, b.U, b.b, reverse=True)
+        return concat([forward, backward], axis=1)
 
     def params(self) -> dict:
         return {**self.fwd.params(), **self.bwd.params()}
@@ -182,17 +172,16 @@ class ChildSumTreeLstm:
         self.br = zeros_param((1, half))
         self.down = LstmCell(half, half, rng, f"{name}.down")
 
-    def _bottom_up(self, x, children_states):
+    def _bottom_up(self, wx, children_states):
+        """wx is the node's row of x W + b; a leaf's child sum is zero."""
         n = self.half
-        wx = add(matmul(x, self.W), self.b)
+        gates = wx  # i, o, u in the first 3n columns
         if children_states:
             h_sum = sum_rows(concat([h for h, _ in children_states], axis=0))
-        else:
-            h_sum = Tensor(np.zeros((1, n)))
-        uz = matmul(h_sum, self.U)
-        i = sigmoid(add(slice_cols(wx, 0, n), slice_cols(uz, 0, n)))
-        o = sigmoid(add(slice_cols(wx, n, 2 * n), slice_cols(uz, n, 2 * n)))
-        u = tanh(add(slice_cols(wx, 2 * n, 3 * n), slice_cols(uz, 2 * n, 3 * n)))
+            gates = add(slice_cols(wx, 0, 3 * n), matmul(h_sum, self.U))
+        i = sigmoid(slice_cols(gates, 0, n))
+        o = sigmoid(slice_cols(gates, n, 2 * n))
+        u = tanh(slice_cols(gates, 2 * n, 3 * n))
         c = mul(i, u)
         fx = slice_cols(wx, 3 * n, 4 * n)
         for h_k, c_k in children_states:
@@ -203,7 +192,7 @@ class ChildSumTreeLstm:
 
     def encode(self, node_count: int, edges, root: int, inputs: Tensor) -> Tensor:
         children, parent = _tree_topology(node_count, edges)
-        rows = [slice_rows(inputs, i, i + 1) for i in range(node_count)]
+        projected = add(matmul(inputs, self.W), self.b)
 
         up_h = [None] * node_count
         up_c = [None] * node_count
@@ -218,7 +207,8 @@ class ChildSumTreeLstm:
                 stack.extend((child, False) for child in children[node])
         for node in order:  # children before parents
             states = [(up_h[c], up_c[c]) for c in children[node]]
-            up_h[node], up_c[node] = self._bottom_up(rows[node], states)
+            wx = slice_rows(projected, node, node + 1)
+            up_h[node], up_c[node] = self._bottom_up(wx, states)
 
         down_h = [None] * node_count
         down_c = [None] * node_count
@@ -233,9 +223,7 @@ class ChildSumTreeLstm:
                 )
                 stack.append(child)
 
-        return concat(
-            [concat([down_h[i], up_h[i]], axis=1) for i in range(node_count)], axis=0
-        )
+        return concat([concat(down_h, axis=0), concat(up_h, axis=0)], axis=1)
 
     def params(self) -> dict:
         p = {
@@ -248,6 +236,14 @@ class ChildSumTreeLstm:
         }
         p.update(self.down.params())
         return p
+
+
+def adjacency(node_count: int, edges):
+    """Constant (a_in, a_out) tensors for a (k, 2) array of (u, v) edges:
+    a_in[v, u] and a_out[u, v] count the edges u -> v."""
+    a_in = np.zeros((node_count, node_count))
+    np.add.at(a_in, (edges[:, 1], edges[:, 0]), 1.0)
+    return Tensor(a_in), Tensor(np.ascontiguousarray(a_in.T))
 
 
 class GcnEncoder:
@@ -293,20 +289,18 @@ class GcnEncoder:
     def encode(self, levi: LeviGraph, inputs: Tensor, training: bool = False, rng=None) -> Tensor:
         n = levi.node_count
         h = matmul(inputs, self.proj) if self.proj is not None else inputs
+        edges = np.asarray(levi.edges, dtype=np.intp).reshape(-1, 2)
+        drop_edges = training and self.edge_dropout > 0.0 and len(edges) > 0
+        if not drop_edges:
+            a_in, a_out = adjacency(n, edges)
         for layer in self.layers:
-            edges = levi.edges
-            if training and self.edge_dropout > 0.0 and edges:
+            if drop_edges:  # a fresh draw per layer
                 keep = rng.random(len(edges)) >= self.edge_dropout
-                edges = tuple(e for e, k in zip(edges, keep) if k)
-            a_in = np.zeros((n, n))
-            a_out = np.zeros((n, n))
-            for u, v in edges:
-                a_in[v, u] += 1.0
-                a_out[u, v] += 1.0
+                a_in, a_out = adjacency(n, edges[keep])
             messages = add(
                 add(
-                    matmul(Tensor(a_in), matmul(h, layer["W_in"])),
-                    matmul(Tensor(a_out), matmul(h, layer["W_out"])),
+                    matmul(a_in, matmul(h, layer["W_in"])),
+                    matmul(a_out, matmul(h, layer["W_out"])),
                 ),
                 layer["b"],
             )

@@ -41,6 +41,14 @@ class TrainSettings:
     unk_threshold: int = 2
     eval_every: int = 1
 
+    def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "clip_norm"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainExample:

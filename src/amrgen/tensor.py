@@ -1,6 +1,9 @@
 """Dense float64 tensors with a reverse-mode gradient tape, SGD and
 checkpoint serialization. Everything is 64-bit and CPU-only by design:
-desk-scale problem sizes make gradient checks reliable and speed irrelevant.
+desk-scale problem sizes keep gradient checks reliable. At these sizes the
+cost is per-op Python overhead, not FLOPs, so recurrent cells are fused
+kernels (one tape entry per step, or per sequence) with closed-form backward
+passes, and backward computes nothing for operands that need no gradient.
 """
 from __future__ import annotations
 
@@ -12,14 +15,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     pass
-
-
-_DEBUG_CHECK_FINITE = False
-
-
-def set_debug_nan_checks(enabled: bool) -> None:
-    global _DEBUG_CHECK_FINITE
-    _DEBUG_CHECK_FINITE = bool(enabled)
 
 
 class Tensor:
@@ -53,8 +48,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
+class Parameter(Tensor):
+    """A trainable leaf tensor. No kernel produces one, so its gradient is not
+    read until backward has finished, and backward may defer adding to it."""
+
+    __slots__ = ()
+
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Tape:
@@ -65,7 +66,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops = []  # (output tensor, backward fn)
+        self._ops = []  # (output tensor or tuple of output tensors, backward fn)
+        self._weight_rows = {}  # Parameter -> ([input rows], [output-gradient rows])
         self._consumed = False
         self._prev = None
 
@@ -87,19 +89,55 @@ class Tape:
 _ACTIVE_TAPE = None
 
 
-def _record(out: Tensor, backward) -> None:
-    if out.requires_grad and _ACTIVE_TAPE is not None:
+def _record(out, backward) -> None:
+    """out is one Tensor, or a tuple of Tensors for a multi-output kernel,
+    whose backward then takes one gradient per output (None where an output
+    received none)."""
+    first = out[0] if type(out) is tuple else out
+    if first.requires_grad and _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE._ops.append((out, backward))
-    if _DEBUG_CHECK_FINITE and not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("non-finite value produced by a kernel")
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
+        # a copy, never an alias: grad may be a view of another tensor's
+        # gradient, and t.grad is added into in place later
+        t.grad = np.array(grad, dtype=np.float64)
+    else:
+        t.grad += grad
+
+
+def _weight_rows():
+    """The active tape's deferred weight rows. Kernels capture this dict, not
+    the tape: a tape -> closure -> tape cycle would keep every tape and its
+    arrays alive until the cyclic garbage collector ran."""
+    return _ACTIVE_TAPE._weight_rows if _ACTIVE_TAPE is not None else None
+
+
+def _accumulate_weight(weight_rows, w: Tensor, inputs: np.ndarray, grad: np.ndarray) -> None:
+    """w.grad += inputs^T grad for the weight w of a product inputs @ w.
+
+    For a Parameter the rows are kept, and backward adds every use of w in one
+    GEMM at the end: a weight used once per decoder step would otherwise cost
+    one outer product and one full-size add per step.
+    """
+    if type(w) is not Parameter:
+        _accumulate(w, inputs.T @ grad)
+        return
+    rows = weight_rows.get(w)
+    if rows is None:
+        rows = weight_rows[w] = ([], [])
+    rows[0].append(inputs)
+    rows[1].append(grad)
+
+
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """t's gradient array, created as zeros, for kernels that add into a part of it."""
+    if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += grad
+    return t.grad
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -120,8 +158,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
     tape._consumed = True
     loss.grad = np.ones_like(loss.data)
     for out, fn in reversed(tape._ops):
-        if out.grad is not None:
+        if type(out) is tuple:
+            grads = [t.grad for t in out]
+            if any(g is not None for g in grads):
+                fn(*grads)
+        elif out.grad is not None:
             fn(out.grad)
+    for w, (inputs, grads) in tape._weight_rows.items():
+        _accumulate(w, np.concatenate(inputs).T @ np.concatenate(grads))
+    tape._weight_rows.clear()
 
 
 # --------------------------------------------------------------------------
@@ -132,10 +177,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
+    weight_rows = _weight_rows()
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate_weight(weight_rows, b, a.data, g)
 
     _record(out, bwd)
     return out
@@ -149,8 +197,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     _record(out, bwd)
     return out
@@ -164,8 +214,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     _record(out, bwd)
     return out
@@ -209,7 +261,7 @@ def sum_rows(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(axis=0, keepdims=True), requires_grad=a.requires_grad)
 
     def bwd(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     _record(out, bwd)
     return out
@@ -309,11 +361,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     out = Tensor(table.data[idx], requires_grad=table.requires_grad)
 
     def bwd(g):
-        if not table.requires_grad:
-            return
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accumulate(table, full)
+        np.add.at(_grad_buffer(table), idx, g)
 
     _record(out, bwd)
     return out
@@ -323,9 +371,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[:, start:stop], requires_grad=a.requires_grad)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        _accumulate(a, full)
+        _grad_buffer(a)[:, start:stop] += g
 
     _record(out, bwd)
     return out
@@ -335,9 +381,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[start:stop, :], requires_grad=a.requires_grad)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        full[start:stop, :] = g
-        _accumulate(a, full)
+        _grad_buffer(a)[start:stop, :] += g
 
     _record(out, bwd)
     return out
@@ -358,9 +402,142 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
     out = Tensor(a.data[row, col].reshape(1, 1), requires_grad=a.requires_grad)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        full[row, col] = g.reshape(-1)[0]
-        _accumulate(a, full)
+        _grad_buffer(a)[row, col] += g.reshape(-1)[0]
+
+    _record(out, bwd)
+    return out
+
+
+# --------------------------------------------------------------------------
+# Fused LSTM kernels. Gate order i, f, o, g: with z = x W + h U + b,
+# i, f, o = sigmoid(z blocks 0-2), g = tanh(z block 3),
+# c' = f c + i g and h' = o tanh(c').
+
+
+def _lstm_gates(z, n):
+    """sigmoid of the i, f, o blocks and tanh of the g block of z."""
+    return 1.0 / (1.0 + np.exp(-z[..., : 3 * n])), np.tanh(z[..., 3 * n :])
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor):
+    """One LSTM step as one tape entry with two outputs, (h', c').
+
+    Backward runs when either output has a gradient; a missing one is zero.
+    """
+    n = h.shape[1]
+    z = x.data @ W.data + h.data @ U.data + b.data
+    sig, g = _lstm_gates(z, n)
+    i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
+    c_next = f * c.data + i * g
+    tc = np.tanh(c_next)
+    needs = any(t.requires_grad for t in (x, h, c, W, U, b))
+    h_out = Tensor(o * tc, requires_grad=needs)
+    c_out = Tensor(c_next, requires_grad=needs)
+    weight_rows = _weight_rows()
+
+    def bwd(dh, dc):
+        dz = np.empty_like(z)
+        if dh is None:
+            dz[:, 2 * n : 3 * n] = 0.0
+        else:
+            dz[:, 2 * n : 3 * n] = dh * tc
+            from_h = dh * o * (1.0 - tc * tc)
+            dc = from_h if dc is None else dc + from_h
+        dz[:, :n] = dc * g
+        dz[:, n : 2 * n] = dc * c.data
+        dz[:, : 3 * n] *= sig * (1.0 - sig)
+        dz[:, 3 * n :] = dc * i * (1.0 - g * g)
+        if x.requires_grad:
+            _accumulate(x, dz @ W.data.T)
+        if h.requires_grad:
+            _accumulate(h, dz @ U.data.T)
+        if c.requires_grad:
+            _accumulate(c, dc * f)
+        if W.requires_grad:
+            _accumulate_weight(weight_rows, W, x.data, dz)
+        if U.requires_grad:
+            _accumulate_weight(weight_rows, U, h.data, dz)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(dz, b.shape))
+
+    _record((h_out, c_out), bwd)
+    return h_out, c_out
+
+
+def _previous_rows(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """Row t holds the state before step t: a zero row first in processing order."""
+    out = np.zeros_like(a)
+    if reverse:
+        out[:-1] = a[1:]
+    else:
+        out[1:] = a[:-1]
+    return out
+
+
+def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the N rows of X from a zero state, as one tape
+    entry. Row t of the (N, hidden) output is the hidden state after reading
+    rows 0..t, or rows t..N-1 when reverse.
+
+    The input projection X W + b is one (N, d) @ (d, 4 hidden) matmul before
+    the recurrence. Backward is one BPTT loop over the rows that fills dZ, the
+    gradient of the pre-activations, then dX = dZ W^T, dW = X^T dZ and
+    dU = H_prev^T dZ as three GEMMs.
+    """
+    if X.data.ndim != 2 or X.shape[1] != W.shape[0]:
+        raise ShapeError(f"lstm_sequence shape mismatch: {X.shape} @ {W.shape}")
+    rows, n = X.shape[0], U.shape[0]
+    xw = X.data @ W.data + b.data
+    u = U.data
+    sig = np.empty((rows, 3 * n))
+    g = np.empty((rows, n))
+    c_all = np.empty((rows, n))
+    tc = np.empty((rows, n))
+    h_all = np.empty((rows, n))
+    h = np.zeros(n)
+    c = np.zeros(n)
+    steps = range(rows - 1, -1, -1) if reverse else range(rows)
+    for t in steps:
+        s, g[t] = _lstm_gates(xw[t] + h @ u, n)
+        sig[t] = s
+        c = s[n : 2 * n] * c + s[:n] * g[t]
+        c_all[t] = c
+        tc[t] = np.tanh(c)
+        h = s[2 * n :] * tc[t]
+        h_all[t] = h
+    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, b)))
+
+    def bwd(dH):
+        dsig = sig * (1.0 - sig)
+        # dZ row t is [dc K_i, dc K_f, dh K_o, dc K_g] with dc, dh the row's
+        # cell and hidden gradients; the K are fixed by the forward pass
+        k = np.empty((rows, 4, n))
+        k[:, 0] = g * dsig[:, :n]
+        k[:, 1] = _previous_rows(c_all, reverse) * dsig[:, n : 2 * n]
+        k[:, 2] = tc * dsig[:, 2 * n :]
+        k[:, 3] = sig[:, :n] * (1.0 - g * g)
+        h_to_c = sig[:, 2 * n :] * (1.0 - tc * tc)
+        f = sig[:, n : 2 * n]
+        u_t = np.ascontiguousarray(u.T)
+        dz = np.empty((rows, 4, n))
+        dh_next = np.zeros(n)
+        dc_next = np.zeros(n)
+        for t in reversed(steps):
+            dh = dH[t] + dh_next
+            dc = dc_next + dh * h_to_c[t]
+            np.multiply(k[t], dc, out=dz[t])
+            np.multiply(k[t, 2], dh, out=dz[t, 2])
+            dh_next = dz[t].reshape(-1) @ u_t
+            dc_next = dc * f[t]
+        dz = dz.reshape(rows, 4 * n)
+        if X.requires_grad:
+            _accumulate(X, dz @ W.data.T)
+        if W.requires_grad:
+            _accumulate(W, X.data.T @ dz)
+        if U.requires_grad:
+            _accumulate(U, _previous_rows(h_all, reverse).T @ dz)
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0, keepdims=True))
 
     _record(out, bwd)
     return out
@@ -370,12 +547,12 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
 # Optimization
 
 
-def uniform_param(shape, rng, limit: float = 0.1) -> Tensor:
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+def uniform_param(shape, rng, limit: float = 0.1) -> Parameter:
+    return Parameter(rng.uniform(-limit, limit, size=shape))
 
 
-def zeros_param(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def zeros_param(shape) -> Parameter:
+    return Parameter(np.zeros(shape))
 
 
 def sgd_step(params, lr: float) -> None:

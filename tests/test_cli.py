@@ -140,6 +140,28 @@ def test_train_bad_model_flag_is_config_error(small_jsonl, tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--batch-size", "0"),
+        ("--dropout", "1.0"),
+        ("--hidden-dim", "0"),
+        ("--embedding-dim", "0"),
+        ("--edge-dropout", "-0.1"),
+        ("--epochs", "0"),
+        ("--patience", "0"),
+        ("--lr", "0"),
+    ],
+)
+def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    code = main(["train", "--data", str(small_jsonl), "--out", str(out_dir), flag, value])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+    assert not out_dir.exists()
+
+
 def test_train_missing_data_is_data_error(tmp_path):
     code = main(["train", "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "x")])
     assert code == EXIT_DATA

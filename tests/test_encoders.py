@@ -10,6 +10,7 @@ from amrgen.encoders import (
     EncoderConfig,
     GcnEncoder,
     StackEncoder,
+    adjacency,
     tree_indices,
 )
 
@@ -218,6 +219,33 @@ def test_gcn_highway_keeps_input_path():
     x = T.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(3, 4)))
     out = gcn.encode(levi, x).data
     assert np.allclose(out, x.data / 2.0, atol=1e-12)
+
+
+def test_adjacency_matches_loop_with_repeated_edges():
+    edges = [(0, 1), (1, 2), (0, 1), (2, 0), (3, 3), (0, 1), (2, 3)]
+    a_in_ref, a_out_ref = np.zeros((4, 4)), np.zeros((4, 4))
+    for u, v in edges:  # the reference: one increment per listed edge
+        a_in_ref[v, u] += 1.0
+        a_out_ref[u, v] += 1.0
+    a_in, a_out = adjacency(4, np.array(edges))
+    assert np.array_equal(a_in.data, a_in_ref)
+    assert np.array_equal(a_out.data, a_out_ref)
+    assert not a_in.requires_grad and not a_out.requires_grad
+    empty_in, empty_out = adjacency(3, np.zeros((0, 2), dtype=int))
+    assert not empty_in.data.any() and not empty_out.data.any()
+
+
+def test_gcn_edge_dropout_draws_once_per_layer():
+    # one rng.random(len(edges)) per layer when training, none in eval mode
+    levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
+    gcn = GcnEncoder(4, 4, 3, np.random.default_rng(0), edge_dropout=0.5)
+    x = T.Tensor(np.random.default_rng(1).uniform(-1, 1, size=(3, 4)))
+    rng = np.random.default_rng(2)
+    gcn.encode(levi, x, training=True, rng=rng)
+    expected = np.random.default_rng(2)
+    for _ in range(3):
+        expected.random(len(levi.edges))
+    assert rng.random() == expected.random()
 
 
 def test_gcn_edge_dropout_changes_messages():

@@ -20,6 +20,8 @@ from amrgen.seq2seq import (
 from amrgen.transforms import prepare_example
 from amrgen.vocab import BOS, EOS, UNK
 
+from conftest import finite_difference_check
+
 
 def make_examples(corpus, ids):
     wanted = set(ids)
@@ -119,6 +121,29 @@ def test_score_conditions_on_source(small_model, toy10):
     s1 = small_model.score_sentence(toy10[0], toy10[0].target)
     s2 = small_model.score_sentence(toy10[1], toy10[0].target)
     assert s1 != s2
+
+
+# --------------------------------------------------------------------------
+# Decoder gradients
+
+
+def test_decoder_gradients(toy10):
+    ex = toy10[0]
+    src, tgt = build_vocabs([ex], unk_threshold=1)
+    cfg = EncoderConfig(
+        kind="Seq", input_repr="sequence", embedding_dim=3, hidden_dim=4,
+        dropout=0.0, edge_dropout=0.0,
+    )
+    model = Seq2SeqModel(cfg, src, tgt, seed=0)
+    params = model.params()
+    for p in params.values():
+        p.data *= 5.0  # larger weights make saturation and sign errors visible
+    decoder = {name: p for name, p in params.items()
+               if name.startswith("decoder.")
+               or name in ("W_a", "v_a", "W_o", "W_v", "tgt_embedding")}
+    assert len(decoder) == 8
+    worst, where = finite_difference_check(decoder, lambda: model.sequence_loss(ex))
+    assert worst <= 1e-4, where
 
 
 # --------------------------------------------------------------------------

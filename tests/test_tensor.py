@@ -310,3 +310,168 @@ def test_save_arrays_byte_deterministic(tmp_path):
     T.save_arrays(p1, {"k": 1}, arrays)
     T.save_arrays(p2, {"k": 1}, arrays)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# Fused LSTM kernels
+
+
+def _composed_lstm_step(x, h, c, W, U, b):
+    """The LSTM step built from single kernels: the reference for the fused ones."""
+    z = T.add(T.add(T.matmul(x, W), T.matmul(h, U)), b)
+    n = h.shape[1]
+    i = T.sigmoid(T.slice_cols(z, 0, n))
+    f = T.sigmoid(T.slice_cols(z, n, 2 * n))
+    o = T.sigmoid(T.slice_cols(z, 2 * n, 3 * n))
+    g = T.tanh(T.slice_cols(z, 3 * n, 4 * n))
+    c_next = T.add(T.mul(f, c), T.mul(i, g))
+    return T.mul(o, T.tanh(c_next)), c_next
+
+
+def _composed_lstm_sequence(X, W, U, b, reverse):
+    n = U.shape[0]
+    order = range(X.shape[0] - 1, -1, -1) if reverse else range(X.shape[0])
+    h, c = Tensor(np.zeros((1, n))), Tensor(np.zeros((1, n)))
+    states = {}
+    for t in order:
+        h, c = _composed_lstm_step(T.slice_rows(X, t, t + 1), h, c, W, U, b)
+        states[t] = h
+    return T.concat([states[t] for t in range(X.shape[0])], axis=0)
+
+
+def _lstm_params(rng, rows, d, n):
+    return (_param(rng, rows, d), _param(rng, d, 4 * n), _param(rng, n, 4 * n),
+            _param(rng, 1, 4 * n))
+
+
+@pytest.mark.parametrize("outputs", ["both", "h", "c"])
+@pytest.mark.parametrize("seed", range(5))
+def test_lstm_step_grad(seed, outputs):
+    rng = np.random.default_rng(seed)
+    rows, d, n = (int(v) for v in rng.integers(1, 5, size=3))
+    x, W, U, b = _lstm_params(rng, rows, d, n)
+    h, c = _param(rng, rows, n), _param(rng, rows, n)
+    wh, wc = Tensor(_rand(rng, rows, n)), Tensor(_rand(rng, rows, n))
+
+    def loss():
+        h_next, c_next = T.lstm_step(x, h, c, W, U, b)
+        if outputs == "h":
+            return T.sum_all(T.mul(h_next, wh))
+        if outputs == "c":
+            return T.sum_all(T.mul(c_next, wc))
+        return T.add(T.sum_all(T.mul(h_next, wh)), T.sum_all(T.mul(c_next, wc)))
+
+    _check([x, h, c, W, U, b], loss)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rows", [1, 2, 6])
+def test_lstm_sequence_grad(rows, reverse):
+    rng = np.random.default_rng(rows + 10 * reverse)
+    d, n = (int(v) for v in rng.integers(1, 5, size=2))
+    X, W, U, b = _lstm_params(rng, rows, d, n)
+    w = Tensor(_rand(rng, rows, n))
+    _check([X, W, U, b], lambda: T.sum_all(T.mul(T.lstm_sequence(X, W, U, b, reverse), w)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_lstm_forward_matches_composed(seed):
+    rng = np.random.default_rng(seed)
+    rows, d, n = 3, 5, 4
+    x, W, U, b = _lstm_params(rng, rows, d, n)
+    h, c = _param(rng, rows, n), _param(rng, rows, n)
+    fused = T.lstm_step(x, h, c, W, U, b)
+    composed = _composed_lstm_step(x, h, c, W, U, b)
+    for got, want in zip(fused, composed):
+        assert np.abs(got.data - want.data).max() <= 1e-12
+    X = _param(rng, 7, d)
+    for reverse in (False, True):
+        fused = T.lstm_sequence(X, W, U, b, reverse).data
+        composed = _composed_lstm_sequence(X, W, U, b, reverse).data
+        assert fused.shape == (7, n)
+        assert np.abs(fused - composed).max() <= 1e-12
+
+
+def test_lstm_step_is_one_tape_entry():
+    rng = np.random.default_rng(0)
+    x, W, U, b = _lstm_params(rng, 1, 3, 2)
+    zero = Tensor(np.zeros((1, 2)))
+    with T.Tape() as tape:
+        h, c = T.lstm_step(x, zero, zero, W, U, b)
+        T.lstm_sequence(x, W, U, b)
+    assert len(tape) == 2
+    assert h.requires_grad and c.requires_grad
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(1)
+    a, k, w = Tensor(_rand(rng, 3, 3)), Tensor(_rand(rng, 3, 2)), _param(rng, 3, 2)
+    with T.Tape() as tape:
+        loss = T.sum_all(T.mul(k, T.add(T.matmul(a, w), k)))
+        T.backward(tape, loss)
+    assert a.grad is None and k.grad is None
+    assert np.allclose(w.grad, a.data.T @ k.data)
+
+
+def test_first_gradient_is_a_copy_not_an_alias():
+    # add hands x and y the same upstream array; if both stored it, the
+    # gradient that x receives later from x * x would land in y.grad too
+    rng = np.random.default_rng(2)
+    x, y = _param(rng, 2, 3), _param(rng, 2, 3)
+    with T.Tape() as tape:
+        square = T.mul(x, x)
+        loss = T.add(T.sum_all(square), T.sum_all(T.add(x, y)))
+        T.backward(tape, loss)
+    assert np.allclose(x.grad, 2.0 * x.data + 1.0)
+    assert np.allclose(y.grad, 1.0)
+
+
+def test_parameter_weight_gradients_match_per_use_accumulation():
+    # a Parameter's weight gradient is summed over its uses in one GEMM at the
+    # end of backward; a plain tensor gets one outer product per use
+    rng = np.random.default_rng(3)
+    shapes = {"W": (3, 8), "U": (2, 8), "b": (1, 8), "V": (2, 4)}
+    init = {name: _rand(rng, *shape) for name, shape in shapes.items()}
+    xs = [_rand(rng, 1, 3) for _ in range(4)]
+
+    def grads(make):
+        p = {name: make(value.copy()) for name, value in init.items()}
+        for _ in range(2):  # gradients accumulate across tapes
+            with T.Tape() as tape:
+                h = c = Tensor(np.zeros((1, 2)))
+                total = None
+                for x in xs:
+                    h, c = T.lstm_step(Tensor(x), h, c, p["W"], p["U"], p["b"])
+                    y = T.sum_all(T.mul(T.matmul(h, p["V"]), T.matmul(h, p["V"])))
+                    total = y if total is None else T.add(total, y)
+                T.backward(tape, total)
+        return {name: t.grad for name, t in p.items()}
+
+    deferred = grads(T.Parameter)
+    per_use = grads(lambda value: Tensor(value, requires_grad=True))
+    for name in shapes:
+        assert np.allclose(deferred[name], per_use[name], rtol=1e-12, atol=1e-15), name
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    # kernels must not make the tape reach itself through its own closures:
+    # each training example's tape, with all its arrays, would then live until
+    # the cyclic garbage collector ran
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(4)
+    x = Tensor(_rand(rng, 1, 3))
+    W, U, b = T.uniform_param((3, 8), rng), T.uniform_param((2, 8), rng), T.zeros_param((1, 8))
+    gc.disable()
+    try:
+        with T.Tape() as tape:
+            zero = Tensor(np.zeros((1, 2)))
+            h, _ = T.lstm_step(x, zero, zero, W, U, b)
+            loss = T.sum_all(T.matmul(h, T.uniform_param((2, 2), rng)))
+            T.backward(tape, loss)
+        ref = weakref.ref(tape)
+        del tape, h, loss
+        assert ref() is None
+    finally:
+        gc.enable()
