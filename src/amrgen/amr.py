@@ -37,9 +37,6 @@ class AmrGraph:
     def labels(self) -> dict:
         return dict(self.nodes)
 
-    def node_ids(self) -> tuple:
-        return tuple(n for n, _ in self.nodes)
-
     def out_edges(self, node_id: str) -> list:
         return [e for e in self.edges if e[0] == node_id]
 
@@ -121,21 +118,6 @@ def _tokenize(text):
             i = j
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-
 def parse_penman(text: str) -> AmrGraph:
     """Parse a single PENMAN expression into an AmrGraph.
 
@@ -146,7 +128,17 @@ def parse_penman(text: str) -> AmrGraph:
     if not text or not text.strip():
         raise PenmanParseError("empty input", 1, 1)
     toks = list(_tokenize(text))
-    parser = _Parser(toks)
+    pos = 0  # cursor into toks
+
+    def peek():
+        return toks[pos] if pos < len(toks) else None
+
+    def take():
+        nonlocal pos
+        tok = peek()
+        if tok is not None:
+            pos += 1
+        return tok
 
     defs = {}  # var -> concept label
     order = []  # vars in definition order
@@ -154,7 +146,7 @@ def parse_penman(text: str) -> AmrGraph:
     last = toks[-1]
 
     def expect(kind, what):
-        tok = parser.next()
+        tok = take()
         if tok is None:
             raise PenmanParseError(f"expected {what}, found end of input", last[2], last[3])
         if tok[0] != kind:
@@ -165,13 +157,13 @@ def parse_penman(text: str) -> AmrGraph:
         open_tok = expect("(", "'('")
         var_tok = expect("atom", "variable name")
         var = var_tok[1]
-        slash = parser.peek()
+        slash = peek()
         if slash is None or slash[0] != "/":
             raise PenmanParseError(
                 f"expected '/' after variable {var!r}", var_tok[2], var_tok[3]
             )
-        parser.next()
-        concept_tok = parser.next()
+        take()
+        concept_tok = take()
         if concept_tok is None or concept_tok[0] not in ("atom", "str"):
             tok = concept_tok or last
             raise PenmanParseError("expected concept after '/'", tok[2], tok[3])
@@ -182,13 +174,13 @@ def parse_penman(text: str) -> AmrGraph:
         defs[var] = concept_tok[1]
         order.append(var)
         while True:
-            tok = parser.peek()
+            tok = peek()
             if tok is None:
                 raise PenmanParseError(
                     "unbalanced parentheses: missing ')'", open_tok[2], open_tok[3]
                 )
             if tok[0] == ")":
-                parser.next()
+                take()
                 return var
             if tok[0] != "atom" or not tok[1].startswith(":"):
                 raise PenmanParseError(
@@ -196,8 +188,8 @@ def parse_penman(text: str) -> AmrGraph:
                     tok[2],
                     tok[3],
                 )
-            role = parser.next()[1]
-            target = parser.peek()
+            role = take()[1]
+            target = peek()
             if target is None:
                 raise PenmanParseError(
                     f"expected target after relation {role!r}", tok[2], tok[3]
@@ -206,10 +198,10 @@ def parse_penman(text: str) -> AmrGraph:
                 child = parse_node()
                 triples.append((var, role, ("ref", child)))
             elif target[0] == "str":
-                parser.next()
+                take()
                 triples.append((var, role, ("const", target[1])))
             elif target[0] == "atom":
-                parser.next()
+                take()
                 # resolved after parsing: defined variables are references,
                 # anything else is a constant
                 triples.append((var, role, ("maybe", target[1])))
@@ -221,7 +213,7 @@ def parse_penman(text: str) -> AmrGraph:
                 )
 
     root = parse_node()
-    trailing = parser.peek()
+    trailing = peek()
     if trailing is not None:
         raise PenmanParseError(
             f"unbalanced parentheses: unexpected {trailing[1]!r} after graph",

@@ -12,11 +12,12 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
 from collections import Counter
 
 from . import __version__
 from .amr import PenmanParseError, compute_stats, validate
-from .encoders import KINDS, EncoderConfig
+from .encoders import KINDS, EncoderConfig, default_repr
 from .evaluation import (
     DEPENDENCY_BUCKETS,
     REENTRANCY_BUCKETS,
@@ -40,6 +41,7 @@ from .transforms import (
     AnonymizationPolicy,
     anonymize,
     anonymize_sentence,
+    linearize,
     prepare_example,
 )
 
@@ -142,22 +144,13 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=5, log=lambda 
         anon_map = ()
         if policy is not None:
             graph, anon_map = anonymize(graph, policy)
-        repr_ = prepare_example(graph)
         stats = compute_stats(graph)
         stats_list.append(stats)
         records.append(
             {
                 "id": example.id,
                 "penman": serialize_penman(graph),
-                "tokens": list(repr_.sequence.tokens),
-                "levi": {
-                    "nodes": [list(n) for n in repr_.levi.nodes],
-                    "edges": [list(e) for e in repr_.levi.edges],
-                },
-                "tree": {
-                    "nodes": [list(n) for n in repr_.tree.nodes],
-                    "edges": [list(e) for e in repr_.tree.edges],
-                },
+                "tokens": list(linearize(graph).tokens),  # for the source vocabulary file
                 "sentence": list(example.sentence),
                 "anon_map": [list(m) for m in anon_map],
                 "stats": stats.to_dict(),
@@ -180,15 +173,16 @@ def load_examples(jsonl_path):
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"{jsonl_path}:{line_no}: invalid JSON ({err})") from None
-            graph = parse_penman(record["penman"])
+            if not (isinstance(record, dict) and "id" in record
+                    and isinstance(record.get("penman"), str)):
+                raise DataError(f"{jsonl_path}:{line_no}: a record needs an id and a penman string")
             anon_map = tuple(tuple(m) for m in record.get("anon_map", []))
             sentence = tuple(record.get("sentence", []))
-            target = tuple(anonymize_sentence(sentence, anon_map))
             examples.append(
                 TrainExample(
                     id=record["id"],
-                    repr=prepare_example(graph),
-                    target=target,
+                    repr=prepare_example(parse_penman(record["penman"])),
+                    target=tuple(anonymize_sentence(sentence, anon_map)),
                     reference=sentence,
                     anon_map=anon_map,
                 )
@@ -248,20 +242,11 @@ def cmd_preprocess(args):
 # Model commands
 
 
-_REPR_OF_KIND = {
-    "Seq": "sequence",
-    "SeqTreeLSTM": "tree",
-    "TreeLSTMSeq": "tree",
-    "TreeLSTM": "tree",
-}
-
-
 def _encoder_config(args) -> EncoderConfig:
-    repr_ = args.repr or _REPR_OF_KIND.get(args.model, "graph")
     try:
         return EncoderConfig(
             kind=args.model,
-            input_repr=repr_,
+            input_repr=args.repr or default_repr(args.model),
             embedding_dim=args.embedding_dim,
             hidden_dim=args.hidden_dim,
             gcn_layers=args.gcn_layers,
@@ -308,9 +293,21 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _load_model(path):
+    try:
+        return Checkpoint.load(path).build_model()
+    except (zipfile.BadZipFile, KeyError, ValueError) as err:
+        raise DataError(f"{path}: not a valid checkpoint ({err})") from None
+
+
+def _check_beam(beam):
+    if beam < 1:
+        raise ConfigError(f"--beam must be >= 1 (1 is greedy decoding), got {beam}")
+
+
 def cmd_generate(args):
-    checkpoint = Checkpoint.load(args.ckpt)
-    model = checkpoint.build_model()
+    _check_beam(args.beam)
+    model = _load_model(args.ckpt)
     examples = load_examples(args.data)
     lines = []
     for ex in examples:
@@ -335,13 +332,13 @@ def _read_hypotheses(path):
 def cmd_evaluate(args):
     if not args.hyp and not args.ckpt:
         raise ConfigError("evaluate needs --hyp or --ckpt")
+    _check_beam(args.beam)
     examples = load_examples(args.data)
     references = [list(ex.reference) for ex in examples]
     if args.hyp:
         hypotheses = _read_hypotheses(args.hyp)
     else:
-        checkpoint = Checkpoint.load(args.ckpt)
-        model = checkpoint.build_model()
+        model = _load_model(args.ckpt)
         hypotheses = [generate(model, ex, beam=args.beam)[0] for ex in examples]
     if len(hypotheses) != len(references):
         raise DataError(
@@ -393,25 +390,27 @@ def cmd_analyze(args):
 def load_pairs(path):
     pairs = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            pairs.append(
-                ContrastivePair(
-                    id=record["id"],
-                    reference=tuple(record["reference"]),
-                    contrastive=tuple(record["contrastive"]),
-                    category=record["category"],
+            try:
+                record = json.loads(line)
+                pairs.append(
+                    ContrastivePair(
+                        id=record["id"],
+                        reference=tuple(record["reference"]),
+                        contrastive=tuple(record["contrastive"]),
+                        category=record["category"],
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError) as err:
+                raise DataError(f"{path}:{line_no}: bad contrastive pair ({err})") from None
     return pairs
 
 
 def cmd_contrastive(args):
-    checkpoint = Checkpoint.load(args.ckpt)
-    model = checkpoint.build_model()
+    model = _load_model(args.ckpt)
     examples = {ex.id: ex for ex in load_examples(args.data)}
     pairs = load_pairs(args.pairs)
     results, skipped = contrastive_eval(

@@ -34,7 +34,18 @@ from .tensor import (
 )
 from .transforms import AmrTree, ExampleRepr, LeviGraph
 
-KINDS = ("Seq", "SeqGCN", "GCNSeq", "SeqTreeLSTM", "TreeLSTMSeq", "GCN", "TreeLSTM")
+# The input representations each kind accepts, its default first. Tree-LSTMs
+# need a tree; a GCN runs over the Levi form of the graph or of its tree.
+INPUT_REPRS = {
+    "Seq": ("sequence",),
+    "SeqGCN": ("graph", "tree"),
+    "GCNSeq": ("graph", "tree"),
+    "SeqTreeLSTM": ("tree",),
+    "TreeLSTMSeq": ("tree",),
+    "GCN": ("graph", "tree"),
+    "TreeLSTM": ("tree",),
+}
+KINDS = tuple(INPUT_REPRS)
 _ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
 
 
@@ -53,12 +64,7 @@ class EncoderConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
-        if self.kind == "Seq":
-            allowed = ("sequence",)
-        elif "TreeLSTM" in self.kind:
-            allowed = ("tree",)
-        else:
-            allowed = ("tree", "graph")
+        allowed = INPUT_REPRS[self.kind]
         if self.input_repr not in allowed:
             raise ValueError(
                 f"kind {self.kind} requires input_repr in {allowed}, got {self.input_repr!r}"
@@ -68,6 +74,8 @@ class EncoderConfig:
                 f"embedding_dim and hidden_dim must be >= 1, got "
                 f"{self.embedding_dim} and {self.hidden_dim}"
             )
+        if self.gcn_layers < 1:
+            raise ValueError(f"gcn_layers must be >= 1, got {self.gcn_layers}")
         if self.hidden_dim % 2:
             raise ValueError("hidden_dim must be even (split across directions)")
         for name in ("dropout", "edge_dropout"):
@@ -92,6 +100,11 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "EncoderConfig":
         return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
+
+
+def default_repr(kind: str) -> str:
+    """The input representation a kind uses unless another is asked for."""
+    return INPUT_REPRS[kind][0]
 
 
 class LstmCell:

@@ -63,9 +63,9 @@ def sentence_metric(hypothesis, reference, max_n: int = 4) -> float:
     log_sum = 0.0
     for n in range(1, max_n + 1):
         total = max(len(hyp) - n + 1, 0)
+        ref_counts = _ngram_counts(ref, n)
         match = sum(
-            min(count, _ngram_counts(ref, n)[gram])
-            for gram, count in _ngram_counts(hyp, n).items()
+            min(count, ref_counts[gram]) for gram, count in _ngram_counts(hyp, n).items()
         )
         if n == 1:
             if match == 0:

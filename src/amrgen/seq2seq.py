@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -115,109 +116,99 @@ class Seq2SeqModel:
         enc_proj = T.matmul(enc, self.W_a)
         return enc, enc_proj
 
-    def sequence_loss(self, ex: TrainExample, training: bool = False, rng=None) -> Tensor:
-        """Mean token negative log-likelihood of the target, teacher-forced."""
+    def _teacher_forced(self, ex: TrainExample, tokens, training: bool = False, rng=None):
+        """Yield (log_softmax row, target id) for each of tokens + EOS, feeding
+        the reference token back in at every step."""
         enc, enc_proj = self._encode(ex, training, rng)
         s, c, ctx = self._init_state(enc)
-        targets = self.tgt_vocab.indices(ex.target) + [self.tgt_vocab.index(EOS)]
         prev = self.tgt_vocab.index(BOS)
-        losses = []
-        for tgt in targets:
+        for tgt in self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]:
             logits, ctx, s, c = self._step(prev, ctx, s, c, enc, enc_proj)
-            log_probs = T.log_softmax(logits)
-            losses.append(T.scale(T.pick(log_probs, 0, tgt), -1.0))
+            yield T.log_softmax(logits), tgt
             prev = tgt
-        total = losses[0]
-        for piece in losses[1:]:
+
+    def sequence_loss(self, ex: TrainExample, training: bool = False, rng=None) -> Tensor:
+        """Mean token negative log-likelihood of the target, teacher-forced."""
+        rows = self._teacher_forced(ex, ex.target, training, rng)
+        picks = [T.pick(row, 0, tgt) for row, tgt in rows]
+        total = picks[0]
+        for piece in picks[1:]:
             total = T.add(total, piece)
-        return T.scale(total, 1.0 / len(targets))
+        return T.scale(total, -1.0 / len(picks))
 
     def score_sentence(self, ex: TrainExample, tokens) -> float:
         """Total log-probability of the token sequence (EOS included)."""
-        enc, enc_proj = self._encode(ex, training=False)
-        s, c, ctx = self._init_state(enc)
-        targets = self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]
-        prev = self.tgt_vocab.index(BOS)
         total = 0.0
-        for tgt in targets:
-            logits, ctx, s, c = self._step(prev, ctx, s, c, enc, enc_proj)
-            log_probs = T.log_softmax(logits)
-            total += float(log_probs.data[0, tgt])
-            prev = tgt
+        for row, tgt in self._teacher_forced(ex, tokens):
+            total += float(row.data[0, tgt])
         return total
 
     def greedy_decode(self, ex: TrainExample, max_len: int = None):
-        if max_len is None:
-            max_len = 2 * len(ex.repr.sequence) + 10
-        enc, enc_proj = self._encode(ex, training=False)
-        s, c, ctx = self._init_state(enc)
-        eos = self.tgt_vocab.index(EOS)
-        prev = self.tgt_vocab.index(BOS)
-        out = []
-        score = 0.0
-        truncated = True
-        for _ in range(max_len):
-            logits, ctx, s, c = self._step(prev, ctx, s, c, enc, enc_proj)
-            log_probs = T.log_softmax(logits).data[0]
-            prev = int(np.argmax(log_probs))
-            score += float(log_probs[prev])
-            if prev == eos:
-                truncated = False
-                break
-            out.append(self.tgt_vocab.token(prev))
-        return out, score, truncated
+        """Beam search with a beam of 1; see beam_decode."""
+        return self.beam_decode(ex, beam=1, max_len=max_len)
 
     def beam_decode(self, ex: TrainExample, beam: int = 5, max_len: int = None):
-        """Length-normalized beam search; never returns a hypothesis worse
-        than the greedy one under the normalized score."""
-        if beam <= 1:
-            return self.greedy_decode(ex)
+        """Length-normalized beam search that carries the greedy path as one
+        more hypothesis, which always takes the first argmax. Returns
+        (tokens, log-prob, truncated) of the best of the greedy path and the
+        finished or length-capped beam hypotheses under log-prob / (len + 1);
+        greedy wins ties, so the result is never worse than greedy and beam=1
+        is greedy decoding. truncated means the result hit max_len before EOS.
+        """
+        if beam < 1:
+            raise ValueError(f"beam must be >= 1, got {beam}")
         if max_len is None:
             max_len = 2 * len(ex.repr.sequence) + 10
         enc, enc_proj = self._encode(ex, training=False)
         eos = self.tgt_vocab.index(EOS)
-        s0, c0, ctx0 = self._init_state(enc)
-        # hypothesis: (tokens, logp, ctx, s, c, prev)
-        hyps = [([], 0.0, ctx0, s0, c0, self.tgt_vocab.index(BOS))]
-        done = []
+        s, c, ctx = self._init_state(enc)
+        # a hypothesis: (BOS + token ids, log-prob, decoder state before its last id)
+        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (ctx, s, c))
+        hyps, done = [greedy], []
         for _ in range(max_len):
+            live = hyps if greedy[0][-1] == eos else hyps + [greedy]
+            if not live:
+                break
+            rows = {}  # prefix -> (log-probs of the next id, state after the prefix)
+            for ids, _, state in live:
+                if ids not in rows:
+                    logits, *after = self._step(ids[-1], *state, enc, enc_proj)
+                    rows[ids] = (T.log_softmax(logits).data[0], after)
+            if greedy[0][-1] != eos:
+                log_probs, after = rows[greedy[0]]
+                idx = int(log_probs.argmax())
+                greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[idx]), after)
             candidates = []
-            for tokens, logp, ctx, s, c, prev in hyps:
-                logits, ctx2, s2, c2 = self._step(prev, ctx, s, c, enc, enc_proj)
-                log_probs = T.log_softmax(logits).data[0]
-                top = np.argsort(log_probs)[::-1][:beam]
-                for idx in top:
-                    idx = int(idx)
-                    entry = (tokens + [idx], logp + float(log_probs[idx]), ctx2, s2, c2, idx)
-                    candidates.append(entry)
-            candidates.sort(key=lambda h: h[1], reverse=True)
+            for ids, logp, _ in hyps:
+                log_probs, after = rows[ids]
+                for idx in log_probs.argsort()[::-1][:beam].tolist():
+                    candidates.append((ids + (idx,), logp + float(log_probs[idx]), after))
+            candidates.sort(key=_LOGP, reverse=True)
             hyps = []
             for entry in candidates:
-                if entry[5] == eos:
-                    done.append((entry[0][:-1], entry[1], len(entry[0])))
+                if entry[0][-1] == eos:
+                    done.append((entry[0][1:-1], entry[1], False))
                 else:
                     hyps.append(entry)
                 if len(hyps) >= beam:
                     break
-            if not hyps:
-                break
-        for tokens, logp, *_ in hyps:  # truncated leftovers
-            done.append((tokens, logp, len(tokens) + 1))
-        best = max(done, key=lambda h: h[1] / max(h[2], 1))
-        greedy_tokens, greedy_score, truncated = self.greedy_decode(ex, max_len=max_len)
-        greedy_norm = greedy_score / max(len(greedy_tokens) + 1, 1)
-        if greedy_norm >= best[1] / max(best[2], 1):
-            return greedy_tokens, greedy_score, truncated
-        ids = best[0]
-        return [self.tgt_vocab.token(i) for i in ids], best[1], False
+        finished = greedy[0][-1] == eos
+        results = [(greedy[0][1:-1] if finished else greedy[0][1:], greedy[1], not finished)]
+        results += done + [(ids[1:], logp, True) for ids, logp, _ in hyps]
+        ids, logp, truncated = max(results, key=_normalized)
+        return [self.tgt_vocab.token(i) for i in ids], logp, truncated
+
+
+_LOGP = itemgetter(1)
+
+
+def _normalized(result) -> float:
+    return result[1] / (len(result[0]) + 1)
 
 
 def generate(model: Seq2SeqModel, ex: TrainExample, beam: int = 1, max_len: int = None):
     """Decode and de-anonymize one example; returns (tokens, truncated)."""
-    if beam <= 1:
-        tokens, _, truncated = model.greedy_decode(ex, max_len=max_len)
-    else:
-        tokens, _, truncated = model.beam_decode(ex, beam=beam, max_len=max_len)
+    tokens, _, truncated = model.beam_decode(ex, beam=beam, max_len=max_len)
     return deanonymize(tokens, ex.anon_map), truncated
 
 

@@ -56,9 +56,6 @@ class AmrTree:
     copy_of: tuple  # ((tree_id, source_id), ...)
     edge_origin: tuple
 
-    def labels(self):
-        return dict(self.nodes)
-
     def out_edges(self, node_id):
         return [e for e in self.edges if e[0] == node_id]
 
@@ -81,7 +78,6 @@ class TokenSequence:
 
     tokens: tuple
     alignment: tuple
-    anonymization_map: tuple = field(default_factory=tuple)
 
     def __len__(self):
         return len(self.tokens)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from amrgen import amr, tensor as T, transforms
-from amrgen.encoders import KINDS, EncoderConfig, StackEncoder
+from amrgen.encoders import KINDS, EncoderConfig, StackEncoder, default_repr
 from amrgen.evaluation import (
     CATEGORIES,
     DEPENDENCY_BUCKETS,
@@ -43,12 +43,6 @@ from conftest import (
 def verdict(number, name, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {name}")
     assert ok, f"criterion {number} ({name}) failed"
-
-
-def default_repr(kind):
-    if kind == "Seq":
-        return "sequence"
-    return "tree" if "TreeLSTM" in kind else "graph"
 
 
 def make_train_examples(corpus, ids):

@@ -48,7 +48,7 @@ def test_preprocess_artifacts(toy_jsonl, capsys):
     records = [json.loads(l) for l in toy_jsonl.read_text().splitlines()]
     assert len(records) == 60
     first = records[0]
-    assert set(first) >= {"id", "penman", "tokens", "levi", "tree", "sentence", "stats"}
+    assert set(first) == {"id", "penman", "tokens", "sentence", "anon_map", "stats"}
     assert first["stats"].keys() == {"reentrancies", "max_dep_len", "nodes", "edges"}
     base = str(toy_jsonl)[: -len(".jsonl")]
     assert Path(base + ".vocab.src").exists()
@@ -151,6 +151,8 @@ def test_train_bad_model_flag_is_config_error(small_jsonl, tmp_path, capsys):
         ("--epochs", "0"),
         ("--patience", "0"),
         ("--lr", "0"),
+        ("--gcn-layers", "0"),
+        ("--gcn-layers", "-2"),
     ],
 )
 def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, capsys):
@@ -165,6 +167,21 @@ def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, c
 def test_train_missing_data_is_data_error(tmp_path):
     code = main(["train", "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "x")])
     assert code == EXIT_DATA
+
+
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+
+
+@pytest.mark.parametrize(
+    "record", [{"id": "x-1", "sentence": ["a", "dog"]}, {"id": "x-1", "penman": 5}, ["x-1"]]
+)
+def test_record_without_penman_is_data_error(record, tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps(record) + "\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "x")]) == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
 
 
 # --------------------------------------------------------------------------
@@ -203,6 +220,33 @@ def test_evaluate_with_hyp_file(small_jsonl, tmp_path, capsys):
 def test_evaluate_needs_hyp_or_ckpt(small_jsonl, capsys):
     assert main(["evaluate", "--data", str(small_jsonl)]) == EXIT_CONFIG
     assert "needs --hyp or --ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_beam_below_one_is_config_error(command, trained, small_jsonl, capsys):
+    code = main([command, "--ckpt", str(trained), "--data", str(small_jsonl), "--beam", "0"])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error:")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "tampered", "not a zip"])
+@pytest.mark.parametrize("command", ["generate", "evaluate", "contrastive"])
+def test_bad_checkpoint_is_data_error(command, damage, trained, small_jsonl, tmp_path, capsys):
+    blob = trained.read_bytes()
+    if damage == "truncated":
+        blob = blob[: len(blob) // 2]
+    elif damage == "tampered":
+        middle = len(blob) // 2
+        blob = blob[:middle] + bytes([blob[middle] ^ 0xFF]) + blob[middle + 1 :]
+    else:
+        blob = b"not a checkpoint"
+    trained.write_bytes(blob)
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("")
+    extra = ["--pairs", str(pairs)] if command == "contrastive" else []
+    code = main([command, "--ckpt", str(trained), "--data", str(small_jsonl), *extra])
+    assert code == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
 
 
 def test_evaluate_length_mismatch_is_data_error(small_jsonl, tmp_path):
@@ -282,6 +326,19 @@ def test_contrastive_command(trained, small_jsonl, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["number"]["count"] == 1
     assert report["skipped"] == 0
+
+
+def test_contrastive_unknown_category_is_data_error(trained, small_jsonl, tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"id": "ok-1", "reference": ["a"], "contrastive": ["b"], "category": "tense"})
+        + "\n"
+    )
+    code = main(
+        ["contrastive", "--ckpt", str(trained), "--data", str(small_jsonl), "--pairs", str(pairs)]
+    )
+    assert code == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from amrgen.encoders import (
     GcnEncoder,
     StackEncoder,
     adjacency,
+    default_repr,
     tree_indices,
 )
 
@@ -20,12 +21,6 @@ from conftest import (
     min_relu_margin,
     random_tree_graph,
 )
-
-
-def default_repr(kind):
-    if kind == "Seq":
-        return "sequence"
-    return "tree" if "TreeLSTM" in kind else "graph"
 
 
 def make_encoder(kind, vocab, seed=0, d=4, h=6, **over):

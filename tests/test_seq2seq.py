@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T
-from amrgen.encoders import EncoderConfig
+from amrgen.encoders import EncoderConfig, StackEncoder
 from amrgen.seq2seq import (
     Checkpoint,
     NumericError,
@@ -178,6 +179,69 @@ def test_beam_at_least_greedy(small_model, toy10):
 def test_beam_one_is_greedy(small_model, toy10):
     ex = toy10[2]
     assert small_model.beam_decode(ex, beam=1) == small_model.greedy_decode(ex)
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_truncated_means_the_result_hit_max_len(beam, small_model, toy10):
+    # a finished hypothesis spends one step on EOS, so it is shorter than
+    # max_len; one that hit max_len has exactly max_len tokens
+    for ex in toy10:
+        for max_len in (1, 2, 3, 4):
+            tokens, _, truncated = small_model.beam_decode(ex, beam=beam, max_len=max_len)
+            assert truncated == (len(tokens) == max_len), (ex.id, max_len, tokens)
+
+
+def test_beam_encodes_once(small_model, toy10, monkeypatch):
+    calls = []
+    encode = StackEncoder.encode
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(StackEncoder, "encode", counting)
+    small_model.beam_decode(toy10[0], beam=4)
+    assert len(calls) == 1
+
+
+def test_beam_does_not_rerun_greedy(small_model, toy10, monkeypatch):
+    expected = small_model.beam_decode(toy10[0], beam=4)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("beam_decode called greedy_decode")
+
+    monkeypatch.setattr(Seq2SeqModel, "greedy_decode", fail)
+    assert small_model.beam_decode(toy10[0], beam=4) == expected
+
+
+def test_beam_below_one_is_rejected(small_model, toy10):
+    with pytest.raises(ValueError, match="beam"):
+        small_model.beam_decode(toy10[0], beam=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    index=st.integers(0, len(TOY10) - 1),
+    beam=st.integers(1, 6),
+    max_len=st.integers(1, 25),
+)
+def test_decoder_properties(toy10, seed, index, beam, max_len):
+    """Beam never scores below greedy under the normalized score, truncated
+    marks a result of max_len tokens, and scoring agrees with the loss."""
+    ex = toy10[index]
+    src, tgt = build_vocabs(toy10, unk_threshold=1)
+    cfg = EncoderConfig(kind="Seq", input_repr="sequence", embedding_dim=8, hidden_dim=8,
+                        dropout=0.0, edge_dropout=0.0)
+    model = Seq2SeqModel(cfg, src, tgt, seed=seed)
+    g_tokens, g_score, g_truncated = model.greedy_decode(ex, max_len=max_len)
+    b_tokens, b_score, b_truncated = model.beam_decode(ex, beam=beam, max_len=max_len)
+    assert b_score / (len(b_tokens) + 1) >= g_score / (len(g_tokens) + 1)
+    assert g_truncated == (len(g_tokens) == max_len)
+    assert b_truncated == (len(b_tokens) == max_len)
+    score = model.score_sentence(ex, ex.target)
+    loss = model.sequence_loss(ex).item()
+    assert abs(score + loss * (len(ex.target) + 1)) <= 1e-12
 
 
 def test_generate_deanonymizes(small_model, toy10):
