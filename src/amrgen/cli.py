@@ -2,8 +2,8 @@
 analyze, contrastive.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric failure.
-Every run writes a manifest (config, seed, input content hashes) next to its
-outputs so results can be reproduced.
+train writes a manifest (config, seed, sha256 of each input file) next to
+its checkpoint so results can be reproduced.
 """
 from __future__ import annotations
 
@@ -176,8 +176,14 @@ def load_examples(jsonl_path):
             if not (isinstance(record, dict) and "id" in record
                     and isinstance(record.get("penman"), str)):
                 raise DataError(f"{jsonl_path}:{line_no}: a record needs an id and a penman string")
-            anon_map = tuple(tuple(m) for m in record.get("anon_map", []))
-            sentence = tuple(record.get("sentence", []))
+            sentence, anon_map = record.get("sentence", []), record.get("anon_map", [])
+            if not (isinstance(sentence, list) and all(isinstance(w, str) for w in sentence)):
+                raise DataError(f"{jsonl_path}:{line_no}: sentence must be a list of strings")
+            if not (isinstance(anon_map, list) and all(
+                    isinstance(m, list) and len(m) == 2 and all(isinstance(w, str) for w in m)
+                    for m in anon_map)):
+                raise DataError(f"{jsonl_path}:{line_no}: anon_map must be a list of string pairs")
+            sentence, anon_map = tuple(sentence), tuple(tuple(m) for m in anon_map)
             examples.append(
                 TrainExample(
                     id=record["id"],

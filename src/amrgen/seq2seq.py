@@ -100,13 +100,13 @@ class Seq2SeqModel:
         ctx = Tensor(np.zeros((1, self.config.hidden_dim)))
         return s, c, ctx
 
-    def _step(self, token_id: int, ctx, s, c, enc, enc_proj):
-        emb = T.embedding_lookup(self.tgt_embedding, [token_id])
+    def _step(self, token_ids, ctx, s, c, enc, enc_proj):
+        """One decoder step for m rows at once: token_ids is a list of m ids,
+        and ctx, s and c are (m, h). Returns (logits, ctx, s, c), row by row."""
+        emb = T.embedding_lookup(self.tgt_embedding, token_ids)
         x = T.concat([emb, ctx], axis=1)
         s, c = self.cell.step(x, s, c)
-        scores = T.matmul(T.tanh(T.add(T.add(enc_proj, T.matmul(s, self.U_a)), self.b_a)), self.v_a)
-        alpha = T.softmax(T.transpose(scores))  # (1, N)
-        ctx = T.matmul(alpha, enc)
+        ctx = T.attention(s, enc, enc_proj, self.U_a, self.b_a, self.v_a)
         o = T.tanh(T.add(T.matmul(T.concat([s, ctx], axis=1), self.W_o), self.b_o))
         logits = T.add(T.matmul(o, self.W_v), self.b_v)
         return logits, ctx, s, c
@@ -123,7 +123,7 @@ class Seq2SeqModel:
         s, c, ctx = self._init_state(enc)
         prev = self.tgt_vocab.index(BOS)
         for tgt in self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]:
-            logits, ctx, s, c = self._step(prev, ctx, s, c, enc, enc_proj)
+            logits, ctx, s, c = self._step([prev], ctx, s, c, enc, enc_proj)
             yield T.log_softmax(logits), tgt
             prev = tgt
 
@@ -154,6 +154,12 @@ class Seq2SeqModel:
         finished or length-capped beam hypotheses under log-prob / (len + 1);
         greedy wins ties, so the result is never worse than greedy and beam=1
         is greedy decoding. truncated means the result hit max_len before EOS.
+
+        The greedy path is stepped alone, and every other live prefix in one
+        batched step. The search stops once no live hypothesis can beat or tie
+        a finished result: log-probs only fall and a result is divided by at
+        most max_len + 1, so no descendant of a hypothesis with log-prob L
+        scores above L / (max_len + 1), and an earlier result wins a tie.
         """
         if beam < 1:
             raise ValueError(f"beam must be >= 1, got {beam}")
@@ -162,44 +168,65 @@ class Seq2SeqModel:
         enc, enc_proj = self._encode(ex, training=False)
         eos = self.tgt_vocab.index(EOS)
         s, c, ctx = self._init_state(enc)
-        # a hypothesis: (BOS + token ids, log-prob, decoder state before its last id)
-        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (ctx, s, c))
-        hyps, done = [greedy], []
+        # a hypothesis: (BOS + token ids, log-prob, (ctx, s, c) rows before its last id)
+        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (ctx.data, s.data, c.data))
+        hyps, done = [greedy], []  # done[0] is the greedy result once it has finished
         for _ in range(max_len):
-            live = hyps if greedy[0][-1] == eos else hyps + [greedy]
-            if not live:
+            if greedy[0][-1] == eos and (
+                    not hyps or max(map(_normalized, done)) >= hyps[0][1] / (max_len + 1)):
+                hyps = []
                 break
-            rows = {}  # prefix -> (log-probs of the next id, state after the prefix)
-            for ids, _, state in live:
-                if ids not in rows:
-                    logits, *after = self._step(ids[-1], *state, enc, enc_proj)
-                    rows[ids] = (T.log_softmax(logits).data[0], after)
+            rows = {}  # prefix -> (log-probs of the next id, state rows after the prefix)
+            if greedy[0][-1] != eos:
+                log_probs, after = self._advance([greedy[0][-1]], greedy[2], enc, enc_proj)
+                rows[greedy[0]] = (log_probs[0], after)
+            batch = [hyp for hyp in hyps if hyp[0] not in rows]
+            if batch:
+                state = [np.concatenate([hyp[2][j] for hyp in batch]) for j in range(3)]
+                log_probs, after = self._advance([ids[-1] for ids, _, _ in batch], state,
+                                                 enc, enc_proj)
+                for r, (ids, _, _) in enumerate(batch):
+                    rows[ids] = (log_probs[r], [a[r : r + 1] for a in after])
             if greedy[0][-1] != eos:
                 log_probs, after = rows[greedy[0]]
                 idx = int(log_probs.argmax())
                 greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[idx]), after)
-            candidates = []
-            for ids, logp, _ in hyps:
-                log_probs, after = rows[ids]
-                for idx in log_probs.argsort()[::-1][:beam].tolist():
-                    candidates.append((ids + (idx,), logp + float(log_probs[idx]), after))
-            candidates.sort(key=_LOGP, reverse=True)
+                if idx == eos:
+                    done.insert(0, (greedy[0][1:-1], greedy[1], False))
+            if not hyps:
+                continue
+            # each hypothesis's `beam` best next ids, ties in argsort()[::-1]
+            # order, then one stable sort of all of them by log-prob
+            log_probs = np.array([rows[ids][0] for ids, _, _ in hyps])
+            top = log_probs.argsort(axis=1)[:, :-beam - 1:-1]
+            picked = log_probs[np.arange(len(hyps))[:, None], top].tolist()
+            candidates = [(logp + value, ids, idx)
+                          for (ids, logp, _), values, idxs in zip(hyps, picked, top.tolist())
+                          for value, idx in zip(values, idxs)]
+            candidates.sort(key=_FIRST, reverse=True)
             hyps = []
-            for entry in candidates:
-                if entry[0][-1] == eos:
-                    done.append((entry[0][1:-1], entry[1], False))
+            for logp, ids, idx in candidates:
+                if idx == eos:
+                    done.append((ids[1:], logp, False))
                 else:
-                    hyps.append(entry)
-                if len(hyps) >= beam:
-                    break
-        finished = greedy[0][-1] == eos
-        results = [(greedy[0][1:-1] if finished else greedy[0][1:], greedy[1], not finished)]
-        results += done + [(ids[1:], logp, True) for ids, logp, _ in hyps]
+                    hyps.append((ids + (idx,), logp, rows[ids][1]))
+                    if len(hyps) >= beam:
+                        break
+        if greedy[0][-1] != eos:
+            done.insert(0, (greedy[0][1:], greedy[1], True))
+        results = done + [(ids[1:], logp, True) for ids, logp, _ in hyps]
         ids, logp, truncated = max(results, key=_normalized)
         return [self.tgt_vocab.token(i) for i in ids], logp, truncated
 
+    def _advance(self, last_ids, state, enc, enc_proj):
+        """One decoder step for m rows: last_ids holds m ids and state the
+        (ctx, s, c) arrays, (m, h) each. Returns the (m, V) log-probs of the
+        next id and the state arrays after it."""
+        logits, *after = self._step(last_ids, *map(Tensor, state), enc, enc_proj)
+        return T.log_softmax(logits).data, [a.data for a in after]
 
-_LOGP = itemgetter(1)
+
+_FIRST = itemgetter(0)
 
 
 def _normalized(result) -> float:

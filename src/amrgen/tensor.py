@@ -541,6 +541,56 @@ def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = Fa
 
 
 # --------------------------------------------------------------------------
+# Fused additive attention
+
+
+def attention(q: Tensor, enc: Tensor, enc_proj: Tensor, U: Tensor, b: Tensor,
+              v: Tensor) -> Tensor:
+    """Additive attention of the (m, h) query rows q over the (N, h) rows of
+    enc, as one tape entry. With E = tanh(enc_proj + q U + b) for every
+    (query, row) pair, alpha is the softmax over rows of E v, and output row i
+    is alpha_i enc. enc_proj is enc's projection, computed once per example.
+
+    The forward runs the composed kernels' operations in their order, so one
+    query row gives their result to the bit.
+    """
+    m, rows = q.shape[0], enc.shape[0]
+    if enc_proj.shape != enc.shape or q.shape[1] != U.shape[0]:
+        raise ShapeError(f"attention shape mismatch: {q.shape} over {enc.shape}")
+    pre = enc_proj.data[None] + (q.data @ U.data)[:, None]
+    pre += b.data
+    e = np.tanh(pre)  # (m, rows, h)
+    scores = (e.reshape(m * rows, -1) @ v.data).reshape(m, rows)
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = exp / exp.sum(axis=1, keepdims=True)
+    out = Tensor(alpha @ enc.data,
+                 requires_grad=any(t.requires_grad for t in (q, enc, enc_proj, U, b, v)))
+    weight_rows = _weight_rows()
+
+    def bwd(g):
+        if enc.requires_grad:
+            _accumulate(enc, alpha.T @ g)
+        d_alpha = g @ enc.data.T
+        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        if v.requires_grad:
+            _accumulate_weight(weight_rows, v, e.reshape(m * rows, -1),
+                               d_scores.reshape(m * rows, 1))
+        d_pre = d_scores[:, :, None] * v.data[:, 0] * (1.0 - e * e)
+        if enc_proj.requires_grad:
+            _accumulate(enc_proj, d_pre.sum(axis=0))
+        d_query = d_pre.sum(axis=1)  # gradient of q U
+        if b.requires_grad:
+            _accumulate(b, d_query.sum(axis=0, keepdims=True))
+        if q.requires_grad:
+            _accumulate(q, d_query @ U.data.T)
+        if U.requires_grad:
+            _accumulate_weight(weight_rows, U, q.data, d_query)
+
+    _record(out, bwd)
+    return out
+
+
+# --------------------------------------------------------------------------
 # Optimization
 
 
@@ -611,10 +661,20 @@ def save_arrays(path, manifest: dict, arrays: dict) -> None:
 
 
 def load_arrays(path):
-    with zipfile.ZipFile(path) as archive:
-        manifest = json.loads(archive.read("manifest.json"))
-        arrays = {}
-        for name, shape in manifest["arrays"].items():
-            raw = archive.read(f"data/{name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    """Read an archive that save_arrays wrote. A damaged one raises
+    zipfile.BadZipFile, KeyError or another ValueError."""
+    with open(path, "rb") as handle:
+        try:
+            with zipfile.ZipFile(handle) as archive:
+                manifest = json.loads(archive.read("manifest.json"))
+                arrays = {}
+                for name, shape in manifest["arrays"].items():
+                    raw = archive.read(f"data/{name}")
+                    arrays[name] = (np.frombuffer(raw, dtype="<f8").astype(np.float64)
+                                    .reshape(shape))
+        except (NotImplementedError, RuntimeError, EOFError, OSError) as err:
+            # zipfile's errors for damaged headers: a compression method or an
+            # encryption flag that save_arrays never writes, a size past the
+            # end of the file, an offset before its start
+            raise zipfile.BadZipFile(f"{type(err).__name__}: {err}") from None
     return manifest, arrays

@@ -184,6 +184,28 @@ def test_record_without_penman_is_data_error(record, tmp_path, capsys):
     assert_one_line_error(capsys, "data error:")
 
 
+PENMAN = "(s / sleep-01 :arg0 (b / boy))"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"sentence": 7},
+        {"sentence": "the boy sleeps"},
+        {"sentence": ["the", 7]},
+        {"anon_map": 7},
+        {"anon_map": [["boy"]]},
+        {"anon_map": [["boy", 7]]},
+        {"anon_map": ["bo"]},
+    ],
+)
+def test_record_field_of_wrong_type_is_data_error(fields, tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps({"id": "x-1", "penman": PENMAN, **fields}) + "\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "x")]) == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
+
+
 # --------------------------------------------------------------------------
 # generate / evaluate
 
@@ -229,7 +251,7 @@ def test_beam_below_one_is_config_error(command, trained, small_jsonl, capsys):
     assert_one_line_error(capsys, "configuration error:")
 
 
-@pytest.mark.parametrize("damage", ["truncated", "tampered", "not a zip"])
+@pytest.mark.parametrize("damage", ["truncated", "tampered", "directory offset", "not a zip"])
 @pytest.mark.parametrize("command", ["generate", "evaluate", "contrastive"])
 def test_bad_checkpoint_is_data_error(command, damage, trained, small_jsonl, tmp_path, capsys):
     blob = trained.read_bytes()
@@ -238,6 +260,9 @@ def test_bad_checkpoint_is_data_error(command, damage, trained, small_jsonl, tmp
     elif damage == "tampered":
         middle = len(blob) // 2
         blob = blob[:middle] + bytes([blob[middle] ^ 0xFF]) + blob[middle + 1 :]
+    elif damage == "directory offset":  # the central directory said to start one byte on
+        offset = int.from_bytes(blob[-6:-2], "little") + 1
+        blob = blob[:-6] + offset.to_bytes(4, "little") + blob[-2:]
     else:
         blob = b"not a checkpoint"
     trained.write_bytes(blob)

@@ -1,5 +1,6 @@
 """Decoder, scoring, decoding, training loop and checkpoints."""
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -244,6 +245,106 @@ def test_decoder_properties(toy10, seed, index, beam, max_len):
     assert abs(score + loss * (len(ex.target) + 1)) <= 1e-12
 
 
+def reference_beam_decode(model, ex, beam, max_len):
+    """beam_decode without its early stop or batching: every prefix stepped
+    alone for all max_len steps, one argsort per hypothesis."""
+    enc, enc_proj = model._encode(ex, training=False)
+    eos = model.tgt_vocab.index(EOS)
+    s, c, ctx = model._init_state(enc)
+    greedy = ((model.tgt_vocab.index(BOS),), 0.0, (ctx, s, c))
+    hyps, done = [greedy], []
+    for _ in range(max_len):
+        live = hyps if greedy[0][-1] == eos else hyps + [greedy]
+        if not live:
+            break
+        rows = {}
+        for ids, _, state in live:
+            if ids not in rows:
+                logits, *after = model._step([ids[-1]], *state, enc, enc_proj)
+                rows[ids] = (T.log_softmax(logits).data[0], after)
+        if greedy[0][-1] != eos:
+            log_probs, after = rows[greedy[0]]
+            idx = int(log_probs.argmax())
+            greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[idx]), after)
+        candidates = []
+        for ids, logp, _ in hyps:
+            log_probs, after = rows[ids]
+            for idx in log_probs.argsort()[::-1][:beam].tolist():
+                candidates.append((ids + (idx,), logp + float(log_probs[idx]), after))
+        candidates.sort(key=lambda entry: entry[1], reverse=True)
+        hyps = []
+        for entry in candidates:
+            if entry[0][-1] == eos:
+                done.append((entry[0][1:-1], entry[1], False))
+            else:
+                hyps.append(entry)
+            if len(hyps) >= beam:
+                break
+    finished = greedy[0][-1] == eos
+    results = [(greedy[0][1:-1] if finished else greedy[0][1:], greedy[1], not finished)]
+    results += done + [(ids[1:], logp, True) for ids, logp, _ in hyps]
+    ids, logp, truncated = max(results, key=lambda r: r[1] / (len(r[0]) + 1))
+    return [model.tgt_vocab.token(i) for i in ids], logp, truncated
+
+
+def eos_biased_model(toy10, seed, eos_bias, dim=8):
+    """An untrained model whose every step favours EOS by eos_bias nats more,
+    so that its greedy path and beam hypotheses finish early."""
+    src, tgt = build_vocabs(toy10, unk_threshold=1)
+    cfg = EncoderConfig(kind="Seq", input_repr="sequence", embedding_dim=dim, hidden_dim=dim,
+                        dropout=0.0, edge_dropout=0.0)
+    model = Seq2SeqModel(cfg, src, tgt, seed=seed)
+    model.b_v.data[0, tgt.index(EOS)] += eos_bias
+    return model
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    index=st.integers(0, len(TOY10) - 1),
+    beam=st.integers(1, 6),
+    max_len=st.integers(1, 25),
+    eos_bias=st.sampled_from([0.0, 2.0, 3.0, 4.0, 6.0]),
+)
+def test_beam_matches_the_unpruned_search(toy10, seed, index, beam, max_len, eos_bias):
+    """The early stop never changes the result, and batched rows agree with
+    rows stepped alone."""
+    model = eos_biased_model(toy10, seed, eos_bias)
+    ex = toy10[index]
+    tokens, logp, truncated = model.beam_decode(ex, beam=beam, max_len=max_len)
+    ref_tokens, ref_logp, ref_truncated = reference_beam_decode(model, ex, beam, max_len)
+    assert (tokens, truncated) == (ref_tokens, ref_truncated)
+    assert abs(logp - ref_logp) <= 1e-9
+
+
+def test_beam_stops_early_and_batches_its_steps(toy10, monkeypatch):
+    rows = []
+    step = Seq2SeqModel._step
+
+    def counting(self, token_ids, *args):
+        rows.append(len(token_ids))
+        return step(self, token_ids, *args)
+
+    monkeypatch.setattr(Seq2SeqModel, "_step", counting)
+    ex = toy10[0]
+    max_len = 2 * len(ex.repr.sequence) + 10
+    # with EOS made unlikely the greedy path never ends, so the search runs
+    # all max_len steps: one for the greedy row, at most one for the others
+    model = eos_biased_model(toy10, 0, -20.0, dim=16)
+    assert model.greedy_decode(ex)[2]
+    rows.clear()
+    model.beam_decode(ex, beam=5)
+    assert len(rows) <= 2 * max_len
+    assert max(rows) > 1
+    # sure of EOS, the search stops once no live hypothesis can win; every
+    # step it runs calls _step at least once
+    model = eos_biased_model(toy10, 0, 3.0, dim=16)
+    rows.clear()
+    tokens, _, truncated = model.beam_decode(ex, beam=5)
+    assert not truncated
+    assert len(rows) <= max_len // 2, (len(rows), max_len)
+
+
 def test_generate_deanonymizes(small_model, toy10):
     ex = toy10[0]
     decoded, _, _ = small_model.greedy_decode(ex)
@@ -380,3 +481,37 @@ def test_checkpoint_rejects_name_mismatch(toy10):
     del ck.arrays["W_a"]
     with pytest.raises(ValueError, match="parameter names"):
         ck.build_model()
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(toy10, tmp_path_factory):
+    model = Seq2SeqModel(seq_config(embedding_dim=4, hidden_dim=4), *build_vocabs(toy10[:2]),
+                         seed=0)
+    ck = Checkpoint(config=model.config, src_vocab=model.src_vocab, tgt_vocab=model.tgt_vocab,
+                    arrays={name: p.data for name, p in model.params().items()},
+                    meta={"seed": 0, "epoch": 1, "dev_bleu": 0.0, "epochs_run": 1})
+    path = tmp_path_factory.mktemp("checkpoint") / "ck.bin"
+    ck.save(path)
+    return path.read_bytes(), ck.arrays, path.with_name("damaged.bin")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_damaged_checkpoint_is_rejected_or_intact(saved_checkpoint, data):
+    """A truncated archive or one with a flipped byte either fails with an
+    error the CLI reports as a data error, or loads the original arrays
+    (a flip in a zip timestamp, say, is harmless)."""
+    blob, arrays, path = saved_checkpoint
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:offset]
+    else:
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = blob[:offset] + bytes([blob[offset] ^ flip]) + blob[offset + 1:]
+    path.write_bytes(damaged)
+    try:
+        model = Checkpoint.load(path).build_model()
+    except (zipfile.BadZipFile, KeyError, ValueError):
+        return
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, arrays[name]), name

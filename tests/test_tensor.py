@@ -475,3 +475,47 @@ def test_tape_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# --------------------------------------------------------------------------
+# Fused attention
+
+
+def _composed_attention(q, enc, enc_proj, U, b, v):
+    """Attention built from single kernels, one query row at a time: the
+    reference for the fused kernel."""
+    rows = []
+    for i in range(q.shape[0]):
+        pre = T.add(T.add(enc_proj, T.matmul(T.slice_rows(q, i, i + 1), U)), b)
+        alpha = T.softmax(T.transpose(T.matmul(T.tanh(pre), v)))
+        rows.append(T.matmul(alpha, enc))
+    return T.concat(rows, axis=0)
+
+
+def _attention_params(rng, m, rows, h):
+    return (_param(rng, m, h), _param(rng, rows, h), _param(rng, rows, h), _param(rng, h, h),
+            _param(rng, 1, h), _param(rng, h, 1))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_grad(seed, m):
+    rng = np.random.default_rng(seed)
+    rows, h = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    params = _attention_params(rng, m, rows, h)
+    w = Tensor(_rand(rng, m, h))
+    _check(list(params), lambda: T.sum_all(T.mul(T.attention(*params), w)))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_attention_forward_matches_composed(m):
+    rng = np.random.default_rng(m)
+    params = _attention_params(rng, m, 6, 4)
+    with T.Tape() as tape:
+        fused = T.attention(*params)
+    assert len(tape) == 1
+    composed = _composed_attention(*params)
+    assert fused.shape == (m, 4)
+    assert np.abs(fused.data - composed.data).max() <= 1e-12
+    if m == 1:  # one query row runs the composed kernels' operations in order
+        assert np.array_equal(fused.data, composed.data)
