@@ -24,11 +24,10 @@ from .tensor import (
     mul,
     relu,
     sigmoid,
-    slice_cols,
-    slice_rows,
     sub,
-    sum_rows,
     tanh,
+    tree_lstm_down,
+    tree_lstm_up,
     uniform_param,
     zeros_param,
 )
@@ -141,8 +140,9 @@ class BiLstmEncoder:
         return {**self.fwd.params(), **self.bwd.params()}
 
 
-def _tree_topology(node_count: int, edges):
-    """children lists and parent indices; raises if any node has indegree > 1."""
+def _tree_topology(node_count: int, edges, root: int):
+    """children lists, parent indices and a post-order from root (every child
+    before its parent); raises unless the edges form one tree rooted at root."""
     children = [[] for _ in range(node_count)]
     parent = [None] * node_count
     for u, v in edges:
@@ -153,7 +153,20 @@ def _tree_topology(node_count: int, edges):
             )
         parent[v] = u
         children[u].append(v)
-    return children, parent
+    if parent[root] is not None:
+        raise ValueError("input is not a tree (its root has a parent)")
+    order = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in children[node])
+    if len(order) != node_count:
+        raise ValueError("input is not a tree (some node is not below the root)")
+    return children, parent, order
 
 
 def tree_indices(tree: AmrTree):
@@ -175,7 +188,6 @@ class ChildSumTreeLstm:
 
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str = "treelstm"):
         half = hidden_dim // 2
-        self.half = half
         self.name = name
         self.W = uniform_param((in_dim, 4 * half), rng)  # x -> i,o,u,f blocks
         self.U = uniform_param((half, 3 * half), rng)  # child sum -> i,o,u
@@ -185,58 +197,11 @@ class ChildSumTreeLstm:
         self.br = zeros_param((1, half))
         self.down = LstmCell(half, half, rng, f"{name}.down")
 
-    def _bottom_up(self, wx, children_states):
-        """wx is the node's row of x W + b; a leaf's child sum is zero."""
-        n = self.half
-        gates = wx  # i, o, u in the first 3n columns
-        if children_states:
-            h_sum = sum_rows(concat([h for h, _ in children_states], axis=0))
-            gates = add(slice_cols(wx, 0, 3 * n), matmul(h_sum, self.U))
-        i = sigmoid(slice_cols(gates, 0, n))
-        o = sigmoid(slice_cols(gates, n, 2 * n))
-        u = tanh(slice_cols(gates, 2 * n, 3 * n))
-        c = mul(i, u)
-        fx = slice_cols(wx, 3 * n, 4 * n)
-        for h_k, c_k in children_states:
-            f_k = sigmoid(add(fx, matmul(h_k, self.Uf)))
-            c = add(c, mul(f_k, c_k))
-        h = mul(o, tanh(c))
-        return h, c
-
     def encode(self, node_count: int, edges, root: int, inputs: Tensor) -> Tensor:
-        children, parent = _tree_topology(node_count, edges)
-        projected = add(matmul(inputs, self.W), self.b)
-
-        up_h = [None] * node_count
-        up_c = [None] * node_count
-        order = []
-        stack = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if ready:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                stack.extend((child, False) for child in children[node])
-        for node in order:  # children before parents
-            states = [(up_h[c], up_c[c]) for c in children[node]]
-            wx = slice_rows(projected, node, node + 1)
-            up_h[node], up_c[node] = self._bottom_up(wx, states)
-
-        down_h = [None] * node_count
-        down_c = [None] * node_count
-        down_h[root] = tanh(add(matmul(up_h[root], self.Wr), self.br))
-        down_c[root] = Tensor(np.zeros((1, self.half)))
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for child in children[node]:
-                down_h[child], down_c[child] = self.down.step(
-                    up_h[child], up_h[node], down_c[node]
-                )
-                stack.append(child)
-
-        return concat([concat(down_h, axis=0), concat(up_h, axis=0)], axis=1)
+        children, parent, order = _tree_topology(node_count, edges, root)
+        up = tree_lstm_up(inputs, self.W, self.U, self.Uf, self.b, children, order)
+        d = self.down
+        return tree_lstm_down(up, d.W, d.U, d.b, self.Wr, self.br, parent, order)
 
     def params(self) -> dict:
         p = {

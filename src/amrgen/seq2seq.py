@@ -100,16 +100,27 @@ class Seq2SeqModel:
         ctx = Tensor(np.zeros((1, self.config.hidden_dim)))
         return s, c, ctx
 
-    def _step(self, token_ids, ctx, s, c, enc, enc_proj):
-        """One decoder step for m rows at once: token_ids is a list of m ids,
-        and ctx, s and c are (m, h). Returns (logits, ctx, s, c), row by row."""
+    def _recur(self, token_ids, ctx, s, c, enc, enc_proj):
+        """The recurrent part of a decoder step for m rows at once: token_ids
+        is a list of m ids, and ctx, s and c are (m, h). Returns the next
+        (ctx, s, c), row by row. Input feeding carries ctx, so nothing else
+        feeds back into the next step."""
         emb = T.embedding_lookup(self.tgt_embedding, token_ids)
         x = T.concat([emb, ctx], axis=1)
         s, c = self.cell.step(x, s, c)
         ctx = T.attention(s, enc, enc_proj, self.U_a, self.b_a, self.v_a)
+        return ctx, s, c
+
+    def _output(self, s, ctx):
+        """The log-softmax rows over the target vocabulary for any number of
+        (s, ctx) row pairs."""
         o = T.tanh(T.add(T.matmul(T.concat([s, ctx], axis=1), self.W_o), self.b_o))
-        logits = T.add(T.matmul(o, self.W_v), self.b_v)
-        return logits, ctx, s, c
+        return T.log_softmax(T.add(T.matmul(o, self.W_v), self.b_v))
+
+    def _step(self, token_ids, ctx, s, c, enc, enc_proj):
+        """One decoder step for m rows; returns (log-probs, ctx, s, c)."""
+        ctx, s, c = self._recur(token_ids, ctx, s, c, enc, enc_proj)
+        return self._output(s, ctx), ctx, s, c
 
     def _encode(self, ex: TrainExample, training: bool, rng=None):
         enc = self.encoder.encode(ex.repr, training=training, rng=rng)
@@ -117,31 +128,28 @@ class Seq2SeqModel:
         return enc, enc_proj
 
     def _teacher_forced(self, ex: TrainExample, tokens, training: bool = False, rng=None):
-        """Yield (log_softmax row, target id) for each of tokens + EOS, feeding
-        the reference token back in at every step."""
+        """The (T, V) log-softmax rows and the T target ids of tokens + EOS,
+        feeding the reference token back in at every step. Only the
+        recurrence runs per step; the output layer runs once over all rows."""
         enc, enc_proj = self._encode(ex, training, rng)
         s, c, ctx = self._init_state(enc)
-        prev = self.tgt_vocab.index(BOS)
-        for tgt in self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]:
-            logits, ctx, s, c = self._step([prev], ctx, s, c, enc, enc_proj)
-            yield T.log_softmax(logits), tgt
-            prev = tgt
+        targets = self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]
+        s_rows, ctx_rows = [], []
+        for prev in [self.tgt_vocab.index(BOS)] + targets[:-1]:
+            ctx, s, c = self._recur([prev], ctx, s, c, enc, enc_proj)
+            s_rows.append(s)
+            ctx_rows.append(ctx)
+        return self._output(T.concat(s_rows), T.concat(ctx_rows)), targets
 
     def sequence_loss(self, ex: TrainExample, training: bool = False, rng=None) -> Tensor:
         """Mean token negative log-likelihood of the target, teacher-forced."""
-        rows = self._teacher_forced(ex, ex.target, training, rng)
-        picks = [T.pick(row, 0, tgt) for row, tgt in rows]
-        total = picks[0]
-        for piece in picks[1:]:
-            total = T.add(total, piece)
-        return T.scale(total, -1.0 / len(picks))
+        log_probs, targets = self._teacher_forced(ex, ex.target, training, rng)
+        return T.mean_nll(log_probs, targets)
 
     def score_sentence(self, ex: TrainExample, tokens) -> float:
         """Total log-probability of the token sequence (EOS included)."""
-        total = 0.0
-        for row, tgt in self._teacher_forced(ex, tokens):
-            total += float(row.data[0, tgt])
-        return total
+        log_probs, targets = self._teacher_forced(ex, tokens)
+        return float(log_probs.data[np.arange(len(targets)), targets].sum())
 
     def greedy_decode(self, ex: TrainExample, max_len: int = None):
         """Beam search with a beam of 1; see beam_decode."""
@@ -222,8 +230,8 @@ class Seq2SeqModel:
         """One decoder step for m rows: last_ids holds m ids and state the
         (ctx, s, c) arrays, (m, h) each. Returns the (m, V) log-probs of the
         next id and the state arrays after it."""
-        logits, *after = self._step(last_ids, *map(Tensor, state), enc, enc_proj)
-        return T.log_softmax(logits).data, [a.data for a in after]
+        log_probs, *after = self._step(last_ids, *map(Tensor, state), enc, enc_proj)
+        return log_probs.data, [a.data for a in after]
 
 
 _FIRST = itemgetter(0)
@@ -276,11 +284,13 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read a saved checkpoint. A damaged archive raises
+        zipfile.BadZipFile, KeyError or another ValueError."""
         manifest, arrays = T.load_arrays(path)
         return cls(
             config=EncoderConfig.from_dict(manifest["config"]),
-            src_vocab=Vocab(itos=tuple(manifest["src_vocab"])),
-            tgt_vocab=Vocab(itos=tuple(manifest["tgt_vocab"])),
+            src_vocab=_checked_vocab(manifest["src_vocab"], (UNK,), "source"),
+            tgt_vocab=_checked_vocab(manifest["tgt_vocab"], (UNK, BOS, EOS), "target"),
             arrays=arrays,
             meta=manifest["meta"],
         )
@@ -300,6 +310,18 @@ class Checkpoint:
         return model
 
 
+def _checked_vocab(itos, specials, side: str) -> Vocab:
+    """The Vocab of a checkpoint's token list, which build_vocabs made: the
+    special tokens first, then distinct strings."""
+    if not isinstance(itos, list) or not all(isinstance(tok, str) for tok in itos):
+        raise ValueError(f"{side} vocabulary is not a list of strings")
+    if tuple(itos[: len(specials)]) != specials:
+        raise ValueError(f"{side} vocabulary does not start with {' '.join(specials)}")
+    if len(set(itos)) != len(itos):
+        raise ValueError(f"{side} vocabulary holds a token twice")
+    return Vocab(itos=tuple(itos))
+
+
 def _snapshot(params: dict) -> dict:
     return {name: p.data.copy() for name, p in params.items()}
 
@@ -314,9 +336,12 @@ def train(
 ):
     """Teacher-forced SGD training with dev-BLEU-driven lr decay.
 
-    Returns (checkpoint, log) where log is a list of per-epoch dicts.
-    Timing is reported through log_sink only, keeping the structured log
-    reproducible for a fixed seed.
+    Returns (checkpoint, log) where log is a list of per-epoch dicts: the
+    mean batch loss, dev BLEU, learning rate, the mean and max gradient norm
+    before clipping over the epoch's batches, and the count of target tokens
+    trained on with the share of them that the target vocabulary maps to
+    UNK. Timing is reported through log_sink only, keeping the structured
+    log reproducible for a fixed seed.
     """
     from .evaluation import corpus_bleu
 
@@ -345,11 +370,15 @@ def train(
             refs.append(list(ex.reference))
         return corpus_bleu(hyps, refs)
 
+    tgt_tokens = sum(len(ex.target) for ex in train_examples)
+    unk = tgt_vocab.index(UNK)
+    tgt_unks = sum(tgt_vocab.indices(ex.target).count(unk) for ex in train_examples)
     order = list(range(len(train_examples)))
     for epoch in range(1, settings.max_epochs + 1):
         started = time.monotonic()
         shuffle_rng.shuffle(order)
         epoch_losses = []
+        grad_norms = []
         for start in range(0, len(order), settings.batch_size):
             batch = order[start : start + settings.batch_size]
             batch_loss = 0.0
@@ -368,7 +397,7 @@ def train(
             for p in params.values():
                 if p.grad is not None:
                     p.grad /= len(batch)
-            T.clip_grad_norm(params.values(), settings.clip_norm)
+            grad_norms.append(T.clip_grad_norm(params.values(), settings.clip_norm))
             T.sgd_step(params.values(), schedule.lr)
             epoch_losses.append(batch_loss)
 
@@ -383,6 +412,10 @@ def train(
             "train_loss": round(train_loss, 10),
             "dev_bleu": round(bleu, 6),
             "lr": round(schedule.lr, 12),
+            "grad_norm_mean": round(float(np.mean(grad_norms)), 10),
+            "grad_norm_max": round(max(grad_norms), 10),
+            "tgt_tokens": tgt_tokens,
+            "tgt_unk_rate": round(tgt_unks / tgt_tokens, 10) if tgt_tokens else 0.0,
         }
         log.append(entry)
         if log_sink is not None:

@@ -405,6 +405,24 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
     return out
 
 
+def mean_nll(log_probs: Tensor, ids) -> Tensor:
+    """The mean negative log-probability of ids[t] in row t of the (T, V)
+    log-probability rows, as a (1, 1) tensor and one tape entry."""
+    idx = np.asarray(ids, dtype=np.intp)
+    if log_probs.data.ndim != 2 or log_probs.shape[0] != len(idx):
+        raise ShapeError(f"mean_nll shape mismatch: {log_probs.shape} rows for {len(idx)} ids")
+    rows = np.arange(len(idx))
+    factor = -1.0 / len(idx)
+    out = Tensor((log_probs.data[rows, idx].sum() * factor).reshape(1, 1),
+                 requires_grad=log_probs.requires_grad)
+
+    def bwd(g):
+        _grad_buffer(log_probs)[rows, idx] += g.reshape(-1)[0] * factor
+
+    _record(out, bwd)
+    return out
+
+
 # --------------------------------------------------------------------------
 # Fused LSTM kernels. Gate order i, f, o, g: with z = x W + h U + b,
 # i, f, o = sigmoid(z blocks 0-2), g = tanh(z block 3),
@@ -535,6 +553,175 @@ def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = Fa
             _accumulate(U, _previous_rows(h_all, reverse).T @ dz)
         if b.requires_grad:
             _accumulate(b, dz.sum(axis=0, keepdims=True))
+
+    _record(out, bwd)
+    return out
+
+
+# --------------------------------------------------------------------------
+# Fused Child-Sum TreeLSTM kernels (Tai et al. 2015). Bottom-up gate order
+# i, o, u, f: with x W + b = [a_i, a_o, a_u, a_f] and s the sum of the
+# children's hidden states, i, o = sigmoid(a_io + s U_io), u = tanh(a_u + s U_u),
+# f_k = sigmoid(a_f + h_k Uf) for each child k, c = i u + sum_k f_k c_k and
+# h = o tanh(c).
+
+
+def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, children,
+                 order) -> Tensor:
+    """The bottom-up pass over the N rows of X as one tape entry: row j of the
+    (N, hidden) output is node j's hidden state. children[j] lists node j's
+    children, and order lists every node once, each child before its parent.
+
+    X W + b is one matmul before the loop over the nodes. Backward is one loop
+    from parents to children that fills dZ, the gradient of the
+    pre-activations, then dX, dW, dU and dUf are GEMMs.
+    """
+    if X.data.ndim != 2 or X.shape[1] != W.shape[0]:
+        raise ShapeError(f"tree_lstm_up shape mismatch: {X.shape} @ {W.shape}")
+    rows, n = X.shape[0], Uf.shape[0]
+    xw = X.data @ W.data + b.data
+    u_mat, uf = U.data, Uf.data
+    act = np.empty((rows, 3, n))  # i, o, u
+    c_all = np.empty((rows, n))
+    tc = np.empty((rows, n))
+    h_all = np.empty((rows, n))
+    h_sum = np.zeros((rows, n))
+    # one row per child, grouped by parent in processing order
+    kids = [child for node in order for child in children[node]]
+    first = {}  # node with children -> its first row in the child arrays
+    f_all = np.empty((len(kids), n))
+    start = 0
+    for node in order:
+        ch = children[node]
+        a = xw[node]
+        pre = a[: 3 * n]
+        if ch:
+            first[node] = start
+            hk = h_all[ch]
+            h_sum[node] = s = hk.sum(axis=0)
+            pre = pre + s @ u_mat
+            f = f_all[start : start + len(ch)] = 1.0 / (1.0 + np.exp(-(a[3 * n :] + hk @ uf)))
+            start += len(ch)
+        gates = act[node]
+        gates[:2] = (1.0 / (1.0 + np.exp(-pre[: 2 * n]))).reshape(2, n)
+        gates[2] = np.tanh(pre[2 * n :])
+        c = gates[0] * gates[2]
+        if ch:  # summed in child order after i u, as the composed ops add them
+            c = np.vstack((c, f * c_all[ch])).sum(axis=0)
+        c_all[node] = c
+        tc[node] = np.tanh(c)
+        h_all[node] = gates[1] * tc[node]
+    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, Uf, b)))
+
+    def bwd(dH):
+        i, o, u = act[:, 0], act[:, 1], act[:, 2]
+        # dZ row j is [dc K_i, dh K_o, dc K_u, sum_k dc K_f,k] with dc, dh the
+        # node's cell and hidden gradients; the K are fixed by the forward pass
+        k = np.empty((rows, 3, n))
+        k[:, 0] = u * i * (1.0 - i)
+        k[:, 1] = tc * o * (1.0 - o)
+        k[:, 2] = i * (1.0 - u * u)
+        k_f = c_all[kids] * f_all * (1.0 - f_all)
+        h_to_c = o * (1.0 - tc * tc)
+        u_t = np.ascontiguousarray(u_mat.T)
+        uf_t = np.ascontiguousarray(uf.T)
+        dz = np.zeros((rows, 4 * n))
+        dzf = np.empty((len(kids), n))
+        dh_all = np.array(dH)  # the output's gradient, plus what parents send
+        dc_all = np.zeros((rows, n))
+        for node in reversed(order):
+            dh = dh_all[node]
+            dc = dc_all[node] + dh * h_to_c[node]
+            dz_iou = dz[node, : 3 * n]
+            np.multiply(k[node], dc, out=dz_iou.reshape(3, n))
+            np.multiply(k[node, 1], dh, out=dz_iou[n : 2 * n])
+            ch = children[node]
+            if ch:
+                rows_f = slice(first[node], first[node] + len(ch))
+                d_f = dzf[rows_f] = dc * k_f[rows_f]
+                dz[node, 3 * n :] = d_f.sum(axis=0)
+                dc_all[ch] = dc * f_all[rows_f]
+                dh_all[ch] += dz_iou @ u_t + d_f @ uf_t
+        if X.requires_grad:
+            _accumulate(X, dz @ W.data.T)
+        if W.requires_grad:
+            _accumulate(W, X.data.T @ dz)
+        if U.requires_grad:
+            _accumulate(U, h_sum.T @ dz[:, : 3 * n])
+        if Uf.requires_grad:
+            _accumulate(Uf, h_all[kids].T @ dzf)
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0, keepdims=True))
+
+    _record(out, bwd)
+    return out
+
+
+def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: Tensor,
+                   parent, order) -> Tensor:
+    """The top-down pass over the (N, hidden) bottom-up states H as one tape
+    entry, returning the (N, 2 hidden) rows [h_down ; H]. order is the
+    bottom-up pass's order, so its last node is the root: the root gets
+    h_down = tanh(H_root Wr + br) and a zero cell, and every other node v one
+    LSTM step (gate order i, f, o, g) with input H[v], hidden state
+    H[parent[v]] and its parent's top-down cell.
+
+    No hidden state feeds back, so all pre-activations are one pair of GEMMs
+    before the loop, which carries only the cells. Backward is one loop from
+    children to parents over the cell gradients, then dH (the parents' share
+    scattered with one add.at), dW and dU are GEMMs.
+    """
+    rows, n = H.shape
+    root = order[-1]
+    kids = np.array(order[-2::-1], dtype=np.intp)  # every parent before its children
+    par = np.array([parent[v] for v in kids], dtype=np.intp)
+    h = H.data
+    z = h[kids] @ W.data + h[par] @ U.data + b.data
+    sig, g = _lstm_gates(z, n)
+    i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
+    ig = i * g
+    kid_list, par_list = kids.tolist(), par.tolist()
+    c = np.zeros((rows, n))
+    for r, v in enumerate(kid_list):
+        c[v] = f[r] * c[par_list[r]] + ig[r]
+    tc = np.tanh(c[kids])
+    down = np.empty((rows, n))
+    down[kids] = o * tc
+    root_h = np.tanh(h[root : root + 1] @ Wr.data + br.data)
+    down[root] = root_h[0]
+    out = Tensor(np.concatenate([down, h], axis=1),
+                 requires_grad=any(t.requires_grad for t in (H, W, U, b, Wr, br)))
+
+    def bwd(d_out):
+        d_kid = d_out[kids, :n]
+        d_cell = d_kid * o * (1.0 - tc * tc)
+        dc = np.zeros((rows, n))  # what each node's cell receives from its children
+        for r in range(len(kid_list) - 1, -1, -1):
+            d_cell[r] += dc[kid_list[r]]
+            dc[par_list[r]] += d_cell[r] * f[r]
+        dz = np.empty_like(z)
+        dz[:, :n] = d_cell * g
+        dz[:, n : 2 * n] = d_cell * c[par]
+        dz[:, 2 * n : 3 * n] = d_kid * tc
+        dz[:, : 3 * n] *= sig * (1.0 - sig)
+        dz[:, 3 * n :] = d_cell * i * (1.0 - g * g)
+        d_root = d_out[root : root + 1, :n] * (1.0 - root_h * root_h)
+        if H.requires_grad:
+            dh = np.array(d_out[:, n:])
+            dh[kids] += dz @ W.data.T
+            np.add.at(dh, par, dz @ U.data.T)
+            dh[root] += (d_root @ Wr.data.T)[0]
+            _accumulate(H, dh)
+        if W.requires_grad:
+            _accumulate(W, h[kids].T @ dz)
+        if U.requires_grad:
+            _accumulate(U, h[par].T @ dz)
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0, keepdims=True))
+        if Wr.requires_grad:
+            _accumulate(Wr, h[root : root + 1].T @ d_root)
+        if br.requires_grad:
+            _accumulate(br, d_root)
 
     _record(out, bwd)
     return out

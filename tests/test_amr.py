@@ -8,6 +8,7 @@ Oracle notes:
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrgen import amr
 from amrgen.amr import PenmanParseError, parse_penman, serialize_penman, validate
@@ -149,6 +150,36 @@ def test_round_trip_random_dags():
         assert again.node_count == g.node_count
         assert again.edge_count == g.edge_count
         assert _isomorphic(g, again)
+
+
+def _with_back_edges(graph, rng, count):
+    """graph plus up to count edges from a node to itself or to an earlier
+    node, each of which closes a cycle through the tree edges."""
+    ids = [nid for nid, _ in graph.nodes]
+    edges = list(graph.edges)
+    existing = {(p, c) for p, _, c in edges}
+    for _ in range(count):
+        v = int(rng.integers(0, len(ids)))
+        u = int(rng.integers(0, v + 1))
+        if (ids[v], ids[u]) not in existing:
+            existing.add((ids[v], ids[u]))
+            edges.append((ids[v], f":y{int(rng.integers(0, 3))}", ids[u]))
+    return amr.AmrGraph(nodes=graph.nodes, edges=tuple(edges), root=graph.root)
+
+
+# random_tree_graph draws 2 to max_nodes - 1 nodes
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(3, 13),
+       extra=st.integers(0, 4), back=st.integers(0, 3), indent=st.booleans())
+def test_round_trip_random_graphs_with_cycles(seed, max_nodes, extra, back, indent):
+    rng = np.random.default_rng(seed)
+    g = _with_back_edges(random_dag_graph(rng, max_nodes=max_nodes, extra_edges=extra), rng, back)
+    assert validate(g) == []
+    again = parse_penman(serialize_penman(g, indent=indent))
+    assert again.node_count == g.node_count
+    assert again.edge_count == g.edge_count
+    assert _isomorphic(g, again)
+    assert serialize_penman(again, indent=indent) == serialize_penman(g, indent=indent)
 
 
 def test_serialize_quotes_odd_labels():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from amrgen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_examples, main
+from amrgen.tensor import load_arrays, save_arrays
 
 TOY = Path(__file__).parent.parent / "src" / "amrgen" / "data" / "toy_corpus.txt"
 
@@ -266,6 +267,42 @@ def test_bad_checkpoint_is_data_error(command, damage, trained, small_jsonl, tmp
     else:
         blob = b"not a checkpoint"
     trained.write_bytes(blob)
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("")
+    extra = ["--pairs", str(pairs)] if command == "contrastive" else []
+    code = main([command, "--ckpt", str(trained), "--data", str(small_jsonl), *extra])
+    assert code == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
+
+
+def _rename_tgt_unk(manifest):
+    manifest["tgt_vocab"][0] = "<oov>"
+
+
+def _swap_bos_eos(manifest):
+    vocab = manifest["tgt_vocab"]
+    vocab[1], vocab[2] = vocab[2], vocab[1]
+
+
+def _rename_src_unk(manifest):
+    manifest["src_vocab"][0] = "<oov>"
+
+
+def _repeat_a_token(manifest):
+    manifest["tgt_vocab"][-1] = manifest["tgt_vocab"][-2]
+
+
+@pytest.mark.parametrize(
+    "damage", [_rename_tgt_unk, _swap_bos_eos, _rename_src_unk, _repeat_a_token],
+    ids=["target unk renamed", "bos and eos swapped", "source unk renamed", "token repeated"],
+)
+@pytest.mark.parametrize("command", ["generate", "evaluate", "contrastive"])
+def test_broken_checkpoint_vocabulary_is_data_error(command, damage, trained, small_jsonl,
+                                                    tmp_path, capsys):
+    # the arrays stay intact, so only the vocabulary check can catch these
+    manifest, arrays = load_arrays(trained)
+    damage(manifest)
+    save_arrays(trained, manifest, arrays)
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("")
     extra = ["--pairs", str(pairs)] if command == "contrastive" else []

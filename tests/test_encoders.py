@@ -124,6 +124,19 @@ def test_treelstm_rejects_reentrant_input(figure_example):
         enc.struct.encode(levi.node_count, levi.edges, levi.root, T.Tensor(np.zeros((levi.node_count, 4))))
 
 
+@pytest.mark.parametrize(
+    "edges, root",
+    [(((0, 1), (1, 0)), 0),  # a cycle through the root
+     (((0, 1), (2, 3), (3, 2)), 0),  # a cycle apart from the root's tree
+     (((1, 0), (1, 2), (1, 3)), 0)],  # the root is a child
+)
+def test_treelstm_rejects_edges_that_are_not_one_rooted_tree(edges, root):
+    cell = ChildSumTreeLstm(3, 8, np.random.default_rng(0))
+    count = 1 + max(max(edge) for edge in edges)
+    with pytest.raises(ValueError, match="not a tree"):
+        cell.encode(count, edges, root, T.Tensor(np.zeros((count, 3))))
+
+
 def test_treelstm_bottom_up_ignores_siblings():
     # the upward half of a leaf depends only on its own subtree
     rng = np.random.default_rng(4)

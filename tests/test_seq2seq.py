@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T
-from amrgen.encoders import EncoderConfig, StackEncoder
+from amrgen.encoders import EncoderConfig, StackEncoder, default_repr
 from amrgen.seq2seq import (
     Checkpoint,
     NumericError,
@@ -146,6 +146,37 @@ def test_decoder_gradients(toy10):
     assert len(decoder) == 8
     worst, where = finite_difference_check(decoder, lambda: model.sequence_loss(ex))
     assert worst <= 1e-4, where
+
+
+# --------------------------------------------------------------------------
+# Tape size: the output layer and the loss run once per sentence
+
+# tape entries per sentence besides the 4 per decoder step (embedding lookup,
+# concat, LSTM step, attention): the encoder, the initial state, stacking the
+# step rows, the output layer and the loss
+TAPE_CONSTANT = {"Seq": 22, "GCNSeq": 55, "TreeLSTMSeq": 25, "GCN": 52}
+
+
+@pytest.mark.parametrize("kind", sorted(TAPE_CONSTANT))
+@pytest.mark.parametrize("graph", ["figure", "toy"])
+def test_tape_size_is_a_constant_plus_four_per_target_token(kind, graph, figure_example, toy10):
+    if graph == "figure":
+        ex = TrainExample(id="figure", repr=figure_example,
+                          target=tuple("he eats the pizza with his finger".split()), reference=())
+    else:
+        ex = toy10[0]
+    longer = TrainExample(id=ex.id, repr=ex.repr, target=ex.target + ("the",) * 5, reference=())
+    src, tgt = build_vocabs([ex], unk_threshold=1)
+    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8, hidden_dim=8,
+                        dropout=0.3, edge_dropout=0.1)
+    model = Seq2SeqModel(cfg, src, tgt, seed=0)
+    sizes = []
+    for example in (ex, longer):
+        with T.Tape() as tape:
+            model.sequence_loss(example, training=True, rng=np.random.default_rng(0))
+        sizes.append(len(tape))
+    assert sizes[0] <= TAPE_CONSTANT[kind] + 4 * (len(ex.target) + 1)
+    assert sizes[1] - sizes[0] <= 4 * 5
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +415,22 @@ def test_train_loss_decreases(toy10):
     ck, log = train(toy10, toy10, seq_config(), seed=0, settings=quick_settings())
     assert len(log) == 4
     assert log[-1]["train_loss"] < log[0]["train_loss"]
-    assert list(log[0]) == ["epoch", "train_loss", "dev_bleu", "lr"]
+    assert list(log[0]) == ["epoch", "train_loss", "dev_bleu", "lr", "grad_norm_mean",
+                            "grad_norm_max", "tgt_tokens", "tgt_unk_rate"]
+
+
+def test_train_log_explains_training(toy10):
+    tokens = sum(len(ex.target) for ex in toy10)
+    _, tgt = build_vocabs(toy10, unk_threshold=2)
+    unks = sum(tgt.indices(ex.target).count(tgt.index(UNK)) for ex in toy10)
+    assert 0 < unks < tokens
+    _, log = train(toy10, toy10, seq_config(), seed=0,
+                   settings=quick_settings(max_epochs=2, unk_threshold=2, clip_norm=1e-3))
+    for entry in log:
+        assert entry["tgt_tokens"] == tokens
+        assert entry["tgt_unk_rate"] == round(unks / tokens, 10)
+        # the norm before clipping: every batch was clipped to 1e-3
+        assert entry["grad_norm_max"] >= entry["grad_norm_mean"] > 1e-3
 
 
 def test_train_empty_corpus_raises():

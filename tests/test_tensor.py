@@ -6,8 +6,10 @@ away from the kink, where finite differences are undefined.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T
+from amrgen.encoders import _tree_topology
 from amrgen.tensor import ShapeError, Tensor
 
 
@@ -519,3 +521,148 @@ def test_attention_forward_matches_composed(m):
     assert np.abs(fused.data - composed.data).max() <= 1e-12
     if m == 1:  # one query row runs the composed kernels' operations in order
         assert np.array_equal(fused.data, composed.data)
+
+
+# --------------------------------------------------------------------------
+# Loss kernel
+
+
+def _composed_mean_nll(log_probs, ids):
+    total = T.pick(log_probs, 0, ids[0])
+    for t, i in enumerate(ids[1:], start=1):
+        total = T.add(total, T.pick(log_probs, t, i))
+    return T.scale(total, -1.0 / len(ids))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mean_nll_grad(seed):
+    rng = np.random.default_rng(seed)
+    rows, vocab = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    logits = _param(rng, rows, vocab)
+    ids = rng.integers(0, vocab, size=rows).tolist()
+    _check([logits], lambda: T.mean_nll(T.log_softmax(logits), ids))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mean_nll_matches_composed(seed):
+    rng = np.random.default_rng(seed)
+    rows, vocab = int(rng.integers(1, 12)), 5
+    ids = rng.integers(0, vocab, size=rows).tolist()
+    data = _rand(rng, rows, vocab)
+    results = []
+    for loss_fn in (T.mean_nll, _composed_mean_nll):
+        logits = Tensor(data.copy(), requires_grad=True)
+        with T.Tape() as tape:
+            loss = loss_fn(T.log_softmax(logits), ids)
+            T.backward(tape, loss)
+        results.append((loss.data, logits.grad))
+    (loss, grad), (want_loss, want_grad) = results
+    assert loss.shape == (1, 1)
+    assert np.abs(loss - want_loss).max() <= 1e-12
+    assert np.abs(grad - want_grad).max() <= 1e-12
+
+
+def test_mean_nll_rejects_a_row_count_mismatch():
+    with pytest.raises(ShapeError):
+        T.mean_nll(Tensor(np.zeros((3, 4))), [0, 1])
+
+
+# --------------------------------------------------------------------------
+# Fused Child-Sum TreeLSTM kernels
+
+
+def _composed_tree_lstm_up(X, W, U, Uf, b, children, order):
+    """The bottom-up pass built from single kernels, node by node: the
+    reference for the fused kernel."""
+    n = Uf.shape[0]
+    projected = T.add(T.matmul(X, W), b)
+    h, c = {}, {}
+    for node in order:
+        wx = T.slice_rows(projected, node, node + 1)
+        gates = wx
+        if children[node]:
+            h_sum = T.sum_rows(T.concat([h[k] for k in children[node]], axis=0))
+            gates = T.add(T.slice_cols(wx, 0, 3 * n), T.matmul(h_sum, U))
+        i = T.sigmoid(T.slice_cols(gates, 0, n))
+        o = T.sigmoid(T.slice_cols(gates, n, 2 * n))
+        u = T.tanh(T.slice_cols(gates, 2 * n, 3 * n))
+        cell = T.mul(i, u)
+        fx = T.slice_cols(wx, 3 * n, 4 * n)
+        for k in children[node]:
+            f_k = T.sigmoid(T.add(fx, T.matmul(h[k], Uf)))
+            cell = T.add(cell, T.mul(f_k, c[k]))
+        h[node], c[node] = T.mul(o, T.tanh(cell)), cell
+    return T.concat([h[j] for j in range(X.shape[0])], axis=0)
+
+
+def _composed_tree_lstm_down(H, W, U, b, Wr, br, parent, order):
+    root, n = order[-1], H.shape[1]
+    rows = [T.slice_rows(H, j, j + 1) for j in range(H.shape[0])]
+    down = {root: T.tanh(T.add(T.matmul(rows[root], Wr), br))}
+    cells = {root: Tensor(np.zeros((1, n)))}
+    for node in reversed(order[:-1]):
+        down[node], cells[node] = _composed_lstm_step(
+            rows[node], rows[parent[node]], cells[parent[node]], W, U, b)
+    return T.concat([T.concat([down[j] for j in range(H.shape[0])], axis=0), H], axis=1)
+
+
+@st.composite
+def trees(draw):
+    """(children, parent, order) of a tree of 1 to 12 nodes: a random one, a
+    chain or a star, with shuffled node numbers."""
+    count = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["random", "chain", "star"]))
+    if shape == "chain":
+        parents = list(range(count - 1))
+    elif shape == "star":
+        parents = [0] * (count - 1)
+    else:
+        parents = [draw(st.integers(0, i)) for i in range(count - 1)]
+    label = draw(st.permutations(range(count)))
+    edges = [(label[p], label[i + 1]) for i, p in enumerate(parents)]
+    return _tree_topology(count, edges, label[0])
+
+
+def _tree_params(rng, rows, d, n):
+    return {"X": _param(rng, rows, d), "W": _param(rng, d, 4 * n), "U": _param(rng, n, 3 * n),
+            "Uf": _param(rng, n, n), "b": _param(rng, 1, 4 * n), "H": _param(rng, rows, n),
+            "Wd": _param(rng, n, 4 * n), "Ud": _param(rng, n, 4 * n), "bd": _param(rng, 1, 4 * n),
+            "Wr": _param(rng, n, n), "br": _param(rng, 1, n)}
+
+
+def _up_args(p, children, order):
+    return p["X"], p["W"], p["U"], p["Uf"], p["b"], children, order
+
+
+def _down_args(p, parent, order):
+    return p["H"], p["Wd"], p["Ud"], p["bd"], p["Wr"], p["br"], parent, order
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tree=trees(), seed=st.integers(0, 2**16), dims=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_tree_lstm_kernels_grad(tree, seed, dims):
+    children, parent, order = tree
+    rng = np.random.default_rng(seed)
+    p = _tree_params(rng, len(order), *dims)
+    w_up = Tensor(_rand(rng, len(order), dims[1]))
+    w_down = Tensor(_rand(rng, len(order), 2 * dims[1]))
+    _check([p[k] for k in ("X", "W", "U", "Uf", "b")],
+           lambda: T.sum_all(T.mul(T.tree_lstm_up(*_up_args(p, children, order)), w_up)))
+    _check([p[k] for k in ("H", "Wd", "Ud", "bd", "Wr", "br")],
+           lambda: T.sum_all(T.mul(T.tree_lstm_down(*_down_args(p, parent, order)), w_down)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tree=trees(), seed=st.integers(0, 2**16))
+def test_tree_lstm_kernels_match_composed(tree, seed):
+    children, parent, order = tree
+    p = _tree_params(np.random.default_rng(seed), len(order), 5, 4)
+    with T.Tape() as tape:
+        up = T.tree_lstm_up(*_up_args(p, children, order))
+        down = T.tree_lstm_down(*_down_args(p, parent, order))
+    assert len(tape) == 2
+    assert up.shape == (len(order), 4) and down.shape == (len(order), 8)
+    want_up = _composed_tree_lstm_up(*_up_args(p, children, order))
+    want_down = _composed_tree_lstm_down(*_down_args(p, parent, order))
+    assert np.abs(up.data - want_up.data).max() <= 1e-12
+    assert np.abs(down.data - want_down.data).max() <= 1e-12
