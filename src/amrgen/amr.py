@@ -397,8 +397,3 @@ def read_corpus_text(text: str) -> list:
     for i, block in enumerate(iter_blocks(text)):
         examples.append(parse_block(block, default_id=f"example-{i}"))
     return examples
-
-
-def read_corpus(path) -> list:
-    with open(path, encoding="utf-8") as handle:
-        return read_corpus_text(handle.read())

@@ -402,11 +402,15 @@ def load_pairs(path):
                 continue
             try:
                 record = json.loads(line)
+                reference, contrastive = record["reference"], record["contrastive"]
+                if not all(isinstance(s, list) and all(isinstance(w, str) for w in s)
+                           for s in (reference, contrastive)):
+                    raise ValueError("reference and contrastive must be lists of strings")
                 pairs.append(
                     ContrastivePair(
                         id=record["id"],
-                        reference=tuple(record["reference"]),
-                        contrastive=tuple(record["contrastive"]),
+                        reference=tuple(reference),
+                        contrastive=tuple(contrastive),
                         category=record["category"],
                     )
                 )
@@ -550,7 +554,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, PenmanParseError, FileNotFoundError) as err:
+    except (DataError, PenmanParseError, OSError, UnicodeDecodeError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as err:

@@ -28,10 +28,8 @@ from .tensor import (
     tanh,
     tree_lstm_down,
     tree_lstm_up,
-    uniform_param,
-    zeros_param,
 )
-from .transforms import AmrTree, ExampleRepr, LeviGraph
+from .transforms import ExampleRepr, LeviGraph
 
 # The input representations each kind accepts, its default first. Tree-LSTMs
 # need a tree; a GCN runs over the Levi form of the graph or of its tree.
@@ -109,35 +107,29 @@ def default_repr(kind: str) -> str:
 class LstmCell:
     """Single LSTM step; gate order i, f, o, g."""
 
-    def __init__(self, in_dim: int, hidden: int, rng, name: str):
+    def __init__(self, in_dim: int, hidden: int, store, name: str):
         self.name = name
-        self.W = uniform_param((in_dim, 4 * hidden), rng)
-        self.U = uniform_param((hidden, 4 * hidden), rng)
-        self.b = zeros_param((1, 4 * hidden))
+        self.W = store.uniform(f"{name}.W", (in_dim, 4 * hidden))
+        self.U = store.uniform(f"{name}.U", (hidden, 4 * hidden))
+        self.b = store.zeros(f"{name}.b", (1, 4 * hidden))
 
     def step(self, x: Tensor, h: Tensor, c: Tensor):
         return lstm_step(x, h, c, self.W, self.U, self.b)
-
-    def params(self) -> dict:
-        return {f"{self.name}.W": self.W, f"{self.name}.U": self.U, f"{self.name}.b": self.b}
 
 
 class BiLstmEncoder:
     """Single-layer BiLSTM; each direction gets hidden_dim / 2."""
 
-    def __init__(self, in_dim: int, hidden_dim: int, rng, name: str = "bilstm"):
+    def __init__(self, in_dim: int, hidden_dim: int, store, name: str = "bilstm"):
         half = hidden_dim // 2
-        self.fwd = LstmCell(in_dim, half, rng, f"{name}.fwd")
-        self.bwd = LstmCell(in_dim, half, rng, f"{name}.bwd")
+        self.fwd = LstmCell(in_dim, half, store, f"{name}.fwd")
+        self.bwd = LstmCell(in_dim, half, store, f"{name}.bwd")
 
     def encode(self, inputs: Tensor) -> Tensor:
         f, b = self.fwd, self.bwd
         forward = lstm_sequence(inputs, f.W, f.U, f.b)
         backward = lstm_sequence(inputs, b.W, b.U, b.b, reverse=True)
         return concat([forward, backward], axis=1)
-
-    def params(self) -> dict:
-        return {**self.fwd.params(), **self.bwd.params()}
 
 
 def _tree_topology(node_count: int, edges, root: int):
@@ -169,13 +161,6 @@ def _tree_topology(node_count: int, edges, root: int):
     return children, parent, order
 
 
-def tree_indices(tree: AmrTree):
-    """Index an AmrTree for the raw TreeLSTM entry point."""
-    index = {nid: i for i, (nid, _) in enumerate(tree.nodes)}
-    edges = [(index[u], index[v]) for u, _, v in tree.edges]
-    return len(tree.nodes), edges, index[tree.root]
-
-
 class ChildSumTreeLstm:
     """Bidirectional Child-Sum TreeLSTM.
 
@@ -186,34 +171,21 @@ class ChildSumTreeLstm:
     node is [h_down ; h_up], so each pass gets hidden_dim / 2.
     """
 
-    def __init__(self, in_dim: int, hidden_dim: int, rng, name: str = "treelstm"):
+    def __init__(self, in_dim: int, hidden_dim: int, store, name: str = "treelstm"):
         half = hidden_dim // 2
-        self.name = name
-        self.W = uniform_param((in_dim, 4 * half), rng)  # x -> i,o,u,f blocks
-        self.U = uniform_param((half, 3 * half), rng)  # child sum -> i,o,u
-        self.Uf = uniform_param((half, half), rng)  # per-child forget
-        self.b = zeros_param((1, 4 * half))
-        self.Wr = uniform_param((half, half), rng)
-        self.br = zeros_param((1, half))
-        self.down = LstmCell(half, half, rng, f"{name}.down")
+        self.W = store.uniform(f"{name}.W", (in_dim, 4 * half))  # x -> i,o,u,f blocks
+        self.U = store.uniform(f"{name}.U", (half, 3 * half))  # child sum -> i,o,u
+        self.Uf = store.uniform(f"{name}.Uf", (half, half))  # per-child forget
+        self.b = store.zeros(f"{name}.b", (1, 4 * half))
+        self.Wr = store.uniform(f"{name}.Wr", (half, half))
+        self.br = store.zeros(f"{name}.br", (1, half))
+        self.down = LstmCell(half, half, store, f"{name}.down")
 
     def encode(self, node_count: int, edges, root: int, inputs: Tensor) -> Tensor:
         children, parent, order = _tree_topology(node_count, edges, root)
         up = tree_lstm_up(inputs, self.W, self.U, self.Uf, self.b, children, order)
         d = self.down
         return tree_lstm_down(up, d.W, d.U, d.b, self.Wr, self.br, parent, order)
-
-    def params(self) -> dict:
-        p = {
-            f"{self.name}.W": self.W,
-            f"{self.name}.U": self.U,
-            f"{self.name}.Uf": self.Uf,
-            f"{self.name}.b": self.b,
-            f"{self.name}.Wr": self.Wr,
-            f"{self.name}.br": self.br,
-        }
-        p.update(self.down.params())
-        return p
 
 
 def adjacency(node_count: int, edges):
@@ -238,7 +210,7 @@ class GcnEncoder:
         in_dim: int,
         hidden_dim: int,
         layers: int,
-        rng,
+        store,
         activation: str = "relu",
         highway: bool = True,
         edge_dropout: float = 0.1,
@@ -248,21 +220,17 @@ class GcnEncoder:
         self.activation = _ACTIVATIONS[activation]
         self.highway = highway
         self.edge_dropout = edge_dropout
-        self.name = name
         self.proj = None
         if in_dim != hidden_dim:
-            self.proj = uniform_param((in_dim, hidden_dim), rng)
-        self.layers = []
-        for k in range(layers):
-            layer = {
-                "W_in": uniform_param((hidden_dim, hidden_dim), rng),
-                "W_out": uniform_param((hidden_dim, hidden_dim), rng),
-                "b": zeros_param((1, hidden_dim)),
-            }
-            if highway:
-                layer["W_t"] = uniform_param((hidden_dim, hidden_dim), rng)
-                layer["b_t"] = zeros_param((1, hidden_dim))
-            self.layers.append(layer)
+            self.proj = store.uniform(f"{name}.proj", (in_dim, hidden_dim))
+        weight, bias = (store.uniform, (hidden_dim, hidden_dim)), (store.zeros, (1, hidden_dim))
+        inits = {"W_in": weight, "W_out": weight, "b": bias}
+        if highway:
+            inits.update(W_t=weight, b_t=bias)
+        self.layers = [
+            {key: init(f"{name}.{k}.{key}", shape) for key, (init, shape) in inits.items()}
+            for k in range(layers)
+        ]
 
     def encode(self, levi: LeviGraph, inputs: Tensor, training: bool = False, rng=None) -> Tensor:
         n = levi.node_count
@@ -291,15 +259,6 @@ class GcnEncoder:
                 h = out
         return h
 
-    def params(self) -> dict:
-        p = {}
-        if self.proj is not None:
-            p[f"{self.name}.proj"] = self.proj
-        for k, layer in enumerate(self.layers):
-            for key, value in layer.items():
-                p[f"{self.name}.{k}.{key}"] = value
-        return p
-
 
 class StackEncoder:
     """Dispatches one of the seven configurations over an ExampleRepr.
@@ -307,11 +266,11 @@ class StackEncoder:
     Output is always an N x hidden matrix in linearization order.
     """
 
-    def __init__(self, config: EncoderConfig, src_vocab, rng):
+    def __init__(self, config: EncoderConfig, src_vocab, store):
         self.config = config
         self.vocab = src_vocab
         d, h = config.embedding_dim, config.hidden_dim
-        self.embedding = uniform_param((len(src_vocab), d), rng)
+        self.embedding = store.uniform("embedding", (len(src_vocab), d))
         kind = config.kind
         self.seq_first = kind in ("Seq", "SeqGCN", "SeqTreeLSTM")
         self.struct_kind = "GCN" if "GCN" in kind else ("TreeLSTM" if "TreeLSTM" in kind else None)
@@ -322,19 +281,19 @@ class StackEncoder:
         self.struct = None
         if self.has_bilstm:
             bilstm_in = d if self.seq_first else h
-            self.bilstm = BiLstmEncoder(bilstm_in, h, rng)
+            self.bilstm = BiLstmEncoder(bilstm_in, h, store)
         if self.struct_kind == "GCN":
             self.struct = GcnEncoder(
                 struct_in,
                 h,
                 config.gcn_layers,
-                rng,
+                store,
                 activation=config.gcn_activation,
                 highway=config.highway,
                 edge_dropout=config.edge_dropout,
             )
         elif self.struct_kind == "TreeLSTM":
-            self.struct = ChildSumTreeLstm(struct_in, h, rng)
+            self.struct = ChildSumTreeLstm(struct_in, h, store)
 
     def _structure(self, ex: ExampleRepr):
         if self.config.input_repr == "graph":
@@ -391,11 +350,3 @@ class StackEncoder:
             arranged = embedding_lookup(states, pos_map)
             out = self.bilstm.encode(arranged) if self.bilstm else arranged
         return maybe_drop(out)
-
-    def params(self) -> dict:
-        p = {"embedding": self.embedding}
-        if self.bilstm is not None:
-            p.update(self.bilstm.params())
-        if self.struct is not None:
-            p.update(self.struct.params())
-        return p

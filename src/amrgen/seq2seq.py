@@ -66,29 +66,24 @@ class Seq2SeqModel:
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        store = self.store = T.ParamStore(np.random.default_rng(seed))
         d, h = config.embedding_dim, config.hidden_dim
-        self.encoder = StackEncoder(config, src_vocab, rng)
-        self.tgt_embedding = T.uniform_param((len(tgt_vocab), d), rng)
-        self.cell = LstmCell(d + h, h, rng, "decoder")
-        self.W_a = T.uniform_param((h, h), rng)
-        self.U_a = T.uniform_param((h, h), rng)
-        self.b_a = T.zeros_param((1, h))
-        self.v_a = T.uniform_param((h, 1), rng)
-        self.W_init = T.uniform_param((h, h), rng)
-        self.b_init = T.zeros_param((1, h))
-        self.W_o = T.uniform_param((2 * h, h), rng)
-        self.b_o = T.zeros_param((1, h))
-        self.W_v = T.uniform_param((h, len(tgt_vocab)), rng)
-        self.b_v = T.zeros_param((1, len(tgt_vocab)))
+        self.encoder = StackEncoder(config, src_vocab, store)
+        self.tgt_embedding = store.uniform("tgt_embedding", (len(tgt_vocab), d))
+        self.cell = LstmCell(d + h, h, store, "decoder")
+        self.W_a = store.uniform("W_a", (h, h))
+        self.U_a = store.uniform("U_a", (h, h))
+        self.b_a = store.zeros("b_a", (1, h))
+        self.v_a = store.uniform("v_a", (h, 1))
+        self.W_init = store.uniform("W_init", (h, h))
+        self.b_init = store.zeros("b_init", (1, h))
+        self.W_o = store.uniform("W_o", (2 * h, h))
+        self.b_o = store.zeros("b_o", (1, h))
+        self.W_v = store.uniform("W_v", (h, len(tgt_vocab)))
+        self.b_v = store.zeros("b_v", (1, len(tgt_vocab)))
 
     def params(self) -> dict:
-        p = dict(self.encoder.params())
-        p["tgt_embedding"] = self.tgt_embedding
-        p.update(self.cell.params())
-        for name in ("W_a", "U_a", "b_a", "v_a", "W_init", "b_init", "W_o", "b_o", "W_v", "b_v"):
-            p[name] = getattr(self, name)
-        return p
+        return self.store.params
 
     # -- decoding machinery -------------------------------------------------
 
@@ -351,13 +346,14 @@ def train(
         dev_examples = train_examples
     src_vocab, tgt_vocab = build_vocabs(train_examples, settings.unk_threshold)
     model = Seq2SeqModel(config, src_vocab, tgt_vocab, seed=seed)
-    params = model.params()
+    store = model.store
+    store.pack()
     schedule = T.LrSchedule(settings.lr, settings.lr_decay)
     shuffle_rng = np.random.default_rng(seed + 1)
     dropout_rng = np.random.default_rng(seed + 2)
 
     best_bleu = -1.0
-    best_arrays = _snapshot(params)
+    best_arrays = _snapshot(store.params)
     best_epoch = 0
     stale = 0
     log = []
@@ -394,11 +390,9 @@ def train(
                     f"non-finite loss in epoch {epoch}, batch starting at {start}",
                     batch_id=start // settings.batch_size,
                 )
-            for p in params.values():
-                if p.grad is not None:
-                    p.grad /= len(batch)
-            grad_norms.append(T.clip_grad_norm(params.values(), settings.clip_norm))
-            T.sgd_step(params.values(), schedule.lr)
+            store.grad /= len(batch)
+            grad_norms.append(T.clip_grad_norm(store, settings.clip_norm))
+            T.sgd_step(store, schedule.lr)
             epoch_losses.append(batch_loss)
 
         train_loss = float(np.mean(epoch_losses))
@@ -427,7 +421,7 @@ def train(
         # schedule, patience and early stopping react only to fresh dev scores
         if bleu > best_bleu:
             best_bleu = bleu
-            best_arrays = _snapshot(params)
+            best_arrays = _snapshot(store.params)
             best_epoch = epoch
             stale = 0
         else:

@@ -32,15 +32,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -781,36 +772,58 @@ def attention(q: Tensor, enc: Tensor, enc_proj: Tensor, U: Tensor, b: Tensor,
 # Optimization
 
 
-def uniform_param(shape, rng, limit: float = 0.1) -> Parameter:
-    return Parameter(rng.uniform(-limit, limit, size=shape))
+class ParamStore:
+    """Every trainable parameter of a model, by name in creation order.
+
+    Initial values are drawn from rng in creation order. pack() moves all
+    values into one flat vector theta and allocates one flat gradient vector
+    grad, and each parameter's data and grad become views into them, so an
+    SGD step, clipping and clearing are operations on two vectors. Only
+    training packs: a model that only decodes needs no gradient storage.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.params = {}
+        self.theta = None
+        self.grad = None
+
+    def uniform(self, name: str, shape) -> Parameter:
+        return self._add(name, self.rng.uniform(-0.1, 0.1, size=shape))
+
+    def zeros(self, name: str, shape) -> Parameter:
+        return self._add(name, np.zeros(shape))
+
+    def _add(self, name, data) -> Parameter:
+        if name in self.params:
+            raise ValueError(f"parameter name {name!r} is already taken")
+        p = self.params[name] = Parameter(data)
+        return p
+
+    def pack(self) -> None:
+        self.theta = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        self.grad = np.zeros_like(self.theta)
+        offset = 0
+        for p in self.params.values():
+            shape, end = p.data.shape, offset + p.data.size
+            p.data = self.theta[offset:end].reshape(shape)
+            p.grad = self.grad[offset:end].reshape(shape)
+            offset = end
 
 
-def zeros_param(shape) -> Parameter:
-    return Parameter(np.zeros(shape))
+def sgd_step(store: ParamStore, lr: float) -> None:
+    """theta <- theta - lr * grad on a packed store; the gradient is cleared."""
+    store.theta -= lr * store.grad
+    store.grad.fill(0.0)
 
 
-def sgd_step(params, lr: float) -> None:
-    """p <- p - lr * grad(p); grads are cleared."""
-    params = list(params)
-    for p in params:
-        if p.grad is None:
-            raise ValueError("sgd_step called with a parameter missing its gradient")
-    for p in params:
-        p.data -= lr * p.grad
-        p.grad = None
-
-
-def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most max_norm."""
-    total = 0.0
-    params = [p for p in params if p.grad is not None]
-    for p in params:
-        total += float((p.grad * p.grad).sum())
-    norm = total ** 0.5
+def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
+    """Scale a packed store's gradient so its global L2 norm is at most
+    max_norm; returns the norm before scaling. The squares are summed per
+    parameter in creation order: one grad @ grad would round differently."""
+    norm = sum(float((p.grad * p.grad).sum()) for p in store.params.values()) ** 0.5
     if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for p in params:
-            p.grad *= factor
+        store.grad *= max_norm / norm
     return norm
 
 

@@ -56,9 +56,6 @@ class AmrTree:
     copy_of: tuple  # ((tree_id, source_id), ...)
     edge_origin: tuple
 
-    def out_edges(self, node_id):
-        return [e for e in self.edges if e[0] == node_id]
-
     @property
     def node_count(self):
         return len(self.nodes)

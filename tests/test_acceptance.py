@@ -135,8 +135,9 @@ def test_criterion_3_gradient_checks(figure_example):
             kind=kind, input_repr=default_repr(kind), embedding_dim=4, hidden_dim=6,
             dropout=0.0, edge_dropout=0.0,
         )
-        enc = StackEncoder(cfg, vocab, np.random.default_rng(0))
-        for p in enc.params().values():
+        store = T.ParamStore(np.random.default_rng(0))
+        enc = StackEncoder(cfg, vocab, store)
+        for p in store.params.values():
             p.data *= 8.0  # scale pre-activations away from the relu kink
         assert min_relu_margin(enc, figure_example) > 1e-3
 
@@ -144,7 +145,7 @@ def test_criterion_3_gradient_checks(figure_example):
             out = enc.encode(figure_example)
             return T.sum_all(T.mul(out, out))
 
-        worst, where = finite_difference_check(enc.params(), loss, eps=1e-5)
+        worst, where = finite_difference_check(store.params, loss, eps=1e-5)
         worst_overall = max(worst_overall, worst)
         if worst > 1e-4:
             ok = False
@@ -163,7 +164,7 @@ def test_criterion_4_reentrancy_sensitivity(figure_example):
             kind="GCN", input_repr=input_repr, embedding_dim=8, hidden_dim=8,
             gcn_layers=2, dropout=0.0, edge_dropout=0.0,
         )
-        enc = StackEncoder(cfg, vocab, np.random.default_rng(0))
+        enc = StackEncoder(cfg, vocab, T.ParamStore(np.random.default_rng(0)))
         levi = figure_example.levi if input_repr == "graph" else figure_example.tree_levi
         ids = enc.vocab.indices([tok for _, tok, _ in levi.nodes])
         nodes = T.embedding_lookup(enc.embedding, ids).data
@@ -189,16 +190,16 @@ def test_criterion_5_tree_graph_agreement():
         g = random_tree_graph(rng)
         ex = transforms.prepare_example(g)
         vocab = Vocab.build([ex.sequence.tokens])
-        encoders = {}
+        encoders, stores = {}, {}
         for repr_ in ("graph", "tree"):
             cfg = EncoderConfig(
                 kind="GCN", input_repr=repr_, embedding_dim=6, hidden_dim=6,
                 dropout=0.0, edge_dropout=0.0,
             )
-            encoders[repr_] = StackEncoder(cfg, vocab, np.random.default_rng(3))
+            stores[repr_] = T.ParamStore(np.random.default_rng(3))
+            encoders[repr_] = StackEncoder(cfg, vocab, stores[repr_])
         for (na, pa), (nb, pb) in zip(
-            sorted(encoders["graph"].params().items()),
-            sorted(encoders["tree"].params().items()),
+            sorted(stores["graph"].params.items()), sorted(stores["tree"].params.items())
         ):
             assert na == nb
             pb.data[...] = pa.data

@@ -403,6 +403,61 @@ def test_contrastive_unknown_category_is_data_error(trained, small_jsonl, tmp_pa
     assert_one_line_error(capsys, "data error:")
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"reference": "the boy sleeps"},  # a string, not a list of words
+        {"reference": ["the", 3]},
+        {"contrastive": "the boys sleep"},
+        {"contrastive": ["the", None, "sleep"]},
+    ],
+)
+def test_contrastive_sentence_not_a_list_of_strings_is_data_error(fields, trained, small_jsonl,
+                                                                  tmp_path, capsys):
+    record = {"id": "ok-1", "reference": ["the", "boy", "sleeps"],
+              "contrastive": ["the", "boys", "sleeps"], "category": "number", **fields}
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    code = main(
+        ["contrastive", "--ckpt", str(trained), "--data", str(small_jsonl), "--pairs", str(pairs)]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and "lists of strings" in err[0], err
+
+
+# --------------------------------------------------------------------------
+# unreadable paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "{dir}", "--out", "{tmp}/x"],
+        ["generate", "--ckpt", "{dir}", "--data", "{data}"],
+        ["evaluate", "--data", "{data}", "--hyp", "{dir}"],
+        ["analyze", "--data", "{data}", "--outputs", "A={dir}"],
+        ["contrastive", "--ckpt", "{ckpt}", "--data", "{data}", "--pairs", "{dir}"],
+        ["train", "--data", "{latin1}", "--out", "{tmp}/x"],
+        ["preprocess", "--input", "{latin1}", "--out", "{tmp}/x.jsonl"],
+        ["evaluate", "--data", "{data}", "--hyp", "{latin1}"],
+    ],
+    ids=["train-dir", "generate-dir", "evaluate-dir", "analyze-dir", "contrastive-dir",
+         "train-latin1", "preprocess-latin1", "evaluate-latin1"],
+)
+def test_unreadable_path_is_data_error(argv, trained, small_jsonl, tmp_path, capsys):
+    # a directory where a file belongs, or a file that is not UTF-8
+    (tmp_path / "a_dir").mkdir()
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("(c / caf\u00e9)\n".encode("latin-1"))
+    paths = {"dir": tmp_path / "a_dir", "tmp": tmp_path, "data": small_jsonl, "ckpt": trained,
+             "latin1": latin1}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
+
+
 # --------------------------------------------------------------------------
 # config file handling
 

@@ -12,7 +12,6 @@ from amrgen.encoders import (
     StackEncoder,
     adjacency,
     default_repr,
-    tree_indices,
 )
 
 from conftest import (
@@ -24,6 +23,7 @@ from conftest import (
 
 
 def make_encoder(kind, vocab, seed=0, d=4, h=6, **over):
+    """A StackEncoder and its parameters by checkpoint name."""
     cfg = EncoderConfig(
         kind=kind,
         input_repr=over.pop("input_repr", default_repr(kind)),
@@ -33,7 +33,8 @@ def make_encoder(kind, vocab, seed=0, d=4, h=6, **over):
         edge_dropout=over.pop("edge_dropout", 0.0),
         **over,
     )
-    return StackEncoder(cfg, vocab, np.random.default_rng(seed))
+    store = T.ParamStore(np.random.default_rng(seed))
+    return StackEncoder(cfg, vocab, store), store.params
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_all_kinds_output_shape(figure_example):
     vocab = build_sequence_vocab(figure_example)
     n = len(figure_example.sequence.tokens)
     for kind in KINDS:
-        enc = make_encoder(kind, vocab)
+        enc, _ = make_encoder(kind, vocab)
         out = enc.encode(figure_example)
         assert out.shape == (n, 6), kind
         assert np.all(np.isfinite(out.data)), kind
@@ -74,7 +75,7 @@ def test_all_kinds_output_shape(figure_example):
 
 def test_training_mode_needs_rng(figure_example):
     vocab = build_sequence_vocab(figure_example)
-    enc = make_encoder("Seq", vocab, dropout=0.3)
+    enc, _ = make_encoder("Seq", vocab, dropout=0.3)
     with pytest.raises(ValueError):
         enc.encode(figure_example, training=True)
 
@@ -87,7 +88,7 @@ def test_bilstm_direction_symmetry():
     # reversing the input reverses the output with the two halves swapped,
     # when forward and backward cells share weights
     rng = np.random.default_rng(0)
-    enc = BiLstmEncoder(3, 8, rng)
+    enc = BiLstmEncoder(3, 8, T.ParamStore(rng))
     for pname in ("W", "U", "b"):
         getattr(enc.bwd, pname).data[...] = getattr(enc.fwd, pname).data
     x = T.Tensor(np.random.default_rng(1).uniform(-1, 1, size=(5, 3)))
@@ -101,7 +102,7 @@ def test_bilstm_direction_symmetry():
 def test_bilstm_forward_half_ignores_future():
     # changing a later input must not affect earlier forward states
     rng = np.random.default_rng(2)
-    enc = BiLstmEncoder(3, 8, rng)
+    enc = BiLstmEncoder(3, 8, T.ParamStore(rng))
     x = np.random.default_rng(3).uniform(-1, 1, size=(5, 3))
     base = enc.encode(T.Tensor(x.copy())).data
     x2 = x.copy()
@@ -118,7 +119,7 @@ def test_bilstm_forward_half_ignores_future():
 def test_treelstm_rejects_reentrant_input(figure_example):
     vocab = build_sequence_vocab(figure_example)
     cfg = EncoderConfig(kind="TreeLSTM", input_repr="tree", embedding_dim=4, hidden_dim=6)
-    enc = StackEncoder(cfg, vocab, np.random.default_rng(0))
+    enc = StackEncoder(cfg, vocab, T.ParamStore(np.random.default_rng(0)))
     levi = figure_example.levi  # reentrant: 'he' has two incoming edges
     with pytest.raises(ValueError, match="not a tree"):
         enc.struct.encode(levi.node_count, levi.edges, levi.root, T.Tensor(np.zeros((levi.node_count, 4))))
@@ -131,7 +132,7 @@ def test_treelstm_rejects_reentrant_input(figure_example):
      (((1, 0), (1, 2), (1, 3)), 0)],  # the root is a child
 )
 def test_treelstm_rejects_edges_that_are_not_one_rooted_tree(edges, root):
-    cell = ChildSumTreeLstm(3, 8, np.random.default_rng(0))
+    cell = ChildSumTreeLstm(3, 8, T.ParamStore(np.random.default_rng(0)))
     count = 1 + max(max(edge) for edge in edges)
     with pytest.raises(ValueError, match="not a tree"):
         cell.encode(count, edges, root, T.Tensor(np.zeros((count, 3))))
@@ -140,7 +141,7 @@ def test_treelstm_rejects_edges_that_are_not_one_rooted_tree(edges, root):
 def test_treelstm_bottom_up_ignores_siblings():
     # the upward half of a leaf depends only on its own subtree
     rng = np.random.default_rng(4)
-    cell = ChildSumTreeLstm(3, 8, rng)
+    cell = ChildSumTreeLstm(3, 8, T.ParamStore(rng))
     edges = ((0, 1), (0, 2))  # root 0 with two leaves
     x = np.random.default_rng(5).uniform(-1, 1, size=(3, 3))
     base = cell.encode(3, edges, 0, T.Tensor(x.copy())).data
@@ -156,7 +157,7 @@ def test_treelstm_top_down_broadcasts_context():
     # the downward half of a leaf changes when a *sibling* changes, because
     # context flows through the root
     rng = np.random.default_rng(6)
-    cell = ChildSumTreeLstm(3, 8, rng)
+    cell = ChildSumTreeLstm(3, 8, T.ParamStore(rng))
     edges = ((0, 1), (0, 2))
     x = np.random.default_rng(7).uniform(-1, 1, size=(3, 3))
     base = cell.encode(3, edges, 0, T.Tensor(x.copy())).data
@@ -169,13 +170,6 @@ def test_treelstm_top_down_broadcasts_context():
     assert not np.array_equal(base[1, :4], bumped[1, :4])
 
 
-def test_tree_indices_cover_tree(figure_example):
-    node_count, edges, root = tree_indices(figure_example.tree)
-    assert node_count == figure_example.tree.node_count
-    assert len(edges) == figure_example.tree.edge_count
-    assert 0 <= root < node_count
-
-
 # --------------------------------------------------------------------------
 # GCN structure
 
@@ -184,7 +178,7 @@ def test_gcn_direction_weights_differ():
     # messages along an edge use W_in at the head and W_out at the tail:
     # zeroing W_out must still leave incoming messages intact
     rng = np.random.default_rng(8)
-    gcn = GcnEncoder(4, 4, 1, rng, highway=False, edge_dropout=0.0)
+    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=False, edge_dropout=0.0)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     x = T.Tensor(np.random.default_rng(9).uniform(-1, 1, size=(3, 4)))
     base = gcn.encode(levi, x).data.copy()
@@ -205,7 +199,8 @@ def test_gcn_receptive_field_grows_with_layers():
     x = np.random.default_rng(10).uniform(-1, 1, size=(5, 4))
 
     def delta_at_root(layers):
-        gcn = GcnEncoder(4, 4, layers, np.random.default_rng(11), highway=False, edge_dropout=0.0)
+        gcn = GcnEncoder(4, 4, layers, T.ParamStore(np.random.default_rng(11)), highway=False,
+                         edge_dropout=0.0)
         base = gcn.encode(levi, T.Tensor(x.copy())).data
         x2 = x.copy()
         x2[2] += 1.0  # concept node 'c'
@@ -220,7 +215,7 @@ def test_gcn_highway_keeps_input_path():
     # with all message weights zeroed the highway reduces to
     # t * tanh(0) + (1 - t) * h = h / 2 at zero-initialized gates
     rng = np.random.default_rng(12)
-    gcn = GcnEncoder(4, 4, 1, rng, highway=True, edge_dropout=0.0)
+    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=True, edge_dropout=0.0)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     for key in ("W_in", "W_out", "W_t"):
         gcn.layers[0][key].data[...] = 0.0
@@ -246,7 +241,7 @@ def test_adjacency_matches_loop_with_repeated_edges():
 def test_gcn_edge_dropout_draws_once_per_layer():
     # one rng.random(len(edges)) per layer when training, none in eval mode
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
-    gcn = GcnEncoder(4, 4, 3, np.random.default_rng(0), edge_dropout=0.5)
+    gcn = GcnEncoder(4, 4, 3, T.ParamStore(np.random.default_rng(0)), edge_dropout=0.5)
     x = T.Tensor(np.random.default_rng(1).uniform(-1, 1, size=(3, 4)))
     rng = np.random.default_rng(2)
     gcn.encode(levi, x, training=True, rng=rng)
@@ -258,7 +253,7 @@ def test_gcn_edge_dropout_draws_once_per_layer():
 
 def test_gcn_edge_dropout_changes_messages():
     rng = np.random.default_rng(14)
-    gcn = GcnEncoder(4, 4, 1, rng, highway=False, edge_dropout=0.9)
+    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=False, edge_dropout=0.9)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     x = T.Tensor(np.random.default_rng(15).uniform(-1, 1, size=(3, 4)))
     eval_out = gcn.encode(levi, x).data
@@ -276,11 +271,9 @@ def test_gcn_tree_graph_agree_without_reentrancies():
         g = random_tree_graph(rng)
         ex = transforms.prepare_example(g)
         vocab = build_sequence_vocab(ex)
-        enc_graph = make_encoder("GCN", vocab, seed=3, input_repr="graph")
-        enc_tree = make_encoder("GCN", vocab, seed=3, input_repr="tree")
-        for (na, pa), (nb, pb) in zip(
-            sorted(enc_graph.params().items()), sorted(enc_tree.params().items())
-        ):
+        enc_graph, graph_params = make_encoder("GCN", vocab, seed=3, input_repr="graph")
+        enc_tree, tree_params = make_encoder("GCN", vocab, seed=3, input_repr="tree")
+        for (na, pa), (nb, pb) in zip(sorted(graph_params.items()), sorted(tree_params.items())):
             assert na == nb
             pb.data[...] = pa.data
         assert np.abs(enc_graph.encode(ex).data - enc_tree.encode(ex).data).max() <= 1e-12
@@ -297,7 +290,7 @@ def test_edge_order_permutation_equivariance(figure_graph):
     ex2 = transforms.prepare_example(perm)
     # same linearization, so the same vocab applies
     vocab = build_sequence_vocab(ex1)
-    enc = make_encoder("GCN", vocab, seed=5)
+    enc, _ = make_encoder("GCN", vocab, seed=5)
     out1 = enc.encode(ex1).data
     out2 = enc.encode(ex2).data
     tok1 = list(ex1.sequence.tokens)
@@ -315,7 +308,7 @@ def test_reentrancy_sensitivity_graph_vs_tree(figure_example):
     fpos = figure_example.sequence.tokens.index("finger")
 
     def probe(input_repr):
-        enc = make_encoder("GCN", vocab, seed=0, d=8, h=8, input_repr=input_repr, gcn_layers=2)
+        enc, _ = make_encoder("GCN", vocab, seed=0, d=8, h=8, input_repr=input_repr, gcn_layers=2)
         levi = figure_example.levi if input_repr == "graph" else figure_example.tree_levi
         ids = enc.vocab.indices([tok for _, tok, _ in levi.nodes])
         nodes = T.embedding_lookup(enc.embedding, ids).data
@@ -341,8 +334,8 @@ def test_reentrancy_sensitivity_graph_vs_tree(figure_example):
 @pytest.mark.parametrize("kind", KINDS)
 def test_stack_gradients(kind, figure_example):
     vocab = build_sequence_vocab(figure_example)
-    enc = make_encoder(kind, vocab, seed=0)
-    for p in enc.params().values():
+    enc, params = make_encoder(kind, vocab, seed=0)
+    for p in params.values():
         p.data *= 8.0  # move relu pre-activations away from the kink
     assert min_relu_margin(enc, figure_example) > 1e-3
 
@@ -350,7 +343,7 @@ def test_stack_gradients(kind, figure_example):
         out = enc.encode(figure_example)
         return T.sum_all(T.mul(out, out))
 
-    worst, where = finite_difference_check(enc.params(), loss)
+    worst, where = finite_difference_check(params, loss)
     assert worst <= 1e-4, where
 
 
@@ -361,14 +354,14 @@ def test_stack_gradients(kind, figure_example):
 def test_encode_deterministic(figure_example):
     vocab = build_sequence_vocab(figure_example)
     for kind in KINDS:
-        a = make_encoder(kind, vocab, seed=9).encode(figure_example).data
-        b = make_encoder(kind, vocab, seed=9).encode(figure_example).data
+        a = make_encoder(kind, vocab, seed=9)[0].encode(figure_example).data
+        b = make_encoder(kind, vocab, seed=9)[0].encode(figure_example).data
         assert np.array_equal(a, b), kind
 
 
 def test_dropout_rng_controls_training_noise(figure_example):
     vocab = build_sequence_vocab(figure_example)
-    enc = make_encoder("Seq", vocab, dropout=0.5)
+    enc, _ = make_encoder("Seq", vocab, dropout=0.5)
     a = enc.encode(figure_example, training=True, rng=np.random.default_rng(1)).data
     b = enc.encode(figure_example, training=True, rng=np.random.default_rng(1)).data
     c = enc.encode(figure_example, training=True, rng=np.random.default_rng(2)).data

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T
-from amrgen.encoders import EncoderConfig, StackEncoder, default_repr
+from amrgen.encoders import KINDS, EncoderConfig, StackEncoder, default_repr
 from amrgen.seq2seq import (
     Checkpoint,
     NumericError,
@@ -20,7 +20,7 @@ from amrgen.seq2seq import (
     write_log,
 )
 from amrgen.transforms import prepare_example
-from amrgen.vocab import BOS, EOS, UNK
+from amrgen.vocab import BOS, EOS, UNK, Vocab
 
 from conftest import finite_difference_check
 
@@ -527,6 +527,66 @@ def test_checkpoint_rejects_name_mismatch(toy10):
     del ck.arrays["W_a"]
     with pytest.raises(ValueError, match="parameter names"):
         ck.build_model()
+
+
+# The name and shape of every parameter in creation order, at embedding_dim 4,
+# hidden_dim 6 and 2 GCN layers, with 4 source and 5 target tokens: pinned from
+# the checkpoints written before the parameter store, which must still load.
+# The encoder's part is listed per stacking; the decoder's follows it.
+ENCODER_PARAMS = {
+    "Seq": (
+        "embedding 4x4, bilstm.fwd.W 4x12, bilstm.fwd.U 3x12, bilstm.fwd.b 1x12, bilstm.bwd.W "
+        "4x12, bilstm.bwd.U 3x12, bilstm.bwd.b 1x12"
+    ),
+    "SeqGCN": (
+        "embedding 4x4, bilstm.fwd.W 4x12, bilstm.fwd.U 3x12, bilstm.fwd.b 1x12, bilstm.bwd.W "
+        "4x12, bilstm.bwd.U 3x12, bilstm.bwd.b 1x12, gcn.0.W_in 6x6, gcn.0.W_out 6x6, gcn.0.b "
+        "1x6, gcn.0.W_t 6x6, gcn.0.b_t 1x6, gcn.1.W_in 6x6, gcn.1.W_out 6x6, gcn.1.b 1x6, "
+        "gcn.1.W_t 6x6, gcn.1.b_t 1x6"
+    ),
+    "GCNSeq": (
+        "embedding 4x4, bilstm.fwd.W 6x12, bilstm.fwd.U 3x12, bilstm.fwd.b 1x12, bilstm.bwd.W "
+        "6x12, bilstm.bwd.U 3x12, bilstm.bwd.b 1x12, gcn.proj 4x6, gcn.0.W_in 6x6, gcn.0.W_out "
+        "6x6, gcn.0.b 1x6, gcn.0.W_t 6x6, gcn.0.b_t 1x6, gcn.1.W_in 6x6, gcn.1.W_out 6x6, gcn.1.b "
+        "1x6, gcn.1.W_t 6x6, gcn.1.b_t 1x6"
+    ),
+    "SeqTreeLSTM": (
+        "embedding 4x4, bilstm.fwd.W 4x12, bilstm.fwd.U 3x12, bilstm.fwd.b 1x12, bilstm.bwd.W "
+        "4x12, bilstm.bwd.U 3x12, bilstm.bwd.b 1x12, treelstm.W 6x12, treelstm.U 3x9, treelstm.Uf "
+        "3x3, treelstm.b 1x12, treelstm.Wr 3x3, treelstm.br 1x3, treelstm.down.W 3x12, "
+        "treelstm.down.U 3x12, treelstm.down.b 1x12"
+    ),
+    "TreeLSTMSeq": (
+        "embedding 4x4, bilstm.fwd.W 6x12, bilstm.fwd.U 3x12, bilstm.fwd.b 1x12, bilstm.bwd.W "
+        "6x12, bilstm.bwd.U 3x12, bilstm.bwd.b 1x12, treelstm.W 4x12, treelstm.U 3x9, treelstm.Uf "
+        "3x3, treelstm.b 1x12, treelstm.Wr 3x3, treelstm.br 1x3, treelstm.down.W 3x12, "
+        "treelstm.down.U 3x12, treelstm.down.b 1x12"
+    ),
+    "GCN": (
+        "embedding 4x4, gcn.proj 4x6, gcn.0.W_in 6x6, gcn.0.W_out 6x6, gcn.0.b 1x6, gcn.0.W_t "
+        "6x6, gcn.0.b_t 1x6, gcn.1.W_in 6x6, gcn.1.W_out 6x6, gcn.1.b 1x6, gcn.1.W_t 6x6, "
+        "gcn.1.b_t 1x6"
+    ),
+    "TreeLSTM": (
+        "embedding 4x4, treelstm.W 4x12, treelstm.U 3x9, treelstm.Uf 3x3, treelstm.b 1x12, "
+        "treelstm.Wr 3x3, treelstm.br 1x3, treelstm.down.W 3x12, treelstm.down.U 3x12, "
+        "treelstm.down.b 1x12"
+    ),
+}
+DECODER_PARAMS = (
+    "tgt_embedding 5x4, decoder.W 10x24, decoder.U 6x24, decoder.b 1x24, W_a 6x6, U_a 6x6, "
+    "b_a 1x6, v_a 6x1, W_init 6x6, b_init 1x6, W_o 12x6, b_o 1x6, W_v 6x5, b_v 1x5"
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parameter_names_shapes_and_order_are_pinned(kind):
+    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=4, hidden_dim=6,
+                        gcn_layers=2)
+    src, tgt = Vocab(itos=(UNK, "a", "b", "c")), Vocab(itos=(UNK, BOS, EOS, "x", "y"))
+    model = Seq2SeqModel(cfg, src, tgt, seed=0)
+    got = [f"{name} {'x'.join(map(str, p.shape))}" for name, p in model.params().items()]
+    assert got == f"{ENCODER_PARAMS[kind]}, {DECODER_PARAMS}".split(", ")
 
 
 @pytest.fixture(scope="module")

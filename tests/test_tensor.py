@@ -233,40 +233,103 @@ def test_shape_errors():
 
 
 # --------------------------------------------------------------------------
-# Optimizer pieces
+# Parameter store and optimizer
+
+
+def _packed(**shapes):
+    """A packed store of zero parameters named and shaped as given."""
+    store = T.ParamStore(np.random.default_rng(0))
+    for name, shape in shapes.items():
+        store.zeros(name, shape)
+    store.pack()
+    return store
+
+
+def test_pack_makes_each_parameter_a_view_of_the_two_vectors():
+    store = T.ParamStore(np.random.default_rng(8))
+    store.uniform("a", (3, 4))
+    store.zeros("b", (1, 4))
+    store.uniform("c", (4, 1))
+    before = {name: p.data.copy() for name, p in store.params.items()}
+    store.pack()
+    assert store.theta.shape == store.grad.shape == (20,)
+    for name, p in store.params.items():
+        assert np.shares_memory(p.data, store.theta), name
+        assert np.shares_memory(p.grad, store.grad), name
+        assert np.array_equal(p.data, before[name]), name
+    # the views tile theta in creation order, without overlap
+    assert np.array_equal(store.theta, np.concatenate([a.ravel() for a in before.values()]))
+
+
+def test_backward_adds_into_the_packed_gradient():
+    store = T.ParamStore(np.random.default_rng(1))
+    w = store.uniform("w", (3, 2))
+    store.pack()
+    x = Tensor(_rand(np.random.default_rng(2), 4, 3))
+    for _ in range(2):  # a second example's gradient adds to the first's
+        with T.Tape() as tape:
+            T.backward(tape, T.sum_all(T.matmul(x, w)))
+    assert np.shares_memory(w.grad, store.grad)
+    assert np.allclose(w.grad, 2.0 * x.data.T @ np.ones((4, 2)))
+
+
+def test_store_rejects_a_name_that_is_taken():
+    store = T.ParamStore(np.random.default_rng(0))
+    store.uniform("decoder.W", (2, 2))
+    with pytest.raises(ValueError, match="decoder.W"):
+        store.zeros("decoder.W", (1, 2))
+
+
+def test_uniform_param_range_and_zeros():
+    # uniform draws come from the store's RNG in creation order
+    store = T.ParamStore(np.random.default_rng(8))
+    p = store.uniform("p", (50, 50))
+    z = store.zeros("z", (3, 3))
+    q = store.uniform("q", (2, 2))
+    expected = np.random.default_rng(8)
+    assert np.array_equal(p.data, expected.uniform(-0.1, 0.1, size=(50, 50)))
+    assert np.array_equal(q.data, expected.uniform(-0.1, 0.1, size=(2, 2)))
+    assert p.requires_grad and np.all(np.abs(p.data) <= 0.1) and p.data.std() > 0.01
+    assert np.all(z.data == 0.0)
 
 
 def test_sgd_step_applies_and_clears():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    a.grad = np.full((2, 2), 0.5)
-    T.sgd_step([a], lr=0.1)
-    assert np.allclose(a.data, 0.95)
-    assert a.grad is None
-
-
-def test_sgd_step_missing_grad_raises():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(ValueError):
-        T.sgd_step([a], lr=0.1)
+    store = _packed(a=(2, 2), b=(1, 3))
+    a, b = store.params["a"], store.params["b"]
+    a.grad[...] = 0.5
+    b.grad[...] = -1.0
+    T.sgd_step(store, lr=0.1)
+    assert np.allclose(a.data, -0.05) and np.allclose(b.data, 0.1)
+    assert not store.grad.any()
+    assert np.shares_memory(a.grad, store.grad)  # cleared in place
 
 
 def test_clip_grad_norm():
-    a = Tensor(np.zeros((1, 3)), requires_grad=True)
-    a.grad = np.array([[3.0, 4.0, 0.0]])  # L2 norm 5
-    b = Tensor(np.zeros((1, 1)), requires_grad=True)
-    b.grad = np.array([[12.0]])
-    total = T.clip_grad_norm([a, b], max_norm=5.0)
+    store = _packed(a=(1, 3), b=(1, 1))
+    a, b = store.params["a"], store.params["b"]
+    a.grad[...] = [[3.0, 4.0, 0.0]]  # L2 norm 5
+    b.grad[...] = 12.0
+    total = T.clip_grad_norm(store, max_norm=5.0)
     assert abs(total - 13.0) < 1e-12  # sqrt(3^2 + 4^2 + 12^2)
-    joined = np.concatenate([a.grad.ravel(), b.grad.ravel()])
-    assert abs(np.linalg.norm(joined) - 5.0) < 1e-12
+    assert abs(np.linalg.norm(store.grad) - 5.0) < 1e-12
     assert np.allclose(a.grad, np.array([[3.0, 4.0, 0.0]]) * 5 / 13)
 
 
+def test_clip_grad_norm_sums_per_parameter_in_creation_order():
+    # the norm training logs, and the scale factor, keep the rounding of a
+    # sum of per-parameter sums
+    rng = np.random.default_rng(3)
+    store = _packed(a=(7, 5), b=(1, 5), c=(5, 9))
+    store.grad[...] = rng.normal(size=store.grad.shape) * 10.0 ** rng.integers(-8, 8, size=85)
+    expected = sum(float((p.grad * p.grad).sum()) for p in store.params.values()) ** 0.5
+    assert T.clip_grad_norm(store, max_norm=1e9) == expected
+
+
 def test_clip_grad_norm_no_clip_below_threshold():
-    a = Tensor(np.zeros((1, 2)), requires_grad=True)
-    a.grad = np.array([[0.3, 0.4]])
-    T.clip_grad_norm([a], max_norm=5.0)
-    assert np.allclose(a.grad, [[0.3, 0.4]])
+    store = _packed(a=(1, 2))
+    store.grad[...] = [0.3, 0.4]
+    T.clip_grad_norm(store, max_norm=5.0)
+    assert np.allclose(store.grad, [0.3, 0.4])
 
 
 def test_lr_schedule_decays_on_plateau():
@@ -276,16 +339,6 @@ def test_lr_schedule_decays_on_plateau():
     assert abs(s.update(12.0) - 0.8) < 1e-12  # tie is not an improvement
     assert abs(s.update(11.0) - 0.64) < 1e-12
     assert abs(s.update(13.0) - 0.64) < 1e-12  # new best: lr held
-
-
-def test_uniform_param_range_and_zeros():
-    rng = np.random.default_rng(8)
-    p = T.uniform_param((50, 50), rng)
-    assert p.requires_grad
-    assert np.all(np.abs(p.data) <= 0.1)
-    assert p.data.std() > 0.01
-    z = T.zeros_param((3, 3))
-    assert np.all(z.data == 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -464,13 +517,14 @@ def test_tape_is_freed_without_the_cycle_collector():
 
     rng = np.random.default_rng(4)
     x = Tensor(_rand(rng, 1, 3))
-    W, U, b = T.uniform_param((3, 8), rng), T.uniform_param((2, 8), rng), T.zeros_param((1, 8))
+    store = T.ParamStore(rng)
+    W, U, b = store.uniform("W", (3, 8)), store.uniform("U", (2, 8)), store.zeros("b", (1, 8))
     gc.disable()
     try:
         with T.Tape() as tape:
             zero = Tensor(np.zeros((1, 2)))
             h, _ = T.lstm_step(x, zero, zero, W, U, b)
-            loss = T.sum_all(T.matmul(h, T.uniform_param((2, 2), rng)))
+            loss = T.sum_all(T.matmul(h, store.uniform("V", (2, 2))))
             T.backward(tape, loss)
         ref = weakref.ref(tape)
         del tape, h, loss
