@@ -14,6 +14,7 @@ import os
 import sys
 import zipfile
 from collections import Counter
+from contextlib import contextmanager
 
 from . import __version__
 from .amr import PenmanParseError, compute_stats, validate
@@ -57,6 +58,17 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     pass
+
+
+@contextmanager
+def _text_input(path):
+    """An open UTF-8 text file; text that is not UTF-8 is a DataError naming
+    the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err})") from None
 
 
 def _hash_file(path) -> str:
@@ -111,7 +123,7 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=5, log=lambda 
     skipped = 0
     counter = 0
     for path in files:
-        with open(path, encoding="utf-8") as handle:
+        with _text_input(path) as handle:
             text = handle.read()
         for block in iter_blocks(text):
             counter += 1
@@ -164,7 +176,7 @@ def load_examples(jsonl_path):
     from .amr import parse_penman
 
     examples = []
-    with open(jsonl_path, encoding="utf-8") as handle:
+    with _text_input(jsonl_path) as handle:
         for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
@@ -331,7 +343,7 @@ def cmd_generate(args):
 
 
 def _read_hypotheses(path):
-    with open(path, encoding="utf-8") as handle:
+    with _text_input(path) as handle:
         return [line.strip().lower().split() for line in handle.read().splitlines()]
 
 
@@ -395,7 +407,7 @@ def cmd_analyze(args):
 
 def load_pairs(path):
     pairs = []
-    with open(path, encoding="utf-8") as handle:
+    with _text_input(path) as handle:
         for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
@@ -455,21 +467,43 @@ def _apply_config_file(parser, argv):
     try:
         with open(known.config, encoding="utf-8") as handle:
             defaults = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # JSON and UTF-8 decoding errors are ValueErrors
         raise ConfigError(f"cannot read config file {known.config!r}: {err}") from None
+    if not isinstance(defaults, dict):
+        raise ConfigError(f"config file {known.config!r} must hold a JSON object")
     targets = [parser]
     subcommand = argv[0] if argv and not argv[0].startswith("-") else None
     if subcommand is not None and parser._subparsers is not None:
         for action in parser._subparsers._group_actions:
             if isinstance(action.choices, dict) and subcommand in action.choices:
                 targets.append(action.choices[subcommand])
-    valid = {action.dest for target in targets for action in target._actions}
-    unknown = set(defaults) - valid
+    actions = {action.dest: action for target in targets for action in target._actions}
+    unknown = set(defaults) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in defaults.items():
+        _check_config_value(actions[key], value)
     for target in targets:
         dests = {action.dest for action in target._actions}
         target.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
+
+
+def _check_config_value(action, value):
+    """Raise a ConfigError unless value has a JSON type that its flag takes
+    and lies within the flag's choices. null keeps a default of None."""
+    if value is None and action.default is None:
+        return
+    if isinstance(action, argparse._StoreTrueAction):
+        types = (bool,)
+    else:
+        types = {int: (int,), float: (int, float)}.get(action.type, (str,))
+    items = value if action.nargs == "+" and type(value) is list else [value]
+    for item in items:
+        if type(item) not in types or action.choices is not None and item not in action.choices:
+            wanted = " or ".join(t.__name__ for t in types)
+            if action.choices is not None:
+                wanted += f" in {sorted(action.choices)}"
+            raise ConfigError(f"config key {action.dest!r} must be {wanted}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ order, whatever the configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,17 +82,7 @@ class EncoderConfig:
             raise ValueError(f"unknown activation {self.gcn_activation!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_repr": self.input_repr,
-            "embedding_dim": self.embedding_dim,
-            "hidden_dim": self.hidden_dim,
-            "gcn_layers": self.gcn_layers,
-            "gcn_activation": self.gcn_activation,
-            "highway": self.highway,
-            "dropout": self.dropout,
-            "edge_dropout": self.edge_dropout,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EncoderConfig":
@@ -181,8 +171,9 @@ class ChildSumTreeLstm:
         self.br = store.zeros(f"{name}.br", (1, half))
         self.down = LstmCell(half, half, store, f"{name}.down")
 
-    def encode(self, node_count: int, edges, root: int, inputs: Tensor) -> Tensor:
-        children, parent, order = _tree_topology(node_count, edges, root)
+    def encode(self, levi: LeviGraph, inputs: Tensor, rng=None) -> Tensor:
+        """rng goes unused: a TreeLSTM draws no dropout of its own."""
+        children, parent, order = _tree_topology(levi.node_count, levi.edges, levi.root)
         up = tree_lstm_up(inputs, self.W, self.U, self.Uf, self.b, children, order)
         d = self.down
         return tree_lstm_down(up, d.W, d.U, d.b, self.Wr, self.br, parent, order)
@@ -232,11 +223,12 @@ class GcnEncoder:
             for k in range(layers)
         ]
 
-    def encode(self, levi: LeviGraph, inputs: Tensor, training: bool = False, rng=None) -> Tensor:
+    def encode(self, levi: LeviGraph, inputs: Tensor, rng=None) -> Tensor:
+        """Edges are dropped only when rng is given, which is when training."""
         n = levi.node_count
         h = matmul(inputs, self.proj) if self.proj is not None else inputs
         edges = np.asarray(levi.edges, dtype=np.intp).reshape(-1, 2)
-        drop_edges = training and self.edge_dropout > 0.0 and len(edges) > 0
+        drop_edges = rng is not None and self.edge_dropout > 0.0 and len(edges) > 0
         if not drop_edges:
             a_in, a_out = adjacency(n, edges)
         for layer in self.layers:
@@ -273,16 +265,12 @@ class StackEncoder:
         self.embedding = store.uniform("embedding", (len(src_vocab), d))
         kind = config.kind
         self.seq_first = kind in ("Seq", "SeqGCN", "SeqTreeLSTM")
-        self.struct_kind = "GCN" if "GCN" in kind else ("TreeLSTM" if "TreeLSTM" in kind else None)
-        self.has_bilstm = kind not in ("GCN", "TreeLSTM")
-
-        struct_in = h if self.seq_first and self.struct_kind else d
         self.bilstm = None
         self.struct = None
-        if self.has_bilstm:
-            bilstm_in = d if self.seq_first else h
-            self.bilstm = BiLstmEncoder(bilstm_in, h, store)
-        if self.struct_kind == "GCN":
+        if kind not in ("GCN", "TreeLSTM"):
+            self.bilstm = BiLstmEncoder(d if self.seq_first else h, h, store)
+        struct_in = h if self.seq_first else d
+        if "GCN" in kind:
             self.struct = GcnEncoder(
                 struct_in,
                 h,
@@ -292,61 +280,30 @@ class StackEncoder:
                 highway=config.highway,
                 edge_dropout=config.edge_dropout,
             )
-        elif self.struct_kind == "TreeLSTM":
+        elif "TreeLSTM" in kind:
             self.struct = ChildSumTreeLstm(struct_in, h, store)
 
-    def _structure(self, ex: ExampleRepr):
-        if self.config.input_repr == "graph":
-            return ex.levi, ex.pos_to_levi, ex.levi_init_pos
-        return ex.tree_levi, ex.pos_to_tree_levi, ex.tree_levi_init_pos
-
-    def _run_struct(self, levi, inputs, training, rng):
-        if self.struct_kind == "GCN":
-            return self.struct.encode(levi, inputs, training=training, rng=rng)
-        node_count, edges, root = levi.node_count, levi.edges, levi.root
-        return self.struct.encode(node_count, edges, root, inputs)
-
-    def encode(
-        self,
-        ex: ExampleRepr,
-        training: bool = False,
-        rng=None,
-        token_embeddings: Tensor = None,
-        node_embeddings: Tensor = None,
-    ) -> Tensor:
-        """token_embeddings / node_embeddings override the lookup, which lets
-        callers probe sensitivity of outputs to individual input rows."""
-        if training and rng is None:
-            raise ValueError("training-mode encoding needs an RNG stream")
+    def encode(self, ex: ExampleRepr, rng=None, node_embeddings: Tensor = None) -> Tensor:
+        """Dropout applies only when rng is given, which is when training.
+        node_embeddings overrides the node lookup of a structure-first
+        stacking, which lets callers probe sensitivity of outputs to
+        individual input rows."""
         keep = 1.0 - self.config.dropout
-
-        def maybe_drop(x):
-            return dropout(x, keep, rng, training) if training else x
-
-        if self.config.kind == "Seq":
-            tokens = token_embeddings
-            if tokens is None:
-                ids = self.vocab.indices(ex.sequence.tokens)
-                tokens = embedding_lookup(self.embedding, ids)
-            out = self.bilstm.encode(maybe_drop(tokens))
-            return maybe_drop(out)
-
-        levi, pos_map, init_pos = self._structure(ex)
+        aligned = ex.structures.get(self.config.input_repr)  # None for a sequence
         if self.seq_first:
-            tokens = token_embeddings
-            if tokens is None:
-                ids = self.vocab.indices(ex.sequence.tokens)
-                tokens = embedding_lookup(self.embedding, ids)
-            hidden = self.bilstm.encode(maybe_drop(tokens))
-            struct_in = embedding_lookup(hidden, init_pos)
-            states = self._run_struct(levi, struct_in, training, rng)
-            out = embedding_lookup(states, pos_map)
+            ids = self.vocab.indices(ex.sequence.tokens)
+            out = self.bilstm.encode(dropout(embedding_lookup(self.embedding, ids), keep, rng))
+            if self.struct is not None:
+                inputs = embedding_lookup(out, aligned.init_pos)
+                out = embedding_lookup(self.struct.encode(aligned.levi, inputs, rng),
+                                       aligned.pos_to_node)
         else:
             nodes = node_embeddings
             if nodes is None:
-                ids = self.vocab.indices([tok for _, tok, _ in levi.nodes])
+                ids = self.vocab.indices([tok for _, tok, _ in aligned.levi.nodes])
                 nodes = embedding_lookup(self.embedding, ids)
-            states = self._run_struct(levi, maybe_drop(nodes), training, rng)
-            arranged = embedding_lookup(states, pos_map)
-            out = self.bilstm.encode(arranged) if self.bilstm else arranged
-        return maybe_drop(out)
+            states = self.struct.encode(aligned.levi, dropout(nodes, keep, rng), rng)
+            out = embedding_lookup(states, aligned.pos_to_node)
+            if self.bilstm is not None:
+                out = self.bilstm.encode(out)
+        return dropout(out, keep, rng)

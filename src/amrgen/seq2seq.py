@@ -65,7 +65,6 @@ class Seq2SeqModel:
         self.config = config
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
-        self.seed = seed
         store = self.store = T.ParamStore(np.random.default_rng(seed))
         d, h = config.embedding_dim, config.hidden_dim
         self.encoder = StackEncoder(config, src_vocab, store)
@@ -117,16 +116,16 @@ class Seq2SeqModel:
         ctx, s, c = self._recur(token_ids, ctx, s, c, enc, enc_proj)
         return self._output(s, ctx), ctx, s, c
 
-    def _encode(self, ex: TrainExample, training: bool, rng=None):
-        enc = self.encoder.encode(ex.repr, training=training, rng=rng)
+    def _encode(self, ex: TrainExample, rng=None):
+        enc = self.encoder.encode(ex.repr, rng)
         enc_proj = T.matmul(enc, self.W_a)
         return enc, enc_proj
 
-    def _teacher_forced(self, ex: TrainExample, tokens, training: bool = False, rng=None):
+    def _teacher_forced(self, ex: TrainExample, tokens, rng=None):
         """The (T, V) log-softmax rows and the T target ids of tokens + EOS,
         feeding the reference token back in at every step. Only the
         recurrence runs per step; the output layer runs once over all rows."""
-        enc, enc_proj = self._encode(ex, training, rng)
+        enc, enc_proj = self._encode(ex, rng)
         s, c, ctx = self._init_state(enc)
         targets = self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]
         s_rows, ctx_rows = [], []
@@ -136,9 +135,9 @@ class Seq2SeqModel:
             ctx_rows.append(ctx)
         return self._output(T.concat(s_rows), T.concat(ctx_rows)), targets
 
-    def sequence_loss(self, ex: TrainExample, training: bool = False, rng=None) -> Tensor:
+    def sequence_loss(self, ex: TrainExample, rng=None) -> Tensor:
         """Mean token negative log-likelihood of the target, teacher-forced."""
-        log_probs, targets = self._teacher_forced(ex, ex.target, training, rng)
+        log_probs, targets = self._teacher_forced(ex, ex.target, rng)
         return T.mean_nll(log_probs, targets)
 
     def score_sentence(self, ex: TrainExample, tokens) -> float:
@@ -168,7 +167,7 @@ class Seq2SeqModel:
             raise ValueError(f"beam must be >= 1, got {beam}")
         if max_len is None:
             max_len = 2 * len(ex.repr.sequence) + 10
-        enc, enc_proj = self._encode(ex, training=False)
+        enc, enc_proj = self._encode(ex)
         eos = self.tgt_vocab.index(EOS)
         s, c, ctx = self._init_state(enc)
         # a hypothesis: (BOS + token ids, log-prob, (ctx, s, c) rows before its last id)
@@ -381,7 +380,7 @@ def train(
             for idx in batch:  # gradient accumulation; grads sum across the batch
                 ex = train_examples[idx]
                 with T.Tape() as tape:
-                    loss = model.sequence_loss(ex, training=True, rng=dropout_rng)
+                    loss = model.sequence_loss(ex, dropout_rng)
                     batch_loss += loss.item()
                     T.backward(tape, loss)
             batch_loss /= len(batch)

@@ -326,10 +326,11 @@ def log_softmax(a: Tensor) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, keep_prob: float, rng, training: bool = True) -> Tensor:
+def dropout(a: Tensor, keep_prob: float, rng) -> Tensor:
+    """Inverted dropout drawn from rng; the identity without one."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep probability must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+    if rng is None or keep_prob == 1.0:
         return a
     mask = (rng.random(a.shape) < keep_prob) / keep_prob
     out = Tensor(a.data * mask, requires_grad=a.requires_grad)
@@ -812,8 +813,10 @@ class ParamStore:
 
 
 def sgd_step(store: ParamStore, lr: float) -> None:
-    """theta <- theta - lr * grad on a packed store; the gradient is cleared."""
-    store.theta -= lr * store.grad
+    """theta <- theta - lr * grad on a packed store; the gradient is cleared.
+    The gradient is scaled in place, so no temporary of its size is made."""
+    store.grad *= lr
+    store.theta -= store.grad
     store.grad.fill(0.0)
 
 

@@ -24,14 +24,13 @@ class LeviGraph:
     """Unlabeled bipartite graph over concept nodes and relation nodes.
 
     nodes: tuple of (levi_id, token, kind) with kind in {"concept", "relation"};
-    levi ids are dense integers. origin maps each levi id back to the source
-    structure: ("node", node_id) or ("edge", edge_index).
+    levi ids are dense integers: the source's nodes in order, then one
+    relation node per source edge in edge order.
     """
 
     nodes: tuple
     edges: tuple  # (levi_id, levi_id) directed pairs
     root: int
-    origin: tuple
 
     @property
     def node_count(self):
@@ -80,17 +79,10 @@ class TokenSequence:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class Traversal:
-    """Joint result of the canonical depth-first traversal."""
-
-    sequence: TokenSequence
-    tree: AmrTree
-    pos_tree_node: tuple  # per concept-token position: tree node id
-    pos_tree_edge: tuple  # per relation-token position: tree edge index (None elsewhere)
-
-
-def _traverse(graph: AmrGraph) -> Traversal:
+def _traverse(graph: AmrGraph):
+    """The canonical depth-first traversal: (sequence, tree, pos_tree), where
+    pos_tree holds per position its tree node index, or its tree edge index
+    for a relation token."""
     labels = graph.labels()
     out = {nid: [] for nid, _ in graph.nodes}
     for idx, (parent, rel, child) in enumerate(graph.edges):
@@ -98,7 +90,7 @@ def _traverse(graph: AmrGraph) -> Traversal:
 
     tokens, alignment = [], []
     tree_nodes, tree_edges, copy_of, edge_origin = [], [], [], []
-    pos_tree_node, pos_tree_edge = [], []
+    pos_tree = []
     visited = set()
     copies = {}
 
@@ -114,8 +106,7 @@ def _traverse(graph: AmrGraph) -> Traversal:
         if emit:
             tokens.append(labels[nid])
             alignment.append(("node", nid))
-            pos_tree_node.append(tid)
-            pos_tree_edge.append(None)
+            pos_tree.append(len(tree_nodes) - 1)
         first = nid not in visited
         if emit and first:
             visited.add(nid)
@@ -129,8 +120,7 @@ def _traverse(graph: AmrGraph) -> Traversal:
                 if emit_children:
                     tokens.append(rel)
                     alignment.append(("edge", eidx))
-                    pos_tree_node.append(None)
-                    pos_tree_edge.append(slot)
+                    pos_tree.append(slot)
                 child_tid = rec(child, child_path, emit_children)
                 tree_edges[slot] = (tid, rel, child_tid)
         return tid
@@ -144,20 +134,15 @@ def _traverse(graph: AmrGraph) -> Traversal:
         copy_of=tuple(copy_of),
         edge_origin=tuple(edge_origin),
     )
-    return Traversal(
-        sequence=sequence,
-        tree=tree,
-        pos_tree_node=tuple(pos_tree_node),
-        pos_tree_edge=tuple(pos_tree_edge),
-    )
+    return sequence, tree, tuple(pos_tree)
 
 
 def linearize(graph: AmrGraph) -> TokenSequence:
-    return _traverse(graph).sequence
+    return _traverse(graph)[0]
 
 
 def to_tree(graph: AmrGraph) -> AmrTree:
-    return _traverse(graph).tree
+    return _traverse(graph)[1]
 
 
 def to_levi(graph) -> LeviGraph:
@@ -166,24 +151,29 @@ def to_levi(graph) -> LeviGraph:
     One relation node per edge instance; |V| = nodes + edges of the source,
     |E| = 2 * source edges.
     """
-    nodes, edges, origin = [], [], []
+    nodes, edges = [], []
     index = {}
     for nid, label in graph.nodes:
         index[nid] = len(nodes)
         nodes.append((len(nodes), label, "concept"))
-        origin.append(("node", nid))
-    for eidx, (parent, rel, child) in enumerate(graph.edges):
+    for parent, rel, child in graph.edges:
         rid = len(nodes)
         nodes.append((rid, rel, "relation"))
-        origin.append(("edge", eidx))
         edges.append((index[parent], rid))
         edges.append((rid, index[child]))
-    return LeviGraph(
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        root=index[graph.root],
-        origin=tuple(origin),
-    )
+    return LeviGraph(nodes=tuple(nodes), edges=tuple(edges), root=index[graph.root])
+
+
+def _mention_positions(sequence: TokenSequence):
+    """(first position of each concept, position of each edge's relation
+    token), keyed by node id and edge index."""
+    first_pos, edge_pos = {}, {}
+    for pos, (kind, ref) in enumerate(sequence.alignment):
+        if kind == "node":
+            first_pos.setdefault(ref, pos)
+        else:
+            edge_pos[ref] = pos
+    return first_pos, edge_pos
 
 
 def max_dependency_length(graph: AmrGraph) -> int:
@@ -193,17 +183,10 @@ def max_dependency_length(graph: AmrGraph) -> int:
     so a reentrant edge like finger->:part-of->he spans back to the first
     mention of ``he``.
     """
-    sequence = linearize(graph)
-    first_pos = {}
-    rel_pos = {}
-    for pos, (kind, ref) in enumerate(sequence.alignment):
-        if kind == "node":
-            first_pos.setdefault(ref, pos)
-        else:
-            rel_pos[ref] = pos
+    first_pos, edge_pos = _mention_positions(linearize(graph))
     longest = 0
     for eidx, (parent, _, child) in enumerate(graph.edges):
-        rpos = rel_pos[eidx]
+        rpos = edge_pos[eidx]
         longest = max(longest, abs(rpos - first_pos[parent]), abs(first_pos[child] - rpos))
     return longest
 
@@ -370,73 +353,53 @@ def anonymize_sentence(tokens, mapping) -> list:
 
 
 @dataclass(frozen=True)
+class AlignedLevi:
+    """A Levi graph aligned with the linearization.
+
+    pos_to_node: per linearization position, the index of its Levi node.
+    init_pos: per Levi node, the linearization position supplying its initial
+    state when stacking sequence-first (first mention for concepts, relation
+    token for relations).
+    """
+
+    levi: LeviGraph
+    pos_to_node: tuple
+    init_pos: tuple
+
+
+@dataclass(frozen=True)
 class ExampleRepr:
     """Everything the encoders need for one AMR, alignment included.
 
-    pos_to_levi / pos_to_tree_levi: per linearization position, the index of
-    the corresponding Levi node (graph mode / tree mode).
-    levi_init_pos / tree_levi_init_pos: per Levi node, the linearization
-    position supplying its initial state when stacking sequence-first
-    (first occurrence for concepts, relation token for relations).
+    structures maps each structural input_repr to its AlignedLevi: "graph"
+    keeps reentrancies, "tree" splits them.
     """
 
     graph: AmrGraph
     sequence: TokenSequence
     tree: AmrTree
-    levi: LeviGraph
-    tree_levi: LeviGraph
-    pos_to_levi: tuple
-    pos_to_tree_levi: tuple
-    levi_init_pos: tuple
-    tree_levi_init_pos: tuple
+    structures: dict
 
 
 def prepare_example(graph: AmrGraph) -> ExampleRepr:
-    trav = _traverse(graph)
-    sequence, tree = trav.sequence, trav.tree
-    levi = to_levi(graph)
-    tree_levi = to_levi(tree)
-
-    concept_idx = {}
-    relation_idx = {}
-    for lid, (kind, ref) in enumerate(levi.origin):
-        (concept_idx if kind == "node" else relation_idx)[ref] = lid
-    tree_concept_idx = {}
-    tree_relation_idx = {}
-    for lid, (kind, ref) in enumerate(tree_levi.origin):
-        (tree_concept_idx if kind == "node" else tree_relation_idx)[ref] = lid
-
-    pos_to_levi, pos_to_tree_levi = [], []
-    first_pos, rel_pos = {}, {}
-    for pos, (kind, ref) in enumerate(sequence.alignment):
+    sequence, tree, pos_tree = _traverse(graph)
+    first_pos, edge_pos = _mention_positions(sequence)
+    node_index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
+    graph_nodes, tree_nodes = len(graph.nodes), len(tree.nodes)
+    graph_pos, tree_pos = [], []
+    for (kind, ref), tree_ref in zip(sequence.alignment, pos_tree):
         if kind == "node":
-            first_pos.setdefault(ref, pos)
-            pos_to_levi.append(concept_idx[ref])
-            pos_to_tree_levi.append(tree_concept_idx[trav.pos_tree_node[pos]])
+            graph_pos.append(node_index[ref])
+            tree_pos.append(tree_ref)
         else:
-            rel_pos[ref] = pos
-            pos_to_levi.append(relation_idx[ref])
-            pos_to_tree_levi.append(tree_relation_idx[trav.pos_tree_edge[pos]])
-
-    levi_init_pos = []
-    for kind, ref in levi.origin:
-        levi_init_pos.append(first_pos[ref] if kind == "node" else rel_pos[ref])
-    source_of = dict(tree.copy_of)
-    tree_levi_init_pos = []
-    for kind, ref in tree_levi.origin:
-        if kind == "node":
-            tree_levi_init_pos.append(first_pos[source_of[ref]])
-        else:
-            tree_levi_init_pos.append(rel_pos[tree.edge_origin[ref]])
-
-    return ExampleRepr(
-        graph=graph,
-        sequence=sequence,
-        tree=tree,
-        levi=levi,
-        tree_levi=tree_levi,
-        pos_to_levi=tuple(pos_to_levi),
-        pos_to_tree_levi=tuple(pos_to_tree_levi),
-        levi_init_pos=tuple(levi_init_pos),
-        tree_levi_init_pos=tuple(tree_levi_init_pos),
-    )
+            graph_pos.append(graph_nodes + ref)
+            tree_pos.append(tree_nodes + tree_ref)
+    graph_init = [first_pos[nid] for nid, _ in graph.nodes]
+    graph_init += [edge_pos[eidx] for eidx in range(len(graph.edges))]
+    tree_init = [first_pos[nid] for _, nid in tree.copy_of]
+    tree_init += [edge_pos[eidx] for eidx in tree.edge_origin]
+    structures = {
+        "graph": AlignedLevi(to_levi(graph), tuple(graph_pos), tuple(graph_init)),
+        "tree": AlignedLevi(to_levi(tree), tuple(tree_pos), tuple(tree_init)),
+    }
+    return ExampleRepr(graph=graph, sequence=sequence, tree=tree, structures=structures)

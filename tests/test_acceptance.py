@@ -91,17 +91,18 @@ def memorized(toy_corpus):
 def test_criterion_1_figure_fidelity():
     g = amr.parse_penman(FIGURE_GRAPH)
     ex = transforms.prepare_example(g)
+    levi = ex.structures["graph"].levi
     ok = (
         g.node_count == 4
         and g.edge_count == 4
         and amr.reentrancy_count(g) == 1
         and list(ex.sequence.tokens)
         == ["eat-01", ":arg0", "he", ":arg1", "pizza", ":instrument", "finger", ":part-of", "he"]
-        and ex.levi.node_count == 8
-        and ex.levi.edge_count == 8
+        and levi.node_count == 8
+        and levi.edge_count == 8
     )
-    token = {lid: tok for lid, tok, _ in ex.levi.nodes}
-    adj = set(ex.levi.edges)
+    token = {lid: tok for lid, tok, _ in levi.nodes}
+    adj = set(levi.edges)
 
     def levi_path(a, rel, b):
         return any(
@@ -165,7 +166,7 @@ def test_criterion_4_reentrancy_sensitivity(figure_example):
             gcn_layers=2, dropout=0.0, edge_dropout=0.0,
         )
         enc = StackEncoder(cfg, vocab, T.ParamStore(np.random.default_rng(0)))
-        levi = figure_example.levi if input_repr == "graph" else figure_example.tree_levi
+        levi = figure_example.structures[input_repr].levi
         ids = enc.vocab.indices([tok for _, tok, _ in levi.nodes])
         nodes = T.embedding_lookup(enc.embedding, ids).data
         bumped = nodes.copy()

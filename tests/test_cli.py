@@ -458,6 +458,26 @@ def test_unreadable_path_is_data_error(argv, trained, small_jsonl, tmp_path, cap
     assert_one_line_error(capsys, "data error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preprocess", "--input", "{latin1}", "--out", "{tmp}/x.jsonl"],
+        ["train", "--data", "{latin1}", "--out", "{tmp}/x"],
+        ["evaluate", "--data", "{data}", "--hyp", "{latin1}"],
+        ["contrastive", "--ckpt", "{ckpt}", "--data", "{data}", "--pairs", "{latin1}"],
+    ],
+    ids=["penman-corpus", "examples-jsonl", "hypotheses", "contrastive-pairs"],
+)
+def test_non_utf8_input_is_named(argv, trained, small_jsonl, tmp_path, capsys):
+    # every text reader names the file it could not decode
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes('{"id": "caf\u00e9"}\n'.encode("latin-1"))
+    paths = {"tmp": tmp_path, "data": small_jsonl, "ckpt": trained, "latin1": latin1}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_DATA
+    assert_one_line_error(capsys, f"data error: {latin1}: not UTF-8 text")
+
+
 # --------------------------------------------------------------------------
 # config file handling
 
@@ -502,3 +522,48 @@ def test_config_file_bad_json_is_config_error(small_jsonl, tmp_path):
     code = main(["train", "--data", str(small_jsonl), "--out", str(tmp_path / "x"),
                  "--config", str(cfg)])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"epochs"', "null"])
+def test_config_file_not_an_object_is_config_error(text, small_jsonl, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["train", "--data", str(small_jsonl), "--out", str(tmp_path / "x"),
+                 "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error:")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"epochs": 2.5}, {"hidden_dim": 8.0}, {"batch_size": "4"}, {"dropout": "0.1"},
+     {"seed": True}, {"dev": 5}],
+    ids=lambda entry: next(iter(entry)),
+)
+def test_config_value_of_wrong_type_is_config_error(entry, small_jsonl, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"embedding_dim": 8, "hidden_dim": 8, "epochs": 1, **entry}))
+    code = main(["train", "--data", str(small_jsonl), "--out", str(tmp_path / "x"),
+                 "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, f"configuration error: config key {next(iter(entry))!r}")
+
+
+def test_config_file_not_utf8_is_config_error(small_jsonl, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes('{"model": "caf\u00e9"}'.encode("latin-1"))
+    code = main(["train", "--data", str(small_jsonl), "--out", str(tmp_path / "x"),
+                 "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, f"configuration error: cannot read config file {str(cfg)!r}")
+
+
+def test_config_value_outside_choices_is_config_error(toy_jsonl, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bucket_by": "length"}))
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a\n" * 60)
+    code = main(["analyze", "--data", str(toy_jsonl), "--outputs", f"A={hyp}",
+                 "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error: config key 'bucket_by'")

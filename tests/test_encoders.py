@@ -73,13 +73,6 @@ def test_all_kinds_output_shape(figure_example):
         assert np.all(np.isfinite(out.data)), kind
 
 
-def test_training_mode_needs_rng(figure_example):
-    vocab = build_sequence_vocab(figure_example)
-    enc, _ = make_encoder("Seq", vocab, dropout=0.3)
-    with pytest.raises(ValueError):
-        enc.encode(figure_example, training=True)
-
-
 # --------------------------------------------------------------------------
 # BiLSTM structure
 
@@ -120,9 +113,15 @@ def test_treelstm_rejects_reentrant_input(figure_example):
     vocab = build_sequence_vocab(figure_example)
     cfg = EncoderConfig(kind="TreeLSTM", input_repr="tree", embedding_dim=4, hidden_dim=6)
     enc = StackEncoder(cfg, vocab, T.ParamStore(np.random.default_rng(0)))
-    levi = figure_example.levi  # reentrant: 'he' has two incoming edges
+    levi = figure_example.structures["graph"].levi  # reentrant: 'he' has two incoming edges
     with pytest.raises(ValueError, match="not a tree"):
-        enc.struct.encode(levi.node_count, levi.edges, levi.root, T.Tensor(np.zeros((levi.node_count, 4))))
+        enc.struct.encode(levi, T.Tensor(np.zeros((levi.node_count, 4))))
+
+
+def bare_levi(count, edges, root=0):
+    """A LeviGraph of count unlabeled nodes over the given (u, v) edges."""
+    nodes = tuple((i, "x", "concept") for i in range(count))
+    return transforms.LeviGraph(nodes=nodes, edges=tuple(edges), root=root)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +134,7 @@ def test_treelstm_rejects_edges_that_are_not_one_rooted_tree(edges, root):
     cell = ChildSumTreeLstm(3, 8, T.ParamStore(np.random.default_rng(0)))
     count = 1 + max(max(edge) for edge in edges)
     with pytest.raises(ValueError, match="not a tree"):
-        cell.encode(count, edges, root, T.Tensor(np.zeros((count, 3))))
+        cell.encode(bare_levi(count, edges, root), T.Tensor(np.zeros((count, 3))))
 
 
 def test_treelstm_bottom_up_ignores_siblings():
@@ -144,10 +143,10 @@ def test_treelstm_bottom_up_ignores_siblings():
     cell = ChildSumTreeLstm(3, 8, T.ParamStore(rng))
     edges = ((0, 1), (0, 2))  # root 0 with two leaves
     x = np.random.default_rng(5).uniform(-1, 1, size=(3, 3))
-    base = cell.encode(3, edges, 0, T.Tensor(x.copy())).data
+    base = cell.encode(bare_levi(3, edges), T.Tensor(x.copy())).data
     x2 = x.copy()
     x2[2] += 1.0  # perturb the second leaf
-    bumped = cell.encode(3, edges, 0, T.Tensor(x2)).data
+    bumped = cell.encode(bare_levi(3, edges), T.Tensor(x2)).data
     # output layout: [down ; up] with half = 4
     assert np.array_equal(base[1, 4:], bumped[1, 4:])  # sibling's up half unchanged
     assert not np.array_equal(base[0, 4:], bumped[0, 4:])  # root's up half sees it
@@ -160,10 +159,10 @@ def test_treelstm_top_down_broadcasts_context():
     cell = ChildSumTreeLstm(3, 8, T.ParamStore(rng))
     edges = ((0, 1), (0, 2))
     x = np.random.default_rng(7).uniform(-1, 1, size=(3, 3))
-    base = cell.encode(3, edges, 0, T.Tensor(x.copy())).data
+    base = cell.encode(bare_levi(3, edges), T.Tensor(x.copy())).data
     x2 = x.copy()
     x2[2] += 1.0
-    bumped = cell.encode(3, edges, 0, T.Tensor(x2)).data
+    bumped = cell.encode(bare_levi(3, edges), T.Tensor(x2)).data
     # output layout: [down ; up]; the up half of node 1 is unchanged,
     # the down half is not
     assert np.array_equal(base[1, 4:], bumped[1, 4:])
@@ -239,12 +238,12 @@ def test_adjacency_matches_loop_with_repeated_edges():
 
 
 def test_gcn_edge_dropout_draws_once_per_layer():
-    # one rng.random(len(edges)) per layer when training, none in eval mode
+    # one rng.random(len(edges)) per layer when given an rng, none without
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     gcn = GcnEncoder(4, 4, 3, T.ParamStore(np.random.default_rng(0)), edge_dropout=0.5)
     x = T.Tensor(np.random.default_rng(1).uniform(-1, 1, size=(3, 4)))
     rng = np.random.default_rng(2)
-    gcn.encode(levi, x, training=True, rng=rng)
+    gcn.encode(levi, x, rng=rng)
     expected = np.random.default_rng(2)
     for _ in range(3):
         expected.random(len(levi.edges))
@@ -257,7 +256,7 @@ def test_gcn_edge_dropout_changes_messages():
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     x = T.Tensor(np.random.default_rng(15).uniform(-1, 1, size=(3, 4)))
     eval_out = gcn.encode(levi, x).data
-    train_out = gcn.encode(levi, x, training=True, rng=np.random.default_rng(16)).data
+    train_out = gcn.encode(levi, x, rng=np.random.default_rng(16)).data
     assert not np.array_equal(eval_out, train_out)
 
 
@@ -309,7 +308,7 @@ def test_reentrancy_sensitivity_graph_vs_tree(figure_example):
 
     def probe(input_repr):
         enc, _ = make_encoder("GCN", vocab, seed=0, d=8, h=8, input_repr=input_repr, gcn_layers=2)
-        levi = figure_example.levi if input_repr == "graph" else figure_example.tree_levi
+        levi = figure_example.structures[input_repr].levi
         ids = enc.vocab.indices([tok for _, tok, _ in levi.nodes])
         nodes = T.embedding_lookup(enc.embedding, ids).data
         bumped = nodes.copy()
@@ -362,8 +361,8 @@ def test_encode_deterministic(figure_example):
 def test_dropout_rng_controls_training_noise(figure_example):
     vocab = build_sequence_vocab(figure_example)
     enc, _ = make_encoder("Seq", vocab, dropout=0.5)
-    a = enc.encode(figure_example, training=True, rng=np.random.default_rng(1)).data
-    b = enc.encode(figure_example, training=True, rng=np.random.default_rng(1)).data
-    c = enc.encode(figure_example, training=True, rng=np.random.default_rng(2)).data
+    a = enc.encode(figure_example, rng=np.random.default_rng(1)).data
+    b = enc.encode(figure_example, rng=np.random.default_rng(1)).data
+    c = enc.encode(figure_example, rng=np.random.default_rng(2)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)

@@ -173,7 +173,7 @@ def test_tape_size_is_a_constant_plus_four_per_target_token(kind, graph, figure_
     sizes = []
     for example in (ex, longer):
         with T.Tape() as tape:
-            model.sequence_loss(example, training=True, rng=np.random.default_rng(0))
+            model.sequence_loss(example, rng=np.random.default_rng(0))
         sizes.append(len(tape))
     assert sizes[0] <= TAPE_CONSTANT[kind] + 4 * (len(ex.target) + 1)
     assert sizes[1] - sizes[0] <= 4 * 5
@@ -279,7 +279,7 @@ def test_decoder_properties(toy10, seed, index, beam, max_len):
 def reference_beam_decode(model, ex, beam, max_len):
     """beam_decode without its early stop or batching: every prefix stepped
     alone for all max_len steps, one argsort per hypothesis."""
-    enc, enc_proj = model._encode(ex, training=False)
+    enc, enc_proj = model._encode(ex)
     eos = model.tgt_vocab.index(EOS)
     s, c, ctx = model._init_state(enc)
     greedy = ((model.tgt_vocab.index(BOS),), 0.0, (ctx, s, c))
@@ -466,7 +466,7 @@ def test_train_seed_changes_result(toy10):
 
 
 def test_train_nonfinite_loss_raises(toy10, monkeypatch):
-    def bad_loss(self, ex, training=False, rng=None):
+    def bad_loss(self, ex, rng=None):
         return T.Tensor(np.array([[float("nan")]]))
 
     monkeypatch.setattr(Seq2SeqModel, "sequence_loss", bad_loss)

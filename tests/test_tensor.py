@@ -150,21 +150,20 @@ def test_log_softmax_matches_log_of_softmax():
 def test_dropout_keep_one_is_identity():
     rng = np.random.default_rng(2)
     a = Tensor(_rand(rng, 4, 4))
-    out = T.dropout(a, 1.0, rng, training=True)
+    out = T.dropout(a, 1.0, rng)
     assert np.array_equal(out.data, a.data)
 
 
 def test_dropout_eval_mode_is_identity():
-    rng = np.random.default_rng(3)
-    a = Tensor(_rand(rng, 4, 4))
-    out = T.dropout(a, 0.5, rng, training=False)
+    a = Tensor(_rand(np.random.default_rng(3), 4, 4))
+    out = T.dropout(a, 0.5, None)
     assert np.array_equal(out.data, a.data)
 
 
 def test_dropout_scales_surviving_entries():
     rng = np.random.default_rng(4)
     a = Tensor(np.ones((50, 50)))
-    out = T.dropout(a, 0.5, rng, training=True).data
+    out = T.dropout(a, 0.5, rng).data
     kept = out != 0.0
     assert np.allclose(out[kept], 2.0)  # inverted scaling by 1/keep
     rate = kept.mean()
@@ -181,7 +180,7 @@ def test_dropout_grad_masks_match_forward():
     rng = np.random.default_rng(6)
     a = _param(rng, 5, 5)
     with T.Tape() as tape:
-        out = T.dropout(a, 0.5, np.random.default_rng(7), training=True)
+        out = T.dropout(a, 0.5, np.random.default_rng(7))
         loss = T.sum_all(out)
         T.backward(tape, loss)
     # gradient is 1/keep where kept, 0 where dropped

@@ -6,7 +6,10 @@ Oracle notes:
 * Levi size laws and the brute-force dependency-length oracle recompute the
   expected values here, independently of the implementation.
 """
+from collections import Counter
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from amrgen import amr
 from amrgen.amr import parse_penman
@@ -17,6 +20,7 @@ from amrgen.transforms import (
     deanonymize,
     linearize,
     max_dependency_length,
+    prepare_example,
     to_levi,
     to_tree,
 )
@@ -163,8 +167,9 @@ def test_tree_breaks_two_cycle():
 
 def test_tree_levi_matches_tree(figure_example):
     ex = figure_example
-    assert ex.tree_levi.node_count == ex.tree.node_count + ex.tree.edge_count
-    assert ex.tree_levi.edge_count == 2 * ex.tree.edge_count
+    tree_levi = ex.structures["tree"].levi
+    assert tree_levi.node_count == ex.tree.node_count + ex.tree.edge_count
+    assert tree_levi.edge_count == 2 * ex.tree.edge_count
 
 
 # --------------------------------------------------------------------------
@@ -289,20 +294,59 @@ def test_anonymize_deanonymize_sentence_roundtrip():
 def test_prepare_example_alignment(figure_example):
     ex = figure_example
     n = len(ex.sequence.tokens)
-    assert len(ex.pos_to_levi) == n
-    assert len(ex.pos_to_tree_levi) == n
-    levi_tokens = {lid: tok for lid, tok, _ in ex.levi.nodes}
-    for pos, lid in enumerate(ex.pos_to_levi):
-        assert levi_tokens[lid] == ex.sequence.tokens[pos]
-    tree_tokens = {lid: tok for lid, tok, _ in ex.tree_levi.nodes}
-    for pos, lid in enumerate(ex.pos_to_tree_levi):
-        assert tree_tokens[lid] == ex.sequence.tokens[pos]
+    assert set(ex.structures) == {"graph", "tree"}
+    for aligned in ex.structures.values():
+        assert len(aligned.pos_to_node) == n
+        levi_tokens = {lid: tok for lid, tok, _ in aligned.levi.nodes}
+        for pos, lid in enumerate(aligned.pos_to_node):
+            assert levi_tokens[lid] == ex.sequence.tokens[pos]
 
 
 def test_prepare_example_init_pos_first_occurrence(figure_example):
-    ex = figure_example
+    aligned = figure_example.structures["graph"]
     # init positions invert the pos maps at each structure node's first mention
-    for lid, pos in enumerate(ex.levi_init_pos):
-        assert ex.pos_to_levi[pos] == lid
-        earlier = [p for p in range(pos) if ex.pos_to_levi[p] == lid]
+    for lid, pos in enumerate(aligned.init_pos):
+        assert aligned.pos_to_node[pos] == lid
+        earlier = [p for p in range(pos) if aligned.pos_to_node[p] == lid]
         assert not earlier
+
+
+def _levi_sources(ex, input_repr):
+    """Per Levi node, the ("node", id) or ("edge", index) of the source graph
+    it stands for, from the documented layout: the structure's nodes in order,
+    then one relation node per edge in edge order."""
+    if input_repr == "graph":
+        nodes = [nid for nid, _ in ex.graph.nodes]
+        edges = list(range(len(ex.graph.edges)))
+    else:
+        nodes = [nid for _, nid in ex.tree.copy_of]
+        edges = list(ex.tree.edge_origin)
+    return [("node", nid) for nid in nodes] + [("edge", eidx) for eidx in edges]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(3, 13), extra=st.integers(0, 4))
+def test_prepare_example_alignment_properties(seed, max_nodes, extra):
+    g = random_dag_graph(np.random.default_rng(seed), max_nodes=max_nodes, extra_edges=extra)
+    ex = prepare_example(g)
+    alignment = ex.sequence.alignment
+    for input_repr, aligned in ex.structures.items():
+        levi = aligned.levi
+        sources = _levi_sources(ex, input_repr)
+        assert len(sources) == levi.node_count == len(aligned.init_pos)
+        # each position's Levi node carries that position's token and source
+        for pos, lid in enumerate(aligned.pos_to_node):
+            assert levi.nodes[lid][1] == ex.sequence.tokens[pos]
+            assert sources[lid] == alignment[pos]
+        for lid, pos in enumerate(aligned.init_pos):
+            # a tree copy of a reentrant node starts from its source's first
+            # mention, which the first copy holds
+            assert sources[aligned.pos_to_node[pos]] == sources[lid]
+            if input_repr == "graph":
+                assert aligned.pos_to_node[pos] == lid
+            if sources[lid][0] == "node":  # a concept starts at its first mention
+                assert alignment.index(sources[lid]) == pos
+        parents = Counter(v for _, v in levi.edges)
+        if input_repr == "tree":
+            assert max(parents.values(), default=0) <= 1
+            assert parents[levi.root] == 0
