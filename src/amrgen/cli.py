@@ -60,6 +60,15 @@ class DataError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (a bad value, a missing required flag,
+    an unknown command or flag) raise ConfigError, which main reports in one
+    line, instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @contextmanager
 def _text_input(path):
     """An open UTF-8 text file; text that is not UTF-8 is a DataError naming
@@ -459,7 +468,7 @@ def _apply_config_file(parser, argv):
     Defaults apply to the invoked subcommand, so the file can carry options
     like epochs or hidden_dim.
     """
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = _Parser(prog="amrgen", add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
@@ -477,12 +486,14 @@ def _apply_config_file(parser, argv):
         for action in parser._subparsers._group_actions:
             if isinstance(action.choices, dict) and subcommand in action.choices:
                 targets.append(action.choices[subcommand])
-    actions = {action.dest: action for target in targets for action in target._actions}
+    actions = {action.dest: action for target in targets for action in target._actions
+               if action.dest not in ("help", "command", "config")}
     unknown = set(defaults) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in defaults.items():
         _check_config_value(actions[key], value)
+        actions[key].required = False  # the file's value satisfies a required flag
     for target in targets:
         dests = {action.dest for action in target._actions}
         target.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
@@ -490,14 +501,21 @@ def _apply_config_file(parser, argv):
 
 def _check_config_value(action, value):
     """Raise a ConfigError unless value has a JSON type that its flag takes
-    and lies within the flag's choices. null keeps a default of None."""
-    if value is None and action.default is None:
+    and lies within the flag's choices; a flag that takes several values
+    takes a non-empty list of them. null keeps a default of None, but does
+    not satisfy a required flag."""
+    if value is None and action.default is None and not action.required:
         return
     if isinstance(action, argparse._StoreTrueAction):
         types = (bool,)
     else:
         types = {int: (int,), float: (int, float)}.get(action.type, (str,))
-    items = value if action.nargs == "+" and type(value) is list else [value]
+    items = [value]
+    if action.nargs == "+":
+        if type(value) is not list or not value:
+            raise ConfigError(f"config key {action.dest!r} must be a non-empty list, "
+                              f"got {value!r}")
+        items = value
     for item in items:
         if type(item) not in types or action.choices is not None and item not in action.choices:
             wanted = " or ".join(t.__name__ for t in types)
@@ -507,7 +525,7 @@ def _check_config_value(action, value):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amrgen",
         description="AMR-to-text structural encoding: preprocessing, training, "
         "generation and analysis.",

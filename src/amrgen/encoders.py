@@ -12,20 +12,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .tensor import ACTIVATIONS as _ACTIVATIONS  # the GCN's activations by name
 from .tensor import (
     Tensor,
-    add,
     concat,
     dropout,
     embedding_lookup,
+    gcn_layer,
     lstm_sequence,
     lstm_step,
     matmul,
-    mul,
-    relu,
-    sigmoid,
-    sub,
-    tanh,
     tree_lstm_down,
     tree_lstm_up,
 )
@@ -43,7 +39,6 @@ INPUT_REPRS = {
     "TreeLSTM": ("tree",),
 }
 KINDS = tuple(INPUT_REPRS)
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,8 @@ class GcnEncoder:
     Layer rule: h_i' = act(sum_in W_in h_j + sum_out W_out h_j + b), then
     out = t * tanh(h') + (1 - t) * h with t = sigmoid(h W_t + b_t).
     Self-information flows only through the highway path. An input projection
-    is added when the input width differs from hidden_dim.
+    is added when the input width differs from hidden_dim. Each layer is one
+    `gcn_layer` tape entry.
     """
 
     def __init__(
@@ -207,9 +203,7 @@ class GcnEncoder:
         edge_dropout: float = 0.1,
         name: str = "gcn",
     ):
-        self.hidden = hidden_dim
         self.activation = _ACTIVATIONS[activation]
-        self.highway = highway
         self.edge_dropout = edge_dropout
         self.proj = None
         if in_dim != hidden_dim:
@@ -235,20 +229,8 @@ class GcnEncoder:
             if drop_edges:  # a fresh draw per layer
                 keep = rng.random(len(edges)) >= self.edge_dropout
                 a_in, a_out = adjacency(n, edges[keep])
-            messages = add(
-                add(
-                    matmul(a_in, matmul(h, layer["W_in"])),
-                    matmul(a_out, matmul(h, layer["W_out"])),
-                ),
-                layer["b"],
-            )
-            out = self.activation(messages)
-            if self.highway:
-                t = sigmoid(add(matmul(h, layer["W_t"]), layer["b_t"]))
-                one_minus = sub(Tensor(np.ones(t.shape)), t)
-                h = add(mul(t, tanh(out)), mul(one_minus, h))
-            else:
-                h = out
+            h = gcn_layer(h, a_in.data, a_out.data, layer["W_in"], layer["W_out"], layer["b"],
+                          self.activation, layer.get("W_t"), layer.get("b_t"))
         return h
 
 

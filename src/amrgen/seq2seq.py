@@ -86,54 +86,33 @@ class Seq2SeqModel:
 
     # -- decoding machinery -------------------------------------------------
 
-    def _init_state(self, enc: Tensor):
-        n = enc.shape[0]
-        mean = T.scale(T.sum_rows(enc), 1.0 / n)
-        s = T.tanh(T.add(T.matmul(mean, self.W_init), self.b_init))
-        c = Tensor(np.zeros((1, self.config.hidden_dim)))
-        ctx = Tensor(np.zeros((1, self.config.hidden_dim)))
-        return s, c, ctx
-
-    def _recur(self, token_ids, ctx, s, c, enc, enc_proj):
-        """The recurrent part of a decoder step for m rows at once: token_ids
-        is a list of m ids, and ctx, s and c are (m, h). Returns the next
-        (ctx, s, c), row by row. Input feeding carries ctx, so nothing else
-        feeds back into the next step."""
-        emb = T.embedding_lookup(self.tgt_embedding, token_ids)
-        x = T.concat([emb, ctx], axis=1)
-        s, c = self.cell.step(x, s, c)
-        ctx = T.attention(s, enc, enc_proj, self.U_a, self.b_a, self.v_a)
-        return ctx, s, c
-
-    def _output(self, s, ctx):
-        """The log-softmax rows over the target vocabulary for any number of
-        (s, ctx) row pairs."""
-        o = T.tanh(T.add(T.matmul(T.concat([s, ctx], axis=1), self.W_o), self.b_o))
-        return T.log_softmax(T.add(T.matmul(o, self.W_v), self.b_v))
-
-    def _step(self, token_ids, ctx, s, c, enc, enc_proj):
-        """One decoder step for m rows; returns (log-probs, ctx, s, c)."""
-        ctx, s, c = self._recur(token_ids, ctx, s, c, enc, enc_proj)
-        return self._output(s, ctx), ctx, s, c
-
     def _encode(self, ex: TrainExample, rng=None):
         enc = self.encoder.encode(ex.repr, rng)
         enc_proj = T.matmul(enc, self.W_a)
         return enc, enc_proj
 
+    def _init_state(self, enc: Tensor) -> Tensor:
+        """The decoder's first hidden state; its cell and context start at zero."""
+        mean = T.scale(T.sum_rows(enc), 1.0 / enc.shape[0])
+        return T.tanh(T.add(T.matmul(mean, self.W_init), self.b_init))
+
+    def _output(self, rows: Tensor) -> Tensor:
+        """The log-softmax rows over the target vocabulary for (m, 2h) rows [s ; ctx]."""
+        o = T.tanh(T.add(T.matmul(rows, self.W_o), self.b_o))
+        return T.log_softmax(T.add(T.matmul(o, self.W_v), self.b_v))
+
     def _teacher_forced(self, ex: TrainExample, tokens, rng=None):
         """The (T, V) log-softmax rows and the T target ids of tokens + EOS,
-        feeding the reference token back in at every step. Only the
-        recurrence runs per step; the output layer runs once over all rows."""
+        feeding the reference token back in at every step: the recurrence is
+        one decoder_sequence entry, and the output layer runs once over all
+        its rows."""
         enc, enc_proj = self._encode(ex, rng)
-        s, c, ctx = self._init_state(enc)
         targets = self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]
-        s_rows, ctx_rows = [], []
-        for prev in [self.tgt_vocab.index(BOS)] + targets[:-1]:
-            ctx, s, c = self._recur([prev], ctx, s, c, enc, enc_proj)
-            s_rows.append(s)
-            ctx_rows.append(ctx)
-        return self._output(T.concat(s_rows), T.concat(ctx_rows)), targets
+        rows = T.decoder_sequence(
+            [self.tgt_vocab.index(BOS)] + targets[:-1], self._init_state(enc), enc, enc_proj,
+            self.tgt_embedding, self.cell.W, self.cell.U, self.cell.b,
+            self.U_a, self.b_a, self.v_a)
+        return self._output(rows), targets
 
     def sequence_loss(self, ex: TrainExample, rng=None) -> Tensor:
         """Mean token negative log-likelihood of the target, teacher-forced."""
@@ -169,9 +148,10 @@ class Seq2SeqModel:
             max_len = 2 * len(ex.repr.sequence) + 10
         enc, enc_proj = self._encode(ex)
         eos = self.tgt_vocab.index(EOS)
-        s, c, ctx = self._init_state(enc)
+        zero = np.zeros((1, self.config.hidden_dim))
         # a hypothesis: (BOS + token ids, log-prob, (ctx, s, c) rows before its last id)
-        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (ctx.data, s.data, c.data))
+        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (zero, self._init_state(enc).data, zero))
+        enc, enc_proj = enc.data, enc_proj.data
         hyps, done = [greedy], []  # done[0] is the greedy result once it has finished
         for _ in range(max_len):
             if greedy[0][-1] == eos and (
@@ -180,13 +160,13 @@ class Seq2SeqModel:
                 break
             rows = {}  # prefix -> (log-probs of the next id, state rows after the prefix)
             if greedy[0][-1] != eos:
-                log_probs, after = self._advance([greedy[0][-1]], greedy[2], enc, enc_proj)
+                log_probs, *after = self._step([greedy[0][-1]], *greedy[2], enc, enc_proj)
                 rows[greedy[0]] = (log_probs[0], after)
             batch = [hyp for hyp in hyps if hyp[0] not in rows]
             if batch:
                 state = [np.concatenate([hyp[2][j] for hyp in batch]) for j in range(3)]
-                log_probs, after = self._advance([ids[-1] for ids, _, _ in batch], state,
-                                                 enc, enc_proj)
+                log_probs, *after = self._step([ids[-1] for ids, _, _ in batch], *state,
+                                               enc, enc_proj)
                 for r, (ids, _, _) in enumerate(batch):
                     rows[ids] = (log_probs[r], [a[r : r + 1] for a in after])
             if greedy[0][-1] != eos:
@@ -220,12 +200,18 @@ class Seq2SeqModel:
         ids, logp, truncated = max(results, key=_normalized)
         return [self.tgt_vocab.token(i) for i in ids], logp, truncated
 
-    def _advance(self, last_ids, state, enc, enc_proj):
-        """One decoder step for m rows: last_ids holds m ids and state the
-        (ctx, s, c) arrays, (m, h) each. Returns the (m, V) log-probs of the
-        next id and the state arrays after it."""
-        log_probs, *after = self._step(last_ids, *map(Tensor, state), enc, enc_proj)
-        return log_probs.data, [a.data for a in after]
+    def _step(self, token_ids, ctx, s, c, enc, enc_proj):
+        """One decoder step for m rows in plain numpy: token_ids holds m ids,
+        ctx, s and c are the (m, h) state arrays and enc, enc_proj the encoder
+        rows' arrays. Returns the (m, V) log-probs of the next id and the
+        (ctx, s, c) arrays after the step."""
+        d = self.config.embedding_dim
+        W = self.cell.W.data
+        xw = self.tgt_embedding.data[token_ids] @ W[:d] + self.cell.b.data
+        s, c, ctx, _ = T.decoder_step(xw, ctx, s, c, W[d:], self.cell.U.data, enc, enc_proj,
+                                      self.U_a.data, self.b_a.data, self.v_a.data)
+        o = np.tanh(np.concatenate([s, ctx], axis=1) @ self.W_o.data + self.b_o.data)
+        return T.log_softmax_rows(o @ self.W_v.data + self.b_v.data), ctx, s, c
 
 
 _FIRST = itemgetter(0)
@@ -316,10 +302,6 @@ def _checked_vocab(itos, specials, side: str) -> Vocab:
     return Vocab(itos=tuple(itos))
 
 
-def _snapshot(params: dict) -> dict:
-    return {name: p.data.copy() for name, p in params.items()}
-
-
 def train(
     train_examples,
     dev_examples,
@@ -352,7 +334,7 @@ def train(
     dropout_rng = np.random.default_rng(seed + 2)
 
     best_bleu = -1.0
-    best_arrays = _snapshot(store.params)
+    best_theta = store.theta.copy()
     best_epoch = 0
     stale = 0
     log = []
@@ -389,7 +371,8 @@ def train(
                     f"non-finite loss in epoch {epoch}, batch starting at {start}",
                     batch_id=start // settings.batch_size,
                 )
-            store.grad /= len(batch)
+            if len(batch) > 1:  # dividing by 1 is exact
+                store.grad /= len(batch)
             grad_norms.append(T.clip_grad_norm(store, settings.clip_norm))
             T.sgd_step(store, schedule.lr)
             epoch_losses.append(batch_loss)
@@ -420,7 +403,7 @@ def train(
         # schedule, patience and early stopping react only to fresh dev scores
         if bleu > best_bleu:
             best_bleu = bleu
-            best_arrays = _snapshot(store.params)
+            best_theta = store.theta.copy()
             best_epoch = epoch
             stale = 0
         else:
@@ -435,7 +418,7 @@ def train(
         config=config,
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
-        arrays=best_arrays,
+        arrays=store.views(best_theta),
         meta={
             "seed": seed,
             "epoch": best_epoch,

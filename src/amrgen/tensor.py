@@ -312,10 +312,14 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
+def log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """The log-softmax of each row of an array."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    value = shifted - logsum
+    value = log_softmax_rows(a.data)
     out = Tensor(value, requires_grad=a.requires_grad)
     soft = np.exp(value)
 
@@ -723,6 +727,20 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
 # Fused additive attention
 
 
+def _attend(q, enc, enc_proj, U, b, v):
+    """Additive attention's forward in numpy for the (m, h) query rows q:
+    the (m, h) context rows, the (m, N, h) activations E and the (m, N)
+    weights alpha."""
+    m, rows = q.shape[0], enc.shape[0]
+    pre = enc_proj[None] + (q @ U)[:, None]
+    pre += b
+    e = np.tanh(pre)
+    scores = (e.reshape(m * rows, -1) @ v).reshape(m, rows)
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = exp / exp.sum(axis=1, keepdims=True)
+    return alpha @ enc, e, alpha
+
+
 def attention(q: Tensor, enc: Tensor, enc_proj: Tensor, U: Tensor, b: Tensor,
               v: Tensor) -> Tensor:
     """Additive attention of the (m, h) query rows q over the (N, h) rows of
@@ -736,14 +754,8 @@ def attention(q: Tensor, enc: Tensor, enc_proj: Tensor, U: Tensor, b: Tensor,
     m, rows = q.shape[0], enc.shape[0]
     if enc_proj.shape != enc.shape or q.shape[1] != U.shape[0]:
         raise ShapeError(f"attention shape mismatch: {q.shape} over {enc.shape}")
-    pre = enc_proj.data[None] + (q.data @ U.data)[:, None]
-    pre += b.data
-    e = np.tanh(pre)  # (m, rows, h)
-    scores = (e.reshape(m * rows, -1) @ v.data).reshape(m, rows)
-    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha = exp / exp.sum(axis=1, keepdims=True)
-    out = Tensor(alpha @ enc.data,
-                 requires_grad=any(t.requires_grad for t in (q, enc, enc_proj, U, b, v)))
+    ctx, e, alpha = _attend(q.data, enc.data, enc_proj.data, U.data, b.data, v.data)
+    out = Tensor(ctx, requires_grad=any(t.requires_grad for t in (q, enc, enc_proj, U, b, v)))
     weight_rows = _weight_rows()
 
     def bwd(g):
@@ -767,6 +779,204 @@ def attention(q: Tensor, enc: Tensor, enc_proj: Tensor, U: Tensor, b: Tensor,
 
     _record(out, bwd)
     return out
+
+
+# --------------------------------------------------------------------------
+# The attentional decoder with input feeding: step t runs the LSTM (gate
+# order i, f, o, g) on [y_t ; ctx_{t-1}], where y_t is the embedding of the
+# step's input id, and then attends with its new hidden state s_t over the
+# encoder rows, which gives ctx_t.
+
+
+def decoder_step(xw, ctx, s, c, W_ctx, U, enc, enc_proj, U_a, b_a, v_a):
+    """One decoder step for m rows in plain numpy. xw is the (m, 4h)
+    embedding half of the input projection with the bias, y W[:d] + b, and
+    ctx, s and c are the (m, h) context, hidden and cell rows before the step.
+    Returns the rows after it, (s, c, ctx), and what backward needs: the
+    gates sig and g, tanh(c), and the attention's activations and weights."""
+    n = s.shape[1]
+    z = xw + ctx @ W_ctx + s @ U
+    sig, g = _lstm_gates(z, n)
+    c = sig[:, n : 2 * n] * c + sig[:, :n] * g
+    tc = np.tanh(c)
+    s = sig[:, 2 * n :] * tc
+    ctx, e, alpha = _attend(s, enc, enc_proj, U_a, b_a, v_a)
+    return s, c, ctx, (sig, g, tc, e, alpha)
+
+
+def decoder_sequence(ids, s0: Tensor, enc: Tensor, enc_proj: Tensor, emb: Tensor, W: Tensor,
+                     U: Tensor, b: Tensor, U_a: Tensor, b_a: Tensor, v_a: Tensor) -> Tensor:
+    """The decoder's recurrence over a whole sentence as one tape entry. ids
+    are the T input ids, emb the (V, d) table of their embeddings, s0 the
+    (1, h) first hidden state; the cell and the context start at zero. W, U
+    and b are the LSTM's weights over [y ; ctx], and U_a, b_a and v_a those
+    of the attention over the (N, h) rows enc, as in `attention`. Row t of
+    the (T, 2h) output is [s_t ; ctx_t], the output layer's input.
+
+    emb[ids] W[:d] + b is one (T, d) @ (d, 4h) GEMM before the loop over the
+    steps, each of which is `decoder_step` (Appleyard et al. 2016). Backward
+    is one reverse loop through the attention and the LSTM gates that fills
+    dZ, the gradient of the pre-activations, and the attention scores'
+    gradients; the weight, encoder and embedding gradients then come from the
+    stacked rows as GEMMs and one add.at.
+    """
+    idx = np.asarray(ids, dtype=np.intp)
+    steps, d, n = len(idx), emb.shape[1], U.shape[0]
+    if W.shape != (d + n, 4 * n) or s0.shape != (1, n) or enc_proj.shape != enc.shape:
+        raise ShapeError(f"decoder_sequence shape mismatch: W {W.shape}, s0 {s0.shape}, "
+                         f"enc {enc.shape}, enc_proj {enc_proj.shape}")
+    x_emb = emb.data[idx]
+    w_emb, w_ctx = W.data[:d], W.data[d:]
+    xw = x_emb @ w_emb + b.data
+    u, enc_d, u_a, v = U.data, enc.data, U_a.data, v_a.data
+    s, c, ctx = s0.data, np.zeros((1, n)), np.zeros((1, n))
+    rows = []
+    for t in range(steps):
+        s, c, ctx, (sig, g, tc, e, alpha) = decoder_step(
+            xw[t : t + 1], ctx, s, c, w_ctx, u, enc_d, enc_proj.data, u_a, b_a.data, v)
+        rows.append((s, c, ctx, sig, g, tc, e, alpha))
+    s_all, c_all, ctx_all, sig, g, tc, e, alpha = (np.concatenate(col) for col in zip(*rows))
+    inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
+    out = Tensor(np.concatenate([s_all, ctx_all], axis=1),
+                 requires_grad=any(t.requires_grad for t in inputs))
+
+    def bwd(d_out):
+        zero = np.zeros((1, n))
+        s_prev = np.concatenate([s0.data, s_all[:-1]])
+        ctx_prev = np.concatenate([zero, ctx_all[:-1]])
+        dsig = sig * (1.0 - sig)
+        # dZ row t is [dc K_i, dc K_f, ds K_o, dc K_g] with dc, ds the step's
+        # cell and hidden gradients; the K are fixed by the forward pass
+        k = np.empty((steps, 4, n))
+        k[:, 0] = g * dsig[:, :n]
+        k[:, 1] = np.concatenate([zero, c_all[:-1]]) * dsig[:, n : 2 * n]
+        k[:, 2] = tc * dsig[:, 2 * n :]
+        k[:, 3] = sig[:, :n] * (1.0 - g * g)
+        s_to_c = sig[:, 2 * n :] * (1.0 - tc * tc)
+        f = sig[:, n : 2 * n]
+        k_att = e * e  # becomes d score / d pre-activation = v (1 - e^2), (T, N, h)
+        np.subtract(1.0, k_att, out=k_att)
+        k_att *= v[:, 0]
+        back = np.ascontiguousarray(np.concatenate([u, w_ctx]).T)  # dz -> [ds ; dctx] before
+        u_a_t = np.ascontiguousarray(u_a.T)
+        dz = np.empty((steps, 4, n))
+        d_scores = np.empty(alpha.shape)
+        d_query = np.empty((steps, u_a.shape[1]))  # gradient of s_t U_a
+        d_ctx = np.empty((steps, n))
+        d_s, d_c = d_out[:, :n], d_out[:, n:]
+        ds_next, dctx_next, dc_next = np.zeros(n), np.zeros(n), np.zeros(n)
+        for t in range(steps - 1, -1, -1):
+            dctx = d_ctx[t] = d_c[t] + dctx_next
+            a = alpha[t]
+            d_alpha = enc_d @ dctx
+            d_score = d_scores[t] = a * (d_alpha - d_alpha @ a)
+            dq = d_query[t] = d_score @ k_att[t]
+            ds = d_s[t] + ds_next + dq @ u_a_t
+            dc = dc_next + ds * s_to_c[t]
+            np.multiply(k[t], dc, out=dz[t])
+            np.multiply(k[t, 2], ds, out=dz[t, 2])
+            before = dz[t].reshape(-1) @ back
+            ds_next, dctx_next = before[:n], before[n:]
+            dc_next = dc * f[t]
+        dz = dz.reshape(steps, 4 * n)
+        if s0.requires_grad:
+            _accumulate(s0, ds_next[None])
+        if enc.requires_grad:
+            _accumulate(enc, alpha.T @ d_ctx)
+        if enc_proj.requires_grad:
+            _accumulate(enc_proj, np.einsum("tr,trh->rh", d_scores, k_att))
+        if emb.requires_grad:
+            np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
+        if W.requires_grad:
+            _accumulate(W, np.concatenate([x_emb, ctx_prev], axis=1).T @ dz)
+        if U.requires_grad:
+            _accumulate(U, s_prev.T @ dz)
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0, keepdims=True))
+        if U_a.requires_grad:
+            _accumulate(U_a, s_all.T @ d_query)
+        if b_a.requires_grad:
+            _accumulate(b_a, d_query.sum(axis=0, keepdims=True))
+        if v_a.requires_grad:
+            _accumulate(v_a, e.reshape(-1, e.shape[2]).T @ d_scores.reshape(-1, 1))
+
+    _record(out, bwd)
+    return out
+
+
+# --------------------------------------------------------------------------
+# Fused GCN layer
+
+
+def _relu_values(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+def _tanh_values(x):
+    value = np.tanh(x)
+    return value, 1.0 - value * value
+
+
+def _sigmoid_values(x):
+    value = 1.0 / (1.0 + np.exp(-x))
+    return value, value * (1.0 - value)
+
+
+# the GCN's activations by name: each maps x to (act(x), act'(x))
+ACTIVATIONS = {"relu": _relu_values, "tanh": _tanh_values, "sigmoid": _sigmoid_values}
+
+
+def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_out: Tensor,
+              b: Tensor, activation, W_t: Tensor = None, b_t: Tensor = None) -> Tensor:
+    """One GCN layer over the (N, h) rows of H as one tape entry. a_in and
+    a_out = a_in^T are constant (N, N) arrays, a_in[v, u] counting the edges
+    u -> v, and activation is one of ACTIVATIONS' functions. The layer's
+    messages are M = a_in H W_in + a_out H W_out + b and out = act(M). With
+    the highway weights W_t and b_t it returns t tanh(out) + (1 - t) H with
+    the gate t = sigmoid(H W_t + b_t), and out without them.
+
+    The forward runs the composed kernels' operations in their order, so it
+    gives their result to the bit; backward runs GEMMs of the same shapes as theirs.
+    """
+    h = H.data
+    if h.ndim != 2 or h.shape[1] != W_in.shape[0] or a_in.shape != (len(h), len(h)):
+        raise ShapeError(f"gcn_layer shape mismatch: {h.shape} @ {W_in.shape}, a_in {a_in.shape}")
+    pre = a_in @ (h @ W_in.data) + a_out @ (h @ W_out.data) + b.data
+    out, slope = activation(pre)
+    weights = (W_in, W_out, b)
+    if W_t is not None:
+        weights += (W_t, b_t)
+        gate, gate_slope = _sigmoid_values(h @ W_t.data + b_t.data)
+        tanh_out = np.tanh(out)
+        out = gate * tanh_out + (1.0 - gate) * h
+    result = Tensor(out, requires_grad=any(t.requires_grad for t in (H,) + weights))
+
+    def bwd(g):
+        d_h = None
+        if W_t is not None:
+            d_gate = g * (tanh_out - h) * gate_slope
+            if W_t.requires_grad:
+                _accumulate(W_t, h.T @ d_gate)
+            if b_t.requires_grad:
+                _accumulate(b_t, d_gate.sum(axis=0, keepdims=True))
+            if H.requires_grad:
+                d_h = g * (1.0 - gate) + d_gate @ W_t.data.T
+            g = g * gate * (1.0 - tanh_out * tanh_out)
+        d_pre = g * slope
+        if b.requires_grad:
+            _accumulate(b, d_pre.sum(axis=0, keepdims=True))
+        d_in, d_out = a_out @ d_pre, a_in @ d_pre  # gradients of H W_in and H W_out
+        if W_in.requires_grad:
+            _accumulate(W_in, h.T @ d_in)
+        if W_out.requires_grad:
+            _accumulate(W_out, h.T @ d_out)
+        if H.requires_grad:
+            d_msg = d_in @ W_in.data.T + d_out @ W_out.data.T
+            _accumulate(H, d_msg if d_h is None else d_h + d_msg)
+
+    _record(result, bwd)
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -801,15 +1011,21 @@ class ParamStore:
         p = self.params[name] = Parameter(data)
         return p
 
+    def views(self, flat: np.ndarray) -> dict:
+        """name -> each parameter's array as a view into a flat vector laid
+        out as theta is."""
+        arrays, offset = {}, 0
+        for name, p in self.params.items():
+            arrays[name] = flat[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        return arrays
+
     def pack(self) -> None:
         self.theta = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
         self.grad = np.zeros_like(self.theta)
-        offset = 0
-        for p in self.params.values():
-            shape, end = p.data.shape, offset + p.data.size
-            p.data = self.theta[offset:end].reshape(shape)
-            p.grad = self.grad[offset:end].reshape(shape)
-            offset = end
+        data, grad = self.views(self.theta), self.views(self.grad)
+        for name, p in self.params.items():
+            p.data, p.grad = data[name], grad[name]
 
 
 def sgd_step(store: ParamStore, lr: float) -> None:

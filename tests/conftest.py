@@ -133,13 +133,13 @@ def min_relu_margin(encoder: StackEncoder, example) -> float:
     factor. Returns +inf when the stack contains no relu.
     """
     struct = encoder.struct
-    if not isinstance(struct, GcnEncoder) or struct.activation is not T.relu:
+    if not isinstance(struct, GcnEncoder) or struct.activation is not T.ACTIVATIONS["relu"]:
         return np.inf
     margins = []
     real = struct.activation
 
     def spy(x):
-        margins.append(float(np.abs(x.data).min()))
+        margins.append(float(np.abs(x).min()))
         return real(x)
 
     struct.activation = spy

@@ -165,6 +165,28 @@ def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, c
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "x", "--out", "y", "--epochs", "x"],
+        ["train", "--data", "x", "--out", "y", "--dropout", "half"],
+        ["train", "--data", "x"],
+        ["analyze", "--data", "x"],
+        ["train", "--data", "x", "--out", "y", "--no-such-flag", "1"],
+        ["train", "--data", "x", "--out", "y", "--model", "LSTM"],
+        ["frobnicate"],
+        [],
+        ["train", "--data", "x", "--out", "y", "--config"],
+    ],
+    ids=["bad-int", "bad-float", "missing-out", "missing-outputs", "unknown-flag", "bad-choice",
+         "unknown-command", "no-command", "config-without-path"],
+)
+def test_argument_error_is_one_line_config_error(argv, tmp_path, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error: amrgen")
+    assert not (tmp_path / "y").exists()
+
+
 def test_train_missing_data_is_data_error(tmp_path):
     code = main(["train", "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "x")])
     assert code == EXIT_DATA
@@ -567,3 +589,37 @@ def test_config_value_outside_choices_is_config_error(toy_jsonl, tmp_path, capsy
                  "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert_one_line_error(capsys, "configuration error: config key 'bucket_by'")
+
+
+@pytest.mark.parametrize("key", ["help", "command", "config"])
+def test_config_key_that_is_not_a_flag_is_unknown(key, small_jsonl, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "train"}))
+    code = main(["train", "--data", str(small_jsonl), "--out", str(tmp_path / "x"),
+                 "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error: unknown config keys")
+
+
+def test_config_value_satisfies_a_required_flag(toy_jsonl, tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a\n" * 60)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"outputs": [f"A={hyp}"], "data": str(toy_jsonl)}))
+    assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+    assert "reentrancies" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"outputs": "A=hyp.txt"}, {"outputs": []}, {"outputs": None}, {"outputs": ["A=h", 3]},
+     {"data": None}],
+    ids=["string", "empty", "null", "non-string-item", "null-data"],
+)
+def test_config_value_that_cannot_satisfy_a_required_flag(entry, toy_jsonl, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code = main(["analyze", "--data", str(toy_jsonl), "--outputs", "A=h.txt",
+                 "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, f"configuration error: config key {next(iter(entry))!r}")

@@ -276,13 +276,39 @@ def test_decoder_properties(toy10, seed, index, beam, max_len):
     assert abs(score + loss * (len(ex.target) + 1)) <= 1e-12
 
 
+BENCH_KINDS = ("Seq", "GCNSeq", "TreeLSTMSeq", "GCN")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(BENCH_KINDS),
+    seed=st.integers(0, 2**16),
+    index=st.integers(0, len(TOY10) - 1),
+    eos_bias=st.sampled_from([0.0, 2.0, 3.0, 4.0]),
+)
+def test_score_sentence_agrees_with_greedy(toy10, kind, seed, index, eos_bias):
+    """Decoding steps rows with Seq2SeqModel._step and scoring runs the
+    decoder_sequence kernel: a finished greedy result scores, under
+    score_sentence, the log-prob that greedy decoding returned."""
+    src, tgt = build_vocabs(toy10, unk_threshold=1)
+    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8,
+                        hidden_dim=8, dropout=0.0, edge_dropout=0.0)
+    model = Seq2SeqModel(cfg, src, tgt, seed=seed)
+    model.b_v.data[0, tgt.index(EOS)] += eos_bias  # so that more greedy paths finish
+    ex = toy10[index]
+    tokens, logp, truncated = model.greedy_decode(ex)
+    if not truncated:
+        assert abs(model.score_sentence(ex, tokens) - logp) <= 1e-12
+
+
 def reference_beam_decode(model, ex, beam, max_len):
     """beam_decode without its early stop or batching: every prefix stepped
     alone for all max_len steps, one argsort per hypothesis."""
     enc, enc_proj = model._encode(ex)
     eos = model.tgt_vocab.index(EOS)
-    s, c, ctx = model._init_state(enc)
-    greedy = ((model.tgt_vocab.index(BOS),), 0.0, (ctx, s, c))
+    zero = np.zeros((1, enc.shape[1]))
+    greedy = ((model.tgt_vocab.index(BOS),), 0.0, (zero, model._init_state(enc).data, zero))
+    enc, enc_proj = enc.data, enc_proj.data
     hyps, done = [greedy], []
     for _ in range(max_len):
         live = hyps if greedy[0][-1] == eos else hyps + [greedy]
@@ -291,8 +317,8 @@ def reference_beam_decode(model, ex, beam, max_len):
         rows = {}
         for ids, _, state in live:
             if ids not in rows:
-                logits, *after = model._step([ids[-1]], *state, enc, enc_proj)
-                rows[ids] = (T.log_softmax(logits).data[0], after)
+                log_probs, *after = model._step([ids[-1]], *state, enc, enc_proj)
+                rows[ids] = (log_probs[0], after)
         if greedy[0][-1] != eos:
             log_probs, after = rows[greedy[0]]
             idx = int(log_probs.argmax())

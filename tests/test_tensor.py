@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T
-from amrgen.encoders import _tree_topology
+from amrgen.encoders import _tree_topology, adjacency
 from amrgen.tensor import ShapeError, Tensor
+
+import reference_kernels
 
 
 def _rand(rng, *shape):
@@ -719,3 +721,100 @@ def test_tree_lstm_kernels_match_composed(tree, seed):
     want_down = _composed_tree_lstm_down(*_down_args(p, parent, order))
     assert np.abs(up.data - want_up.data).max() <= 1e-12
     assert np.abs(down.data - want_down.data).max() <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# Fused decoder and GCN layer, against the composed kernels they replaced
+
+
+def _decoder_inputs(rng, steps, rows, vocab, d, h):
+    ids = rng.integers(0, vocab, size=steps).tolist()
+    tensors = (_param(rng, 1, h), _param(rng, rows, h), _param(rng, rows, h),
+               _param(rng, vocab, d), _param(rng, d + h, 4 * h), _param(rng, h, 4 * h),
+               _param(rng, 1, 4 * h), _param(rng, h, h), _param(rng, 1, h), _param(rng, h, 1))
+    return ids, tensors
+
+
+def _gcn_inputs(rng, nodes, edge_count, h, highway):
+    edges = rng.integers(0, nodes, size=(edge_count, 2))  # repeats and self-loops included
+    a_in, a_out = adjacency(nodes, edges)
+    weights = [_param(rng, nodes, h), _param(rng, h, h), _param(rng, h, h), _param(rng, 1, h)]
+    if highway:
+        weights += [_param(rng, h, h), _param(rng, 1, h)]
+    return a_in, a_out, weights
+
+
+def _fused_gcn(a_in, a_out, weights, activation):
+    H, W_in, W_out, b, *gate = weights
+    return T.gcn_layer(H, a_in.data, a_out.data, W_in, W_out, b, T.ACTIVATIONS[activation],
+                       *gate)
+
+
+def _composed_gcn(a_in, a_out, weights, activation):
+    H, W_in, W_out, b, *gate = weights
+    return reference_kernels.gcn_layer(H, a_in, a_out, W_in, W_out, b, activation, *gate)
+
+
+def _values_and_grads(kernel, tensors, w):
+    """The kernel's output and every input's gradient of sum(output * w)."""
+    for t in tensors:
+        t.grad = None
+    with T.Tape() as tape:
+        out = kernel()
+        T.backward(tape, T.sum_all(T.mul(out, w)))
+    return out.data, [t.grad for t in tensors], len(tape)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), steps=st.integers(1, 12), rows=st.integers(1, 10),
+       vocab=st.integers(1, 6), d=st.integers(1, 5), h=st.integers(1, 5))
+def test_decoder_sequence_matches_composed(seed, steps, rows, vocab, d, h):
+    rng = np.random.default_rng(seed)
+    ids, tensors = _decoder_inputs(rng, steps, rows, vocab, d, h)
+    w = Tensor(_rand(rng, steps, 2 * h))
+    fused, fused_grads, entries = _values_and_grads(
+        lambda: T.decoder_sequence(ids, *tensors), tensors, w)
+    composed, composed_grads, _ = _values_and_grads(
+        lambda: reference_kernels.decoder_sequence(ids, *tensors), tensors, w)
+    assert entries == 3  # the kernel, mul and sum_all
+    assert fused.shape == (steps, 2 * h)
+    assert np.abs(fused - composed).max() <= 1e-12
+    for got, want in zip(fused_grads, composed_grads):
+        assert np.abs(got - want).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), nodes=st.integers(1, 10), edge_count=st.integers(0, 20),
+       h=st.integers(1, 5), highway=st.booleans(),
+       activation=st.sampled_from(sorted(T.ACTIVATIONS)))
+def test_gcn_layer_matches_composed(seed, nodes, edge_count, h, highway, activation):
+    rng = np.random.default_rng(seed)
+    a_in, a_out, weights = _gcn_inputs(rng, nodes, edge_count, h, highway)
+    w = Tensor(_rand(rng, nodes, h))
+    fused, fused_grads, entries = _values_and_grads(
+        lambda: _fused_gcn(a_in, a_out, weights, activation), weights, w)
+    composed, composed_grads, _ = _values_and_grads(
+        lambda: _composed_gcn(a_in, a_out, weights, activation), weights, w)
+    assert entries == 3
+    assert np.array_equal(fused, composed)  # the composed operations, in order
+    for got, want in zip(fused_grads, composed_grads):
+        assert np.abs(got - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decoder_sequence_grad(seed):
+    rng = np.random.default_rng(seed)
+    steps, rows, h = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    ids, tensors = _decoder_inputs(rng, steps, rows, 4, int(rng.integers(1, 4)), h)
+    w = Tensor(_rand(rng, steps, 2 * h))
+    _check(list(tensors), lambda: T.sum_all(T.mul(T.decoder_sequence(ids, *tensors), w)))
+
+
+@pytest.mark.parametrize("activation", sorted(T.ACTIVATIONS))
+@pytest.mark.parametrize("highway", [False, True])
+@pytest.mark.parametrize("seed", range(2))
+def test_gcn_layer_grad(seed, highway, activation):
+    rng = np.random.default_rng(seed)
+    a_in, a_out, weights = _gcn_inputs(rng, 5, 7, 3, highway)
+    w = Tensor(_rand(rng, 5, 3))
+    _check(weights, lambda: T.sum_all(T.mul(_fused_gcn(a_in, a_out, weights, activation), w)))
