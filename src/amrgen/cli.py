@@ -601,7 +601,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as done:  # after --help; argument errors raise ConfigError
+            return done.code
         return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -175,11 +175,11 @@ class ChildSumTreeLstm:
 
 
 def adjacency(node_count: int, edges):
-    """Constant (a_in, a_out) tensors for a (k, 2) array of (u, v) edges:
+    """The (a_in, a_out) arrays for a (k, 2) array of (u, v) edges:
     a_in[v, u] and a_out[u, v] count the edges u -> v."""
     a_in = np.zeros((node_count, node_count))
     np.add.at(a_in, (edges[:, 1], edges[:, 0]), 1.0)
-    return Tensor(a_in), Tensor(np.ascontiguousarray(a_in.T))
+    return a_in, np.ascontiguousarray(a_in.T)
 
 
 class GcnEncoder:
@@ -229,7 +229,7 @@ class GcnEncoder:
             if drop_edges:  # a fresh draw per layer
                 keep = rng.random(len(edges)) >= self.edge_dropout
                 a_in, a_out = adjacency(n, edges[keep])
-            h = gcn_layer(h, a_in.data, a_out.data, layer["W_in"], layer["W_out"], layer["b"],
+            h = gcn_layer(h, a_in, a_out, layer["W_in"], layer["W_out"], layer["b"],
                           self.activation, layer.get("W_t"), layer.get("b_t"))
         return h
 

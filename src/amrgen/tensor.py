@@ -36,16 +36,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class Parameter(Tensor):
-    """A trainable leaf tensor. No kernel produces one, so its gradient is not
-    read until backward has finished, and backward may defer adding to it."""
-
-    __slots__ = ()
-
-    def __init__(self, data):
-        super().__init__(data, requires_grad=True)
-
-
 class Tape:
     """Ordered record of differentiable operations.
 
@@ -55,7 +45,6 @@ class Tape:
 
     def __init__(self):
         self._ops = []  # (output tensor or tuple of output tensors, backward fn)
-        self._weight_rows = {}  # Parameter -> ([input rows], [output-gradient rows])
         self._consumed = False
         self._prev = None
 
@@ -97,30 +86,6 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
         t.grad += grad
 
 
-def _weight_rows():
-    """The active tape's deferred weight rows. Kernels capture this dict, not
-    the tape: a tape -> closure -> tape cycle would keep every tape and its
-    arrays alive until the cyclic garbage collector ran."""
-    return _ACTIVE_TAPE._weight_rows if _ACTIVE_TAPE is not None else None
-
-
-def _accumulate_weight(weight_rows, w: Tensor, inputs: np.ndarray, grad: np.ndarray) -> None:
-    """w.grad += inputs^T grad for the weight w of a product inputs @ w.
-
-    For a Parameter the rows are kept, and backward adds every use of w in one
-    GEMM at the end: a weight used once per decoder step would otherwise cost
-    one outer product and one full-size add per step.
-    """
-    if type(w) is not Parameter:
-        _accumulate(w, inputs.T @ grad)
-        return
-    rows = weight_rows.get(w)
-    if rows is None:
-        rows = weight_rows[w] = ([], [])
-    rows[0].append(inputs)
-    rows[1].append(grad)
-
-
 def _grad_buffer(t: Tensor) -> np.ndarray:
     """t's gradient array, created as zeros, for kernels that add into a part of it."""
     if t.grad is None:
@@ -152,9 +117,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 fn(*grads)
         elif out.grad is not None:
             fn(out.grad)
-    for w, (inputs, grads) in tape._weight_rows.items():
-        _accumulate(w, np.concatenate(inputs).T @ np.concatenate(grads))
-    tape._weight_rows.clear()
 
 
 # --------------------------------------------------------------------------
@@ -165,13 +127,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
-    weight_rows = _weight_rows()
 
     def bwd(g):
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate_weight(weight_rows, b, a.data, g)
+            _accumulate(b, a.data.T @ g)
 
     _record(out, bwd)
     return out
@@ -444,7 +405,6 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor):
     needs = any(t.requires_grad for t in (x, h, c, W, U, b))
     h_out = Tensor(o * tc, requires_grad=needs)
     c_out = Tensor(c_next, requires_grad=needs)
-    weight_rows = _weight_rows()
 
     def bwd(dh, dc):
         dz = np.empty_like(z)
@@ -465,9 +425,9 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor):
         if c.requires_grad:
             _accumulate(c, dc * f)
         if W.requires_grad:
-            _accumulate_weight(weight_rows, W, x.data, dz)
+            _accumulate(W, x.data.T @ dz)
         if U.requires_grad:
-            _accumulate_weight(weight_rows, U, h.data, dz)
+            _accumulate(U, h.data.T @ dz)
         if b.requires_grad:
             _accumulate(b, _unbroadcast(dz, b.shape))
 
@@ -724,13 +684,19 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
 
 
 # --------------------------------------------------------------------------
-# Fused additive attention
+# The attentional decoder with input feeding: step t runs the LSTM (gate
+# order i, f, o, g) on [y_t ; ctx_{t-1}], where y_t is the embedding of the
+# step's input id, and then attends with its new hidden state s_t over the
+# encoder rows, which gives ctx_t.
 
 
 def _attend(q, enc, enc_proj, U, b, v):
-    """Additive attention's forward in numpy for the (m, h) query rows q:
-    the (m, h) context rows, the (m, N, h) activations E and the (m, N)
-    weights alpha."""
+    """Additive attention of the (m, h) query rows q over the (N, h) rows of
+    enc in numpy. With E = tanh(enc_proj + q U + b) for every (query, row)
+    pair, alpha is the softmax over rows of E v, and context row i is
+    alpha_i enc; enc_proj is enc's projection, computed once per example.
+    Returns the (m, h) context rows, the (m, N, h) activations E and the
+    (m, N) weights alpha."""
     m, rows = q.shape[0], enc.shape[0]
     pre = enc_proj[None] + (q @ U)[:, None]
     pre += b
@@ -739,53 +705,6 @@ def _attend(q, enc, enc_proj, U, b, v):
     exp = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = exp / exp.sum(axis=1, keepdims=True)
     return alpha @ enc, e, alpha
-
-
-def attention(q: Tensor, enc: Tensor, enc_proj: Tensor, U: Tensor, b: Tensor,
-              v: Tensor) -> Tensor:
-    """Additive attention of the (m, h) query rows q over the (N, h) rows of
-    enc, as one tape entry. With E = tanh(enc_proj + q U + b) for every
-    (query, row) pair, alpha is the softmax over rows of E v, and output row i
-    is alpha_i enc. enc_proj is enc's projection, computed once per example.
-
-    The forward runs the composed kernels' operations in their order, so one
-    query row gives their result to the bit.
-    """
-    m, rows = q.shape[0], enc.shape[0]
-    if enc_proj.shape != enc.shape or q.shape[1] != U.shape[0]:
-        raise ShapeError(f"attention shape mismatch: {q.shape} over {enc.shape}")
-    ctx, e, alpha = _attend(q.data, enc.data, enc_proj.data, U.data, b.data, v.data)
-    out = Tensor(ctx, requires_grad=any(t.requires_grad for t in (q, enc, enc_proj, U, b, v)))
-    weight_rows = _weight_rows()
-
-    def bwd(g):
-        if enc.requires_grad:
-            _accumulate(enc, alpha.T @ g)
-        d_alpha = g @ enc.data.T
-        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-        if v.requires_grad:
-            _accumulate_weight(weight_rows, v, e.reshape(m * rows, -1),
-                               d_scores.reshape(m * rows, 1))
-        d_pre = d_scores[:, :, None] * v.data[:, 0] * (1.0 - e * e)
-        if enc_proj.requires_grad:
-            _accumulate(enc_proj, d_pre.sum(axis=0))
-        d_query = d_pre.sum(axis=1)  # gradient of q U
-        if b.requires_grad:
-            _accumulate(b, d_query.sum(axis=0, keepdims=True))
-        if q.requires_grad:
-            _accumulate(q, d_query @ U.data.T)
-        if U.requires_grad:
-            _accumulate_weight(weight_rows, U, q.data, d_query)
-
-    _record(out, bwd)
-    return out
-
-
-# --------------------------------------------------------------------------
-# The attentional decoder with input feeding: step t runs the LSTM (gate
-# order i, f, o, g) on [y_t ; ctx_{t-1}], where y_t is the embedding of the
-# step's input id, and then attends with its new hidden state s_t over the
-# encoder rows, which gives ctx_t.
 
 
 def decoder_step(xw, ctx, s, c, W_ctx, U, enc, enc_proj, U_a, b_a, v_a):
@@ -810,7 +729,7 @@ def decoder_sequence(ids, s0: Tensor, enc: Tensor, enc_proj: Tensor, emb: Tensor
     are the T input ids, emb the (V, d) table of their embeddings, s0 the
     (1, h) first hidden state; the cell and the context start at zero. W, U
     and b are the LSTM's weights over [y ; ctx], and U_a, b_a and v_a those
-    of the attention over the (N, h) rows enc, as in `attention`. Row t of
+    of the attention over the (N, h) rows enc, as in `_attend`. Row t of
     the (T, 2h) output is [s_t ; ctx_t], the output layer's input.
 
     emb[ids] W[:d] + b is one (T, d) @ (d, 4h) GEMM before the loop over the
@@ -999,16 +918,16 @@ class ParamStore:
         self.theta = None
         self.grad = None
 
-    def uniform(self, name: str, shape) -> Parameter:
+    def uniform(self, name: str, shape) -> Tensor:
         return self._add(name, self.rng.uniform(-0.1, 0.1, size=shape))
 
-    def zeros(self, name: str, shape) -> Parameter:
+    def zeros(self, name: str, shape) -> Tensor:
         return self._add(name, np.zeros(shape))
 
-    def _add(self, name, data) -> Parameter:
+    def _add(self, name, data) -> Tensor:
         if name in self.params:
             raise ValueError(f"parameter name {name!r} is already taken")
-        p = self.params[name] = Parameter(data)
+        p = self.params[name] = Tensor(data, requires_grad=True)
         return p
 
     def views(self, flat: np.ndarray) -> dict:

@@ -10,6 +10,16 @@ from amrgen.tensor import Tensor
 COMPOSED_ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "sigmoid": T.sigmoid}
 
 
+def _composed_attention(q, enc, enc_proj, U, b, v):
+    """Additive attention built from single kernels, one query row at a time."""
+    rows = []
+    for i in range(q.shape[0]):
+        pre = T.add(T.add(enc_proj, T.matmul(T.slice_rows(q, i, i + 1), U)), b)
+        alpha = T.softmax(T.transpose(T.matmul(T.tanh(pre), v)))
+        rows.append(T.matmul(alpha, enc))
+    return T.concat(rows, axis=0)
+
+
 def decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a):
     """The teacher-forced decoder one step at a time: per step an embedding
     lookup, a concat with the previous context, an LSTM step and attention."""
@@ -19,7 +29,7 @@ def decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a):
     for prev in ids:
         x = T.concat([T.embedding_lookup(emb, [prev]), ctx], axis=1)
         s, c = T.lstm_step(x, s, c, W, U, b)
-        ctx = T.attention(s, enc, enc_proj, U_a, b_a, v_a)
+        ctx = _composed_attention(s, enc, enc_proj, U_a, b_a, v_a)
         s_rows.append(s)
         ctx_rows.append(ctx)
     return T.concat([T.concat(s_rows), T.concat(ctx_rows)], axis=1)

@@ -187,6 +187,15 @@ def test_argument_error_is_one_line_config_error(argv, tmp_path, capsys):
     assert not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [
+    [command, "--help"] for command in
+    ("preprocess", "train", "generate", "evaluate", "analyze", "contrastive")], ids=" ".join)
+def test_help_returns_exit_ok(argv, capsys):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: amrgen") and captured.err == ""
+
+
 def test_train_missing_data_is_data_error(tmp_path):
     code = main(["train", "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "x")])
     assert code == EXIT_DATA

@@ -482,37 +482,10 @@ def test_first_gradient_is_a_copy_not_an_alias():
     assert np.allclose(y.grad, 1.0)
 
 
-def test_parameter_weight_gradients_match_per_use_accumulation():
-    # a Parameter's weight gradient is summed over its uses in one GEMM at the
-    # end of backward; a plain tensor gets one outer product per use
-    rng = np.random.default_rng(3)
-    shapes = {"W": (3, 8), "U": (2, 8), "b": (1, 8), "V": (2, 4)}
-    init = {name: _rand(rng, *shape) for name, shape in shapes.items()}
-    xs = [_rand(rng, 1, 3) for _ in range(4)]
-
-    def grads(make):
-        p = {name: make(value.copy()) for name, value in init.items()}
-        for _ in range(2):  # gradients accumulate across tapes
-            with T.Tape() as tape:
-                h = c = Tensor(np.zeros((1, 2)))
-                total = None
-                for x in xs:
-                    h, c = T.lstm_step(Tensor(x), h, c, p["W"], p["U"], p["b"])
-                    y = T.sum_all(T.mul(T.matmul(h, p["V"]), T.matmul(h, p["V"])))
-                    total = y if total is None else T.add(total, y)
-                T.backward(tape, total)
-        return {name: t.grad for name, t in p.items()}
-
-    deferred = grads(T.Parameter)
-    per_use = grads(lambda value: Tensor(value, requires_grad=True))
-    for name in shapes:
-        assert np.allclose(deferred[name], per_use[name], rtol=1e-12, atol=1e-15), name
-
-
 def test_tape_is_freed_without_the_cycle_collector():
-    # kernels must not make the tape reach itself through its own closures:
-    # each training example's tape, with all its arrays, would then live until
-    # the cyclic garbage collector ran
+    # no kernel's backward closure may capture the tape or anything that
+    # refers to it: each training example's tape, with all its arrays, would
+    # then live until the cyclic garbage collector ran
     import gc
     import weakref
 
@@ -532,50 +505,6 @@ def test_tape_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
-
-
-# --------------------------------------------------------------------------
-# Fused attention
-
-
-def _composed_attention(q, enc, enc_proj, U, b, v):
-    """Attention built from single kernels, one query row at a time: the
-    reference for the fused kernel."""
-    rows = []
-    for i in range(q.shape[0]):
-        pre = T.add(T.add(enc_proj, T.matmul(T.slice_rows(q, i, i + 1), U)), b)
-        alpha = T.softmax(T.transpose(T.matmul(T.tanh(pre), v)))
-        rows.append(T.matmul(alpha, enc))
-    return T.concat(rows, axis=0)
-
-
-def _attention_params(rng, m, rows, h):
-    return (_param(rng, m, h), _param(rng, rows, h), _param(rng, rows, h), _param(rng, h, h),
-            _param(rng, 1, h), _param(rng, h, 1))
-
-
-@pytest.mark.parametrize("m", [1, 3])
-@pytest.mark.parametrize("seed", range(3))
-def test_attention_grad(seed, m):
-    rng = np.random.default_rng(seed)
-    rows, h = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-    params = _attention_params(rng, m, rows, h)
-    w = Tensor(_rand(rng, m, h))
-    _check(list(params), lambda: T.sum_all(T.mul(T.attention(*params), w)))
-
-
-@pytest.mark.parametrize("m", [1, 3])
-def test_attention_forward_matches_composed(m):
-    rng = np.random.default_rng(m)
-    params = _attention_params(rng, m, 6, 4)
-    with T.Tape() as tape:
-        fused = T.attention(*params)
-    assert len(tape) == 1
-    composed = _composed_attention(*params)
-    assert fused.shape == (m, 4)
-    assert np.abs(fused.data - composed.data).max() <= 1e-12
-    if m == 1:  # one query row runs the composed kernels' operations in order
-        assert np.array_equal(fused.data, composed.data)
 
 
 # --------------------------------------------------------------------------
@@ -746,13 +675,13 @@ def _gcn_inputs(rng, nodes, edge_count, h, highway):
 
 def _fused_gcn(a_in, a_out, weights, activation):
     H, W_in, W_out, b, *gate = weights
-    return T.gcn_layer(H, a_in.data, a_out.data, W_in, W_out, b, T.ACTIVATIONS[activation],
-                       *gate)
+    return T.gcn_layer(H, a_in, a_out, W_in, W_out, b, T.ACTIVATIONS[activation], *gate)
 
 
 def _composed_gcn(a_in, a_out, weights, activation):
     H, W_in, W_out, b, *gate = weights
-    return reference_kernels.gcn_layer(H, a_in, a_out, W_in, W_out, b, activation, *gate)
+    return reference_kernels.gcn_layer(H, Tensor(a_in), Tensor(a_out), W_in, W_out, b,
+                                       activation, *gate)
 
 
 def _values_and_grads(kernel, tensors, w):
@@ -799,6 +728,23 @@ def test_gcn_layer_matches_composed(seed, nodes, edge_count, h, highway, activat
     assert np.array_equal(fused, composed)  # the composed operations, in order
     for got, want in zip(fused_grads, composed_grads):
         assert np.abs(got - want).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 5), rows=st.integers(1, 10),
+       h=st.integers(1, 5))
+def test_decoder_step_on_stacked_rows_matches_one_row_calls(seed, m, rows, h):
+    # beam search steps all its hypotheses as m stacked rows at once
+    rng = np.random.default_rng(seed)
+    xw, ctx, s, c = (_rand(rng, m, k) for k in (4 * h, h, h, h))
+    weights = (_rand(rng, h, 4 * h), _rand(rng, h, 4 * h), _rand(rng, rows, h),
+               _rand(rng, rows, h), _rand(rng, h, h), _rand(rng, 1, h), _rand(rng, h, 1))
+    stacked = T.decoder_step(xw, ctx, s, c, *weights)[:3]
+    for i in range(m):
+        one = slice(i, i + 1)
+        single = T.decoder_step(xw[one], ctx[one], s[one], c[one], *weights)[:3]
+        for got, want in zip(stacked, single):  # s, c and ctx
+            assert np.abs(got[one] - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
