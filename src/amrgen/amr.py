@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 
 class PenmanParseError(ValueError):
@@ -37,8 +39,25 @@ class AmrGraph:
     def labels(self) -> dict:
         return dict(self.nodes)
 
+    @cached_property
+    def out_index(self) -> dict:
+        """parent id -> indices of its out-edges in source order, built once."""
+        index = {}
+        for idx, edge in enumerate(self.edges):
+            index.setdefault(edge[0], []).append(idx)
+        return index
+
     def out_edges(self, node_id: str) -> list:
-        return [e for e in self.edges if e[0] == node_id]
+        return [self.edges[idx] for idx in self.out_index.get(node_id, ())]
+
+    @cached_property
+    def traversal(self) -> tuple:
+        """transforms._traverse of this graph, run once per graph object:
+        (sequence, tree, pos_tree, first_pos, edge_pos), which every derived
+        artifact reads."""
+        from .transforms import _traverse  # deferred: transforms imports this module
+
+        return _traverse(self)
 
     def indegrees(self) -> Counter:
         return Counter(child for _, _, child in self.edges)
@@ -75,47 +94,20 @@ class Violation:
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
+# Parsing
 
-_ATOM_BREAK = set('()/"')
+# A token is ( ) /, a quoted string, which cannot span a line (an opening
+# quote with no closing one on its line matches alone or with the rest of its
+# line, and is an unterminated string), or an atom: a run of characters that
+# are neither whitespace (str.isspace, as \s is) nor ( ) / ".
+_TOKEN = re.compile(r'[()/]|"[^"\n]*"?|[^\s()/"]+')
 
 
-def _tokenize(text):
-    """Yield (kind, value, line, col); kinds: ( ) / atom str."""
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c in "()/":
-            yield (c, c, line, col)
-            col += 1
-            i += 1
-        elif c == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise PenmanParseError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise PenmanParseError("unterminated string", start_line, start_col)
-            yield ("str", text[i + 1 : j], start_line, start_col)
-            col += j - i + 1
-            i = j + 1
-        else:
-            start_line, start_col = line, col
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in _ATOM_BREAK:
-                j += 1
-            yield ("atom", text[i:j], start_line, start_col)
-            col += j - i
-            i = j
+def _error_at(text: str, message: str, k: int) -> PenmanParseError:
+    """The error for the k-th token of text, at the line and column where it starts."""
+    start = next(islice(_TOKEN.finditer(text), k, None)).start()
+    line = text.count("\n", 0, start) + 1
+    return PenmanParseError(message, line, start - text.rfind("\n", 0, start))
 
 
 def parse_penman(text: str) -> AmrGraph:
@@ -127,112 +119,75 @@ def parse_penman(text: str) -> AmrGraph:
     """
     if not text or not text.strip():
         raise PenmanParseError("empty input", 1, 1)
-    toks = list(_tokenize(text))
+    toks = _TOKEN.findall(text)
+    if '"' in text:
+        for k, tok in enumerate(toks):
+            if tok[0] == '"' and (len(tok) == 1 or tok[-1] != '"'):
+                raise _error_at(text, "unterminated string", k)
+    n = len(toks)
     pos = 0  # cursor into toks
 
-    def peek():
-        return toks[pos] if pos < len(toks) else None
+    def fail(message, k):
+        raise _error_at(text, message, k)
 
-    def take():
+    def value(tok):  # a quoted string without its quotes
+        return tok[1:-1] if tok[0] == '"' else tok
+
+    defs = {}  # var -> concept label, in definition order
+    triples = []  # (parent_var, relation, target token or child var)
+
+    def parse_node():  # toks[pos] is '('
         nonlocal pos
-        tok = peek()
-        if tok is not None:
-            pos += 1
-        return tok
-
-    defs = {}  # var -> concept label
-    order = []  # vars in definition order
-    triples = []  # (parent_var, relation, ('ref'|'const', value))
-    last = toks[-1]
-
-    def expect(kind, what):
-        tok = take()
-        if tok is None:
-            raise PenmanParseError(f"expected {what}, found end of input", last[2], last[3])
-        if tok[0] != kind:
-            raise PenmanParseError(f"expected {what}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
-
-    def parse_node():
-        open_tok = expect("(", "'('")
-        var_tok = expect("atom", "variable name")
-        var = var_tok[1]
-        slash = peek()
-        if slash is None or slash[0] != "/":
-            raise PenmanParseError(
-                f"expected '/' after variable {var!r}", var_tok[2], var_tok[3]
-            )
-        take()
-        concept_tok = take()
-        if concept_tok is None or concept_tok[0] not in ("atom", "str"):
-            tok = concept_tok or last
-            raise PenmanParseError("expected concept after '/'", tok[2], tok[3])
+        open_k, var_k = pos, pos + 1
+        if var_k >= n:
+            fail("expected variable name, found end of input", n - 1)
+        var = toks[var_k]
+        if var[0] in '()/"':
+            fail(f"expected variable name, found {value(var)!r}", var_k)
+        if var_k + 1 >= n or toks[var_k + 1] != "/":
+            fail(f"expected '/' after variable {var!r}", var_k)
+        if var_k + 2 >= n or toks[var_k + 2] in "()/":
+            fail("expected concept after '/'", min(var_k + 2, n - 1))
         if var in defs:
-            raise PenmanParseError(
-                f"duplicate definition of variable {var!r}", var_tok[2], var_tok[3]
-            )
-        defs[var] = concept_tok[1]
-        order.append(var)
+            fail(f"duplicate definition of variable {var!r}", var_k)
+        defs[var] = value(toks[var_k + 2])
+        pos = var_k + 3
         while True:
-            tok = peek()
-            if tok is None:
-                raise PenmanParseError(
-                    "unbalanced parentheses: missing ')'", open_tok[2], open_tok[3]
-                )
-            if tok[0] == ")":
-                take()
+            if pos >= n:
+                fail("unbalanced parentheses: missing ')'", open_k)
+            role = toks[pos]
+            if role == ")":
+                pos += 1
                 return var
-            if tok[0] != "atom" or not tok[1].startswith(":"):
-                raise PenmanParseError(
-                    f"expected relation starting with ':', found {tok[1]!r}",
-                    tok[2],
-                    tok[3],
-                )
-            role = take()[1]
-            target = peek()
-            if target is None:
-                raise PenmanParseError(
-                    f"expected target after relation {role!r}", tok[2], tok[3]
-                )
-            if target[0] == "(":
-                child = parse_node()
-                triples.append((var, role, ("ref", child)))
-            elif target[0] == "str":
-                take()
-                triples.append((var, role, ("const", target[1])))
-            elif target[0] == "atom":
-                take()
-                # resolved after parsing: defined variables are references,
-                # anything else is a constant
-                triples.append((var, role, ("maybe", target[1])))
+            if role[0] != ":":
+                fail(f"expected relation starting with ':', found {value(role)!r}", pos)
+            pos += 1
+            if pos >= n:
+                fail(f"expected target after relation {role!r}", pos - 1)
+            target = toks[pos]
+            if target == "(":
+                triples.append((var, role, parse_node()))
+            elif target in ")/":
+                fail(f"unexpected token {target!r} after relation {role!r}", pos)
             else:
-                raise PenmanParseError(
-                    f"unexpected token {target[1]!r} after relation {role!r}",
-                    target[2],
-                    target[3],
-                )
+                # resolved after parsing: an atom naming a defined variable
+                # is a reference; other atoms and quoted strings are constants
+                pos += 1
+                triples.append((var, role, target))
 
+    if toks[0] != "(":
+        fail(f"expected '(', found {value(toks[0])!r}", 0)
     root = parse_node()
-    trailing = peek()
-    if trailing is not None:
-        raise PenmanParseError(
-            f"unbalanced parentheses: unexpected {trailing[1]!r} after graph",
-            trailing[2],
-            trailing[3],
-        )
+    if pos < n:
+        fail(f"unbalanced parentheses: unexpected {value(toks[pos])!r} after graph", pos)
 
-    nodes = [(v, defs[v]) for v in order]
-    edges = []
-    const_index = 0
-    for parent, role, (kind, value) in triples:
-        if kind == "ref" or (kind == "maybe" and value in defs):
-            edges.append((parent, role, value))
-        else:
-            # constant occurrence: a fresh leaf node per occurrence
-            node_id = f"_c{const_index}"
-            const_index += 1
-            nodes.append((node_id, value))
-            edges.append((parent, role, node_id))
+    nodes, edges = list(defs.items()), []
+    for parent, role, target in triples:
+        if target not in defs:  # a constant: a fresh leaf node per occurrence
+            node_id = f"_c{len(nodes) - len(defs)}"
+            nodes.append((node_id, value(target)))
+            target = node_id
+        edges.append((parent, role, target))
     return AmrGraph(nodes=tuple(nodes), edges=tuple(edges), root=root)
 
 

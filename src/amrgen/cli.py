@@ -17,13 +17,16 @@ from collections import Counter
 from contextlib import contextmanager
 
 from . import __version__
-from .amr import PenmanParseError, compute_stats, validate
+from .amr import (PenmanParseError, compute_stats, iter_blocks, parse_block, parse_penman,
+                  serialize_penman, validate)
 from .encoders import KINDS, EncoderConfig, default_repr
 from .evaluation import (
     DEPENDENCY_BUCKETS,
     REENTRANCY_BUCKETS,
     ContrastivePair,
+    bucket_label,
     bucket_report,
+    check_bucket_edges,
     contrastive_eval,
     corpus_bleu,
     format_bucket_table,
@@ -125,8 +128,6 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=5, log=lambda 
 
     Returns (records, skipped count, stats list).
     """
-    from .amr import iter_blocks, parse_block, serialize_penman
-
     files = _collect_penman_files(input_path)
     examples = []
     skipped = 0
@@ -182,8 +183,6 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=5, log=lambda 
 
 def load_examples(jsonl_path):
     """Rebuild TrainExamples from a preprocessed JSONL file."""
-    from .amr import parse_penman
-
     examples = []
     with _text_input(jsonl_path) as handle:
         for line_no, line in enumerate(handle, 1):
@@ -220,11 +219,8 @@ def load_examples(jsonl_path):
 
 
 def _histogram(values, edges):
-    counts = []
-    for lo, hi in edges:
-        counts.append({"bucket": str(lo) if lo == hi else f"{lo}-{hi}",
-                       "count": sum(1 for v in values if lo <= v <= hi)})
-    return counts
+    return [{"bucket": bucket_label(lo, hi), "count": sum(1 for v in values if lo <= v <= hi)}
+            for lo, hi in edges]
 
 
 def cmd_preprocess(args):
@@ -384,31 +380,35 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
+def _bucket_edges(spec):
+    """The (lo, hi) edges of a --buckets spec such as 0-0,1-5,6-20, where a
+    part that is one number n is the bucket n-n."""
+    try:
+        parts = [part.partition("-") for part in spec.split(",")]
+        return check_bucket_edges((int(lo), int(hi if dash else lo)) for lo, dash, hi in parts)
+    except ValueError as err:
+        raise ConfigError(f"bad bucket spec {spec!r}: {err}") from None
+
+
 def cmd_analyze(args):
-    examples = load_examples(args.data)
-    references = [list(ex.reference) for ex in examples]
-    stats = []
-    for ex in examples:
-        s = compute_stats(ex.repr.graph)
-        stats.append(s.to_dict())
-    scores = {}
+    edges = _bucket_edges(args.buckets) if args.buckets else None
+    systems = {}
     for spec in args.outputs:
         name, _, path = spec.partition("=")
         if not path:
             raise ConfigError(f"--outputs entries must be NAME=PATH, got {spec!r}")
+        if name in systems:
+            raise ConfigError(f"--outputs names the system {name!r} twice")
+        systems[name] = path
+    examples = load_examples(args.data)
+    references = [list(ex.reference) for ex in examples]
+    stats = [compute_stats(ex.repr.graph).to_dict() for ex in examples]
+    scores = {}
+    for name, path in systems.items():
         hyps = _read_hypotheses(path)
         if len(hyps) != len(references):
             raise DataError(f"{path}: {len(hyps)} hypotheses vs {len(references)} references")
         scores[name] = [sentence_metric(h, r) for h, r in zip(hyps, references)]
-    edges = None
-    if args.buckets:
-        try:
-            edges = tuple(
-                (int(part.split("-")[0]), int(part.split("-")[-1]))
-                for part in args.buckets.split(",")
-            )
-        except ValueError:
-            raise ConfigError(f"bad bucket spec {args.buckets!r}") from None
     rows = bucket_report(scores, stats, bucketing=args.bucket_by, edges=edges)
     print(format_bucket_table(rows, args.bucket_by, baseline=list(scores)[0]))
     return EXIT_OK

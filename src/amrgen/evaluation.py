@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 CATEGORIES = ("antecedent", "pronoun_type", "number", "gender")
 
@@ -17,8 +18,20 @@ REENTRANCY_BUCKETS = ((0, 0), (1, 5), (6, 20))
 DEPENDENCY_BUCKETS = ((0, 10), (11, 50), (51, 250))
 
 
-def _ngram_counts(tokens, n):
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens, max_n: int) -> Counter:
+    """Every n-gram of tokens for n = 1..max_n, as a tuple, in one Counter."""
+    return Counter(chain.from_iterable(zip(*[tokens[k:] for k in range(n)])
+                                       for n in range(1, max_n + 1)))
+
+
+def _clipped_matches(hyp, ref, max_n: int) -> list:
+    """Per order n = 1..max_n, the count of hypothesis n-grams found in the
+    reference, each n-gram clipped to its count there."""
+    matches = [0] * max_n
+    hyp_counts, ref_counts = _ngram_counts(hyp, max_n), _ngram_counts(ref, max_n)
+    for gram in hyp_counts.keys() & ref_counts.keys():
+        matches[len(gram) - 1] += min(hyp_counts[gram], ref_counts[gram])
+    return matches
 
 
 def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
@@ -37,13 +50,9 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
         ref = list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            totals[n - 1] += max(len(hyp) - n + 1, 0)
-            matches[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+        for k, match in enumerate(_clipped_matches(hyp, ref, max_n)):
+            totals[k] += max(len(hyp) - k, 0)
+            matches[k] += match
     if hyp_len == 0 or any(m == 0 for m in matches):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
@@ -60,19 +69,12 @@ def sentence_metric(hypothesis, reference, max_n: int = 4) -> float:
         raise ValueError("empty reference")
     if not hyp:
         return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        total = max(len(hyp) - n + 1, 0)
-        ref_counts = _ngram_counts(ref, n)
-        match = sum(
-            min(count, ref_counts[gram]) for gram, count in _ngram_counts(hyp, n).items()
-        )
-        if n == 1:
-            if match == 0:
-                return 0.0
-            log_sum += math.log(match / total)
-        else:
-            log_sum += math.log((match + 1) / (total + 1))
+    matches = _clipped_matches(hyp, ref, max_n)
+    if matches[0] == 0:
+        return 0.0
+    log_sum = math.log(matches[0] / len(hyp))
+    for k in range(1, max_n):
+        log_sum += math.log((matches[k] + 1) / (max(len(hyp) - k, 0) + 1))
     brevity = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
     return 100.0 * brevity * math.exp(log_sum / max_n)
 
@@ -89,6 +91,20 @@ class BucketRow:
     deltas: tuple  # ((system, delta or None), ...)
 
 
+def check_bucket_edges(edges) -> tuple:
+    """The edges as a tuple of (lo, hi) pairs. Raises ValueError unless there
+    is at least one and they are ascending, non-overlapping lo <= hi pairs."""
+    edges = tuple((lo, hi) for lo, hi in edges)
+    if not edges or any(lo > hi for lo, hi in edges) or any(
+            lo <= below for (_, below), (lo, _) in zip(edges, edges[1:])):
+        raise ValueError("buckets must be ascending, non-overlapping lo-hi ranges")
+    return edges
+
+
+def bucket_label(lo, hi) -> str:
+    return str(lo) if lo == hi else f"{lo}-{hi}"
+
+
 def bucket_report(
     scores: dict,
     stats: list,
@@ -101,11 +117,15 @@ def bucket_report(
     scores: system name -> per-example score list, all aligned with stats.
     stats: per-example dicts with reentrancies / max_dep_len keys.
     The dependency-length analysis excludes examples with reentrancies.
+    Every edge gets a row. The integer values that no edge covers are counted
+    in rows of their own, shown when not empty: "<lo" below the first edge,
+    ">hi" above the last, and the range of each gap between two edges.
     """
     if bucketing not in ("reentrancies", "max_dep_len"):
         raise ValueError(f"unknown bucketing {bucketing!r}")
     if edges is None:
         edges = REENTRANCY_BUCKETS if bucketing == "reentrancies" else DEPENDENCY_BUCKETS
+    edges = check_bucket_edges(edges)
     systems = list(scores)
     if baseline is None:
         baseline = systems[0]
@@ -117,17 +137,19 @@ def bucket_report(
     if bucketing == "max_dep_len":
         indices = [i for i in indices if stats[i]["reentrancies"] == 0]
 
+    top = edges[-1][1]
+    spans = [(f"<{edges[0][0]}", -math.inf, edges[0][0] - 1, False)]  # label, lo, hi, always
+    for k, (lo, hi) in enumerate(edges):
+        if k and lo > edges[k - 1][1] + 1:
+            gap = (edges[k - 1][1] + 1, lo - 1)
+            spans.append((bucket_label(*gap), *gap, False))
+        spans.append((bucket_label(lo, hi), lo, hi, True))
+    spans.append((f">{top}", top + 1, math.inf, False))
     rows = []
-    covered = set()
-    for lo, hi in edges:
+    for label, lo, hi, always in spans:
         members = [i for i in indices if lo <= stats[i][bucketing] <= hi]
-        covered.update(members)
-        label = str(lo) if lo == hi else f"{lo}-{hi}"
-        rows.append(_bucket_row(label, members, scores, systems, baseline))
-    overflow = [i for i in indices if i not in covered]
-    if overflow:
-        top = max(hi for _, hi in edges)
-        rows.append(_bucket_row(f">{top}", overflow, scores, systems, baseline))
+        if members or always:
+            rows.append(_bucket_row(label, members, scores, systems, baseline))
     return rows
 
 

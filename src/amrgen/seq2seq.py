@@ -61,11 +61,15 @@ class TrainExample:
 
 
 class Seq2SeqModel:
-    def __init__(self, config: EncoderConfig, src_vocab: Vocab, tgt_vocab: Vocab, seed: int = 0):
+    def __init__(self, config: EncoderConfig, src_vocab: Vocab, tgt_vocab: Vocab, seed: int = 0,
+                 arrays=None):
+        """Parameters are drawn from seed or, given arrays (a checkpoint's),
+        copied from there."""
         self.config = config
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
-        store = self.store = T.ParamStore(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed) if arrays is None else None
+        store = self.store = T.ParamStore(rng, arrays)
         d, h = config.embedding_dim, config.hidden_dim
         self.encoder = StackEncoder(config, src_vocab, store)
         self.tgt_embedding = store.uniform("tgt_embedding", (len(tgt_vocab), d))
@@ -276,17 +280,11 @@ class Checkpoint:
         )
 
     def build_model(self) -> Seq2SeqModel:
-        model = Seq2SeqModel(
-            self.config, self.src_vocab, self.tgt_vocab, seed=self.meta.get("seed", 0)
-        )
-        params = model.params()
-        if set(params) != set(self.arrays):
+        """The model of the saved configuration with the saved parameters;
+        a ValueError when the arrays do not match it by name and shape."""
+        model = Seq2SeqModel(self.config, self.src_vocab, self.tgt_vocab, arrays=self.arrays)
+        if set(model.params()) != set(self.arrays):
             raise ValueError("checkpoint parameter names do not match the configuration")
-        for name, p in params.items():
-            stored = self.arrays[name]
-            if tuple(p.data.shape) != tuple(stored.shape):
-                raise ValueError(f"shape mismatch for parameter {name!r}")
-            p.data = stored.copy()
         return model
 
 

@@ -905,28 +905,40 @@ def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_ou
 class ParamStore:
     """Every trainable parameter of a model, by name in creation order.
 
-    Initial values are drawn from rng in creation order. pack() moves all
+    Initial values are drawn from rng in creation order or, given arrays (a
+    saved model's name -> ndarray), copied from there, drawing nothing; a
+    name or shape that arrays lacks is a ValueError, and the store keeps no
+    reference to an array it has copied. pack() moves all
     values into one flat vector theta and allocates one flat gradient vector
     grad, and each parameter's data and grad become views into them, so an
     SGD step, clipping and clearing are operations on two vectors. Only
     training packs: a model that only decodes needs no gradient storage.
     """
 
-    def __init__(self, rng):
+    def __init__(self, rng, arrays=None):
         self.rng = rng
+        self.arrays = None if arrays is None else dict(arrays)  # the arrays not yet copied
         self.params = {}
         self.theta = None
         self.grad = None
 
     def uniform(self, name: str, shape) -> Tensor:
-        return self._add(name, self.rng.uniform(-0.1, 0.1, size=shape))
+        return self._add(name, shape, lambda: self.rng.uniform(-0.1, 0.1, size=shape))
 
     def zeros(self, name: str, shape) -> Tensor:
-        return self._add(name, np.zeros(shape))
+        return self._add(name, shape, lambda: np.zeros(shape))
 
-    def _add(self, name, data) -> Tensor:
+    def _add(self, name, shape, draw) -> Tensor:
         if name in self.params:
             raise ValueError(f"parameter name {name!r} is already taken")
+        if self.arrays is None:
+            data = draw()
+        elif name not in self.arrays:
+            raise ValueError("checkpoint parameter names do not match the configuration")
+        elif self.arrays[name].shape != tuple(shape):
+            raise ValueError(f"shape mismatch for parameter {name!r}")
+        else:
+            data = self.arrays.pop(name).copy()
         p = self.params[name] = Tensor(data, requires_grad=True)
         return p
 

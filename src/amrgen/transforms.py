@@ -8,12 +8,14 @@
 * Token sequence: depth-first linearization interleaving concept and relation
   tokens; reentrant targets re-emit their concept token only (no re-descent).
 
-All three are produced by one traversal so that token positions, tree copies
-and Levi nodes stay aligned.
+All three come from one traversal, run once per graph object
+(AmrGraph.traversal), so that token positions, tree copies and Levi nodes
+stay aligned.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .amr import AmrGraph
@@ -80,52 +82,51 @@ class TokenSequence:
 
 
 def _traverse(graph: AmrGraph):
-    """The canonical depth-first traversal: (sequence, tree, pos_tree), where
+    """The canonical depth-first traversal, which AmrGraph.traversal runs once
+    per graph object: (sequence, tree, pos_tree, first_pos, edge_pos), where
     pos_tree holds per position its tree node index, or its tree edge index
-    for a relation token."""
-    labels = graph.labels()
-    out = {nid: [] for nid, _ in graph.nodes}
-    for idx, (parent, rel, child) in enumerate(graph.edges):
-        out[parent].append((idx, rel, child))
-
+    for a relation token, first_pos maps each node id to the position of its
+    first mention, in mention order, and edge_pos each edge index to the
+    position of its relation token."""
+    labels, edges, out = graph.labels(), graph.edges, graph.out_index
     tokens, alignment = [], []
     tree_nodes, tree_edges, copy_of, edge_origin = [], [], [], []
     pos_tree = []
-    visited = set()
-    copies = {}
+    first_pos, edge_pos = {}, {}
+    path = set()  # the current root path, for cycle breaking
+    copies = {}  # node id -> tree copies made so far
 
-    def fresh_id(nid):
+    def rec(nid, emit):
         count = copies.get(nid, 0)
         copies[nid] = count + 1
-        return nid if count == 0 else f"{nid}#{count}"
-
-    def rec(nid, path, emit):
-        tid = fresh_id(nid)
+        tid = nid if count == 0 else f"{nid}#{count}"
         tree_nodes.append((tid, labels[nid]))
         copy_of.append((tid, nid))
+        emit_children = False
         if emit:
+            if nid not in first_pos:
+                first_pos[nid] = len(tokens)
+                emit_children = True
             tokens.append(labels[nid])
             alignment.append(("node", nid))
             pos_tree.append(len(tree_nodes) - 1)
-        first = nid not in visited
-        if emit and first:
-            visited.add(nid)
-        emit_children = emit and first
         if nid not in path:
-            child_path = path | {nid}
-            for eidx, rel, child in out[nid]:
+            path.add(nid)
+            for eidx in out.get(nid, ()):
+                _, rel, child = edges[eidx]
                 slot = len(tree_edges)
                 tree_edges.append(None)
                 edge_origin.append(eidx)
                 if emit_children:
+                    edge_pos[eidx] = len(tokens)
                     tokens.append(rel)
                     alignment.append(("edge", eidx))
                     pos_tree.append(slot)
-                child_tid = rec(child, child_path, emit_children)
-                tree_edges[slot] = (tid, rel, child_tid)
+                tree_edges[slot] = (tid, rel, rec(child, emit_children))
+            path.discard(nid)
         return tid
 
-    root_tid = rec(graph.root, frozenset(), True)
+    root_tid = rec(graph.root, True)
     sequence = TokenSequence(tokens=tuple(tokens), alignment=tuple(alignment))
     tree = AmrTree(
         nodes=tuple(tree_nodes),
@@ -134,15 +135,15 @@ def _traverse(graph: AmrGraph):
         copy_of=tuple(copy_of),
         edge_origin=tuple(edge_origin),
     )
-    return sequence, tree, tuple(pos_tree)
+    return sequence, tree, tuple(pos_tree), first_pos, edge_pos
 
 
 def linearize(graph: AmrGraph) -> TokenSequence:
-    return _traverse(graph)[0]
+    return graph.traversal[0]
 
 
 def to_tree(graph: AmrGraph) -> AmrTree:
-    return _traverse(graph)[1]
+    return graph.traversal[1]
 
 
 def to_levi(graph) -> LeviGraph:
@@ -164,18 +165,6 @@ def to_levi(graph) -> LeviGraph:
     return LeviGraph(nodes=tuple(nodes), edges=tuple(edges), root=index[graph.root])
 
 
-def _mention_positions(sequence: TokenSequence):
-    """(first position of each concept, position of each edge's relation
-    token), keyed by node id and edge index."""
-    first_pos, edge_pos = {}, {}
-    for pos, (kind, ref) in enumerate(sequence.alignment):
-        if kind == "node":
-            first_pos.setdefault(ref, pos)
-        else:
-            edge_pos[ref] = pos
-    return first_pos, edge_pos
-
-
 def max_dependency_length(graph: AmrGraph) -> int:
     """Longest edge in the linearization, measured over Levi-adjacent pairs.
 
@@ -183,7 +172,7 @@ def max_dependency_length(graph: AmrGraph) -> int:
     so a reentrant edge like finger->:part-of->he spans back to the first
     mention of ``he``.
     """
-    first_pos, edge_pos = _mention_positions(linearize(graph))
+    _, _, _, first_pos, edge_pos = graph.traversal
     longest = 0
     for eidx, (parent, _, child) in enumerate(graph.edges):
         rpos = edge_pos[eidx]
@@ -229,9 +218,7 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
     """
     labels = graph.labels()
     indegree = graph.indegrees()
-    order = [ref for kind, ref in linearize(graph).alignment if kind == "node"]
-    seen = set()
-    traversal_order = [n for n in order if not (n in seen or seen.add(n))]
+    traversal_order = list(graph.traversal[3])  # node ids in first-mention order
 
     counters = {}
 
@@ -336,14 +323,15 @@ def anonymize_sentence(tokens, mapping) -> list:
     surface wins.
     """
     result = list(tokens)
+    lowered = [t.lower() for t in result]
     for token, surface in mapping:
         span = surface.lower().split()
         if not span:
             continue
-        lowered = [t.lower() for t in result]
         for i in range(len(lowered) - len(span) + 1):
-            if lowered[i : i + len(span)] == span:
+            if lowered[i] == span[0] and lowered[i : i + len(span)] == span:
                 result[i : i + len(span)] = [token]
+                lowered[i : i + len(span)] = [token.lower()]
                 break
     return result
 
@@ -378,28 +366,53 @@ class ExampleRepr:
     graph: AmrGraph
     sequence: TokenSequence
     tree: AmrTree
-    structures: dict
+    structures: Mapping
+
+
+class _Structures(Mapping):
+    """The AlignedLevi of "graph" and "tree" for one graph, each built the
+    first time it is read: a model reads one of them, or none for Seq."""
+
+    def __init__(self, graph: AmrGraph):
+        self._graph = graph
+        self._built = {}
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            self._built[key] = _ALIGNED[key](self._graph)
+        return self._built[key]
+
+    def __iter__(self):
+        return iter(_ALIGNED)
+
+    def __len__(self):
+        return len(_ALIGNED)
+
+
+def _aligned_graph(graph: AmrGraph) -> AlignedLevi:
+    sequence, _, _, first_pos, edge_pos = graph.traversal
+    node_index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
+    relations = len(graph.nodes)  # the Levi id of the first relation node
+    pos = [node_index[ref] if kind == "node" else relations + ref
+           for kind, ref in sequence.alignment]
+    init = [first_pos[nid] for nid, _ in graph.nodes]
+    init += [edge_pos[eidx] for eidx in range(len(graph.edges))]
+    return AlignedLevi(to_levi(graph), tuple(pos), tuple(init))
+
+
+def _aligned_tree(graph: AmrGraph) -> AlignedLevi:
+    sequence, tree, pos_tree, first_pos, edge_pos = graph.traversal
+    relations = len(tree.nodes)
+    pos = [ref if kind == "node" else relations + ref
+           for (kind, _), ref in zip(sequence.alignment, pos_tree)]
+    init = [first_pos[nid] for _, nid in tree.copy_of]
+    init += [edge_pos[eidx] for eidx in tree.edge_origin]
+    return AlignedLevi(to_levi(tree), tuple(pos), tuple(init))
+
+
+_ALIGNED = {"graph": _aligned_graph, "tree": _aligned_tree}
 
 
 def prepare_example(graph: AmrGraph) -> ExampleRepr:
-    sequence, tree, pos_tree = _traverse(graph)
-    first_pos, edge_pos = _mention_positions(sequence)
-    node_index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
-    graph_nodes, tree_nodes = len(graph.nodes), len(tree.nodes)
-    graph_pos, tree_pos = [], []
-    for (kind, ref), tree_ref in zip(sequence.alignment, pos_tree):
-        if kind == "node":
-            graph_pos.append(node_index[ref])
-            tree_pos.append(tree_ref)
-        else:
-            graph_pos.append(graph_nodes + ref)
-            tree_pos.append(tree_nodes + tree_ref)
-    graph_init = [first_pos[nid] for nid, _ in graph.nodes]
-    graph_init += [edge_pos[eidx] for eidx in range(len(graph.edges))]
-    tree_init = [first_pos[nid] for _, nid in tree.copy_of]
-    tree_init += [edge_pos[eidx] for eidx in tree.edge_origin]
-    structures = {
-        "graph": AlignedLevi(to_levi(graph), tuple(graph_pos), tuple(graph_init)),
-        "tree": AlignedLevi(to_levi(tree), tuple(tree_pos), tuple(tree_init)),
-    }
-    return ExampleRepr(graph=graph, sequence=sequence, tree=tree, structures=structures)
+    sequence, tree, _, _, _ = graph.traversal
+    return ExampleRepr(graph=graph, sequence=sequence, tree=tree, structures=_Structures(graph))

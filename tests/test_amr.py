@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from amrgen import amr
 from amrgen.amr import PenmanParseError, parse_penman, serialize_penman, validate
 
+import reference_penman
 from conftest import random_dag_graph
 
 
@@ -110,6 +111,61 @@ def test_parse_error_line_tracking():
     with pytest.raises(PenmanParseError) as err:
         parse_penman("(x / c\n  :arg0 (x / d))")
     assert err.value.line == 2
+
+
+# --------------------------------------------------------------------------
+# The regular-expression tokenizer against the character scanner
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except PenmanParseError as err:
+        return ("error", str(err), err.message, err.line, err.col)
+    return ("graph", g.nodes, g.edges, g.root)
+
+
+_BASES = (
+    "(e / eat-01 :arg0 (h / he) :arg1 (p / pizza) :instrument (f / finger :part-of h))",
+    '(w / want-01\n    :arg0 (b / boy)\n    :arg1 (g / go-02 :arg0 b :mod "a b"))',
+    '(n / name :op1 "New York" :op2 "")',
+    "(d / date-entity :year 2008 :polarity -)",
+    "(a / a-01 :arg0 b :arg1 (b / boy))",
+)
+# whitespace the scanner treats as one column each (only "\n" starts a line),
+# quotes, and pieces of PENMAN syntax
+_PIECES = ("(", ")", "/", '"', ":", ":arg1", " ", "\t", "\n", "\r\n", "\r", "\x1c", "\x85",
+           "\xa0", "\u2028", "\u3000", "x", "q-01", "7", " (z / zz) ", '"s t"', '"u\n')
+
+
+@st.composite
+def _mutated_penman(draw):
+    text = draw(st.sampled_from(_BASES))
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))  # characters replaced; 0 inserts
+        text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_mutated_penman())
+def test_parse_matches_the_character_scanner(text):
+    assert _outcome(parse_penman, text) == _outcome(reference_penman.parse_penman, text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_parse_matches_the_character_scanner_on_fragments(text):
+    assert _outcome(parse_penman, text) == _outcome(reference_penman.parse_penman, text)
+
+
+@pytest.mark.parametrize("text", [
+    '"', '(x / "', '(x / c :op1 ")', '(x / c :op1 "a\n")', '(x / c :op1 "a\r\nb")',
+    '(x / c)\n"', '(x\t/\tc\r\n\t:arg0\x85(y / "d"))', '(x / c\u2028:arg0 y) (', "\x1c\xa0(",
+])
+def test_parse_matches_the_character_scanner_on_quotes_and_whitespace(text):
+    assert _outcome(parse_penman, text) == _outcome(reference_penman.parse_penman, text)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: commands, artifacts, exit codes."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -352,10 +353,15 @@ def test_evaluate_length_mismatch_is_data_error(small_jsonl, tmp_path):
 # analyze
 
 
-def test_analyze_bucket_table(toy_jsonl, tmp_path, capsys):
+def _identity_outputs(toy_jsonl, tmp_path):
     refs = [json.loads(l)["sentence"] for l in toy_jsonl.read_text().splitlines()]
     hyp = tmp_path / "identity.txt"
     hyp.write_text("\n".join(" ".join(s) for s in refs) + "\n")
+    return hyp
+
+
+def test_analyze_bucket_table(toy_jsonl, tmp_path, capsys):
+    hyp = _identity_outputs(toy_jsonl, tmp_path)
     code = main(
         ["analyze", "--data", str(toy_jsonl), "--outputs", f"identity={hyp}",
          "--bucket-by", "reentrancies"]
@@ -371,9 +377,7 @@ def test_analyze_bucket_table(toy_jsonl, tmp_path, capsys):
 
 
 def test_analyze_custom_buckets_and_dep_length(toy_jsonl, tmp_path, capsys):
-    refs = [json.loads(l)["sentence"] for l in toy_jsonl.read_text().splitlines()]
-    hyp = tmp_path / "identity.txt"
-    hyp.write_text("\n".join(" ".join(s) for s in refs) + "\n")
+    hyp = _identity_outputs(toy_jsonl, tmp_path)
     code = main(
         ["analyze", "--data", str(toy_jsonl), "--outputs", f"identity={hyp}",
          "--bucket-by", "max_dep_len", "--buckets", "0-3,4-250"]
@@ -396,6 +400,59 @@ def test_analyze_bad_buckets_is_config_error(toy_jsonl, tmp_path):
         ["analyze", "--data", str(toy_jsonl), "--outputs", f"h={hyp}", "--buckets", "a-b"]
     )
     assert code == EXIT_CONFIG
+
+
+def test_analyze_values_below_the_first_bucket_get_their_own_row(toy_jsonl, tmp_path, capsys):
+    hyp = _identity_outputs(toy_jsonl, tmp_path)
+    code = main(["analyze", "--data", str(toy_jsonl), "--outputs", f"A={hyp}", "--buckets", "1-5"])
+    assert code == EXIT_OK
+    rows = [l.split("\t")[:2] for l in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [["<1", "33"], ["1-5", "26"], [">5", "1"]]
+
+
+@pytest.mark.parametrize("spec", ["0-3,2-8", "5-1", "1-2-3", "6-20,0-5", "0-3,3-8"])
+def test_analyze_buckets_out_of_order_are_config_errors(spec, toy_jsonl, tmp_path, capsys):
+    hyp = _identity_outputs(toy_jsonl, tmp_path)
+    code = main(["analyze", "--data", str(toy_jsonl), "--outputs", f"A={hyp}", "--buckets", spec])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, f"configuration error: bad bucket spec {spec!r}")
+
+
+def test_analyze_repeated_system_name_is_config_error(toy_jsonl, tmp_path, capsys):
+    hyp = _identity_outputs(toy_jsonl, tmp_path)
+    code = main(["analyze", "--data", str(toy_jsonl), "--outputs", f"A={hyp}", f"A={hyp}"])
+    assert code == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error: --outputs names the system 'A' twice")
+
+
+# sha256 of the corpus path's outputs on the packaged toy corpus, so that a
+# change to any of them is made on purpose: `preprocess --anonymize` files by
+# suffix, and the `analyze` table of two outputs derived from the references
+GOLDEN_SHA256 = {
+    ".jsonl": "e5fc850726f922fc2fb82193c06aa58cdfd8032d8eac358642826e7a37fd94aa",
+    ".vocab.src": "36655cdbc91136de42a65de5e53ead09324e17d895e8b5e545a0da206314bab2",
+    ".vocab.tgt": "e0c931cae6d6e396d7fab2d32c7669ab8ad94d58d53e81abe5700690dd5377ca",
+    ".stats.json": "2a87f2312a95edb6dcbcc1c7ba6586bc880c1e3481eeeae345f9173f0d2015d9",
+    "analyze": "b8d54a77ca5298febbca9903b2e9dee1bf2cda6220d3fe5ece0feec81565e553",
+}
+
+
+def test_corpus_outputs_match_their_golden_hashes(tmp_path, capsys):
+    out = tmp_path / "toy.jsonl"
+    assert main(["preprocess", "--input", str(TOY), "--out", str(out), "--anonymize"]) == EXIT_OK
+    for suffix in (".jsonl", ".vocab.src", ".vocab.tgt", ".stats.json"):
+        digest = hashlib.sha256((tmp_path / f"toy{suffix}").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[suffix], suffix
+    refs = [json.loads(l)["sentence"] for l in out.read_text().splitlines()]
+    dropped, reversed_ = tmp_path / "dropped.txt", tmp_path / "reversed.txt"
+    dropped.write_text("".join(" ".join(w for i, w in enumerate(r) if i % 5 != 4) + "\n"
+                               for r in refs))
+    reversed_.write_text("".join(" ".join(reversed(r)) + "\n" for r in refs))
+    capsys.readouterr()
+    code = main(["analyze", "--data", str(out), "--outputs", f"A={dropped}", f"B={reversed_}"])
+    assert code == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SHA256["analyze"]
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,10 @@ Oracle notes:
 * bucket-report expectations use an independent group-by implemented inline.
 """
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrgen.evaluation import (
     CATEGORIES,
@@ -112,6 +114,65 @@ def test_sentence_metric_monotone_in_overlap():
     assert better > worse
 
 
+# Reference metrics that count the n-grams of each order in a Counter of
+# their own, one order at a time.
+
+
+def _order_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _order_match(hyp, ref, n):
+    ref_counts = _order_counts(ref, n)
+    return sum(min(count, ref_counts[gram]) for gram, count in _order_counts(hyp, n).items())
+
+
+def _reference_corpus_bleu(hypotheses, references, max_n):
+    matches, totals = [0] * max_n, [0] * max_n
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            totals[n - 1] += max(len(hyp) - n + 1, 0)
+            matches[n - 1] += _order_match(hyp, ref, n)
+    if hyp_len == 0 or any(m == 0 for m in matches):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_precision)
+
+
+def _reference_sentence_metric(hyp, ref, max_n):
+    if not hyp:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        total = max(len(hyp) - n + 1, 0)
+        match = _order_match(hyp, ref, n)
+        if n == 1:
+            if match == 0:
+                return 0.0
+            log_sum += math.log(match / total)
+        else:
+            log_sum += math.log((match + 1) / (total + 1))
+    brevity = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
+    return 100.0 * brevity * math.exp(log_sum / max_n)
+
+
+_SENTENCE = st.lists(st.sampled_from("abcd"), max_size=9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(_SENTENCE, _SENTENCE.filter(bool)), min_size=1, max_size=4),
+       max_n=st.integers(1, 5))
+def test_metrics_equal_the_per_order_reference(pairs, max_n):
+    hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+    assert corpus_bleu(hyps, refs, max_n) == _reference_corpus_bleu(hyps, refs, max_n)
+    for hyp, ref in pairs:
+        assert sentence_metric(hyp, ref, max_n) == _reference_sentence_metric(hyp, ref, max_n)
+
+
 # --------------------------------------------------------------------------
 # Bucket reports
 
@@ -169,6 +230,25 @@ def test_bucket_report_overflow_bucket():
     labels = [r.label for r in rows]
     assert ">20" in labels
     assert rows[-1].count == 1
+
+
+def test_bucket_report_values_below_and_between_edges_get_their_own_rows():
+    scores, stats = _example_scores()  # reentrancies 0, 0, 1, 3, 0, 8
+    rows = bucket_report(scores, stats, bucketing="reentrancies", edges=((1, 2), (5, 6)))
+    assert [(r.label, r.count) for r in rows] == [
+        ("<1", 3), ("1-2", 1), ("3-4", 1), ("5-6", 0), (">6", 1)]
+    assert rows[0].baseline_mean == pytest.approx((10 + 20 + 50) / 3)
+    rows = bucket_report(scores, stats, bucketing="reentrancies", edges=((0, 0), (2, 2), (4, 8)))
+    assert [(r.label, r.count) for r in rows] == [("0", 3), ("1", 1), ("2", 0), ("3", 1),
+                                                  ("4-8", 1)]
+
+
+@pytest.mark.parametrize("edges", [((5, 1),), ((0, 3), (2, 8)), ((0, 3), (3, 8)),
+                                   ((6, 20), (0, 5)), ()])
+def test_bucket_report_rejects_edges_out_of_order(edges):
+    scores, stats = _example_scores()
+    with pytest.raises(ValueError):
+        bucket_report(scores, stats, edges=edges)
 
 
 def test_bucket_report_empty_bucket_has_no_mean():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amrgen import tensor as T
+from amrgen import tensor as T, transforms
 from amrgen.encoders import KINDS, EncoderConfig, StackEncoder, default_repr
 from amrgen.seq2seq import (
     Checkpoint,
@@ -541,6 +541,19 @@ def test_checkpoint_roundtrip(toy10, tmp_path):
     assert m1.score_sentence(ex, ex.target) == m2.score_sentence(ex, ex.target)
 
 
+def test_build_model_draws_no_random_values(toy10, monkeypatch):
+    ck, _ = train(toy10, toy10, seq_config(), seed=0, settings=quick_settings(max_epochs=1))
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("build_model made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    model = ck.build_model()
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, ck.arrays[name]), name
+        assert p.data is not ck.arrays[name]
+
+
 def test_checkpoint_rejects_shape_mismatch(toy10, tmp_path):
     ck, _ = train(toy10, toy10, seq_config(), seed=0, settings=quick_settings(max_epochs=1))
     ck.arrays["W_a"] = ck.arrays["W_a"][:, :-1]
@@ -647,3 +660,26 @@ def test_damaged_checkpoint_is_rejected_or_intact(saved_checkpoint, data):
         return
     for name, p in model.params().items():
         assert np.array_equal(p.data, arrays[name]), name
+
+
+@pytest.mark.parametrize("kind, input_repr, built", [
+    ("Seq", "sequence", []), ("GCN", "tree", ["tree"]), ("GCNSeq", "graph", ["graph"])])
+def test_a_model_builds_only_the_structure_it_reads(kind, input_repr, built, toy_corpus,
+                                                     monkeypatch):
+    examples = make_examples(toy_corpus, TOY10[:3])  # structures not read yet
+    levis = []
+    real = transforms.to_levi
+
+    def to_levi(source):
+        levis.append("tree" if isinstance(source, transforms.AmrTree) else "graph")
+        return real(source)
+
+    monkeypatch.setattr(transforms, "to_levi", to_levi)
+    config = seq_config(kind=kind, input_repr=input_repr, embedding_dim=8, hidden_dim=8)
+    checkpoint, _ = train(examples, examples, config, seed=0,
+                          settings=quick_settings(max_epochs=2))
+    model = checkpoint.build_model()
+    for ex in examples:
+        generate(model, ex, beam=2)
+        model.score_sentence(ex, ex.target)
+    assert levis == built * len(examples)

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from amrgen import amr
+from amrgen import amr, transforms
 from amrgen.amr import parse_penman
 from amrgen.transforms import (
     AnonymizationPolicy,
@@ -350,3 +350,20 @@ def test_prepare_example_alignment_properties(seed, max_nodes, extra):
         if input_repr == "tree":
             assert max(parents.values(), default=0) <= 1
             assert parents[levi.root] == 0
+
+
+def test_one_traversal_per_graph_object(monkeypatch):
+    traversed = []
+    real = transforms._traverse
+    monkeypatch.setattr(transforms, "_traverse", lambda g: traversed.append(g) or real(g))
+    text = "(e / eat-01 :arg0 (h / he) :arg1 (p / pizza) :instrument (f / finger :part-of h))"
+    g = parse_penman(text)
+    sequence, tree = transforms.linearize(g), transforms.to_tree(g)
+    stats = amr.compute_stats(g)
+    ex = transforms.prepare_example(g)
+    assert [ex.structures[key].levi.node_count for key in ("graph", "tree")] == [8, 9]
+    assert traversed == [g]
+    assert (ex.sequence, ex.tree) == (sequence, tree)
+    # the result lives on the graph object: an equal graph parsed again traverses again
+    assert amr.compute_stats(parse_penman(text)) == stats
+    assert len(traversed) == 2
