@@ -316,8 +316,11 @@ class CorpusExample:
 
 
 def iter_blocks(text: str):
+    """The blank-line-separated blocks of a corpus text. A line ends only at
+    "\n", as in parse_penman, so other Unicode line boundaries such as "\x85"
+    or "\u2028" stay inside a sentence or a quoted constant."""
     block = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if line.strip():
             block.append(line)
         elif block:
@@ -330,7 +333,7 @@ def iter_blocks(text: str):
 def parse_block(block: str, default_id: str) -> CorpusExample:
     meta = {}
     graph_lines = []
-    for line in block.splitlines():
+    for line in block.split("\n"):
         stripped = line.strip()
         if stripped.startswith("# ::"):
             body = stripped[4:]

@@ -24,8 +24,8 @@ from .evaluation import (
     DEPENDENCY_BUCKETS,
     REENTRANCY_BUCKETS,
     ContrastivePair,
-    bucket_label,
     bucket_report,
+    bucket_spans,
     check_bucket_edges,
     contrastive_eval,
     corpus_bleu,
@@ -219,8 +219,14 @@ def load_examples(jsonl_path):
 
 
 def _histogram(values, edges):
-    return [{"bucket": bucket_label(lo, hi), "count": sum(1 for v in values if lo <= v <= hi)}
-            for lo, hi in edges]
+    """The count of values in each of bucket_report's rows, so the counts sum
+    to the number of values."""
+    rows = []
+    for label, lo, hi, always in bucket_spans(edges):
+        count = sum(1 for v in values if lo <= v <= hi)
+        if count or always:
+            rows.append({"bucket": label, "count": count})
+    return rows
 
 
 def cmd_preprocess(args):
@@ -348,8 +354,13 @@ def cmd_generate(args):
 
 
 def _read_hypotheses(path):
+    """One hypothesis per line. A line ends only at "\n", as in a corpus file:
+    universal newlines have already folded "\r\n" and "\r"."""
     with _text_input(path) as handle:
-        return [line.strip().lower().split() for line in handle.read().splitlines()]
+        lines = handle.read().split("\n")
+    if lines[-1] == "":  # the newline that ends the last line, or an empty file
+        lines.pop()
+    return [line.strip().lower().split() for line in lines]
 
 
 def cmd_evaluate(args):

@@ -1,0 +1,344 @@
+"""The attentional decoder's kernels, in numpy on top of the tape in
+`tensor`. Step t runs the LSTM (gate order i, f, o, g) on [y_t ; ctx_{t-1}],
+where y_t is the embedding of the step's input id, and then attends with its
+new hidden state s_t over the encoder rows, which gives ctx_t (input
+feeding). `decoder_step` steps any number of rows over one encoder, for
+decoding; `decoder_batch` runs the teacher-forced recurrence of a batch of
+sentences as one tape entry, for training and scoring.
+"""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from . import tensor
+from .tensor import ShapeError, Tensor, _accumulate, _grad_buffer, _lstm_gates, _record
+
+
+def _attend(q, enc, enc_proj, U, b, v):
+    """Additive attention of the (m, h) query rows q over the (N, h) rows of
+    enc in numpy. With E = tanh(enc_proj + q U + b) for every (query, row)
+    pair, alpha is the softmax over rows of E v, and context row i is
+    alpha_i enc; enc_proj is enc's projection, computed once per example.
+    Returns the (m, h) context rows, the (m, N, h) activations E and the
+    (m, N) weights alpha."""
+    m, rows = q.shape[0], enc.shape[0]
+    pre = enc_proj[None] + (q @ U)[:, None]
+    pre += b
+    e = np.tanh(pre)
+    scores = (e.reshape(m * rows, -1) @ v).reshape(m, rows)
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = exp / exp.sum(axis=1, keepdims=True)
+    return alpha @ enc, e, alpha
+
+
+def _decoder_lstm(xw, ctx, s, c, W_ctx, U):
+    """The decoder's LSTM for m rows in numpy. xw is the (m, 4h) embedding
+    half of the input projection with the bias, y W[:d] + b, and ctx, s and c
+    are the (m, h) context, hidden and cell rows before the step. Returns s
+    and c after it and the gates sig and g."""
+    n = s.shape[1]
+    z = xw + ctx @ W_ctx + s @ U
+    sig, g = _lstm_gates(z, n)
+    c = sig[:, n : 2 * n] * c + sig[:, :n] * g
+    return sig[:, 2 * n :] * np.tanh(c), c, sig, g
+
+
+def decoder_step(xw, ctx, s, c, W_ctx, U, enc, enc_proj, U_a, b_a, v_a):
+    """One decoder step for m rows that attend over the same encoder rows,
+    in plain numpy: `_decoder_lstm`, then `_attend`. Returns the (s, c, ctx)
+    rows after the step."""
+    s, c, _, _ = _decoder_lstm(xw, ctx, s, c, W_ctx, U)
+    return s, c, _attend(s, enc, enc_proj, U_a, b_a, v_a)[0]
+
+
+class _Packing:
+    """The packed layout of a batch of sequences (Appleyard et al. 2016),
+    from their lengths and their encoders' row counts. `order` lists the
+    examples by length, longest first and stable, and an example's rank is
+    its place there, so the examples still running at step t are the first
+    m ranks. State arrays have one row per (step, example), step by step and
+    in rank order within a step. `steps[t]` is (rows, m, r): rows is the
+    slice of step t's m state rows, and the running examples' encoder rows
+    are the first r rows of all encoder rows concatenated in rank order.
+    `rows[k]` lists rank k's state rows, and with more than one example
+    `perm` lists the state rows of every example, one example after another
+    in the given order."""
+
+    def __init__(self, lengths, sizes):
+        batch = len(lengths)
+        self.order = sorted(range(batch), key=lambda j: -lengths[j])
+        self.lengths = [lengths[j] for j in self.order]
+        self.sizes = [sizes[j] for j in self.order]
+        self.width = max(sizes)
+        self.running, m = [], batch
+        for t in range(self.lengths[0]):
+            while self.lengths[m - 1] <= t:
+                m -= 1
+            self.running.append(m)
+        starts = [0, *itertools.accumulate(self.running)]
+        enc_starts = [0, *itertools.accumulate(self.sizes)]
+        self.steps = [(slice(a, a + m), m, enc_starts[m]) for a, m in zip(starts, self.running)]
+        if batch == 1:  # the identity layout
+            self.rows = [np.arange(self.lengths[0])]
+            return
+        starts = np.array(starts)
+        self.rows = [starts[:length] + rank for rank, length in enumerate(self.lengths)]
+        rank = np.empty(batch, dtype=np.intp)
+        rank[self.order] = np.arange(batch)
+        self.perm = np.concatenate([self.rows[k] for k in rank])
+        # each encoder row's rank, and its place in a (ranks, width) block
+        self.row_rank = np.repeat(np.arange(batch), self.sizes)
+        self.pad = (self.row_rank * self.width + np.arange(enc_starts[-1])
+                    - np.array(enc_starts)[self.row_rank])
+
+    def previous_rows(self):
+        """The previous step's row of every row after the first step's."""
+        if len(self.order) == 1:
+            return slice(0, self.lengths[0] - 1)
+        running = np.array(self.running)
+        return np.arange(running[0], running.sum()) - np.repeat(running[:-1], running[1:])
+
+    def padded(self, scores, m, r):
+        """The r scores of the running examples' encoder rows as an (m, width)
+        block, -inf on the padding."""
+        block = np.full(m * self.width, -np.inf)
+        block[self.pad[:r]] = scores.reshape(-1)
+        return block.reshape(m, self.width)
+
+    def chunks(self):
+        """Runs of steps, last first, each of at most as many (step, encoder
+        row) cells as the examples have on average, or of one step: (t0, t1)
+        for steps t0 to t1 - 1. A batch of one is one run."""
+        cells = sum(length * size for length, size in zip(self.lengths, self.sizes))
+        budget = -(-cells // len(self.lengths))
+        t1 = len(self.steps)
+        while t1:
+            t0, cells = t1 - 1, self.steps[t1 - 1][2]
+            while t0 and cells + self.steps[t0 - 1][2] <= budget:
+                t0 -= 1
+                cells += self.steps[t0][2]
+            yield t0, t1
+            t1 = t0
+
+    def cell_rows(self, t0, t1, starts):
+        """The cells of steps t0 to t1 - 1, one step after another, as rows of
+        an array that holds each running rank's (steps, encoder rows) block
+        from starts[rank]."""
+        ranks = np.concatenate([np.arange(m) for m in self.running[t0:t1]])
+        step = np.repeat(np.arange(t1 - t0), self.running[t0:t1])
+        counts = np.array(self.sizes)[ranks]
+        firsts = np.asarray(starts)[ranks] + step * counts
+        return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def decoder_batch(ids, s0, enc, enc_proj, emb: Tensor, W: Tensor, U: Tensor, b: Tensor,
+                  U_a: Tensor, b_a: Tensor, v_a: Tensor) -> Tensor:
+    """The decoder's recurrence over a batch of sentences as one tape entry.
+    ids holds each example's input ids, and s0, enc and enc_proj hold its
+    (1, h) first hidden state, its (N, h) encoder rows and their projection;
+    the cell and the context start at zero. emb is the (V, d) table of the
+    ids' embeddings, W, U and b are the LSTM's weights over [y ; ctx], and
+    U_a, b_a and v_a those of the attention, as in `_attend`. The output has
+    each example's rows, one after another in the given order: row t of an
+    example is [s_t ; ctx_t], the output layer's input.
+
+    The steps run over a `_Packing` of the batch. emb[ids] W[:d] + b is one
+    GEMM over all rows before the loop. At each step the LSTM runs on the
+    running examples' rows, and the attention's elementwise work on their
+    encoder rows concatenated, without padding (cross-example operation
+    batching, Neubig, Goldberg & Dyer 2017); what reduces over encoder rows,
+    the softmax and the context, runs per example on blocks padded to the
+    longest encoder, with -inf scores on the padding. Nothing the size of
+    (steps, encoder rows, h) waits for backward but the activations of its
+    first run of steps: backward goes through `_Packing.chunks` runs of
+    steps, recomputes each run's attention activations from the stored query
+    rows, steps back through it, and reduces over its encoder rows per
+    example; the weight gradients are then GEMMs over all rows. A batch of
+    one is one run and performs the one-sentence kernel's operations, so it
+    gives that kernel's bits.
+    """
+    batch, d, n = len(ids), emb.shape[1], U.shape[0]
+    if not batch or not len(s0) == len(enc) == len(enc_proj) == batch:
+        raise ShapeError(f"decoder_batch needs one s0, enc and enc_proj per id list, got "
+                         f"{batch}, {len(s0)}, {len(enc)} and {len(enc_proj)}")
+    if (W.shape != (d + n, 4 * n) or min(map(len, ids)) < 1 or any(t.shape != (1, n) for t in s0)
+            or any(p.shape != e.shape or e.shape[0] < 1 for e, p in zip(enc, enc_proj))):
+        raise ShapeError(f"decoder_batch shape mismatch: W {W.shape}, s0 "
+                         f"{[t.shape for t in s0]}, enc {[t.shape for t in enc]}, enc_proj "
+                         f"{[t.shape for t in enc_proj]}, lengths {[len(i) for i in ids]}")
+    pack = _Packing([len(i) for i in ids], [e.shape[0] for e in enc])
+    order = pack.order
+    projs = [enc_proj[j].data for j in order]
+    if batch == 1:  # the identity layout
+        idx = np.asarray(ids[0], dtype=np.intp)
+        proj_cat, enc_block = projs[0], enc[0].data[None]
+    else:
+        idx = np.empty(len(pack.perm), dtype=np.intp)
+        idx[pack.perm] = np.concatenate([np.asarray(i, dtype=np.intp) for i in ids])
+        proj_cat = np.concatenate(projs)
+        enc_block = np.zeros((batch, pack.width, enc[0].shape[1]))
+        for rank, j in enumerate(order):
+            enc_block[rank, : pack.sizes[rank]] = enc[j].data
+    w_emb, w_ctx = W.data[:d], W.data[d:]
+    xw = emb.data[idx] @ w_emb + b.data
+    u, u_a, v, bias_a = U.data, U_a.data, v_a.data, b_a.data
+    s = s_first = np.concatenate([s0[j].data for j in order])
+    c = ctx = np.zeros((batch, n))
+    inputs = (*s0, *enc, *enc_proj, emb, W, U, b, U_a, b_a, v_a)
+    needs_grad = any(t.requires_grad for t in inputs)
+    taping = needs_grad and tensor._ACTIVE_TAPE is not None  # else keep only the output rows
+    # the attention activations of the steps that backward takes first,
+    # kept so that a batch of one recomputes none
+    saved, last_e = [], []
+    keep_from = next(pack.chunks())[0] if taping else len(pack.steps)
+    for t, (rows, m, r) in enumerate(pack.steps):
+        if m < len(s):
+            s, c, ctx = s[:m], c[:m], ctx[:m]
+        s, c, sig, g = _decoder_lstm(xw[rows], ctx, s, c, w_ctx, u)
+        q = s @ u_a
+        pre = proj_cat[:r] + (q if m == 1 else q[pack.row_rank[:r]])
+        pre += bias_a
+        scores = np.tanh(pre, out=pre) @ v
+        if t >= keep_from:
+            last_e.append(pre)
+        scores = (scores.reshape(m, r // m) if r == m * pack.width
+                  else pack.padded(scores, m, r))
+        exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha = exp / exp.sum(axis=1, keepdims=True)
+        if m == 1:  # a plain product, the same numbers as the stacked one
+            ctx = alpha @ enc_block[0]
+        else:
+            ctx = np.matmul(alpha[:, None], enc_block[:m])[:, 0]
+        saved.append((s, ctx, c, sig, g, q, alpha) if taping else (s, ctx))
+    s_all, ctx_all, *kept = (np.concatenate(col) for col in zip(*saved))
+    stacked = np.concatenate([s_all, ctx_all], axis=1)
+    out = Tensor(stacked if batch == 1 else stacked[pack.perm], requires_grad=needs_grad)
+    if not taping:
+        return out
+    c_all, sig, g, q_all, alpha = kept
+
+    def bwd(d_out):
+        if batch > 1:
+            packed = np.empty_like(d_out)
+            packed[pack.perm] = d_out
+            d_out = packed
+        zero = np.zeros((batch, n))  # the context and cell before the first step
+        prev = pack.previous_rows()
+        tc = np.tanh(c_all)
+        dsig = sig * (1.0 - sig)
+        # dZ row is [dc K_i, dc K_f, ds K_o, dc K_g] with dc, ds the row's
+        # cell and hidden gradients; the K are fixed by the forward pass.
+        # k holds K_i, K_f and K_g and becomes dZ in the loop, row by row
+        k = np.empty((len(c_all), 4, n))
+        k[:, 0] = g * dsig[:, :n]
+        k[:, 1] = np.concatenate([zero, c_all[prev]]) * dsig[:, n : 2 * n]
+        k[:, 2] = 0.0
+        k[:, 3] = sig[:, :n] * (1.0 - g * g)
+        k_o = tc * dsig[:, 2 * n :]
+        s_to_c = sig[:, 2 * n :] * (1.0 - tc * tc)
+        f = sig[:, n : 2 * n]
+        del tc, dsig
+        back = np.ascontiguousarray(np.concatenate([u, w_ctx]).T)  # dz -> [ds ; dctx] before
+        u_a_t = np.ascontiguousarray(u_a.T)
+        h = u_a.shape[1]
+        d_scores = np.empty(alpha.shape)
+        d_query = np.empty(q_all.shape)  # gradient of s_t U_a
+        d_ctx = np.empty((len(c_all), n))
+        d_s, d_c = d_out[:, :n], d_out[:, n:]
+        ds_next = dctx_next = dc_next = np.zeros((pack.running[-1], n))
+        enc_first = enc_block[0]
+        if batch > 1:
+            k_block = np.zeros((batch * pack.width, h))
+        for t0, t1 in pack.chunks():
+            # the run's attention activations E as one (steps, N, h) block
+            # per running rank, and d score / d pre-activation K = v (1 - E^2)
+            blocks, starts, start = [], [], 0
+            for rank in range(pack.running[t0]):
+                rows_k, size = pack.rows[rank][t0:t1], pack.sizes[rank]
+                blocks.append((rows_k, size, slice(start, start + len(rows_k) * size)))
+                starts.append(start)
+                start += len(rows_k) * size
+            if batch > 1:
+                cell_rows = pack.cell_rows(t0, t1, starts)
+            if t1 == len(pack.steps):  # the forward kept these, step by step
+                e = np.concatenate(last_e)
+                del last_e[:]
+                if batch > 1:
+                    e[cell_rows] = e.copy()
+            else:
+                e = np.empty((start, h))
+                for rank, (rows_k, size, cells) in enumerate(blocks):
+                    np.add(projs[rank][None], q_all[rows_k][:, None],
+                           out=e[cells].reshape(len(rows_k), size, h))
+                e += bias_a
+                np.tanh(e, out=e)
+            k_att = e * e
+            np.subtract(1.0, k_att, out=k_att)
+            k_att *= v[:, 0]
+            cell = start
+            for rows, m, r in reversed(pack.steps[t0:t1]):
+                if m > len(ds_next):  # the examples whose last step this is
+                    more = np.zeros((m - len(ds_next), n))
+                    ds_next, dctx_next, dc_next = (
+                        np.concatenate([x, more]) for x in (ds_next, dctx_next, dc_next))
+                cell -= r
+                dctx = d_ctx[rows] = d_c[rows] + dctx_next
+                al = alpha[rows]
+                if m == 1:  # plain products, the same numbers as the stacked ones
+                    d_alpha = enc_first @ dctx[0]
+                    d_score = al * (d_alpha - d_alpha @ al[0])
+                    k_t = k_att[cell_rows[cell : cell + r]] if batch > 1 else k_att[cell : cell + r]
+                    dq = (d_score if r == pack.width else d_score[:, :r]) @ k_t
+                else:
+                    d_alpha = np.matmul(enc_block[:m], dctx[:, :, None])[:, :, 0]
+                    d_score = al * (d_alpha - np.matmul(d_alpha[:, None], al[:, :, None])[:, 0])
+                    k_block[pack.pad[:r]] = k_att[cell_rows[cell : cell + r]]
+                    dq = np.matmul(d_score[:, None],
+                                   k_block[: m * pack.width].reshape(m, pack.width, h))[:, 0]
+                d_scores[rows], d_query[rows] = d_score, dq
+                ds = d_s[rows] + ds_next + dq @ u_a_t
+                dc = dc_next + ds * s_to_c[rows]
+                dz_t = k[rows]
+                dz_t *= dc[:, None]
+                np.multiply(k_o[rows], ds, out=dz_t[:, 2])
+                before = dz_t.reshape(m, 4 * n) @ back
+                ds_next, dctx_next = before[:, :n], before[:, n:]
+                dc_next = dc * f[rows]
+            # what reduces over the run's cells: per example for enc_proj,
+            # over all of them for v_a
+            chunk_scores = []
+            for rank, (rows_k, size, cells) in enumerate(blocks):
+                d_score = d_scores[rows_k, :size]
+                chunk_scores.append(d_score.reshape(-1))
+                j = order[rank]
+                if enc_proj[j].requires_grad:
+                    _accumulate(enc_proj[j], np.einsum(
+                        "tr,trh->rh", d_score, k_att[cells].reshape(len(rows_k), size, h)))
+            if v_a.requires_grad:
+                _accumulate(v_a, e.T @ np.concatenate(chunk_scores).reshape(-1, 1))
+            del e, k_att
+        dz = k.reshape(-1, 4 * n)
+        for rank, j in enumerate(order):
+            rows_k, size = pack.rows[rank], pack.sizes[rank]
+            if s0[j].requires_grad:
+                _accumulate(s0[j], ds_next[rank : rank + 1])
+            if enc[j].requires_grad:
+                _accumulate(enc[j], alpha[rows_k, :size].T @ d_ctx[rows_k])
+        if emb.requires_grad:
+            np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
+        if W.requires_grad:
+            ctx_prev = np.concatenate([zero, ctx_all[prev]])
+            _accumulate(W, np.concatenate([emb.data[idx], ctx_prev], axis=1).T @ dz)
+        if U.requires_grad:
+            _accumulate(U, np.concatenate([s_first, s_all[prev]]).T @ dz)
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0, keepdims=True))
+        if U_a.requires_grad:
+            _accumulate(U_a, s_all.T @ d_query)
+        if b_a.requires_grad:
+            _accumulate(b_a, d_query.sum(axis=0, keepdims=True))
+
+    _record(out, bwd)
+    return out

@@ -105,6 +105,22 @@ def bucket_label(lo, hi) -> str:
     return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
+def bucket_spans(edges) -> list:
+    """(label, lo, hi, always) for each row of checked edges: every edge,
+    always shown, and the integer values that no edge covers, shown when a
+    value falls there: "<lo" below the first edge, ">hi" above the last and
+    the range of each gap between two edges."""
+    top = edges[-1][1]
+    spans = [(f"<{edges[0][0]}", -math.inf, edges[0][0] - 1, False)]
+    for k, (lo, hi) in enumerate(edges):
+        if k and lo > edges[k - 1][1] + 1:
+            gap = (edges[k - 1][1] + 1, lo - 1)
+            spans.append((bucket_label(*gap), *gap, False))
+        spans.append((bucket_label(lo, hi), lo, hi, True))
+    spans.append((f">{top}", top + 1, math.inf, False))
+    return spans
+
+
 def bucket_report(
     scores: dict,
     stats: list,
@@ -117,9 +133,7 @@ def bucket_report(
     scores: system name -> per-example score list, all aligned with stats.
     stats: per-example dicts with reentrancies / max_dep_len keys.
     The dependency-length analysis excludes examples with reentrancies.
-    Every edge gets a row. The integer values that no edge covers are counted
-    in rows of their own, shown when not empty: "<lo" below the first edge,
-    ">hi" above the last, and the range of each gap between two edges.
+    The rows are those of `bucket_spans`.
     """
     if bucketing not in ("reentrancies", "max_dep_len"):
         raise ValueError(f"unknown bucketing {bucketing!r}")
@@ -137,16 +151,8 @@ def bucket_report(
     if bucketing == "max_dep_len":
         indices = [i for i in indices if stats[i]["reentrancies"] == 0]
 
-    top = edges[-1][1]
-    spans = [(f"<{edges[0][0]}", -math.inf, edges[0][0] - 1, False)]  # label, lo, hi, always
-    for k, (lo, hi) in enumerate(edges):
-        if k and lo > edges[k - 1][1] + 1:
-            gap = (edges[k - 1][1] + 1, lo - 1)
-            spans.append((bucket_label(*gap), *gap, False))
-        spans.append((bucket_label(lo, hi), lo, hi, True))
-    spans.append((f">{top}", top + 1, math.inf, False))
     rows = []
-    for label, lo, hi, always in spans:
+    for label, lo, hi, always in bucket_spans(edges):
         members = [i for i in indices if lo <= stats[i][bucketing] <= hi]
         if members or always:
             rows.append(_bucket_row(label, members, scores, systems, baseline))

@@ -3,9 +3,10 @@ sentence scoring.
 
 The decoder is a single-layer LSTM with additive attention over the encoder
 rows and input feeding: each step consumes the previous target embedding
-concatenated with the previous attention context. Batching is gradient
-accumulation over examples, which keeps runs bit-reproducible for a fixed
-seed.
+concatenated with the previous attention context. A training batch is one
+tape: its examples are encoded one by one, then the teacher-forced decoder,
+the output layer and the loss each run once over all of them. Runs are
+bit-reproducible for a fixed seed.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import tensor as T
+from .decoder import decoder_batch, decoder_step
 from .encoders import EncoderConfig, LstmCell, StackEncoder
 from .tensor import Tensor
 from .transforms import ExampleRepr, deanonymize
@@ -105,27 +107,38 @@ class Seq2SeqModel:
         o = T.tanh(T.add(T.matmul(rows, self.W_o), self.b_o))
         return T.log_softmax(T.add(T.matmul(o, self.W_v), self.b_v))
 
-    def _teacher_forced(self, ex: TrainExample, tokens, rng=None):
-        """The (T, V) log-softmax rows and the T target ids of tokens + EOS,
-        feeding the reference token back in at every step: the recurrence is
-        one decoder_sequence entry, and the output layer runs once over all
-        its rows."""
-        enc, enc_proj = self._encode(ex, rng)
-        targets = self.tgt_vocab.indices(tokens) + [self.tgt_vocab.index(EOS)]
-        rows = T.decoder_sequence(
-            [self.tgt_vocab.index(BOS)] + targets[:-1], self._init_state(enc), enc, enc_proj,
-            self.tgt_embedding, self.cell.W, self.cell.U, self.cell.b,
-            self.U_a, self.b_a, self.v_a)
+    def _teacher_forced(self, examples, token_lists, rng=None):
+        """The log-softmax rows of each example's tokens + EOS, one example
+        after another, and the target ids of each, feeding the reference
+        token back in at every step. The examples are encoded one by one in
+        order, so dropout draws from rng in that order; the recurrence is one
+        decoder_batch entry, and the output layer runs once over all rows."""
+        bos, eos = self.tgt_vocab.index(BOS), self.tgt_vocab.index(EOS)
+        targets, encs, projs, first_states = [], [], [], []
+        for ex, tokens in zip(examples, token_lists):
+            enc, enc_proj = self._encode(ex, rng)
+            targets.append(self.tgt_vocab.indices(tokens) + [eos])
+            encs.append(enc)
+            projs.append(enc_proj)
+            first_states.append(self._init_state(enc))
+        rows = decoder_batch(
+            [[bos] + ids[:-1] for ids in targets], first_states, encs, projs, self.tgt_embedding,
+            self.cell.W, self.cell.U, self.cell.b, self.U_a, self.b_a, self.v_a)
         return self._output(rows), targets
+
+    def batch_loss(self, examples, rng=None) -> Tensor:
+        """The sum over the examples, in order, of each one's mean token
+        negative log-likelihood of its target, teacher-forced."""
+        log_probs, targets = self._teacher_forced(examples, [ex.target for ex in examples], rng)
+        return T.mean_nll(log_probs, [i for ids in targets for i in ids], list(map(len, targets)))
 
     def sequence_loss(self, ex: TrainExample, rng=None) -> Tensor:
         """Mean token negative log-likelihood of the target, teacher-forced."""
-        log_probs, targets = self._teacher_forced(ex, ex.target, rng)
-        return T.mean_nll(log_probs, targets)
+        return self.batch_loss([ex], rng)
 
     def score_sentence(self, ex: TrainExample, tokens) -> float:
         """Total log-probability of the token sequence (EOS included)."""
-        log_probs, targets = self._teacher_forced(ex, tokens)
+        log_probs, (targets,) = self._teacher_forced([ex], [tokens])
         return float(log_probs.data[np.arange(len(targets)), targets].sum())
 
     def greedy_decode(self, ex: TrainExample, max_len: int = None):
@@ -212,8 +225,8 @@ class Seq2SeqModel:
         d = self.config.embedding_dim
         W = self.cell.W.data
         xw = self.tgt_embedding.data[token_ids] @ W[:d] + self.cell.b.data
-        s, c, ctx, _ = T.decoder_step(xw, ctx, s, c, W[d:], self.cell.U.data, enc, enc_proj,
-                                      self.U_a.data, self.b_a.data, self.v_a.data)
+        s, c, ctx = decoder_step(xw, ctx, s, c, W[d:], self.cell.U.data, enc, enc_proj,
+                                 self.U_a.data, self.b_a.data, self.v_a.data)
         o = np.tanh(np.concatenate([s, ctx], axis=1) @ self.W_o.data + self.b_o.data)
         return T.log_softmax_rows(o @ self.W_v.data + self.b_v.data), ctx, s, c
 
@@ -355,15 +368,11 @@ def train(
         epoch_losses = []
         grad_norms = []
         for start in range(0, len(order), settings.batch_size):
-            batch = order[start : start + settings.batch_size]
-            batch_loss = 0.0
-            for idx in batch:  # gradient accumulation; grads sum across the batch
-                ex = train_examples[idx]
-                with T.Tape() as tape:
-                    loss = model.sequence_loss(ex, dropout_rng)
-                    batch_loss += loss.item()
-                    T.backward(tape, loss)
-            batch_loss /= len(batch)
+            batch = [train_examples[idx] for idx in order[start : start + settings.batch_size]]
+            with T.Tape() as tape:  # one tape: the gradients of the examples' losses sum
+                loss = model.batch_loss(batch, dropout_rng)
+                batch_loss = loss.item() / len(batch)
+                T.backward(tape, loss)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss in epoch {epoch}, batch starting at {start}",

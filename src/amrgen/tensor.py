@@ -4,6 +4,7 @@ desk-scale problem sizes keep gradient checks reliable. At these sizes the
 cost is per-op Python overhead, not FLOPs, so recurrent cells are fused
 kernels (one tape entry per step, or per sequence) with closed-form backward
 passes, and backward computes nothing for operands that need no gradient.
+The decoder's kernels are in `decoder`.
 """
 from __future__ import annotations
 
@@ -103,20 +104,31 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from loss."""
+    """Populate grads of every requires_grad tensor reachable from loss.
+
+    Each entry is released once it has run: the tape drops its backward
+    closure, with the arrays that the closure kept, and its output's
+    gradient. Leaf gradients stay, and so does len(tape)."""
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     if tape._consumed:
         raise RuntimeError("tape already consumed")
     tape._consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(tape._ops):
+    ops = tape._ops
+    for i in range(len(ops) - 1, -1, -1):
+        out, fn = ops[i]
+        ops[i] = None
         if type(out) is tuple:
             grads = [t.grad for t in out]
             if any(g is not None for g in grads):
                 fn(*grads)
+            for t in out:
+                t.grad = None
         elif out.grad is not None:
             fn(out.grad)
+            out.grad = None
+        del fn
 
 
 # --------------------------------------------------------------------------
@@ -362,19 +374,28 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
     return out
 
 
-def mean_nll(log_probs: Tensor, ids) -> Tensor:
-    """The mean negative log-probability of ids[t] in row t of the (T, V)
-    log-probability rows, as a (1, 1) tensor and one tape entry."""
+def mean_nll(log_probs: Tensor, ids, lengths=None) -> Tensor:
+    """The negative log-probability of ids[t] in row t of the (T, V)
+    log-probability rows, averaged over each example's rows and summed over
+    the examples in order, as a (1, 1) tensor and one tape entry. lengths
+    splits the rows into consecutive examples; without it they are one."""
     idx = np.asarray(ids, dtype=np.intp)
-    if log_probs.data.ndim != 2 or log_probs.shape[0] != len(idx):
-        raise ShapeError(f"mean_nll shape mismatch: {log_probs.shape} rows for {len(idx)} ids")
+    if lengths is None:
+        lengths = [len(idx)]
+    if log_probs.data.ndim != 2 or log_probs.shape[0] != len(idx) or sum(lengths) != len(idx):
+        raise ShapeError(f"mean_nll shape mismatch: {log_probs.shape} rows for {len(idx)} ids "
+                         f"in examples of {list(lengths)}")
     rows = np.arange(len(idx))
-    factor = -1.0 / len(idx)
-    out = Tensor((log_probs.data[rows, idx].sum() * factor).reshape(1, 1),
-                 requires_grad=log_probs.requires_grad)
+    factors = [-1.0 / length for length in lengths]
+    picked = log_probs.data[rows, idx]
+    total, start = 0.0, 0
+    for length, factor in zip(lengths, factors):
+        total += picked[start : start + length].sum() * factor
+        start += length
+    out = Tensor(np.array(total).reshape(1, 1), requires_grad=log_probs.requires_grad)
 
     def bwd(g):
-        _grad_buffer(log_probs)[rows, idx] += g.reshape(-1)[0] * factor
+        _grad_buffer(log_probs)[rows, idx] += g.reshape(-1)[0] * np.repeat(factors, lengths)
 
     _record(out, bwd)
     return out
@@ -678,146 +699,6 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
             _accumulate(Wr, h[root : root + 1].T @ d_root)
         if br.requires_grad:
             _accumulate(br, d_root)
-
-    _record(out, bwd)
-    return out
-
-
-# --------------------------------------------------------------------------
-# The attentional decoder with input feeding: step t runs the LSTM (gate
-# order i, f, o, g) on [y_t ; ctx_{t-1}], where y_t is the embedding of the
-# step's input id, and then attends with its new hidden state s_t over the
-# encoder rows, which gives ctx_t.
-
-
-def _attend(q, enc, enc_proj, U, b, v):
-    """Additive attention of the (m, h) query rows q over the (N, h) rows of
-    enc in numpy. With E = tanh(enc_proj + q U + b) for every (query, row)
-    pair, alpha is the softmax over rows of E v, and context row i is
-    alpha_i enc; enc_proj is enc's projection, computed once per example.
-    Returns the (m, h) context rows, the (m, N, h) activations E and the
-    (m, N) weights alpha."""
-    m, rows = q.shape[0], enc.shape[0]
-    pre = enc_proj[None] + (q @ U)[:, None]
-    pre += b
-    e = np.tanh(pre)
-    scores = (e.reshape(m * rows, -1) @ v).reshape(m, rows)
-    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha = exp / exp.sum(axis=1, keepdims=True)
-    return alpha @ enc, e, alpha
-
-
-def decoder_step(xw, ctx, s, c, W_ctx, U, enc, enc_proj, U_a, b_a, v_a):
-    """One decoder step for m rows in plain numpy. xw is the (m, 4h)
-    embedding half of the input projection with the bias, y W[:d] + b, and
-    ctx, s and c are the (m, h) context, hidden and cell rows before the step.
-    Returns the rows after it, (s, c, ctx), and what backward needs: the
-    gates sig and g, tanh(c), and the attention's activations and weights."""
-    n = s.shape[1]
-    z = xw + ctx @ W_ctx + s @ U
-    sig, g = _lstm_gates(z, n)
-    c = sig[:, n : 2 * n] * c + sig[:, :n] * g
-    tc = np.tanh(c)
-    s = sig[:, 2 * n :] * tc
-    ctx, e, alpha = _attend(s, enc, enc_proj, U_a, b_a, v_a)
-    return s, c, ctx, (sig, g, tc, e, alpha)
-
-
-def decoder_sequence(ids, s0: Tensor, enc: Tensor, enc_proj: Tensor, emb: Tensor, W: Tensor,
-                     U: Tensor, b: Tensor, U_a: Tensor, b_a: Tensor, v_a: Tensor) -> Tensor:
-    """The decoder's recurrence over a whole sentence as one tape entry. ids
-    are the T input ids, emb the (V, d) table of their embeddings, s0 the
-    (1, h) first hidden state; the cell and the context start at zero. W, U
-    and b are the LSTM's weights over [y ; ctx], and U_a, b_a and v_a those
-    of the attention over the (N, h) rows enc, as in `_attend`. Row t of
-    the (T, 2h) output is [s_t ; ctx_t], the output layer's input.
-
-    emb[ids] W[:d] + b is one (T, d) @ (d, 4h) GEMM before the loop over the
-    steps, each of which is `decoder_step` (Appleyard et al. 2016). Backward
-    is one reverse loop through the attention and the LSTM gates that fills
-    dZ, the gradient of the pre-activations, and the attention scores'
-    gradients; the weight, encoder and embedding gradients then come from the
-    stacked rows as GEMMs and one add.at.
-    """
-    idx = np.asarray(ids, dtype=np.intp)
-    steps, d, n = len(idx), emb.shape[1], U.shape[0]
-    if W.shape != (d + n, 4 * n) or s0.shape != (1, n) or enc_proj.shape != enc.shape:
-        raise ShapeError(f"decoder_sequence shape mismatch: W {W.shape}, s0 {s0.shape}, "
-                         f"enc {enc.shape}, enc_proj {enc_proj.shape}")
-    x_emb = emb.data[idx]
-    w_emb, w_ctx = W.data[:d], W.data[d:]
-    xw = x_emb @ w_emb + b.data
-    u, enc_d, u_a, v = U.data, enc.data, U_a.data, v_a.data
-    s, c, ctx = s0.data, np.zeros((1, n)), np.zeros((1, n))
-    rows = []
-    for t in range(steps):
-        s, c, ctx, (sig, g, tc, e, alpha) = decoder_step(
-            xw[t : t + 1], ctx, s, c, w_ctx, u, enc_d, enc_proj.data, u_a, b_a.data, v)
-        rows.append((s, c, ctx, sig, g, tc, e, alpha))
-    s_all, c_all, ctx_all, sig, g, tc, e, alpha = (np.concatenate(col) for col in zip(*rows))
-    inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
-    out = Tensor(np.concatenate([s_all, ctx_all], axis=1),
-                 requires_grad=any(t.requires_grad for t in inputs))
-
-    def bwd(d_out):
-        zero = np.zeros((1, n))
-        s_prev = np.concatenate([s0.data, s_all[:-1]])
-        ctx_prev = np.concatenate([zero, ctx_all[:-1]])
-        dsig = sig * (1.0 - sig)
-        # dZ row t is [dc K_i, dc K_f, ds K_o, dc K_g] with dc, ds the step's
-        # cell and hidden gradients; the K are fixed by the forward pass
-        k = np.empty((steps, 4, n))
-        k[:, 0] = g * dsig[:, :n]
-        k[:, 1] = np.concatenate([zero, c_all[:-1]]) * dsig[:, n : 2 * n]
-        k[:, 2] = tc * dsig[:, 2 * n :]
-        k[:, 3] = sig[:, :n] * (1.0 - g * g)
-        s_to_c = sig[:, 2 * n :] * (1.0 - tc * tc)
-        f = sig[:, n : 2 * n]
-        k_att = e * e  # becomes d score / d pre-activation = v (1 - e^2), (T, N, h)
-        np.subtract(1.0, k_att, out=k_att)
-        k_att *= v[:, 0]
-        back = np.ascontiguousarray(np.concatenate([u, w_ctx]).T)  # dz -> [ds ; dctx] before
-        u_a_t = np.ascontiguousarray(u_a.T)
-        dz = np.empty((steps, 4, n))
-        d_scores = np.empty(alpha.shape)
-        d_query = np.empty((steps, u_a.shape[1]))  # gradient of s_t U_a
-        d_ctx = np.empty((steps, n))
-        d_s, d_c = d_out[:, :n], d_out[:, n:]
-        ds_next, dctx_next, dc_next = np.zeros(n), np.zeros(n), np.zeros(n)
-        for t in range(steps - 1, -1, -1):
-            dctx = d_ctx[t] = d_c[t] + dctx_next
-            a = alpha[t]
-            d_alpha = enc_d @ dctx
-            d_score = d_scores[t] = a * (d_alpha - d_alpha @ a)
-            dq = d_query[t] = d_score @ k_att[t]
-            ds = d_s[t] + ds_next + dq @ u_a_t
-            dc = dc_next + ds * s_to_c[t]
-            np.multiply(k[t], dc, out=dz[t])
-            np.multiply(k[t, 2], ds, out=dz[t, 2])
-            before = dz[t].reshape(-1) @ back
-            ds_next, dctx_next = before[:n], before[n:]
-            dc_next = dc * f[t]
-        dz = dz.reshape(steps, 4 * n)
-        if s0.requires_grad:
-            _accumulate(s0, ds_next[None])
-        if enc.requires_grad:
-            _accumulate(enc, alpha.T @ d_ctx)
-        if enc_proj.requires_grad:
-            _accumulate(enc_proj, np.einsum("tr,trh->rh", d_scores, k_att))
-        if emb.requires_grad:
-            np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
-        if W.requires_grad:
-            _accumulate(W, np.concatenate([x_emb, ctx_prev], axis=1).T @ dz)
-        if U.requires_grad:
-            _accumulate(U, s_prev.T @ dz)
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0, keepdims=True))
-        if U_a.requires_grad:
-            _accumulate(U_a, s_all.T @ d_query)
-        if b_a.requires_grad:
-            _accumulate(b_a, d_query.sum(axis=0, keepdims=True))
-        if v_a.requires_grad:
-            _accumulate(v_a, e.reshape(-1, e.shape[2]).T @ d_scores.reshape(-1, 1))
 
     _record(out, bwd)
     return out

@@ -307,6 +307,19 @@ def test_read_corpus_block():
     assert examples[1].sentence == ("second",)
 
 
+@pytest.mark.parametrize("char", ["\x1c", "\x85", "\u2028"])
+def test_read_corpus_ends_a_line_only_at_newline(char):
+    # str.splitlines() would also break these lines at char
+    graph = f'(x / c{char}:op1 "a{char}b"\n   :op2 (y / d))'
+    text = f"# ::id a\n# ::snt hello{char}world\n{graph}\n\n# ::snt next\n(z / e)\n"
+    first, second = amr.read_corpus_text(text)
+    assert first.id == "a"
+    assert first.sentence == ("hello", "world")
+    assert first.graph == reference_penman.parse_penman(graph)
+    assert ("_c0", f"a{char}b") in first.graph.nodes
+    assert second.sentence == ("next",)
+
+
 def test_read_corpus_preserves_other_metadata():
     text = "# ::id x\n# ::snt a b\n# ::src test\n(d / dog)\n"
     ex = amr.read_corpus_text(text)[0]

@@ -61,6 +61,21 @@ def test_preprocess_artifacts(toy_jsonl, capsys):
     assert {b["bucket"] for b in stats["reentrancy_histogram"]} == {"0", "1-5", "6-20"}
 
 
+def test_preprocess_histograms_count_every_example(tmp_path, capsys):
+    # x is reached through 23 edges, 22 reentrancies: above the last default edge
+    edges = " ".join(f":op{i} x" for i in range(2, 24))
+    src = tmp_path / "reentrant.amr"
+    src.write_text(GOOD_BLOCK + f"\n# ::id r-1\n# ::snt many\n(a / and :op1 (x / thing) {edges})\n")
+    out = tmp_path / "reentrant.jsonl"
+    assert main(["preprocess", "--input", str(src), "--out", str(out)]) == EXIT_OK
+    stats = json.loads((tmp_path / "reentrant.stats.json").read_text())
+    assert stats["examples"] == 2
+    assert stats["reentrancy_histogram"] == [
+        {"bucket": "0", "count": 1}, {"bucket": "1-5", "count": 0},
+        {"bucket": "6-20", "count": 0}, {"bucket": ">20", "count": 1}]
+    assert sum(row["count"] for row in stats["dependency_histogram"]) == 2
+
+
 def test_preprocess_skips_malformed(tmp_path, capsys):
     src = tmp_path / "mixed.amr"
     src.write_text(GOOD_BLOCK + "\n" + BAD_BLOCK)
@@ -270,6 +285,16 @@ def test_evaluate_with_hyp_file(small_jsonl, tmp_path, capsys):
     assert report["corpus_bleu"] == 100.0
     assert report["sentence_metric_mean"] == 100.0
     assert report["examples"] == 2
+
+
+def test_evaluate_ends_a_hypothesis_line_only_at_newline(small_jsonl, tmp_path, capsys):
+    # "\x85" and "\u2028" are whitespace inside a line, not line breaks
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the boy\x85sleeps at night\na dog runs\u2028in paris\n", encoding="utf-8")
+    assert main(["evaluate", "--data", str(small_jsonl), "--hyp", str(hyp)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["examples"] == 2
+    assert report["corpus_bleu"] == 100.0
 
 
 def test_evaluate_needs_hyp_or_ckpt(small_jsonl, capsys):

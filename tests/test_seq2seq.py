@@ -148,6 +148,36 @@ def test_decoder_gradients(toy10):
     assert worst <= 1e-4, where
 
 
+@pytest.mark.parametrize("kind", ["Seq", "TreeLSTMSeq"])
+def test_batch_loss_gradients(kind, toy10):
+    # three examples whose targets and encoders differ in length
+    by_length = {len(ex.repr.sequence.tokens): ex for ex in toy10}
+    examples = [TrainExample(id=ex.id, repr=ex.repr, target=ex.target[:cut], reference=())
+                for ex, cut in zip(list(by_length.values())[:3], (4, 1, 6))]
+    assert len(examples) == 3
+    src, tgt = build_vocabs(examples, unk_threshold=1)
+    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=3, hidden_dim=4,
+                        dropout=0.0, edge_dropout=0.0)
+    model = Seq2SeqModel(cfg, src, tgt, seed=0)
+    params = model.params()
+    for p in params.values():
+        p.data *= 5.0  # larger weights make saturation and sign errors visible
+    checked = {name: p for name, p in params.items() if "embedding" not in name}
+    worst, where = finite_difference_check(checked, lambda: model.batch_loss(examples))
+    assert worst <= 1e-4, where
+
+
+def test_batch_loss_sums_the_examples_losses(toy10):
+    cfg = EncoderConfig(kind="GCNSeq", input_repr="graph", embedding_dim=8, hidden_dim=8,
+                        dropout=0.0, edge_dropout=0.0)
+    src, tgt = build_vocabs(toy10, unk_threshold=1)
+    model = Seq2SeqModel(cfg, src, tgt, seed=0)
+    total = 0.0
+    for ex in toy10[:4]:
+        total += model.sequence_loss(ex).item()
+    assert abs(model.batch_loss(toy10[:4]).item() - total) <= 1e-12 * total
+
+
 # --------------------------------------------------------------------------
 # Tape size: the output layer and the loss run once per sentence
 
@@ -485,6 +515,46 @@ def test_train_deterministic(toy10, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def _per_example_batch_loss(batch_loss):
+    """The reference for one tape per batch, built on the batch_loss it
+    replaces: each example's loss on a tape of its own with backward on
+    each, so gradients add up across tapes, and the losses summed in order.
+    The constant it returns puts nothing on the batch's tape."""
+
+    def accumulate(self, examples, rng=None):
+        total = 0.0
+        for ex in examples:
+            with T.Tape() as tape:
+                loss = batch_loss(self, [ex], rng)
+                total += loss.item()
+                T.backward(tape, loss)
+        return T.Tensor(np.array([[total]]))
+
+    return accumulate
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_matches_the_per_example_loop(kind, toy10, monkeypatch, tmp_path):
+    """Batch 1 gives the per-example loop's checkpoint bytes; batch 4 its
+    per-epoch losses to 1e-9 relative, with the same dropout draws."""
+    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8, hidden_dim=8,
+                        dropout=0.3, edge_dropout=0.1)
+    runs = {}
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(Seq2SeqModel, "batch_loss",
+                                _per_example_batch_loss(Seq2SeqModel.batch_loss))
+        for batch_size in (1, 4):
+            ck, log = train(toy10, toy10, cfg, seed=0,
+                            settings=quick_settings(batch_size=batch_size, max_epochs=2))
+            path = tmp_path / f"{reference}-{batch_size}.bin"
+            ck.save(path)
+            runs[reference, batch_size] = path.read_bytes(), log
+    assert runs[False, 1] == runs[True, 1]
+    for got, want in zip(runs[False, 4][1], runs[True, 4][1]):
+        assert abs(got["train_loss"] - want["train_loss"]) <= 1e-9 * want["train_loss"]
+
+
 def test_train_seed_changes_result(toy10):
     _, log_a = train(toy10, toy10, seq_config(), seed=0, settings=quick_settings(max_epochs=2))
     _, log_b = train(toy10, toy10, seq_config(), seed=1, settings=quick_settings(max_epochs=2))
@@ -492,10 +562,10 @@ def test_train_seed_changes_result(toy10):
 
 
 def test_train_nonfinite_loss_raises(toy10, monkeypatch):
-    def bad_loss(self, ex, rng=None):
+    def bad_loss(self, examples, rng=None):
         return T.Tensor(np.array([[float("nan")]]))
 
-    monkeypatch.setattr(Seq2SeqModel, "sequence_loss", bad_loss)
+    monkeypatch.setattr(Seq2SeqModel, "batch_loss", bad_loss)
     with pytest.raises(NumericError):
         train(toy10, toy10, seq_config(), seed=0, settings=quick_settings(max_epochs=1))
 

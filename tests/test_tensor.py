@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amrgen import tensor as T
+from amrgen import decoder as D, tensor as T
 from amrgen.encoders import _tree_topology, adjacency
 from amrgen.tensor import ShapeError, Tensor
 
@@ -482,6 +482,44 @@ def test_first_gradient_is_a_copy_not_an_alias():
     assert np.allclose(y.grad, 1.0)
 
 
+def test_backward_releases_each_entry_once_it_has_run():
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(5)
+    x = _param(rng, 2, 3)
+    store = T.ParamStore(rng)
+    W, U, b = store.uniform("W", (3, 8)), store.uniform("U", (2, 8)), store.zeros("b", (1, 8))
+    V = store.uniform("V", (2, 4))
+    store.pack()
+    gc.disable()
+    try:
+        with T.Tape() as tape:
+            zero = Tensor(np.zeros((2, 2)))
+            h, c = T.lstm_step(x, zero, zero, W, U, b)
+            log_probs = T.log_softmax(T.matmul(h, V))
+            loss = T.mean_nll(log_probs, [1, 3])
+        entries = len(tape)
+        # arrays that only a kernel's backward closure holds: the LSTM's
+        # tanh(c') and the log-softmax's probabilities
+        saved = {name: weakref.ref(cell.cell_contents)
+                 for _, fn in tape._ops for name, cell in zip(fn.__code__.co_freevars,
+                                                               fn.__closure__)
+                 if name in ("tc", "soft")}
+        assert sorted(saved) == ["soft", "tc"] and all(ref() is not None for ref in saved.values())
+        T.backward(tape, loss)
+        assert len(tape) == entries
+        assert all(ref() is None for ref in saved.values())
+        for t in (h, c, log_probs, loss):  # intermediate outputs
+            assert t.grad is None
+        assert x.grad is not None and np.isfinite(x.grad).all()
+        for p in (W, U, b, V):  # parameter gradients stay views of the packed vector
+            assert np.shares_memory(p.grad, store.grad)
+        assert store.grad.any()
+    finally:
+        gc.enable()
+
+
 def test_tape_is_freed_without_the_cycle_collector():
     # no kernel's backward closure may capture the tape or anything that
     # refers to it: each training example's tape, with all its arrays, would
@@ -664,6 +702,11 @@ def _decoder_inputs(rng, steps, rows, vocab, d, h):
     return ids, tensors
 
 
+def _batch_of_one(ids, tensors):
+    s0, enc, enc_proj, *weights = tensors
+    return D.decoder_batch([ids], [s0], [enc], [enc_proj], *weights)
+
+
 def _gcn_inputs(rng, nodes, edge_count, h, highway):
     edges = rng.integers(0, nodes, size=(edge_count, 2))  # repeats and self-loops included
     a_in, a_out = adjacency(nodes, edges)
@@ -702,9 +745,9 @@ def test_decoder_sequence_matches_composed(seed, steps, rows, vocab, d, h):
     ids, tensors = _decoder_inputs(rng, steps, rows, vocab, d, h)
     w = Tensor(_rand(rng, steps, 2 * h))
     fused, fused_grads, entries = _values_and_grads(
-        lambda: T.decoder_sequence(ids, *tensors), tensors, w)
+        lambda: _batch_of_one(ids, tensors), tensors, w)
     composed, composed_grads, _ = _values_and_grads(
-        lambda: reference_kernels.decoder_sequence(ids, *tensors), tensors, w)
+        lambda: reference_kernels.composed_decoder_sequence(ids, *tensors), tensors, w)
     assert entries == 3  # the kernel, mul and sum_all
     assert fused.shape == (steps, 2 * h)
     assert np.abs(fused - composed).max() <= 1e-12
@@ -739,10 +782,10 @@ def test_decoder_step_on_stacked_rows_matches_one_row_calls(seed, m, rows, h):
     xw, ctx, s, c = (_rand(rng, m, k) for k in (4 * h, h, h, h))
     weights = (_rand(rng, h, 4 * h), _rand(rng, h, 4 * h), _rand(rng, rows, h),
                _rand(rng, rows, h), _rand(rng, h, h), _rand(rng, 1, h), _rand(rng, h, 1))
-    stacked = T.decoder_step(xw, ctx, s, c, *weights)[:3]
+    stacked = D.decoder_step(xw, ctx, s, c, *weights)[:3]
     for i in range(m):
         one = slice(i, i + 1)
-        single = T.decoder_step(xw[one], ctx[one], s[one], c[one], *weights)[:3]
+        single = D.decoder_step(xw[one], ctx[one], s[one], c[one], *weights)[:3]
         for got, want in zip(stacked, single):  # s, c and ctx
             assert np.abs(got[one] - want).max() <= 1e-12
 
@@ -753,7 +796,82 @@ def test_decoder_sequence_grad(seed):
     steps, rows, h = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
     ids, tensors = _decoder_inputs(rng, steps, rows, 4, int(rng.integers(1, 4)), h)
     w = Tensor(_rand(rng, steps, 2 * h))
-    _check(list(tensors), lambda: T.sum_all(T.mul(T.decoder_sequence(ids, *tensors), w)))
+    _check(list(tensors), lambda: T.sum_all(T.mul(_batch_of_one(ids, tensors), w)))
+
+
+def _decoder_batch_inputs(rng, lengths, sizes, vocab, d, h):
+    """Per example: ids, s0, enc and enc_proj; then the shared weights."""
+    examples = [(rng.integers(0, vocab, size=steps).tolist(), _param(rng, 1, h),
+                 _param(rng, rows, h), _param(rng, rows, h))
+                for steps, rows in zip(lengths, sizes)]
+    weights = (_param(rng, vocab, d), _param(rng, d + h, 4 * h), _param(rng, h, 4 * h),
+               _param(rng, 1, 4 * h), _param(rng, h, h), _param(rng, 1, h), _param(rng, h, 1))
+    return examples, weights
+
+
+def _relative_error(got, want) -> float:
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       data=st.data(), d=st.integers(1, 4), h=st.integers(1, 5))
+def test_decoder_batch_matches_the_per_example_kernel(seed, lengths, data, d, h):
+    """A batch equals the one-sentence kernel run on each example: bit for
+    bit with one example, and with more the output and every gradient
+    within 1e-12 of the per-example values summed."""
+    sizes = data.draw(st.lists(st.integers(1, 8), min_size=len(lengths), max_size=len(lengths)))
+    rng = np.random.default_rng(seed)
+    examples, weights = _decoder_batch_inputs(rng, lengths, sizes, 5, d, h)
+    inputs = [t for _, *tensors in examples for t in tensors] + list(weights)
+    ws = [Tensor(_rand(rng, steps, 2 * h)) for steps in lengths]
+
+    def batched():
+        ids, s0, enc, enc_proj = zip(*examples)
+        return D.decoder_batch(list(ids), list(s0), list(enc), list(enc_proj), *weights)
+
+    got, got_grads, entries = _values_and_grads(batched, inputs, T.concat(ws))
+    assert entries == 3  # the kernel, mul and sum_all
+    for t in inputs:
+        t.grad = None
+    want = []
+    for (ids, s0, enc, enc_proj), w in zip(examples, ws):  # gradients add up across tapes
+        with T.Tape() as tape:
+            out = reference_kernels.decoder_sequence(ids, s0, enc, enc_proj, *weights)
+            T.backward(tape, T.sum_all(T.mul(out, w)))
+        want.append(out.data)
+    want_grads = [t.grad for t in inputs]
+    if len(lengths) == 1:
+        assert np.array_equal(got, want[0])
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            assert np.array_equal(got_grad, want_grad)
+    else:
+        assert _relative_error(got, np.concatenate(want)) <= 1e-12
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            assert _relative_error(got_grad, want_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_decoder_batch_grad(seed):
+    rng = np.random.default_rng(seed)
+    lengths, sizes = [3, 1, 4], [2, 4, 1]  # unequal targets and encoders
+    examples, weights = _decoder_batch_inputs(rng, lengths, sizes, 4, 2, 3)
+    ids, s0, enc, enc_proj = (list(col) for col in zip(*examples))
+    w = Tensor(_rand(rng, sum(lengths), 6))
+    _check(s0 + enc + enc_proj + list(weights),
+           lambda: T.sum_all(T.mul(D.decoder_batch(ids, s0, enc, enc_proj, *weights), w)))
+
+
+def test_decoder_batch_rejects_mismatched_inputs():
+    rng = np.random.default_rng(0)
+    examples, weights = _decoder_batch_inputs(rng, [2, 3], [2, 2], 4, 2, 3)
+    ids, s0, enc, enc_proj = (list(col) for col in zip(*examples))
+    with pytest.raises(ShapeError):
+        D.decoder_batch(ids, s0[:1], enc, enc_proj, *weights)
+    with pytest.raises(ShapeError):
+        D.decoder_batch([ids[0], []], s0, enc, enc_proj, *weights)
+    with pytest.raises(ShapeError):
+        D.decoder_batch(ids, s0, enc, [enc_proj[0], Tensor(np.zeros((3, 3)))], *weights)
 
 
 @pytest.mark.parametrize("activation", sorted(T.ACTIVATIONS))

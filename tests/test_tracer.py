@@ -8,15 +8,43 @@ here; the tracer is read, never changed.
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs_on_every_name_it_patches():
+def _run(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
-    code = "import spans; spans.install(spans.Tracer()); print('installed')"
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "installed"
+    return done.stdout.strip()
+
+
+def test_tracer_installs_on_every_name_it_patches():
+    assert _run("import spans; spans.install(spans.Tracer()); print('installed')") == "installed"
+
+
+def test_traced_training_runs():
+    # the tracer reads the example of every sequence_loss call, so training
+    # must run under it: here one epoch at batch 3, one backward per batch
+    out = _run("""
+        import importlib.resources as resources
+        import spans
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        tracer.on = True
+        from amrgen import amr, seq2seq, transforms
+        from amrgen.encoders import EncoderConfig
+        text = (resources.files("amrgen") / "data" / "toy_corpus.txt").read_text()
+        examples = [seq2seq.TrainExample(id=ex.id, repr=transforms.prepare_example(ex.graph),
+                                         target=tuple(ex.sentence), reference=tuple(ex.sentence))
+                    for ex in amr.read_corpus_text(text)[:6]]
+        tracer.kind = "GCNSeq"
+        config = EncoderConfig(kind="GCNSeq", input_repr="graph", embedding_dim=8, hidden_dim=8)
+        settings = seq2seq.TrainSettings(batch_size=3, max_epochs=1, unk_threshold=1)
+        seq2seq.train(examples, examples, config, seed=0, settings=settings)
+        print(tracer.calls["seq2seq.train"], tracer.calls["tensor.backward"])
+    """)
+    assert out == "1 2"
