@@ -363,12 +363,20 @@ def _read_hypotheses(path):
     return [line.strip().lower().split() for line in lines]
 
 
+def _references(examples):
+    """Each example's reference tokens, which sentence-level scores need."""
+    for ex in examples:
+        if not ex.reference:
+            raise DataError(f"example {ex.id!r} has an empty reference sentence")
+    return [list(ex.reference) for ex in examples]
+
+
 def cmd_evaluate(args):
     if not args.hyp and not args.ckpt:
         raise ConfigError("evaluate needs --hyp or --ckpt")
     _check_beam(args.beam)
     examples = load_examples(args.data)
-    references = [list(ex.reference) for ex in examples]
+    references = _references(examples)
     if args.hyp:
         hypotheses = _read_hypotheses(args.hyp)
     else:
@@ -412,7 +420,7 @@ def cmd_analyze(args):
             raise ConfigError(f"--outputs names the system {name!r} twice")
         systems[name] = path
     examples = load_examples(args.data)
-    references = [list(ex.reference) for ex in examples]
+    references = _references(examples)
     stats = [compute_stats(ex.repr.graph).to_dict() for ex in examples]
     scores = {}
     for name, path in systems.items():
@@ -455,11 +463,7 @@ def cmd_contrastive(args):
     model = _load_model(args.ckpt)
     examples = {ex.id: ex for ex in load_examples(args.data)}
     pairs = load_pairs(args.pairs)
-    results, skipped = contrastive_eval(
-        lambda ex, tokens: model.score_sentence(ex, tokens),
-        pairs,
-        examples.get,
-    )
+    results, skipped = contrastive_eval(model.score_sentence, pairs, examples.get)
     report = {
         category: {"count": r.count, "accuracy": round(r.accuracy, 2)}
         for category, r in results.items()

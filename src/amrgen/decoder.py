@@ -1,10 +1,10 @@
-"""The attentional decoder's kernels, in numpy on top of the tape in
-`tensor`. Step t runs the LSTM (gate order i, f, o, g) on [y_t ; ctx_{t-1}],
-where y_t is the embedding of the step's input id, and then attends with its
-new hidden state s_t over the encoder rows, which gives ctx_t (input
-feeding). `decoder_step` steps any number of rows over one encoder, for
-decoding; `decoder_batch` runs the teacher-forced recurrence of a batch of
-sentences as one tape entry, for training and scoring.
+"""The attentional decoder in numpy, on the tape in `tensor`. Step t runs the
+LSTM (gate order i, f, o, g) on [y_t ; ctx_{t-1}], y_t the embedding of its
+input id, then attends with its hidden state s_t over the encoder rows, which
+gives ctx_t (input feeding); the output layer gives the log-softmax of
+tanh([s_t ; ctx_t] W_o + b_o) W_v + b_v. `decoder_step` runs a step and the
+output layer for any number of rows, for decoding; `decoder_batch` runs a
+batch's teacher-forced recurrence and `output_nll` its output layer and loss.
 """
 from __future__ import annotations
 
@@ -45,12 +45,68 @@ def _decoder_lstm(xw, ctx, s, c, W_ctx, U):
     return sig[:, 2 * n :] * np.tanh(c), c, sig, g
 
 
-def decoder_step(xw, ctx, s, c, W_ctx, U, enc, enc_proj, U_a, b_a, v_a):
-    """One decoder step for m rows that attend over the same encoder rows,
-    in plain numpy: `_decoder_lstm`, then `_attend`. Returns the (s, c, ctx)
-    rows after the step."""
-    s, c, _, _ = _decoder_lstm(xw, ctx, s, c, W_ctx, U)
-    return s, c, _attend(s, enc, enc_proj, U_a, b_a, v_a)[0]
+def decoder_step(ids, ctx, s, c, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a, W_o, b_o, W_v, b_v):
+    """One step in plain numpy for m rows over the same encoder rows, from
+    their input ids and (m, h) ctx, s and c rows, with `decoder_batch`'s
+    weights and then the output layer's. Returns the (m, V) log-probs of the
+    next id and the (ctx, s, c) rows after the step."""
+    d = emb.shape[1]
+    s, c, _, _ = _decoder_lstm(emb[ids] @ W[:d] + b, ctx, s, c, W[d:], U)
+    ctx = _attend(s, enc, enc_proj, U_a, b_a, v_a)[0]
+    return output_rows(np.concatenate([s, ctx], axis=1), W_o, b_o, W_v, b_v), ctx, s, c
+
+
+def _output_layer(rows, W_o, b_o, W_v, b_v):
+    """o = tanh(rows W_o + b_o) and the log-softmax rows of o W_v + b_v."""
+    o = np.tanh(rows @ W_o + b_o)
+    logits = o @ W_v + b_v
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return o, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def output_rows(rows, W_o, b_o, W_v, b_v):
+    """The (m, V) log-probs of the (m, 2h) rows [s ; ctx], in plain numpy."""
+    return _output_layer(rows, W_o, b_o, W_v, b_v)[1]
+
+
+def output_nll(rows: Tensor, ids, lengths, W_o: Tensor, b_o: Tensor, W_v: Tensor,
+               b_v: Tensor) -> Tensor:
+    """The output layer and the loss as one tape entry: the negative log-prob
+    of ids[t] in row t of `output_rows`, averaged over each of the examples
+    that lengths splits the rows into and summed over them in order. Forward
+    and backward run the composed kernels' operations in their order, so
+    they give those kernels' bits."""
+    idx = np.asarray(ids, dtype=np.intp)
+    if rows.shape != (len(idx), W_o.shape[0]) or sum(lengths) != len(idx):
+        raise ShapeError(f"output_nll shape mismatch: rows {rows.shape}, W_o {W_o.shape}, "
+                         f"{len(idx)} ids in examples of {list(lengths)}")
+    o, log_probs = _output_layer(rows.data, W_o.data, b_o.data, W_v.data, b_v.data)
+    picks = np.arange(len(idx)), idx
+    factors = [-1.0 / length for length in lengths]
+    total = 0.0
+    for part, factor in zip(np.split(log_probs[picks], np.cumsum(lengths)[:-1]), factors):
+        total += part.sum() * factor
+    inputs = (rows, W_o, b_o, W_v, b_v)
+    out = Tensor(np.array(total).reshape(1, 1), requires_grad=any(t.requires_grad for t in inputs))
+
+    def bwd(g):
+        d_logits = np.zeros_like(log_probs)
+        d_logits[picks] += g.reshape(-1)[0] * np.repeat(factors, lengths)
+        d_logits -= np.exp(log_probs) * d_logits.sum(axis=1, keepdims=True)
+        if b_v.requires_grad:
+            _accumulate(b_v, d_logits.sum(axis=0, keepdims=True))
+        if W_v.requires_grad:
+            _accumulate(W_v, o.T @ d_logits)
+        d_pre = (d_logits @ W_v.data.T) * (1.0 - o * o)
+        if b_o.requires_grad:
+            _accumulate(b_o, d_pre.sum(axis=0, keepdims=True))
+        if W_o.requires_grad:
+            _accumulate(W_o, rows.data.T @ d_pre)
+        if rows.requires_grad:
+            _accumulate(rows, d_pre @ W_o.data.T)
+
+    _record(out, bwd)
+    return out
 
 
 class _Packing:

@@ -98,7 +98,7 @@ class LstmCell:
         self.U = store.uniform(f"{name}.U", (hidden, 4 * hidden))
         self.b = store.zeros(f"{name}.b", (1, 4 * hidden))
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor):
+    def step(self, x: Tensor, h: Tensor, c: Tensor) -> Tensor:
         return lstm_step(x, h, c, self.W, self.U, self.b)
 
 

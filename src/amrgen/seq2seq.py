@@ -1,12 +1,8 @@
-"""Attentional sequence decoder, teacher-forced training, decoding and
-sentence scoring.
-
-The decoder is a single-layer LSTM with additive attention over the encoder
-rows and input feeding: each step consumes the previous target embedding
-concatenated with the previous attention context. A training batch is one
-tape: its examples are encoded one by one, then the teacher-forced decoder,
-the output layer and the loss each run once over all of them. Runs are
-bit-reproducible for a fixed seed.
+"""The encoder-decoder model over `encoders` and `decoder`: teacher-forced
+training, decoding and sentence scoring. A training batch is one tape: its
+examples are encoded one by one, then the decoder's recurrence and its output
+layer with the loss run as one tape entry each. Runs are bit-reproducible for
+a fixed seed.
 """
 from __future__ import annotations
 
@@ -18,7 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import tensor as T
-from .decoder import decoder_batch, decoder_step
+from .decoder import decoder_batch, decoder_step, output_nll, output_rows
 from .encoders import EncoderConfig, LstmCell, StackEncoder
 from .tensor import Tensor
 from .transforms import ExampleRepr, deanonymize
@@ -49,8 +45,8 @@ class TrainSettings:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "clip_norm"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -102,17 +98,12 @@ class Seq2SeqModel:
         mean = T.scale(T.sum_rows(enc), 1.0 / enc.shape[0])
         return T.tanh(T.add(T.matmul(mean, self.W_init), self.b_init))
 
-    def _output(self, rows: Tensor) -> Tensor:
-        """The log-softmax rows over the target vocabulary for (m, 2h) rows [s ; ctx]."""
-        o = T.tanh(T.add(T.matmul(rows, self.W_o), self.b_o))
-        return T.log_softmax(T.add(T.matmul(o, self.W_v), self.b_v))
-
     def _teacher_forced(self, examples, token_lists, rng=None):
-        """The log-softmax rows of each example's tokens + EOS, one example
-        after another, and the target ids of each, feeding the reference
-        token back in at every step. The examples are encoded one by one in
-        order, so dropout draws from rng in that order; the recurrence is one
-        decoder_batch entry, and the output layer runs once over all rows."""
+        """The output layer's input rows [s ; ctx] of each example's tokens +
+        EOS, one example after another, and the target ids of each, feeding
+        the reference token back in at every step. The examples are encoded
+        one by one in order, so dropout draws from rng in that order; the
+        recurrence is one decoder_batch entry."""
         bos, eos = self.tgt_vocab.index(BOS), self.tgt_vocab.index(EOS)
         targets, encs, projs, first_states = [], [], [], []
         for ex, tokens in zip(examples, token_lists):
@@ -124,13 +115,14 @@ class Seq2SeqModel:
         rows = decoder_batch(
             [[bos] + ids[:-1] for ids in targets], first_states, encs, projs, self.tgt_embedding,
             self.cell.W, self.cell.U, self.cell.b, self.U_a, self.b_a, self.v_a)
-        return self._output(rows), targets
+        return rows, targets
 
     def batch_loss(self, examples, rng=None) -> Tensor:
         """The sum over the examples, in order, of each one's mean token
         negative log-likelihood of its target, teacher-forced."""
-        log_probs, targets = self._teacher_forced(examples, [ex.target for ex in examples], rng)
-        return T.mean_nll(log_probs, [i for ids in targets for i in ids], list(map(len, targets)))
+        rows, targets = self._teacher_forced(examples, [ex.target for ex in examples], rng)
+        return output_nll(rows, [i for ids in targets for i in ids], list(map(len, targets)),
+                          self.W_o, self.b_o, self.W_v, self.b_v)
 
     def sequence_loss(self, ex: TrainExample, rng=None) -> Tensor:
         """Mean token negative log-likelihood of the target, teacher-forced."""
@@ -138,8 +130,10 @@ class Seq2SeqModel:
 
     def score_sentence(self, ex: TrainExample, tokens) -> float:
         """Total log-probability of the token sequence (EOS included)."""
-        log_probs, (targets,) = self._teacher_forced([ex], [tokens])
-        return float(log_probs.data[np.arange(len(targets)), targets].sum())
+        rows, (targets,) = self._teacher_forced([ex], [tokens])
+        log_probs = output_rows(rows.data, self.W_o.data, self.b_o.data, self.W_v.data,
+                                self.b_v.data)
+        return float(log_probs[np.arange(len(targets)), targets].sum())
 
     def greedy_decode(self, ex: TrainExample, max_len: int = None):
         """Beam search with a beam of 1; see beam_decode."""
@@ -218,17 +212,10 @@ class Seq2SeqModel:
         return [self.tgt_vocab.token(i) for i in ids], logp, truncated
 
     def _step(self, token_ids, ctx, s, c, enc, enc_proj):
-        """One decoder step for m rows in plain numpy: token_ids holds m ids,
-        ctx, s and c are the (m, h) state arrays and enc, enc_proj the encoder
-        rows' arrays. Returns the (m, V) log-probs of the next id and the
-        (ctx, s, c) arrays after the step."""
-        d = self.config.embedding_dim
-        W = self.cell.W.data
-        xw = self.tgt_embedding.data[token_ids] @ W[:d] + self.cell.b.data
-        s, c, ctx = decoder_step(xw, ctx, s, c, W[d:], self.cell.U.data, enc, enc_proj,
-                                 self.U_a.data, self.b_a.data, self.v_a.data)
-        o = np.tanh(np.concatenate([s, ctx], axis=1) @ self.W_o.data + self.b_o.data)
-        return T.log_softmax_rows(o @ self.W_v.data + self.b_v.data), ctx, s, c
+        """`decoder.decoder_step` with the model's weights."""
+        weights = (self.tgt_embedding, self.cell.W, self.cell.U, self.cell.b, self.U_a, self.b_a,
+                   self.v_a, self.W_o, self.b_o, self.W_v, self.b_v)
+        return decoder_step(token_ids, ctx, s, c, enc, enc_proj, *(p.data for p in weights))
 
 
 _FIRST = itemgetter(0)

@@ -45,7 +45,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops = []  # (output tensor or tuple of output tensors, backward fn)
+        self._ops = []  # (output tensor, backward fn)
         self._consumed = False
         self._prev = None
 
@@ -67,12 +67,10 @@ class Tape:
 _ACTIVE_TAPE = None
 
 
-def _record(out, backward) -> None:
-    """out is one Tensor, or a tuple of Tensors for a multi-output kernel,
-    whose backward then takes one gradient per output (None where an output
-    received none)."""
-    first = out[0] if type(out) is tuple else out
-    if first.requires_grad and _ACTIVE_TAPE is not None:
+def _record(out: Tensor, backward) -> None:
+    """Put a kernel's output on the active tape with its backward function,
+    which takes the output's gradient."""
+    if out.requires_grad and _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE._ops.append((out, backward))
 
 
@@ -119,13 +117,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     for i in range(len(ops) - 1, -1, -1):
         out, fn = ops[i]
         ops[i] = None
-        if type(out) is tuple:
-            grads = [t.grad for t in out]
-            if any(g is not None for g in grads):
-                fn(*grads)
-            for t in out:
-                t.grad = None
-        elif out.grad is not None:
+        if out.grad is not None:
             fn(out.grad)
             out.grad = None
         del fn
@@ -285,14 +277,9 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    """The log-softmax of each row of an array."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def log_softmax(a: Tensor) -> Tensor:
-    value = log_softmax_rows(a.data)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    value = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = Tensor(value, requires_grad=a.requires_grad)
     soft = np.exp(value)
 
@@ -374,33 +361,6 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
     return out
 
 
-def mean_nll(log_probs: Tensor, ids, lengths=None) -> Tensor:
-    """The negative log-probability of ids[t] in row t of the (T, V)
-    log-probability rows, averaged over each example's rows and summed over
-    the examples in order, as a (1, 1) tensor and one tape entry. lengths
-    splits the rows into consecutive examples; without it they are one."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if lengths is None:
-        lengths = [len(idx)]
-    if log_probs.data.ndim != 2 or log_probs.shape[0] != len(idx) or sum(lengths) != len(idx):
-        raise ShapeError(f"mean_nll shape mismatch: {log_probs.shape} rows for {len(idx)} ids "
-                         f"in examples of {list(lengths)}")
-    rows = np.arange(len(idx))
-    factors = [-1.0 / length for length in lengths]
-    picked = log_probs.data[rows, idx]
-    total, start = 0.0, 0
-    for length, factor in zip(lengths, factors):
-        total += picked[start : start + length].sum() * factor
-        start += length
-    out = Tensor(np.array(total).reshape(1, 1), requires_grad=log_probs.requires_grad)
-
-    def bwd(g):
-        _grad_buffer(log_probs)[rows, idx] += g.reshape(-1)[0] * np.repeat(factors, lengths)
-
-    _record(out, bwd)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Fused LSTM kernels. Gate order i, f, o, g: with z = x W + h U + b,
 # i, f, o = sigmoid(z blocks 0-2), g = tanh(z block 3),
@@ -412,31 +372,24 @@ def _lstm_gates(z, n):
     return 1.0 / (1.0 + np.exp(-z[..., : 3 * n])), np.tanh(z[..., 3 * n :])
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor):
-    """One LSTM step as one tape entry with two outputs, (h', c').
-
-    Backward runs when either output has a gradient; a missing one is zero.
-    """
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """One LSTM step as one tape entry, returning the (m, 2n) rows [h' ; c']."""
     n = h.shape[1]
     z = x.data @ W.data + h.data @ U.data + b.data
     sig, g = _lstm_gates(z, n)
     i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
     c_next = f * c.data + i * g
     tc = np.tanh(c_next)
-    needs = any(t.requires_grad for t in (x, h, c, W, U, b))
-    h_out = Tensor(o * tc, requires_grad=needs)
-    c_out = Tensor(c_next, requires_grad=needs)
+    out = Tensor(np.concatenate([o * tc, c_next], axis=1),
+                 requires_grad=any(t.requires_grad for t in (x, h, c, W, U, b)))
 
-    def bwd(dh, dc):
+    def bwd(d_out):
+        dh = d_out[:, :n]
+        dc = d_out[:, n:] + dh * o * (1.0 - tc * tc)
         dz = np.empty_like(z)
-        if dh is None:
-            dz[:, 2 * n : 3 * n] = 0.0
-        else:
-            dz[:, 2 * n : 3 * n] = dh * tc
-            from_h = dh * o * (1.0 - tc * tc)
-            dc = from_h if dc is None else dc + from_h
         dz[:, :n] = dc * g
         dz[:, n : 2 * n] = dc * c.data
+        dz[:, 2 * n : 3 * n] = dh * tc
         dz[:, : 3 * n] *= sig * (1.0 - sig)
         dz[:, 3 * n :] = dc * i * (1.0 - g * g)
         if x.requires_grad:
@@ -452,8 +405,8 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor):
         if b.requires_grad:
             _accumulate(b, _unbroadcast(dz, b.shape))
 
-    _record((h_out, c_out), bwd)
-    return h_out, c_out
+    _record(out, bwd)
+    return out
 
 
 def _previous_rows(a: np.ndarray, reverse: bool) -> np.ndarray:

@@ -1,7 +1,8 @@
 """References that the kernel tests compare the fused kernels with:
 `decoder.decoder_batch` with the one-sentence decoder kernel that it replaced
-and with that kernel composed from single-step kernels, and `tensor.gcn_layer`
-with its composed code."""
+and with that kernel composed from single-step kernels, `decoder.output_nll`
+with the output layer and loss composed from single kernels, and
+`tensor.gcn_layer` with its composed code."""
 import numpy as np
 
 from amrgen import decoder as D, tensor as T
@@ -29,7 +30,8 @@ def composed_decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_
     s_rows, ctx_rows = [], []
     for prev in ids:
         x = T.concat([T.embedding_lookup(emb, [prev]), ctx], axis=1)
-        s, c = T.lstm_step(x, s, c, W, U, b)
+        state = T.lstm_step(x, s, c, W, U, b)
+        s, c = T.slice_cols(state, 0, n), T.slice_cols(state, n, 2 * n)
         ctx = _composed_attention(s, enc, enc_proj, U_a, b_a, v_a)
         s_rows.append(s)
         ctx_rows.append(ctx)
@@ -135,6 +137,21 @@ def decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a):
 
     T._record(out, bwd)
     return out
+
+
+def output_nll(rows, ids, lengths, W_o, b_o, W_v, b_v):
+    """The output layer, log-softmax and per-example mean NLL from single
+    kernels: each example's picked log-probs summed as one column, scaled by
+    -1 / its length, and the examples' losses added in order."""
+    o = T.tanh(T.add(T.matmul(rows, W_o), b_o))
+    log_probs = T.log_softmax(T.add(T.matmul(o, W_v), b_v))
+    total, start = None, 0
+    for length in lengths:
+        picks = [T.pick(log_probs, t, ids[t]) for t in range(start, start + length)]
+        loss = T.scale(T.sum_rows(T.concat(picks)), -1.0 / length)
+        total = loss if total is None else T.add(total, loss)
+        start += length
+    return total
 
 
 def gcn_layer(H, a_in, a_out, W_in, W_out, b, activation, W_t=None, b_t=None):

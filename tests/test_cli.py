@@ -168,6 +168,8 @@ def test_train_bad_model_flag_is_config_error(small_jsonl, tmp_path, capsys):
         ("--epochs", "0"),
         ("--patience", "0"),
         ("--lr", "0"),
+        ("--lr", "inf"),
+        ("--lr", "nan"),
         ("--gcn-layers", "0"),
         ("--gcn-layers", "-2"),
     ],
@@ -372,6 +374,35 @@ def test_evaluate_length_mismatch_is_data_error(small_jsonl, tmp_path):
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("only one line\n")
     assert main(["evaluate", "--data", str(small_jsonl), "--hyp", str(hyp)]) == EXIT_DATA
+
+
+@pytest.fixture()
+def no_snt_jsonl(tmp_path):
+    """A corpus whose second block has no # ::snt line, so its record's
+    sentence is empty."""
+    src = tmp_path / "no_snt.amr"
+    src.write_text(GOOD_BLOCK + "\n# ::id no-snt\n(r / run-02 :arg0 (d / dog))\n")
+    out = tmp_path / "no_snt.jsonl"
+    assert main(["preprocess", "--input", str(src), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text().splitlines()[1])["sentence"] == []
+    return out
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze"])
+def test_empty_reference_is_data_error(command, no_snt_jsonl, tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the boy sleeps at night\na dog runs\n")
+    flag = ["--hyp", str(hyp)] if command == "evaluate" else ["--outputs", f"S={hyp}"]
+    capsys.readouterr()
+    assert main([command, "--data", str(no_snt_jsonl), *flag]) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and "no-snt" in err[0], err
+
+
+def test_empty_reference_still_trains_and_generates(no_snt_jsonl, tmp_path, capsys):
+    assert train_quick(no_snt_jsonl, tmp_path / "model") == EXIT_OK
+    ckpt = tmp_path / "model" / "checkpoint.bin"
+    assert main(["generate", "--ckpt", str(ckpt), "--data", str(no_snt_jsonl)]) == EXIT_OK
 
 
 # --------------------------------------------------------------------------

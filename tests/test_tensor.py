@@ -410,7 +410,8 @@ def test_lstm_step_grad(seed, outputs):
     wh, wc = Tensor(_rand(rng, rows, n)), Tensor(_rand(rng, rows, n))
 
     def loss():
-        h_next, c_next = T.lstm_step(x, h, c, W, U, b)
+        state = T.lstm_step(x, h, c, W, U, b)
+        h_next, c_next = T.slice_cols(state, 0, n), T.slice_cols(state, n, 2 * n)
         if outputs == "h":
             return T.sum_all(T.mul(h_next, wh))
         if outputs == "c":
@@ -436,10 +437,11 @@ def test_fused_lstm_forward_matches_composed(seed):
     rows, d, n = 3, 5, 4
     x, W, U, b = _lstm_params(rng, rows, d, n)
     h, c = _param(rng, rows, n), _param(rng, rows, n)
-    fused = T.lstm_step(x, h, c, W, U, b)
+    fused = T.lstm_step(x, h, c, W, U, b).data
     composed = _composed_lstm_step(x, h, c, W, U, b)
-    for got, want in zip(fused, composed):
-        assert np.abs(got.data - want.data).max() <= 1e-12
+    assert fused.shape == (rows, 2 * n)
+    for got, want in zip((fused[:, :n], fused[:, n:]), composed):
+        assert np.abs(got - want.data).max() <= 1e-12
     X = _param(rng, 7, d)
     for reverse in (False, True):
         fused = T.lstm_sequence(X, W, U, b, reverse).data
@@ -453,10 +455,10 @@ def test_lstm_step_is_one_tape_entry():
     x, W, U, b = _lstm_params(rng, 1, 3, 2)
     zero = Tensor(np.zeros((1, 2)))
     with T.Tape() as tape:
-        h, c = T.lstm_step(x, zero, zero, W, U, b)
+        state = T.lstm_step(x, zero, zero, W, U, b)
         T.lstm_sequence(x, W, U, b)
     assert len(tape) == 2
-    assert h.requires_grad and c.requires_grad
+    assert state.shape == (1, 4) and state.requires_grad
 
 
 def test_constant_operands_get_no_gradient():
@@ -490,30 +492,32 @@ def test_backward_releases_each_entry_once_it_has_run():
     x = _param(rng, 2, 3)
     store = T.ParamStore(rng)
     W, U, b = store.uniform("W", (3, 8)), store.uniform("U", (2, 8)), store.zeros("b", (1, 8))
-    V = store.uniform("V", (2, 4))
+    output = (store.uniform("W_o", (2, 3)), store.zeros("b_o", (1, 3)),
+              store.uniform("W_v", (3, 4)), store.zeros("b_v", (1, 4)))
     store.pack()
     gc.disable()
     try:
         with T.Tape() as tape:
             zero = Tensor(np.zeros((2, 2)))
-            h, c = T.lstm_step(x, zero, zero, W, U, b)
-            log_probs = T.log_softmax(T.matmul(h, V))
-            loss = T.mean_nll(log_probs, [1, 3])
+            state = T.lstm_step(x, zero, zero, W, U, b)
+            h = T.slice_cols(state, 0, 2)
+            loss = D.output_nll(h, [1, 3], [2], *output)
         entries = len(tape)
         # arrays that only a kernel's backward closure holds: the LSTM's
-        # tanh(c') and the log-softmax's probabilities
+        # tanh(c') and the output layer's log-probs
         saved = {name: weakref.ref(cell.cell_contents)
                  for _, fn in tape._ops for name, cell in zip(fn.__code__.co_freevars,
                                                                fn.__closure__)
-                 if name in ("tc", "soft")}
-        assert sorted(saved) == ["soft", "tc"] and all(ref() is not None for ref in saved.values())
+                 if name in ("tc", "log_probs")}
+        assert sorted(saved) == ["log_probs", "tc"]
+        assert all(ref() is not None for ref in saved.values())
         T.backward(tape, loss)
         assert len(tape) == entries
         assert all(ref() is None for ref in saved.values())
-        for t in (h, c, log_probs, loss):  # intermediate outputs
+        for t in (state, h, loss):  # intermediate outputs
             assert t.grad is None
         assert x.grad is not None and np.isfinite(x.grad).all()
-        for p in (W, U, b, V):  # parameter gradients stay views of the packed vector
+        for p in (W, U, b, *output):  # parameter gradients stay views of the packed vector
             assert np.shares_memory(p.grad, store.grad)
         assert store.grad.any()
     finally:
@@ -535,58 +539,85 @@ def test_tape_is_freed_without_the_cycle_collector():
     try:
         with T.Tape() as tape:
             zero = Tensor(np.zeros((1, 2)))
-            h, _ = T.lstm_step(x, zero, zero, W, U, b)
-            loss = T.sum_all(T.matmul(h, store.uniform("V", (2, 2))))
+            state = T.lstm_step(x, zero, zero, W, U, b)
+            loss = T.sum_all(T.matmul(state, store.uniform("V", (4, 2))))
             T.backward(tape, loss)
         ref = weakref.ref(tape)
-        del tape, h, loss
+        del tape, state, loss
         assert ref() is None
     finally:
         gc.enable()
 
 
 # --------------------------------------------------------------------------
-# Loss kernel
+# Output layer and loss kernel
 
 
-def _composed_mean_nll(log_probs, ids):
-    total = T.pick(log_probs, 0, ids[0])
-    for t, i in enumerate(ids[1:], start=1):
-        total = T.add(total, T.pick(log_probs, t, i))
-    return T.scale(total, -1.0 / len(ids))
+def _output_inputs(rng, rows, h, vocab, examples):
+    """rows split into examples of random lengths, their target ids, and the
+    output layer's rows and weights."""
+    cuts = sorted(rng.choice(np.arange(1, rows), size=examples - 1, replace=False).tolist())
+    lengths = np.diff([0, *cuts, rows]).tolist()
+    ids = rng.integers(0, vocab, size=rows).tolist()
+    tensors = (_param(rng, rows, 2 * h), _param(rng, 2 * h, h), _param(rng, 1, h),
+               _param(rng, h, vocab), _param(rng, 1, vocab))
+    return ids, lengths, tensors
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_mean_nll_grad(seed):
+    # the mean NLL as output_nll computes it, through the output layer
     rng = np.random.default_rng(seed)
-    rows, vocab = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-    logits = _param(rng, rows, vocab)
-    ids = rng.integers(0, vocab, size=rows).tolist()
-    _check([logits], lambda: T.mean_nll(T.log_softmax(logits), ids))
+    rows, h, vocab = (int(v) for v in rng.integers(1, 6, size=3))
+    ids, lengths, tensors = _output_inputs(rng, rows, h, vocab, int(rng.integers(1, rows + 1)))
+    _check(list(tensors), lambda: D.output_nll(tensors[0], ids, lengths, *tensors[1:]))
+
+
+def _assert_output_nll_matches_composed(ids, lengths, tensors):
+    """One entry with the composed kernels' loss and all five gradients, bit
+    for bit."""
+    results = []
+    for kernel in (D.output_nll, reference_kernels.output_nll):
+        for t in tensors:
+            t.grad = None
+        with T.Tape() as tape:
+            loss = kernel(tensors[0], ids, lengths, *tensors[1:])
+            T.backward(tape, loss)
+        results.append((len(tape), loss.data, [t.grad for t in tensors]))
+    (entries, loss, grads), (_, want_loss, want_grads) = results
+    assert entries == 1 and loss.shape == (1, 1)
+    assert np.array_equal(loss, want_loss)
+    for got, want in zip(grads, want_grads):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_mean_nll_matches_composed(seed):
+    # the mean NLL over one or more examples, as output_nll computes it
     rng = np.random.default_rng(seed)
-    rows, vocab = int(rng.integers(1, 12)), 5
-    ids = rng.integers(0, vocab, size=rows).tolist()
-    data = _rand(rng, rows, vocab)
-    results = []
-    for loss_fn in (T.mean_nll, _composed_mean_nll):
-        logits = Tensor(data.copy(), requires_grad=True)
-        with T.Tape() as tape:
-            loss = loss_fn(T.log_softmax(logits), ids)
-            T.backward(tape, loss)
-        results.append((loss.data, logits.grad))
-    (loss, grad), (want_loss, want_grad) = results
-    assert loss.shape == (1, 1)
-    assert np.abs(loss - want_loss).max() <= 1e-12
-    assert np.abs(grad - want_grad).max() <= 1e-12
+    rows = int(rng.integers(1, 12))
+    examples = int(rng.integers(1, min(rows, 4) + 1))
+    _assert_output_nll_matches_composed(*_output_inputs(rng, rows, 3, 5, examples))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), rows=st.integers(1, 12), h=st.integers(1, 5),
+       vocab=st.integers(1, 8), data=st.data())
+def test_output_nll_matches_composed(seed, rows, h, vocab, data):
+    examples = data.draw(st.integers(1, min(rows, 4)))
+    _assert_output_nll_matches_composed(
+        *_output_inputs(np.random.default_rng(seed), rows, h, vocab, examples))
 
 
 def test_mean_nll_rejects_a_row_count_mismatch():
+    rng = np.random.default_rng(0)
+    ids, lengths, (rows, *weights) = _output_inputs(rng, 3, 2, 4, 1)
     with pytest.raises(ShapeError):
-        T.mean_nll(Tensor(np.zeros((3, 4))), [0, 1])
+        D.output_nll(rows, ids[:2], [2], *weights)
+    with pytest.raises(ShapeError):
+        D.output_nll(rows, ids, [2], *weights)
+    with pytest.raises(ShapeError):
+        D.output_nll(rows, ids, lengths, weights[2], *weights[1:])
 
 
 # --------------------------------------------------------------------------
@@ -773,21 +804,39 @@ def test_gcn_layer_matches_composed(seed, nodes, edge_count, h, highway, activat
         assert np.abs(got - want).max() <= 1e-9
 
 
+def _step_inputs(rng, m, rows, vocab, d, h):
+    """decoder_step's arguments after the ids: m rows' ctx, s and c, the
+    encoder rows and their projection, then the weights."""
+    return ((*(_rand(rng, m, h) for _ in range(3)), _rand(rng, rows, h), _rand(rng, rows, h),
+             _rand(rng, vocab, d), _rand(rng, d + h, 4 * h), _rand(rng, h, 4 * h),
+             _rand(rng, 1, 4 * h), _rand(rng, h, h), _rand(rng, 1, h), _rand(rng, h, 1),
+             _rand(rng, 2 * h, h), _rand(rng, 1, h), _rand(rng, h, vocab), _rand(rng, 1, vocab)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), m=st.integers(1, 5), rows=st.integers(1, 10),
        h=st.integers(1, 5))
 def test_decoder_step_on_stacked_rows_matches_one_row_calls(seed, m, rows, h):
     # beam search steps all its hypotheses as m stacked rows at once
     rng = np.random.default_rng(seed)
-    xw, ctx, s, c = (_rand(rng, m, k) for k in (4 * h, h, h, h))
-    weights = (_rand(rng, h, 4 * h), _rand(rng, h, 4 * h), _rand(rng, rows, h),
-               _rand(rng, rows, h), _rand(rng, h, h), _rand(rng, 1, h), _rand(rng, h, 1))
-    stacked = D.decoder_step(xw, ctx, s, c, *weights)[:3]
+    ids = rng.integers(0, 6, size=m).tolist()
+    ctx, s, c, *weights = _step_inputs(rng, m, rows, 6, 3, h)
+    stacked = D.decoder_step(ids, ctx, s, c, *weights)
     for i in range(m):
         one = slice(i, i + 1)
-        single = D.decoder_step(xw[one], ctx[one], s[one], c[one], *weights)[:3]
-        for got, want in zip(stacked, single):  # s, c and ctx
+        single = D.decoder_step(ids[one], ctx[one], s[one], c[one], *weights)
+        for got, want in zip(stacked, single):  # log-probs, ctx, s and c
             assert np.abs(got[one] - want).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 5), h=st.integers(1, 5))
+def test_decoder_step_ends_in_the_output_layer(seed, m, h):
+    rng = np.random.default_rng(seed)
+    ctx, s, c, *weights = _step_inputs(rng, m, 4, 6, 3, h)
+    log_probs, ctx, s, c = D.decoder_step(rng.integers(0, 6, size=m).tolist(), ctx, s, c, *weights)
+    rows = np.concatenate([s, ctx], axis=1)
+    assert np.array_equal(log_probs, D.output_rows(rows, *weights[-4:]))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -48,3 +48,40 @@ def test_traced_training_runs():
         print(tracer.calls["seq2seq.train"], tracer.calls["tensor.backward"])
     """)
     assert out == "1 2"
+
+
+def test_traced_decoding_runs():
+    # the tracer wraps the decode path's methods, so greedy and beam search,
+    # scoring and a checkpoint round trip must run under it too
+    out = _run("""
+        import importlib.resources as resources
+        import os
+        import tempfile
+        import spans
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        tracer.on = True
+        from amrgen import amr, seq2seq, transforms
+        from amrgen.encoders import EncoderConfig
+        text = (resources.files("amrgen") / "data" / "toy_corpus.txt").read_text()
+        examples = [seq2seq.TrainExample(id=ex.id, repr=transforms.prepare_example(ex.graph),
+                                         target=tuple(ex.sentence), reference=tuple(ex.sentence))
+                    for ex in amr.read_corpus_text(text)[:2]]
+        config = EncoderConfig(kind="TreeLSTMSeq", input_repr="tree", embedding_dim=8,
+                               hidden_dim=8)
+        src, tgt = seq2seq.build_vocabs(examples, unk_threshold=1)
+        model = seq2seq.Seq2SeqModel(config, src, tgt, seed=0)
+        for ex in examples:
+            for beam in (1, 3):
+                seq2seq.generate(model, ex, beam=beam)
+            model.score_sentence(ex, ex.target)
+        arrays = {name: p.data for name, p in model.params().items()}
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "checkpoint.bin")
+            seq2seq.Checkpoint(config, src, tgt, arrays, meta={}).save(path)
+            loaded = seq2seq.Checkpoint.load(path).build_model()
+        seq2seq.generate(loaded, examples[0], beam=3)
+        print(*(tracer.calls[f"seq2seq.{name}"] for name in
+                ("beam_decode", "score_sentence", "Checkpoint.load")))
+    """)
+    assert out == "5 2 1"
