@@ -5,6 +5,7 @@ gives ctx_t (input feeding); the output layer gives the log-softmax of
 tanh([s_t ; ctx_t] W_o + b_o) W_v + b_v. `decoder_step` runs a step and the
 output layer for any number of rows, for decoding; `decoder_batch` runs a
 batch's teacher-forced recurrence and `output_nll` its output layer and loss.
+`initial_rows` and `initial_state` give the first hidden state.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import itertools
 import numpy as np
 
 from . import tensor
-from .tensor import ShapeError, Tensor, _accumulate, _grad_buffer, _lstm_gates, _record
+from .tensor import (ShapeError, Tensor, _accumulate, _grad_buffer, _lstm_gates, _record,
+                     packed_layout)
 
 
 def _attend(q, enc, enc_proj, U, b, v):
@@ -54,6 +56,48 @@ def decoder_step(ids, ctx, s, c, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a, W_o
     s, c, _, _ = _decoder_lstm(emb[ids] @ W[:d] + b, ctx, s, c, W[d:], U)
     ctx = _attend(s, enc, enc_proj, U_a, b_a, v_a)[0]
     return output_rows(np.concatenate([s, ctx], axis=1), W_o, b_o, W_v, b_v), ctx, s, c
+
+
+def _initial(enc, sizes, W_init, b_init):
+    """Each example's mean encoder row, summed over the rows in order, and
+    tanh(mean W_init + b_init), the latter a row-stacked one-row product."""
+    ends = list(itertools.accumulate(sizes))
+    mean = np.concatenate([enc[end - size : end].sum(axis=0, keepdims=True)
+                           for size, end in zip(sizes, ends)])
+    mean *= (1.0 / np.array(sizes, dtype=np.float64))[:, None]
+    return mean, np.tanh(np.matmul(mean[:, None], W_init)[:, 0] + b_init)
+
+
+def initial_rows(enc, sizes, W_init, b_init):
+    """The decoder's first hidden state of each example in plain numpy, one
+    (B, h) row per example: tanh(m W_init + b_init) with m the mean of the
+    example's encoder rows. enc holds the examples' rows one example after
+    another and sizes their row counts; the cell and the context start at
+    zero."""
+    return _initial(enc, sizes, W_init, b_init)[1]
+
+
+def initial_state(enc: Tensor, sizes, W_init: Tensor, b_init: Tensor) -> Tensor:
+    """`initial_rows` as one tape entry. Forward and backward run the
+    composed kernels' operations (row sum, scale, matmul, add, tanh) in their
+    order, so a batch of one gives their bits."""
+    if enc.data.ndim != 2 or sum(sizes) != enc.shape[0] or min(sizes) < 1:
+        raise ShapeError(f"initial_state shape mismatch: enc {enc.shape}, sizes {list(sizes)}")
+    mean, state = _initial(enc.data, sizes, W_init.data, b_init.data)
+    out = Tensor(state, requires_grad=any(t.requires_grad for t in (enc, W_init, b_init)))
+
+    def bwd(g):
+        d_pre = g * (1.0 - state * state)
+        if b_init.requires_grad:
+            _accumulate(b_init, d_pre.sum(axis=0, keepdims=True))
+        if enc.requires_grad:
+            d_mean = (d_pre @ W_init.data.T) * (1.0 / np.array(sizes, dtype=np.float64))[:, None]
+            _accumulate(enc, np.repeat(d_mean, sizes, axis=0))
+        if W_init.requires_grad:
+            _accumulate(W_init, mean.T @ d_pre)
+
+    _record(out, bwd)
+    return out
 
 
 def _output_layer(rows, W_o, b_o, W_v, b_v):
@@ -124,16 +168,10 @@ class _Packing:
 
     def __init__(self, lengths, sizes):
         batch = len(lengths)
-        self.order = sorted(range(batch), key=lambda j: -lengths[j])
+        self.order, self.running, starts = packed_layout(lengths)
         self.lengths = [lengths[j] for j in self.order]
         self.sizes = [sizes[j] for j in self.order]
         self.width = max(sizes)
-        self.running, m = [], batch
-        for t in range(self.lengths[0]):
-            while self.lengths[m - 1] <= t:
-                m -= 1
-            self.running.append(m)
-        starts = [0, *itertools.accumulate(self.running)]
         enc_starts = [0, *itertools.accumulate(self.sizes)]
         self.steps = [(slice(a, a + m), m, enc_starts[m]) for a, m in zip(starts, self.running)]
         if batch == 1:  # the identity layout
@@ -189,15 +227,16 @@ class _Packing:
         return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def decoder_batch(ids, s0, enc, enc_proj, emb: Tensor, W: Tensor, U: Tensor, b: Tensor,
+def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tensor, b: Tensor,
                   U_a: Tensor, b_a: Tensor, v_a: Tensor) -> Tensor:
     """The decoder's recurrence over a batch of sentences as one tape entry.
-    ids holds each example's input ids, and s0, enc and enc_proj hold its
-    (1, h) first hidden state, its (N, h) encoder rows and their projection;
-    the cell and the context start at zero. emb is the (V, d) table of the
-    ids' embeddings, W, U and b are the LSTM's weights over [y ; ctx], and
-    U_a, b_a and v_a those of the attention, as in `_attend`. The output has
-    each example's rows, one after another in the given order: row t of an
+    ids holds each example's input ids, s0 their (B, h) first hidden states,
+    and enc and enc_proj the examples' encoder rows, one example after
+    another, with sizes their row counts, and the rows' projection; the cell
+    and the context start at zero. emb is the (V, d) table of the ids'
+    embeddings, W, U and b are the LSTM's weights over [y ; ctx], and U_a,
+    b_a and v_a those of the attention, as in `_attend`. The output has each
+    example's rows, one after another in the given order: row t of an
     example is [s_t ; ctx_t], the output layer's input.
 
     The steps run over a `_Packing` of the batch. emb[ids] W[:d] + b is one
@@ -216,33 +255,33 @@ def decoder_batch(ids, s0, enc, enc_proj, emb: Tensor, W: Tensor, U: Tensor, b: 
     gives that kernel's bits.
     """
     batch, d, n = len(ids), emb.shape[1], U.shape[0]
-    if not batch or not len(s0) == len(enc) == len(enc_proj) == batch:
-        raise ShapeError(f"decoder_batch needs one s0, enc and enc_proj per id list, got "
-                         f"{batch}, {len(s0)}, {len(enc)} and {len(enc_proj)}")
-    if (W.shape != (d + n, 4 * n) or min(map(len, ids)) < 1 or any(t.shape != (1, n) for t in s0)
-            or any(p.shape != e.shape or e.shape[0] < 1 for e, p in zip(enc, enc_proj))):
-        raise ShapeError(f"decoder_batch shape mismatch: W {W.shape}, s0 "
-                         f"{[t.shape for t in s0]}, enc {[t.shape for t in enc]}, enc_proj "
-                         f"{[t.shape for t in enc_proj]}, lengths {[len(i) for i in ids]}")
-    pack = _Packing([len(i) for i in ids], [e.shape[0] for e in enc])
+    if (not batch or len(sizes) != batch or min(sizes) < 1 or s0.shape != (batch, n)
+            or enc.shape != (sum(sizes), n) or enc_proj.shape != enc.shape
+            or W.shape != (d + n, 4 * n) or min(map(len, ids)) < 1):
+        raise ShapeError(f"decoder_batch shape mismatch: {batch} id lists of lengths "
+                         f"{[len(i) for i in ids]}, s0 {s0.shape}, enc {enc.shape}, enc_proj "
+                         f"{enc_proj.shape} in examples of {list(sizes)}, W {W.shape}")
+    pack = _Packing([len(i) for i in ids], sizes)
     order = pack.order
-    projs = [enc_proj[j].data for j in order]
+    ends = list(itertools.accumulate(sizes))
+    enc_rows = [slice(ends[j] - sizes[j], ends[j]) for j in order]  # each rank's encoder rows
+    projs = [enc_proj.data[rows] for rows in enc_rows]
     if batch == 1:  # the identity layout
         idx = np.asarray(ids[0], dtype=np.intp)
-        proj_cat, enc_block = projs[0], enc[0].data[None]
+        proj_cat, enc_block = enc_proj.data, enc.data[None]
     else:
         idx = np.empty(len(pack.perm), dtype=np.intp)
         idx[pack.perm] = np.concatenate([np.asarray(i, dtype=np.intp) for i in ids])
         proj_cat = np.concatenate(projs)
-        enc_block = np.zeros((batch, pack.width, enc[0].shape[1]))
-        for rank, j in enumerate(order):
-            enc_block[rank, : pack.sizes[rank]] = enc[j].data
+        enc_block = np.zeros((batch, pack.width, n))
+        for rank, rows in enumerate(enc_rows):
+            enc_block[rank, : pack.sizes[rank]] = enc.data[rows]
     w_emb, w_ctx = W.data[:d], W.data[d:]
     xw = emb.data[idx] @ w_emb + b.data
     u, u_a, v, bias_a = U.data, U_a.data, v_a.data, b_a.data
-    s = s_first = np.concatenate([s0[j].data for j in order])
+    s = s_first = s0.data[order]
     c = ctx = np.zeros((batch, n))
-    inputs = (*s0, *enc, *enc_proj, emb, W, U, b, U_a, b_a, v_a)
+    inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
     needs_grad = any(t.requires_grad for t in inputs)
     taping = needs_grad and tensor._ACTIVE_TAPE is not None  # else keep only the output rows
     # the attention activations of the steps that backward takes first,
@@ -307,6 +346,7 @@ def decoder_batch(ids, s0, enc, enc_proj, emb: Tensor, W: Tensor, U: Tensor, b: 
         enc_first = enc_block[0]
         if batch > 1:
             k_block = np.zeros((batch * pack.width, h))
+        d_proj, seen = np.empty(enc.shape), 0  # seen: the ranks whose rows it holds
         for t0, t1 in pack.chunks():
             # the run's attention activations E as one (steps, N, h) block
             # per running rank, and d score / d pre-activation K = v (1 - E^2)
@@ -368,20 +408,30 @@ def decoder_batch(ids, s0, enc, enc_proj, emb: Tensor, W: Tensor, U: Tensor, b: 
             for rank, (rows_k, size, cells) in enumerate(blocks):
                 d_score = d_scores[rows_k, :size]
                 chunk_scores.append(d_score.reshape(-1))
-                j = order[rank]
-                if enc_proj[j].requires_grad:
-                    _accumulate(enc_proj[j], np.einsum(
-                        "tr,trh->rh", d_score, k_att[cells].reshape(len(rows_k), size, h)))
+                if enc_proj.requires_grad:
+                    grad = np.einsum("tr,trh->rh", d_score,
+                                     k_att[cells].reshape(len(rows_k), size, h))
+                    if rank < seen:
+                        d_proj[enc_rows[rank]] += grad
+                    else:
+                        d_proj[enc_rows[rank]] = grad
+            seen = len(blocks)
             if v_a.requires_grad:
                 _accumulate(v_a, e.T @ np.concatenate(chunk_scores).reshape(-1, 1))
             del e, k_att
         dz = k.reshape(-1, 4 * n)
-        for rank, j in enumerate(order):
-            rows_k, size = pack.rows[rank], pack.sizes[rank]
-            if s0[j].requires_grad:
-                _accumulate(s0[j], ds_next[rank : rank + 1])
-            if enc[j].requires_grad:
-                _accumulate(enc[j], alpha[rows_k, :size].T @ d_ctx[rows_k])
+        if s0.requires_grad:
+            d_s0 = np.empty((batch, n))
+            d_s0[order] = ds_next
+            _accumulate(s0, d_s0)
+        if enc.requires_grad:
+            d_enc = np.empty(enc.shape)
+            for rank, rows in enumerate(enc_rows):
+                rows_k = pack.rows[rank]
+                d_enc[rows] = alpha[rows_k, : pack.sizes[rank]].T @ d_ctx[rows_k]
+            _accumulate(enc, d_enc)
+        if enc_proj.requires_grad:
+            _accumulate(enc_proj, d_proj)
         if emb.requires_grad:
             np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
         if W.requires_grad:

@@ -15,17 +15,18 @@ import numpy as np
 from .tensor import ACTIVATIONS as _ACTIVATIONS  # the GCN's activations by name
 from .tensor import (
     Tensor,
+    bilstm_batch,
     concat,
     dropout,
     embedding_lookup,
     gcn_layer,
-    lstm_sequence,
     lstm_step,
     matmul,
+    slice_rows,
     tree_lstm_down,
     tree_lstm_up,
 )
-from .transforms import ExampleRepr, LeviGraph
+from .transforms import Forest, LeviGraph
 
 # The input representations each kind accepts, its default first. Tree-LSTMs
 # need a tree; a GCN runs over the Levi form of the graph or of its tree.
@@ -110,40 +111,12 @@ class BiLstmEncoder:
         self.fwd = LstmCell(in_dim, half, store, f"{name}.fwd")
         self.bwd = LstmCell(in_dim, half, store, f"{name}.bwd")
 
-    def encode(self, inputs: Tensor) -> Tensor:
+    def encode(self, inputs: Tensor, lengths=None) -> Tensor:
+        """[forward ; reverse] states of the rows of inputs, which hold
+        sequences of the given lengths one after another (one sequence by
+        default)."""
         f, b = self.fwd, self.bwd
-        forward = lstm_sequence(inputs, f.W, f.U, f.b)
-        backward = lstm_sequence(inputs, b.W, b.U, b.b, reverse=True)
-        return concat([forward, backward], axis=1)
-
-
-def _tree_topology(node_count: int, edges, root: int):
-    """children lists, parent indices and a post-order from root (every child
-    before its parent); raises unless the edges form one tree rooted at root."""
-    children = [[] for _ in range(node_count)]
-    parent = [None] * node_count
-    for u, v in edges:
-        if parent[v] is not None:
-            raise ValueError(
-                "input is not a tree (a node has multiple parents); "
-                "convert the graph with to_tree first"
-            )
-        parent[v] = u
-        children[u].append(v)
-    if parent[root] is not None:
-        raise ValueError("input is not a tree (its root has a parent)")
-    order = []
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            order.append(node)
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in children[node])
-    if len(order) != node_count:
-        raise ValueError("input is not a tree (some node is not below the root)")
-    return children, parent, order
+        return bilstm_batch(inputs, lengths or [inputs.shape[0]], f.W, f.U, f.b, b.W, b.U, b.b)
 
 
 class ChildSumTreeLstm:
@@ -166,12 +139,18 @@ class ChildSumTreeLstm:
         self.br = store.zeros(f"{name}.br", (1, half))
         self.down = LstmCell(half, half, store, f"{name}.down")
 
-    def encode(self, levi: LeviGraph, inputs: Tensor, rng=None) -> Tensor:
-        """rng goes unused: a TreeLSTM draws no dropout of its own."""
-        children, parent, order = _tree_topology(levi.node_count, levi.edges, levi.root)
-        up = tree_lstm_up(inputs, self.W, self.U, self.Uf, self.b, children, order)
+    def draw(self, levi: LeviGraph, rng):
+        """A TreeLSTM draws no dropout of its own."""
+        return None
+
+    def encode(self, levis, inputs: Tensor, draws=None) -> Tensor:
+        """The states of the Levi graphs' nodes, whose rows of inputs come
+        one graph after another; each graph must be a tree. draws goes
+        unused."""
+        forest = Forest.join([levi.forest for levi in levis])
+        up = tree_lstm_up(inputs, self.W, self.U, self.Uf, self.b, forest)
         d = self.down
-        return tree_lstm_down(up, d.W, d.U, d.b, self.Wr, self.br, parent, order)
+        return tree_lstm_down(up, d.W, d.U, d.b, self.Wr, self.br, forest)
 
 
 def adjacency(node_count: int, edges):
@@ -217,27 +196,41 @@ class GcnEncoder:
             for k in range(layers)
         ]
 
-    def encode(self, levi: LeviGraph, inputs: Tensor, rng=None) -> Tensor:
-        """Edges are dropped only when rng is given, which is when training."""
-        n = levi.node_count
+    def draw(self, levi: LeviGraph, rng):
+        """Each layer's mask of the edges of levi that it keeps, drawn from
+        rng (a fresh draw per layer), or None when none is dropped."""
+        if rng is None or self.edge_dropout == 0.0 or not levi.edges:
+            return None
+        return [rng.random(len(levi.edges)) >= self.edge_dropout for _ in self.layers]
+
+    def encode(self, levis, inputs: Tensor, draws=None) -> Tensor:
+        """The states of the Levi graphs' nodes, whose rows of inputs come
+        one graph after another. The layers run over each graph in turn, and
+        draws holds each graph's edge masks from `draw`; without them no
+        edge is dropped."""
         h = matmul(inputs, self.proj) if self.proj is not None else inputs
-        edges = np.asarray(levi.edges, dtype=np.intp).reshape(-1, 2)
-        drop_edges = rng is not None and self.edge_dropout > 0.0 and len(edges) > 0
-        if not drop_edges:
-            a_in, a_out = adjacency(n, edges)
-        for layer in self.layers:
-            if drop_edges:  # a fresh draw per layer
-                keep = rng.random(len(edges)) >= self.edge_dropout
-                a_in, a_out = adjacency(n, edges[keep])
-            h = gcn_layer(h, a_in, a_out, layer["W_in"], layer["W_out"], layer["b"],
-                          self.activation, layer.get("W_t"), layer.get("b_t"))
-        return h
+        outs, start = [], 0
+        for levi, keeps in zip(levis, draws or [None] * len(levis)):
+            n = levi.node_count
+            rows = h if len(levis) == 1 else slice_rows(h, start, start + n)
+            start += n
+            edges = np.asarray(levi.edges, dtype=np.intp).reshape(-1, 2)
+            if keeps is None:
+                a_in, a_out = adjacency(n, edges)
+            for k, layer in enumerate(self.layers):
+                if keeps is not None:
+                    a_in, a_out = adjacency(n, edges[keeps[k]])
+                rows = gcn_layer(rows, a_in, a_out, layer["W_in"], layer["W_out"], layer["b"],
+                                 self.activation, layer.get("W_t"), layer.get("b_t"))
+            outs.append(rows)
+        return outs[0] if len(outs) == 1 else concat(outs)
 
 
 class StackEncoder:
-    """Dispatches one of the seven configurations over an ExampleRepr.
+    """Dispatches one of the seven configurations over a batch of
+    ExampleReprs.
 
-    Output is always an N x hidden matrix in linearization order.
+    Output is always N x hidden rows per example, in linearization order.
     """
 
     def __init__(self, config: EncoderConfig, src_vocab, store):
@@ -265,27 +258,71 @@ class StackEncoder:
         elif "TreeLSTM" in kind:
             self.struct = ChildSumTreeLstm(struct_in, h, store)
 
-    def encode(self, ex: ExampleRepr, rng=None, node_embeddings: Tensor = None) -> Tensor:
-        """Dropout applies only when rng is given, which is when training.
-        node_embeddings overrides the node lookup of a structure-first
-        stacking, which lets callers probe sensitivity of outputs to
-        individual input rows."""
+    def encode(self, reprs, rng=None, node_embeddings: Tensor = None) -> Tensor:
+        """The rows of a batch of ExampleReprs, each one's N rows in order,
+        one example after another. Dropout applies only when rng is given,
+        which is when training; each example's masks are drawn in turn, in
+        the order that encoding it alone draws them. node_embeddings
+        overrides the node lookup of a structure-first stacking, which lets
+        callers probe sensitivity of outputs to individual input rows."""
         keep = 1.0 - self.config.dropout
-        aligned = ex.structures.get(self.config.input_repr)  # None for a sequence
+        lengths = [len(r.sequence) for r in reprs]
+        aligned = [r.structures[self.config.input_repr] for r in reprs] if self.struct else []
+        drop_in, drop_edges, drop_out = self._draws(lengths, aligned, rng)
         if self.seq_first:
-            ids = self.vocab.indices(ex.sequence.tokens)
-            out = self.bilstm.encode(dropout(embedding_lookup(self.embedding, ids), keep, rng))
+            ids = [i for r in reprs for i in self.vocab.indices(r.sequence.tokens)]
+            inputs = dropout(embedding_lookup(self.embedding, ids), keep, drop_in)
+            out = self.bilstm.encode(inputs, lengths)
             if self.struct is not None:
-                inputs = embedding_lookup(out, aligned.init_pos)
-                out = embedding_lookup(self.struct.encode(aligned.levi, inputs, rng),
-                                       aligned.pos_to_node)
+                inputs = embedding_lookup(out, _offset([a.init_pos for a in aligned], lengths))
+                out = self._structure(aligned, inputs, drop_edges)
         else:
             nodes = node_embeddings
             if nodes is None:
-                ids = self.vocab.indices([tok for _, tok, _ in aligned.levi.nodes])
+                ids = [i for a in aligned
+                       for i in self.vocab.indices([tok for _, tok, _ in a.levi.nodes])]
                 nodes = embedding_lookup(self.embedding, ids)
-            states = self.struct.encode(aligned.levi, dropout(nodes, keep, rng), rng)
-            out = embedding_lookup(states, aligned.pos_to_node)
+            out = self._structure(aligned, dropout(nodes, keep, drop_in), drop_edges)
             if self.bilstm is not None:
-                out = self.bilstm.encode(out)
-        return dropout(out, keep, rng)
+                out = self.bilstm.encode(out, lengths)
+        return dropout(out, keep, drop_out)
+
+    def _structure(self, aligned, inputs, draws):
+        """The structural encoder's states of the aligned Levi graphs, whose
+        rows of inputs come one graph after another, gathered into each
+        example's linearization order."""
+        levis = [a.levi for a in aligned]
+        states = self.struct.encode(levis, inputs, draws)
+        return embedding_lookup(states, _offset([a.pos_to_node for a in aligned],
+                                                [levi.node_count for levi in levis]))
+
+    def _draws(self, lengths, aligned, rng):
+        """The draws of the input and the output dropout, each as one array
+        over the batch's rows, and each example's draws of the structural
+        encoder, taken from rng one example after another: its input
+        dropout, the structural encoder's, then its output dropout."""
+        if rng is None:
+            return None, None, None
+        d, h = self.config.embedding_dim, self.config.hidden_dim
+        drop = self.config.dropout > 0.0
+        ins, structs, outs = [], [], []
+        for k, length in enumerate(lengths):
+            if drop:
+                ins.append(rng.random((length if self.seq_first else aligned[k].levi.node_count,
+                                       d)))
+            if self.struct is not None:
+                structs.append(self.struct.draw(aligned[k].levi, rng))
+            if drop:
+                outs.append(rng.random((length, h)))
+        if not drop:
+            return None, structs, None
+        return np.concatenate(ins), structs, np.concatenate(outs)
+
+
+def _offset(index_lists, sizes):
+    """The index lists, each shifted past the rows of the blocks before its
+    own, as one list."""
+    if len(index_lists) == 1:
+        return index_lists[0]
+    starts = np.cumsum(sizes) - np.asarray(sizes)
+    return np.concatenate([np.asarray(idx) + start for idx, start in zip(index_lists, starts)])

@@ -1,8 +1,8 @@
 """The encoder-decoder model over `encoders` and `decoder`: teacher-forced
-training, decoding and sentence scoring. A training batch is one tape: its
-examples are encoded one by one, then the decoder's recurrence and its output
-layer with the loss run as one tape entry each. Runs are bit-reproducible for
-a fixed seed.
+training, decoding and sentence scoring. A training batch is one tape: the
+encoder runs once over all of its examples, and the decoder's first state,
+its recurrence and its output layer with the loss run as one tape entry
+each. Runs are bit-reproducible for a fixed seed.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import tensor as T
-from .decoder import decoder_batch, decoder_step, output_nll, output_rows
+from .decoder import (decoder_batch, decoder_step, initial_rows, initial_state, output_nll,
+                      output_rows)
 from .encoders import EncoderConfig, LstmCell, StackEncoder
 from .tensor import Tensor
 from .transforms import ExampleRepr, deanonymize
@@ -88,32 +89,25 @@ class Seq2SeqModel:
 
     # -- decoding machinery -------------------------------------------------
 
-    def _encode(self, ex: TrainExample, rng=None):
-        enc = self.encoder.encode(ex.repr, rng)
-        enc_proj = T.matmul(enc, self.W_a)
-        return enc, enc_proj
-
-    def _init_state(self, enc: Tensor) -> Tensor:
-        """The decoder's first hidden state; its cell and context start at zero."""
-        mean = T.scale(T.sum_rows(enc), 1.0 / enc.shape[0])
-        return T.tanh(T.add(T.matmul(mean, self.W_init), self.b_init))
+    def _encode(self, examples, rng=None):
+        """The examples' encoder rows, one example after another, their
+        projection by W_a, and each example's row count."""
+        enc = self.encoder.encode([ex.repr for ex in examples], rng)
+        return enc, T.matmul(enc, self.W_a), [len(ex.repr.sequence) for ex in examples]
 
     def _teacher_forced(self, examples, token_lists, rng=None):
         """The output layer's input rows [s ; ctx] of each example's tokens +
         EOS, one example after another, and the target ids of each, feeding
-        the reference token back in at every step. The examples are encoded
-        one by one in order, so dropout draws from rng in that order; the
-        recurrence is one decoder_batch entry."""
+        the reference token back in at every step. The encoder, the first
+        decoder state and the recurrence each run once over the batch;
+        dropout draws from rng in the order of encoding the examples one by
+        one."""
         bos, eos = self.tgt_vocab.index(BOS), self.tgt_vocab.index(EOS)
-        targets, encs, projs, first_states = [], [], [], []
-        for ex, tokens in zip(examples, token_lists):
-            enc, enc_proj = self._encode(ex, rng)
-            targets.append(self.tgt_vocab.indices(tokens) + [eos])
-            encs.append(enc)
-            projs.append(enc_proj)
-            first_states.append(self._init_state(enc))
+        targets = [self.tgt_vocab.indices(tokens) + [eos] for tokens in token_lists]
+        enc, enc_proj, sizes = self._encode(examples, rng)
+        s0 = initial_state(enc, sizes, self.W_init, self.b_init)
         rows = decoder_batch(
-            [[bos] + ids[:-1] for ids in targets], first_states, encs, projs, self.tgt_embedding,
+            [[bos] + ids[:-1] for ids in targets], s0, enc, enc_proj, sizes, self.tgt_embedding,
             self.cell.W, self.cell.U, self.cell.b, self.U_a, self.b_a, self.v_a)
         return rows, targets
 
@@ -157,12 +151,13 @@ class Seq2SeqModel:
             raise ValueError(f"beam must be >= 1, got {beam}")
         if max_len is None:
             max_len = 2 * len(ex.repr.sequence) + 10
-        enc, enc_proj = self._encode(ex)
+        enc, enc_proj, sizes = self._encode([ex])
+        enc, enc_proj = enc.data, enc_proj.data
         eos = self.tgt_vocab.index(EOS)
         zero = np.zeros((1, self.config.hidden_dim))
+        s0 = initial_rows(enc, sizes, self.W_init.data, self.b_init.data)
         # a hypothesis: (BOS + token ids, log-prob, (ctx, s, c) rows before its last id)
-        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (zero, self._init_state(enc).data, zero))
-        enc, enc_proj = enc.data, enc_proj.data
+        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (zero, s0, zero))
         hyps, done = [greedy], []  # done[0] is the greedy result once it has finished
         for _ in range(max_len):
             if greedy[0][-1] == eos and (

@@ -8,6 +8,7 @@ The decoder's kernels are in `decoder`.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import zipfile
 
@@ -290,13 +291,18 @@ def log_softmax(a: Tensor) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, keep_prob: float, rng) -> Tensor:
-    """Inverted dropout drawn from rng; the identity without one."""
+def dropout(a: Tensor, keep_prob: float, draws) -> Tensor:
+    """Inverted dropout: an entry whose draw, from the array draws of a's
+    shape of uniform draws in [0, 1), is keep_prob or more is zeroed, and
+    the others are scaled by 1 / keep_prob. Without draws, or at keep_prob
+    1, it is the identity."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep probability must be in (0, 1], got {keep_prob}")
-    if rng is None or keep_prob == 1.0:
+    if draws is None or keep_prob == 1.0:
         return a
-    mask = (rng.random(a.shape) < keep_prob) / keep_prob
+    if draws.shape != a.shape:
+        raise ShapeError(f"dropout draws of shape {draws.shape} for {a.shape}")
+    mask = (draws < keep_prob) / keep_prob
     out = Tensor(a.data * mask, requires_grad=a.requires_grad)
 
     def bwd(g):
@@ -409,80 +415,150 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor) 
     return out
 
 
-def _previous_rows(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """Row t holds the state before step t: a zero row first in processing order."""
-    out = np.zeros_like(a)
-    if reverse:
-        out[:-1] = a[1:]
-    else:
-        out[1:] = a[:-1]
+def packed_layout(lengths):
+    """The packed layout of sequences of the given lengths (Appleyard et al.
+    2016), as (order, running, starts). order lists the sequences longest
+    first, stable, and a sequence's rank is its place there; running[t]
+    counts the sequences still running at step t, which are the first
+    running[t] ranks, and step t's rows are starts[t] to starts[t + 1], one
+    per running rank in rank order."""
+    order = sorted(range(len(lengths)), key=lambda j: -lengths[j])
+    running, m = [], len(order)
+    for t in range(lengths[order[0]]):
+        while lengths[order[m - 1]] <= t:
+            m -= 1
+        running.append(m)
+    return order, running, [0, *itertools.accumulate(running)]
+
+
+def _block_matmul(x, w, lone):
+    """x @ w for the rows of several blocks (sequences or trees) stacked in
+    x, lone listing the rows of one-row blocks: a one-row product rounds
+    differently from the rows of a GEMM, whatever its row count above one,
+    so each row gets the bits of its own block's product."""
+    out = x @ w
+    if len(lone):
+        out[lone] = np.matmul(x[lone, None], w)[:, 0]
     return out
 
 
-def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over the N rows of X from a zero state, as one tape
-    entry. Row t of the (N, hidden) output is the hidden state after reading
-    rows 0..t, or rows t..N-1 when reverse.
+def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b: Tensor,
+                 U_b: Tensor, b_b: Tensor) -> Tensor:
+    """Both directions of a BiLSTM over a batch of sequences as one tape
+    entry. X holds the sequences' rows, one sequence after another, lengths
+    their row counts; W_f, U_f and b_f are the forward direction's weights,
+    and W_b, U_b and b_b the reverse direction's. Row i of
+    the (rows, 2 hidden) output is [forward ; reverse] at X's row i: the
+    hidden state after reading its sequence's rows up to i, and from the
+    last one back to i, each from a zero state.
 
-    The input projection X W + b is one (N, d) @ (d, 4 hidden) matmul before
-    the recurrence. Backward is one BPTT loop over the rows that fills dZ, the
-    gradient of the pre-activations, then dX = dZ W^T, dW = X^T dZ and
-    dU = H_prev^T dZ as three GEMMs.
+    The sequences run packed (`packed_layout`): step t advances the forward
+    direction at row t and the reverse one at row N - 1 - t of every
+    sequence still running, both as one (m, 2, 4 hidden) block. X W + b is a
+    GEMM per direction before the loop, and the recurrent products h U are
+    row-stacked one-row products, so each sequence's states have the bits
+    of running it alone. Without a tape nothing is kept for backward.
+    Backward is one reverse loop over the steps that fills dZ, the gradient
+    of the pre-activations; then per direction dX = dZ W^T, dW = X^T dZ and
+    dU = H_prev^T dZ are GEMMs over X's rows in order, which gives a batch
+    of one the bits of running each direction on its own.
     """
-    if X.data.ndim != 2 or X.shape[1] != W.shape[0]:
-        raise ShapeError(f"lstm_sequence shape mismatch: {X.shape} @ {W.shape}")
-    rows, n = X.shape[0], U.shape[0]
-    xw = X.data @ W.data + b.data
-    u = U.data
-    sig = np.empty((rows, 3 * n))
-    g = np.empty((rows, n))
-    c_all = np.empty((rows, n))
-    tc = np.empty((rows, n))
-    h_all = np.empty((rows, n))
-    h = np.zeros(n)
-    c = np.zeros(n)
-    steps = range(rows - 1, -1, -1) if reverse else range(rows)
-    for t in steps:
-        s, g[t] = _lstm_gates(xw[t] + h @ u, n)
-        sig[t] = s
-        c = s[n : 2 * n] * c + s[:n] * g[t]
-        c_all[t] = c
-        tc[t] = np.tanh(c)
-        h = s[2 * n :] * tc[t]
-        h_all[t] = h
-    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, b)))
+    rows, n = X.shape[0], U_f.shape[0]
+    if (X.data.ndim != 2 or not lengths or min(lengths) < 1 or sum(lengths) != rows
+            or any(w.shape != (X.shape[1], 4 * n) for w in (W_f, W_b))
+            or any(t.shape != (n, 4 * n) for t in (U_f, U_b))):
+        raise ShapeError(f"bilstm_batch shape mismatch: X {X.shape} in sequences of "
+                         f"{list(lengths)}, W {W_f.shape} and {W_b.shape}, U {U_f.shape} "
+                         f"and {U_b.shape}")
+    order, running, starts = packed_layout(lengths)
+    sizes = np.array(lengths)
+    firsts = np.cumsum(sizes) - sizes
+    # packed[0][i] and packed[1][i]: X's row i's packed row in each direction
+    if len(lengths) == 1:  # the identity layout
+        packed = (slice(None), slice(None, None, -1))
+    else:
+        rank = np.empty(len(lengths), dtype=np.intp)
+        rank[order] = np.arange(len(lengths))
+        seq = np.repeat(np.arange(len(lengths)), sizes)
+        pos = np.arange(rows) - firsts[seq]
+        step_rows = np.array(starts)
+        packed = (step_rows[pos] + rank[seq], step_rows[sizes[seq] - 1 - pos] + rank[seq])
+    lone = firsts[sizes == 1] if rows > 1 else firsts[:0]
+    x = X.data
+    xw = np.empty((rows, 2, 4 * n))
+    xw[packed[0], 0] = _block_matmul(x, W_f.data, lone) + b_f.data
+    xw[packed[1], 1] = _block_matmul(x, W_b.data, lone) + b_b.data
+    u = np.stack([U_f.data, U_b.data])
+    inputs = (X, W_f, U_f, b_f, W_b, U_b, b_b)
+    needs_grad = any(t.requires_grad for t in inputs)
+    taping = needs_grad and _ACTIVE_TAPE is not None  # else keep only the hidden states
+    h_all = np.empty((rows, 2, n))
+    if taping:
+        sig, g, c_all = np.empty((rows, 2, 3 * n)), np.empty((rows, 2, n)), np.empty((rows, 2, n))
+    h = c = np.zeros((len(lengths), 2, n))
+    for t, m in enumerate(running):
+        r = slice(starts[t], starts[t + 1])
+        if m < len(h):
+            h, c = h[:m], c[:m]
+        s, gt = _lstm_gates(xw[r] + np.matmul(h[:, :, None], u)[:, :, 0], n)
+        c = s[..., n : 2 * n] * c + s[..., :n] * gt
+        h = h_all[r] = s[..., 2 * n :] * np.tanh(c)
+        if taping:
+            sig[r], g[r], c_all[r] = s, gt, c
+    out = Tensor(np.concatenate([h_all[packed[0], 0], h_all[packed[1], 1]], axis=1),
+                 requires_grad=needs_grad)
+    if not taping:
+        return out
 
-    def bwd(dH):
+    def bwd(d_out):
+        d_h = np.empty((rows, 2, n))
+        d_h[packed[0], 0], d_h[packed[1], 1] = d_out[:, :n], d_out[:, n:]
+        steps = np.array(running)
+        prev = np.arange(running[0], rows) - np.repeat(steps[:-1], steps[1:])
         dsig = sig * (1.0 - sig)
-        # dZ row t is [dc K_i, dc K_f, dh K_o, dc K_g] with dc, dh the row's
-        # cell and hidden gradients; the K are fixed by the forward pass
-        k = np.empty((rows, 4, n))
-        k[:, 0] = g * dsig[:, :n]
-        k[:, 1] = _previous_rows(c_all, reverse) * dsig[:, n : 2 * n]
-        k[:, 2] = tc * dsig[:, 2 * n :]
-        k[:, 3] = sig[:, :n] * (1.0 - g * g)
-        h_to_c = sig[:, 2 * n :] * (1.0 - tc * tc)
-        f = sig[:, n : 2 * n]
-        u_t = np.ascontiguousarray(u.T)
-        dz = np.empty((rows, 4, n))
-        dh_next = np.zeros(n)
-        dc_next = np.zeros(n)
-        for t in reversed(steps):
-            dh = dH[t] + dh_next
-            dc = dc_next + dh * h_to_c[t]
-            np.multiply(k[t], dc, out=dz[t])
-            np.multiply(k[t, 2], dh, out=dz[t, 2])
-            dh_next = dz[t].reshape(-1) @ u_t
-            dc_next = dc * f[t]
-        dz = dz.reshape(rows, 4 * n)
+        tc = np.tanh(c_all)
+        # dZ row is [dc K_i, dc K_f, dh K_o, dc K_g] with dc, dh the row's
+        # cell and hidden gradients; the K are fixed by the forward pass.
+        # k holds K_i, K_f and K_g and becomes dZ in the loop, step by step
+        k = np.empty((rows, 2, 4, n))
+        k[:, :, 0] = g * dsig[..., :n]
+        k[: running[0], :, 1] = k[:, :, 2] = 0.0
+        k[running[0] :, :, 1] = c_all[prev] * dsig[running[0] :, :, n : 2 * n]
+        k[:, :, 3] = sig[..., :n] * (1.0 - g * g)
+        k_o = tc * dsig[..., 2 * n :]
+        h_to_c = sig[..., 2 * n :] * (1.0 - tc * tc)
+        f = sig[..., n : 2 * n]
+        del dsig, tc
+        u_t = np.ascontiguousarray(u.transpose(0, 2, 1))
+        dh_next = dc_next = np.zeros((running[-1], 2, n))
+        for t in range(len(running) - 1, -1, -1):
+            m, r = running[t], slice(starts[t], starts[t + 1])
+            if m > len(dh_next):  # the sequences whose last step this is
+                more = np.zeros((m - len(dh_next), 2, n))
+                dh_next, dc_next = np.concatenate([dh_next, more]), np.concatenate([dc_next, more])
+            dh = d_h[r] + dh_next
+            dc = dc_next + dh * h_to_c[r]
+            dz = k[r]
+            dz *= dc[:, :, None]
+            np.multiply(k_o[r], dh, out=dz[:, :, 2])
+            dh_next = np.matmul(dz.reshape(m, 2, 1, 4 * n), u_t)[:, :, 0]
+            dc_next = dc * f[r]
+        dz = k.reshape(rows, 2, 4 * n)
+        h_prev = np.zeros((rows, 2, n))
+        h_prev[running[0] :] = h_all[prev]
+        d_x = None
+        for d, (W, U, b) in enumerate(((W_f, U_f, b_f), (W_b, U_b, b_b))):
+            dz_d = np.ascontiguousarray(dz[packed[d], d])
+            if X.requires_grad:
+                d_x = dz_d @ W.data.T if d_x is None else d_x + dz_d @ W.data.T
+            if W.requires_grad:
+                _accumulate(W, x.T @ dz_d)
+            if U.requires_grad:
+                _accumulate(U, np.ascontiguousarray(h_prev[packed[d], d]).T @ dz_d)
+            if b.requires_grad:
+                _accumulate(b, dz_d.sum(axis=0, keepdims=True))
         if X.requires_grad:
-            _accumulate(X, dz @ W.data.T)
-        if W.requires_grad:
-            _accumulate(W, X.data.T @ dz)
-        if U.requires_grad:
-            _accumulate(U, _previous_rows(h_all, reverse).T @ dz)
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0, keepdims=True))
+            _accumulate(X, d_x)
 
     _record(out, bwd)
     return out
@@ -493,54 +569,89 @@ def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = Fa
 # i, o, u, f: with x W + b = [a_i, a_o, a_u, a_f] and s the sum of the
 # children's hidden states, i, o = sigmoid(a_io + s U_io), u = tanh(a_u + s U_u),
 # f_k = sigmoid(a_f + h_k Uf) for each child k, c = i u + sum_k f_k c_k and
-# h = o tanh(c).
+# h = o tanh(c). Both passes run over a `transforms.Forest` level by level.
 
 
-def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, children,
-                 order) -> Tensor:
+def _child_sums(x, level, acc=None):
+    """Each of an up level's nodes' sum over its children's rows of x (one
+    row per slot of the level), added child by child in child order, and
+    onto the node's row of acc when given: the order in which numpy sums a
+    node's rows, over axis 0, in a loop over the nodes one at a time."""
+    first = x if not len(level.multi) else x[level.first]  # one child each: x itself
+    acc = first if acc is None else acc + first
+    for nodes, places in level.more:
+        acc[nodes] += x[places]
+    return acc
+
+
+def _per_child(x, level):
+    """Each slot's copy of its node's row of x, which has a row per node."""
+    return x if not len(level.multi) else x[level.owner]
+
+
+def _child_products(x, w, level):
+    """x @ w for an up level's rows of x, one per slot: one-row products for
+    a node's only child and GEMM rows for the children of a node with more,
+    as in a loop over the nodes one at a time."""
+    if not len(level.multi):
+        return np.matmul(x[:, None], w)[:, 0]
+    if not len(level.single):
+        return x @ w
+    out = np.empty((len(x), w.shape[1]))
+    out[level.single] = np.matmul(x[level.single, None], w)[:, 0]
+    out[level.multi] = x[level.multi] @ w
+    return out
+
+
+def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, forest) -> Tensor:
     """The bottom-up pass over the N rows of X as one tape entry: row j of the
-    (N, hidden) output is node j's hidden state. children[j] lists node j's
-    children, and order lists every node once, each child before its parent.
+    (N, hidden) output is node j's hidden state in forest, whose trees cover
+    X's rows.
 
-    X W + b is one matmul before the loop over the nodes. Backward is one loop
-    from parents to children that fills dZ, the gradient of the
-    pre-activations, then dX, dW, dU and dUf are GEMMs.
+    X W + b is one GEMM before the loop over the forest's levels, leaves
+    first, each level every node of one height at once. The products with
+    U, and with Uf for a node with one child, are row-stacked one-row
+    products, and the children are summed in their order, as a loop over
+    the nodes one at a time computes them, so every tree's states have the
+    bits of running it alone. Backward runs the levels from the roots down
+    and fills dZ, the gradient of the pre-activations, then dX, dW, dU and
+    dUf are GEMMs.
     """
-    if X.data.ndim != 2 or X.shape[1] != W.shape[0]:
-        raise ShapeError(f"tree_lstm_up shape mismatch: {X.shape} @ {W.shape}")
+    if X.data.ndim != 2 or X.shape[1] != W.shape[0] or X.shape[0] != sum(forest.sizes):
+        raise ShapeError(f"tree_lstm_up shape mismatch: {X.shape} @ {W.shape}, forest of "
+                         f"{forest.sizes} nodes")
     rows, n = X.shape[0], Uf.shape[0]
-    xw = X.data @ W.data + b.data
-    u_mat, uf = U.data, Uf.data
+    xw = _block_matmul(X.data, W.data, forest.lone_rows) + b.data
+    kids, u_mat, uf = forest.kids, U.data, Uf.data
     act = np.empty((rows, 3, n))  # i, o, u
     c_all = np.empty((rows, n))
     tc = np.empty((rows, n))
     h_all = np.empty((rows, n))
     h_sum = np.zeros((rows, n))
-    # one row per child, grouped by parent in processing order
-    kids = [child for node in order for child in children[node]]
-    first = {}  # node with children -> its first row in the child arrays
-    f_all = np.empty((len(kids), n))
-    start = 0
-    for node in order:
-        ch = children[node]
-        a = xw[node]
-        pre = a[: 3 * n]
-        if ch:
-            first[node] = start
-            hk = h_all[ch]
-            h_sum[node] = s = hk.sum(axis=0)
-            pre = pre + s @ u_mat
-            f = f_all[start : start + len(ch)] = 1.0 / (1.0 + np.exp(-(a[3 * n :] + hk @ uf)))
-            start += len(ch)
-        gates = act[node]
-        gates[:2] = (1.0 / (1.0 + np.exp(-pre[: 2 * n]))).reshape(2, n)
-        gates[2] = np.tanh(pre[2 * n :])
-        c = gates[0] * gates[2]
-        if ch:  # summed in child order after i u, as the composed ops add them
-            c = np.vstack((c, f * c_all[ch])).sum(axis=0)
-        c_all[node] = c
-        tc[node] = np.tanh(c)
-        h_all[node] = gates[1] * tc[node]
+    f_all = np.empty((len(kids), n))  # one row per child, in forest.kids' order
+
+    def states(nodes, pre, level=None, f=None):
+        """The nodes' gates, cells and hidden states from their i, o, u
+        pre-activations, and for parents from the children's forget gates f
+        and cells."""
+        io = 1.0 / (1.0 + np.exp(-pre[:, : 2 * n]))
+        u = np.tanh(pre[:, 2 * n :])
+        act[nodes, :2] = io.reshape(-1, 2, n)
+        act[nodes, 2] = u
+        c = io[:, :n] * u
+        if level is not None:
+            c = _child_sums(f * c_all[level.rows], level, c)
+        c_all[nodes] = c
+        tc[nodes] = t = np.tanh(c)
+        h_all[nodes] = io[:, n:] * t
+
+    states(forest.leaves, xw[forest.leaves, : 3 * n])
+    for level in forest.up_levels:
+        hk, a = h_all[level.rows], xw[level.nodes]
+        h_sum[level.nodes] = s = _child_sums(hk, level)
+        a_f = _per_child(a[:, 3 * n :], level)
+        f_all[level.slots] = f = 1.0 / (1.0 + np.exp(-(a_f + _child_products(hk, uf, level))))
+        states(level.nodes, a[:, : 3 * n] + np.matmul(s[:, None], u_mat)[:, 0], level, f)
     out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, Uf, b)))
 
     def bwd(dH):
@@ -559,19 +670,25 @@ def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, childre
         dzf = np.empty((len(kids), n))
         dh_all = np.array(dH)  # the output's gradient, plus what parents send
         dc_all = np.zeros((rows, n))
-        for node in reversed(order):
-            dh = dh_all[node]
-            dc = dc_all[node] + dh * h_to_c[node]
-            dz_iou = dz[node, : 3 * n]
-            np.multiply(k[node], dc, out=dz_iou.reshape(3, n))
-            np.multiply(k[node, 1], dh, out=dz_iou[n : 2 * n])
-            ch = children[node]
-            if ch:
-                rows_f = slice(first[node], first[node] + len(ch))
-                d_f = dzf[rows_f] = dc * k_f[rows_f]
-                dz[node, 3 * n :] = d_f.sum(axis=0)
-                dc_all[ch] = dc * f_all[rows_f]
-                dh_all[ch] += dz_iou @ u_t + d_f @ uf_t
+
+        def gates(nodes):
+            """The nodes' i, o, u columns of dZ, and their cell gradients."""
+            dh = dh_all[nodes]
+            dc = dc_all[nodes] + dh * h_to_c[nodes]
+            d_iou = k[nodes] * dc[:, None]
+            d_iou[:, 1] = k[nodes, 1] * dh
+            dz[nodes, : 3 * n] = d_iou = d_iou.reshape(-1, 3 * n)
+            return d_iou, dc
+
+        for level in reversed(forest.up_levels):
+            d_iou, dc = gates(level.nodes)
+            slots, dc = level.slots, _per_child(dc, level)
+            dzf[slots] = d_f = dc * k_f[slots]
+            dz[level.nodes, 3 * n :] = _child_sums(d_f, level)
+            dc_all[level.rows] = dc * f_all[slots]
+            d_sum = _per_child(np.matmul(d_iou[:, None], u_t)[:, 0], level)
+            dh_all[level.rows] += d_sum + _child_products(d_f, uf_t, level)
+        gates(forest.leaves)
         if X.requires_grad:
             _accumulate(X, dz @ W.data.T)
         if W.requires_grad:
@@ -588,70 +705,76 @@ def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, childre
 
 
 def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: Tensor,
-                   parent, order) -> Tensor:
+                   forest) -> Tensor:
     """The top-down pass over the (N, hidden) bottom-up states H as one tape
-    entry, returning the (N, 2 hidden) rows [h_down ; H]. order is the
-    bottom-up pass's order, so its last node is the root: the root gets
-    h_down = tanh(H_root Wr + br) and a zero cell, and every other node v one
-    LSTM step (gate order i, f, o, g) with input H[v], hidden state
+    entry, returning the (N, 2 hidden) rows [h_down ; H]. A root gets
+    h_down = tanh(H_root Wr + br) and a zero cell, and every other node v
+    one LSTM step (gate order i, f, o, g) with input H[v], hidden state
     H[parent[v]] and its parent's top-down cell.
 
     No hidden state feeds back, so all pre-activations are one pair of GEMMs
-    before the loop, which carries only the cells. Backward is one loop from
-    children to parents over the cell gradients, then dH (the parents' share
-    scattered with one add.at), dW and dU are GEMMs.
+    before the loop over the forest's depths, which carries only the cells.
+    Backward is one loop from the deepest level up over the cell gradients,
+    then dH (the parents' share scattered with one add.at), dW and dU are
+    GEMMs. As in `tree_lstm_up`, every tree's rows have the bits of running
+    it alone.
     """
     rows, n = H.shape
-    root = order[-1]
-    kids = np.array(order[-2::-1], dtype=np.intp)  # every parent before its children
-    par = np.array([parent[v] for v in kids], dtype=np.intp)
-    h = H.data
-    z = h[kids] @ W.data + h[par] @ U.data + b.data
+    if rows != sum(forest.sizes) or W.shape != (n, 4 * n):
+        raise ShapeError(f"tree_lstm_down shape mismatch: H {H.shape}, W {W.shape}, forest of "
+                         f"{forest.sizes} nodes")
+    kids, par, ups, unsort, levels, lone = forest.down_pass  # depth by depth
+    roots, h = forest.roots, H.data
+    z = _block_matmul(h[kids], W.data, lone) + _block_matmul(h[par], U.data, lone) + b.data
     sig, g = _lstm_gates(z, n)
     i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
     ig = i * g
-    kid_list, par_list = kids.tolist(), par.tolist()
-    c = np.zeros((rows, n))
-    for r, v in enumerate(kid_list):
-        c[v] = f[r] * c[par_list[r]] + ig[r]
-    tc = np.tanh(c[kids])
+    c = np.zeros((len(kids) + 1, n))  # the last row is the roots' cell
+    for start, stop, _ in levels:
+        c[start:stop] = f[start:stop] * c[ups[start:stop]] + ig[start:stop]
+    tc = np.tanh(c[:-1])
     down = np.empty((rows, n))
     down[kids] = o * tc
-    root_h = np.tanh(h[root : root + 1] @ Wr.data + br.data)
-    down[root] = root_h[0]
+    root_h = np.tanh(np.matmul(h[roots, None], Wr.data)[:, 0] + br.data)
+    down[roots] = root_h
     out = Tensor(np.concatenate([down, h], axis=1),
                  requires_grad=any(t.requires_grad for t in (H, W, U, b, Wr, br)))
 
     def bwd(d_out):
         d_kid = d_out[kids, :n]
         d_cell = d_kid * o * (1.0 - tc * tc)
-        dc = np.zeros((rows, n))  # what each node's cell receives from its children
-        for r in range(len(kid_list) - 1, -1, -1):
-            d_cell[r] += dc[kid_list[r]]
-            dc[par_list[r]] += d_cell[r] * f[r]
+        dc = np.zeros((len(kids) + 1, n))  # what each cell receives from its children
+        for start, stop, shared in reversed(levels):
+            d_cell[start:stop] += dc[start:stop]
+            if shared:  # siblings add in order, as in a loop over the nodes
+                np.add.at(dc, ups[start:stop], d_cell[start:stop] * f[start:stop])
+            else:
+                dc[ups[start:stop]] += d_cell[start:stop] * f[start:stop]
         dz = np.empty_like(z)
         dz[:, :n] = d_cell * g
-        dz[:, n : 2 * n] = d_cell * c[par]
+        dz[:, n : 2 * n] = d_cell * c[ups]
         dz[:, 2 * n : 3 * n] = d_kid * tc
         dz[:, : 3 * n] *= sig * (1.0 - sig)
         dz[:, 3 * n :] = d_cell * i * (1.0 - g * g)
-        d_root = d_out[root : root + 1, :n] * (1.0 - root_h * root_h)
+        dz = dz[unsort]  # in forest.down's order, as the weight gradients sum it
+        d_root = d_out[roots, :n] * (1.0 - root_h * root_h)
+        kid_h, par_h = h[forest.down], h[forest.down_parent]
         if H.requires_grad:
             dh = np.array(d_out[:, n:])
-            dh[kids] += dz @ W.data.T
-            np.add.at(dh, par, dz @ U.data.T)
-            dh[root] += (d_root @ Wr.data.T)[0]
+            dh[forest.down] += dz @ W.data.T
+            np.add.at(dh, forest.down_parent, dz @ U.data.T)
+            dh[roots] += d_root @ Wr.data.T
             _accumulate(H, dh)
         if W.requires_grad:
-            _accumulate(W, h[kids].T @ dz)
+            _accumulate(W, kid_h.T @ dz)
         if U.requires_grad:
-            _accumulate(U, h[par].T @ dz)
+            _accumulate(U, par_h.T @ dz)
         if b.requires_grad:
             _accumulate(b, dz.sum(axis=0, keepdims=True))
         if Wr.requires_grad:
-            _accumulate(Wr, h[root : root + 1].T @ d_root)
+            _accumulate(Wr, h[roots].T @ d_root)
         if br.requires_grad:
-            _accumulate(br, d_root)
+            _accumulate(br, d_root.sum(axis=0, keepdims=True))
 
     _record(out, bwd)
     return out

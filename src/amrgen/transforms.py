@@ -15,8 +15,12 @@ stay aligned.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+
+import numpy as np
 
 from .amr import AmrGraph
 
@@ -41,6 +45,153 @@ class LeviGraph:
     @property
     def edge_count(self):
         return len(self.edges)
+
+    @cached_property
+    def forest(self) -> "Forest":
+        """The graph as a Forest of one tree, derived on first read; a
+        ValueError unless the edges form one tree rooted at root."""
+        return Forest.tree(self.node_count, self.edges, self.root)
+
+
+UpLevel = namedtuple("UpLevel", "nodes slots rows first more owner single multi")
+DownPass = namedtuple("DownPass", "kids parents ups unsort levels lone")
+
+
+class Forest:
+    """Trees over consecutive blocks of node rows, indexed for the TreeLSTM
+    kernels, which run each pass level by level over all the trees at once
+    (dynamic batching, as in TF Fold; Looks et al. 2017).
+
+    `kids` lists every non-root node, grouped by parent in post-order of the
+    parents (each child before its parent), children in edge order within a
+    group, and `kid_parent` holds each one's parent. `up_levels[h - 1]` is
+    the UpLevel of the parents of height h (1 + their highest child's): the
+    nodes in post-order, their slots in `kids`, group by group, and the
+    slots' rows; first, the place among the slots of each node's first
+    child, and more, for each child index j > 0, the nodes with more than j
+    children and the places of their j-th children; owner, each slot's
+    node; single and multi, the slots of nodes with one child and with
+    more. `leaves` lists the nodes of height 0. `down` lists
+    the non-root nodes with every parent before its children (each tree's
+    post-order reversed) and `down_parent` their parents. `down_pass` has
+    them depth by depth, the latest place in `down` first within a depth:
+    their rows (kids) and their parents' rows, the place of each one's
+    parent in that order or, for a root's child, one past its end (ups),
+    the places that put them back in `down`'s order (unsort), and per
+    depth a (start, stop, shared) level: their span and whether two of
+    them share a parent. `lone_rows` are the rows of one-node trees,
+    and `down_pass.lone` the places of the one child of two-node trees,
+    when other rows are beside them. The levels are derived on first read,
+    so a tree that is only ever joined with others never derives its own.
+    """
+
+    def __init__(self, sizes, roots, kids, kid_parent, down, down_parent, height, depth):
+        self.sizes, self.roots = list(sizes), roots
+        self.kids, self.kid_parent = kids, kid_parent
+        self.down, self.down_parent = down, down_parent
+        self.height, self.depth = height, depth
+
+    @cached_property
+    def leaves(self):
+        return np.flatnonzero(np.bincount(self.kid_parent, minlength=sum(self.sizes)) == 0)
+
+    @cached_property
+    def up_levels(self):
+        counts = np.bincount(self.kid_parent, minlength=sum(self.sizes))
+        slot_height = self.height[self.kid_parent]
+        levels = []
+        for level in range(1, int(self.height.max()) + 1):
+            slots = np.flatnonzero(slot_height == level)
+            owners = self.kid_parent[slots]
+            first = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+            nodes = owners[first]
+            per_node = counts[nodes]
+            more = [(np.flatnonzero(per_node > j), first[per_node > j] + j)
+                    for j in range(1, int(per_node.max()))]
+            owner = np.repeat(np.arange(len(nodes)), per_node)
+            one = per_node[owner] == 1
+            levels.append(UpLevel(nodes, slots, self.kids[slots], first, more, owner,
+                                  np.flatnonzero(one), np.flatnonzero(~one)))
+        return levels
+
+    @cached_property
+    def down_pass(self):
+        kid_depth = self.depth[self.down]
+        order = np.concatenate([np.flatnonzero(kid_depth == level)[::-1]
+                                for level in range(1, int(self.depth.max()) + 1)]
+                               + [self.down[:0]])
+        kids, parents = self.down[order], self.down_parent[order]
+        place = np.full(sum(self.sizes), len(order))  # a root's: one past the end
+        place[kids] = np.arange(len(order))
+        ups = place[parents]
+        levels, start = [], 0
+        for stop in np.cumsum(np.bincount(kid_depth)[1:]).tolist():
+            levels.append((start, stop, len(set(ups[start:stop].tolist())) < stop - start))
+            start = stop
+        sizes = np.array(self.sizes)
+        two = np.repeat(sizes == 2, sizes - 1)[order]
+        lone = np.flatnonzero(two) if len(order) > 1 else order[:0]
+        return DownPass(kids, parents, ups, np.argsort(order), levels, lone)
+
+    @cached_property
+    def lone_rows(self):
+        sizes = np.array(self.sizes)
+        return self.roots[sizes == 1] if sizes.sum() > 1 else self.roots[:0]
+
+    @classmethod
+    def tree(cls, node_count: int, edges, root: int) -> "Forest":
+        """One tree of node_count nodes; raises unless the (u, v) edges form
+        one tree rooted at root."""
+        children = [[] for _ in range(node_count)]
+        parent = [None] * node_count
+        for u, v in edges:
+            if parent[v] is not None:
+                raise ValueError(
+                    "input is not a tree (a node has multiple parents); "
+                    "convert the graph with to_tree first"
+                )
+            parent[v] = u
+            children[u].append(v)
+        if parent[root] is not None:
+            raise ValueError("input is not a tree (its root has a parent)")
+        order = []  # post-order: every child before its parent
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if ready:
+                order.append(node)
+            else:
+                stack.append((node, True))
+                stack.extend((child, False) for child in children[node])
+        if len(order) != node_count:
+            raise ValueError("input is not a tree (some node is not below the root)")
+        height, depth = [0] * node_count, [0] * node_count
+        for node in order:
+            if children[node]:
+                height[node] = 1 + max(height[child] for child in children[node])
+        for node in reversed(order):
+            for child in children[node]:
+                depth[child] = depth[node] + 1
+        kids = [child for node in order for child in children[node]]
+        down = order[-2::-1]
+        index = partial(np.array, dtype=np.intp)
+        return cls([node_count], index([root]), index(kids), index([parent[v] for v in kids]),
+                   index(down), index([parent[v] for v in down]), index(height), index(depth))
+
+    @classmethod
+    def join(cls, forests) -> "Forest":
+        """The forests side by side, each one's rows after the one before."""
+        if len(forests) == 1:
+            return forests[0]
+        offsets = np.cumsum([0] + [sum(f.sizes) for f in forests[:-1]])
+
+        def shifted(name):
+            return np.concatenate([getattr(f, name) + off for f, off in zip(forests, offsets)])
+
+        return cls([size for f in forests for size in f.sizes], shifted("roots"),
+                   shifted("kids"), shifted("kid_parent"), shifted("down"),
+                   shifted("down_parent"), np.concatenate([f.height for f in forests]),
+                   np.concatenate([f.depth for f in forests]))
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ def min_relu_margin(encoder: StackEncoder, example) -> float:
 
     struct.activation = spy
     try:
-        encoder.encode(example)
+        encoder.encode([example])
     finally:
         struct.activation = real
     return min(margins) if margins else np.inf

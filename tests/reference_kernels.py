@@ -1,8 +1,10 @@
 """References that the kernel tests compare the fused kernels with:
 `decoder.decoder_batch` with the one-sentence decoder kernel that it replaced
 and with that kernel composed from single-step kernels, `decoder.output_nll`
-with the output layer and loss composed from single kernels, and
-`tensor.gcn_layer` with its composed code."""
+with the output layer and loss composed from single kernels,
+`tensor.gcn_layer` with its composed code, `tensor.bilstm_batch` with
+`lstm_sequence`, one direction over one sequence, and the tree kernels with
+the node-by-node kernels that they replaced."""
 import numpy as np
 
 from amrgen import decoder as D, tensor as T
@@ -165,3 +167,276 @@ def gcn_layer(H, a_in, a_out, W_in, W_out, b, activation, W_t=None, b_t=None):
     t = T.sigmoid(T.add(T.matmul(H, W_t), b_t))
     one_minus = T.sub(Tensor(np.ones(t.shape)), t)
     return T.add(T.mul(t, T.tanh(out)), T.mul(one_minus, H))
+
+
+def _previous_rows(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """Row t holds the state before step t: a zero row first in processing order."""
+    out = np.zeros_like(a)
+    if reverse:
+        out[:-1] = a[1:]
+    else:
+        out[1:] = a[:-1]
+    return out
+
+
+def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the N rows of X from a zero state, as one tape
+    entry: one direction of `tensor.bilstm_batch` over one sequence, the
+    kernel that it replaced. Row t of the (N, hidden) output is the hidden state after reading
+    rows 0..t, or rows t..N-1 when reverse.
+
+    The input projection X W + b is one (N, d) @ (d, 4 hidden) matmul before
+    the recurrence. Backward is one BPTT loop over the rows that fills dZ, the
+    gradient of the pre-activations, then dX = dZ W^T, dW = X^T dZ and
+    dU = H_prev^T dZ as three GEMMs.
+    """
+    if X.data.ndim != 2 or X.shape[1] != W.shape[0]:
+        raise T.ShapeError(f"lstm_sequence shape mismatch: {X.shape} @ {W.shape}")
+    rows, n = X.shape[0], U.shape[0]
+    xw = X.data @ W.data + b.data
+    u = U.data
+    sig = np.empty((rows, 3 * n))
+    g = np.empty((rows, n))
+    c_all = np.empty((rows, n))
+    tc = np.empty((rows, n))
+    h_all = np.empty((rows, n))
+    h = np.zeros(n)
+    c = np.zeros(n)
+    steps = range(rows - 1, -1, -1) if reverse else range(rows)
+    for t in steps:
+        s, g[t] = T._lstm_gates(xw[t] + h @ u, n)
+        sig[t] = s
+        c = s[n : 2 * n] * c + s[:n] * g[t]
+        c_all[t] = c
+        tc[t] = np.tanh(c)
+        h = s[2 * n :] * tc[t]
+        h_all[t] = h
+    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, b)))
+
+    def bwd(dH):
+        dsig = sig * (1.0 - sig)
+        # dZ row t is [dc K_i, dc K_f, dh K_o, dc K_g] with dc, dh the row's
+        # cell and hidden gradients; the K are fixed by the forward pass
+        k = np.empty((rows, 4, n))
+        k[:, 0] = g * dsig[:, :n]
+        k[:, 1] = _previous_rows(c_all, reverse) * dsig[:, n : 2 * n]
+        k[:, 2] = tc * dsig[:, 2 * n :]
+        k[:, 3] = sig[:, :n] * (1.0 - g * g)
+        h_to_c = sig[:, 2 * n :] * (1.0 - tc * tc)
+        f = sig[:, n : 2 * n]
+        u_t = np.ascontiguousarray(u.T)
+        dz = np.empty((rows, 4, n))
+        dh_next = np.zeros(n)
+        dc_next = np.zeros(n)
+        for t in reversed(steps):
+            dh = dH[t] + dh_next
+            dc = dc_next + dh * h_to_c[t]
+            np.multiply(k[t], dc, out=dz[t])
+            np.multiply(k[t, 2], dh, out=dz[t, 2])
+            dh_next = dz[t].reshape(-1) @ u_t
+            dc_next = dc * f[t]
+        dz = dz.reshape(rows, 4 * n)
+        if X.requires_grad:
+            T._accumulate(X, dz @ W.data.T)
+        if W.requires_grad:
+            T._accumulate(W, X.data.T @ dz)
+        if U.requires_grad:
+            T._accumulate(U, _previous_rows(h_all, reverse).T @ dz)
+        if b.requires_grad:
+            T._accumulate(b, dz.sum(axis=0, keepdims=True))
+
+    T._record(out, bwd)
+    return out
+
+
+def tree_topology(node_count: int, edges, root: int):
+    """children lists, parent indices and a post-order from root (every child
+    before its parent); raises unless the edges form one tree rooted at root."""
+    children = [[] for _ in range(node_count)]
+    parent = [None] * node_count
+    for u, v in edges:
+        if parent[v] is not None:
+            raise ValueError(
+                "input is not a tree (a node has multiple parents); "
+                "convert the graph with to_tree first"
+            )
+        parent[v] = u
+        children[u].append(v)
+    if parent[root] is not None:
+        raise ValueError("input is not a tree (its root has a parent)")
+    order = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in children[node])
+    if len(order) != node_count:
+        raise ValueError("input is not a tree (some node is not below the root)")
+    return children, parent, order
+
+
+def tree_lstm_up_per_node(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, children,
+                          order) -> Tensor:
+    """`tensor.tree_lstm_up` node by node over one tree, the kernel that the
+    level-by-level one replaced. The bottom-up pass over the N rows of X as
+    one tape entry: row j of the
+    (N, hidden) output is node j's hidden state. children[j] lists node j's
+    children, and order lists every node once, each child before its parent.
+
+    X W + b is one matmul before the loop over the nodes. Backward is one loop
+    from parents to children that fills dZ, the gradient of the
+    pre-activations, then dX, dW, dU and dUf are GEMMs.
+    """
+    if X.data.ndim != 2 or X.shape[1] != W.shape[0]:
+        raise T.ShapeError(f"tree_lstm_up shape mismatch: {X.shape} @ {W.shape}")
+    rows, n = X.shape[0], Uf.shape[0]
+    xw = X.data @ W.data + b.data
+    u_mat, uf = U.data, Uf.data
+    act = np.empty((rows, 3, n))  # i, o, u
+    c_all = np.empty((rows, n))
+    tc = np.empty((rows, n))
+    h_all = np.empty((rows, n))
+    h_sum = np.zeros((rows, n))
+    # one row per child, grouped by parent in processing order
+    kids = [child for node in order for child in children[node]]
+    first = {}  # node with children -> its first row in the child arrays
+    f_all = np.empty((len(kids), n))
+    start = 0
+    for node in order:
+        ch = children[node]
+        a = xw[node]
+        pre = a[: 3 * n]
+        if ch:
+            first[node] = start
+            hk = h_all[ch]
+            h_sum[node] = s = hk.sum(axis=0)
+            pre = pre + s @ u_mat
+            f = f_all[start : start + len(ch)] = 1.0 / (1.0 + np.exp(-(a[3 * n :] + hk @ uf)))
+            start += len(ch)
+        gates = act[node]
+        gates[:2] = (1.0 / (1.0 + np.exp(-pre[: 2 * n]))).reshape(2, n)
+        gates[2] = np.tanh(pre[2 * n :])
+        c = gates[0] * gates[2]
+        if ch:  # summed in child order after i u, as the composed ops add them
+            c = np.vstack((c, f * c_all[ch])).sum(axis=0)
+        c_all[node] = c
+        tc[node] = np.tanh(c)
+        h_all[node] = gates[1] * tc[node]
+    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, Uf, b)))
+
+    def bwd(dH):
+        i, o, u = act[:, 0], act[:, 1], act[:, 2]
+        # dZ row j is [dc K_i, dh K_o, dc K_u, sum_k dc K_f,k] with dc, dh the
+        # node's cell and hidden gradients; the K are fixed by the forward pass
+        k = np.empty((rows, 3, n))
+        k[:, 0] = u * i * (1.0 - i)
+        k[:, 1] = tc * o * (1.0 - o)
+        k[:, 2] = i * (1.0 - u * u)
+        k_f = c_all[kids] * f_all * (1.0 - f_all)
+        h_to_c = o * (1.0 - tc * tc)
+        u_t = np.ascontiguousarray(u_mat.T)
+        uf_t = np.ascontiguousarray(uf.T)
+        dz = np.zeros((rows, 4 * n))
+        dzf = np.empty((len(kids), n))
+        dh_all = np.array(dH)  # the output's gradient, plus what parents send
+        dc_all = np.zeros((rows, n))
+        for node in reversed(order):
+            dh = dh_all[node]
+            dc = dc_all[node] + dh * h_to_c[node]
+            dz_iou = dz[node, : 3 * n]
+            np.multiply(k[node], dc, out=dz_iou.reshape(3, n))
+            np.multiply(k[node, 1], dh, out=dz_iou[n : 2 * n])
+            ch = children[node]
+            if ch:
+                rows_f = slice(first[node], first[node] + len(ch))
+                d_f = dzf[rows_f] = dc * k_f[rows_f]
+                dz[node, 3 * n :] = d_f.sum(axis=0)
+                dc_all[ch] = dc * f_all[rows_f]
+                dh_all[ch] += dz_iou @ u_t + d_f @ uf_t
+        if X.requires_grad:
+            T._accumulate(X, dz @ W.data.T)
+        if W.requires_grad:
+            T._accumulate(W, X.data.T @ dz)
+        if U.requires_grad:
+            T._accumulate(U, h_sum.T @ dz[:, : 3 * n])
+        if Uf.requires_grad:
+            T._accumulate(Uf, h_all[kids].T @ dzf)
+        if b.requires_grad:
+            T._accumulate(b, dz.sum(axis=0, keepdims=True))
+
+    T._record(out, bwd)
+    return out
+
+
+def tree_lstm_down_per_node(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: Tensor,
+                            parent, order) -> Tensor:
+    """`tensor.tree_lstm_down` node by node over one tree, the kernel that the
+    level-by-level one replaced. The top-down pass over the (N, hidden)
+    bottom-up states H as one tape entry, returning the (N, 2 hidden) rows
+    [h_down ; H]. order is the bottom-up pass's order, so its last node is
+    the root: the root gets h_down = tanh(H_root Wr + br) and a zero cell,
+    and every other node v one LSTM step (gate order i, f, o, g) with input
+    H[v], hidden state H[parent[v]] and its parent's top-down cell.
+
+    No hidden state feeds back, so all pre-activations are one pair of GEMMs
+    before the loop, which carries only the cells. Backward is one loop from
+    children to parents over the cell gradients, then dH (the parents' share
+    scattered with one add.at), dW and dU are GEMMs.
+    """
+    rows, n = H.shape
+    root = order[-1]
+    kids = np.array(order[-2::-1], dtype=np.intp)  # every parent before its children
+    par = np.array([parent[v] for v in kids], dtype=np.intp)
+    h = H.data
+    z = h[kids] @ W.data + h[par] @ U.data + b.data
+    sig, g = T._lstm_gates(z, n)
+    i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
+    ig = i * g
+    kid_list, par_list = kids.tolist(), par.tolist()
+    c = np.zeros((rows, n))
+    for r, v in enumerate(kid_list):
+        c[v] = f[r] * c[par_list[r]] + ig[r]
+    tc = np.tanh(c[kids])
+    down = np.empty((rows, n))
+    down[kids] = o * tc
+    root_h = np.tanh(h[root : root + 1] @ Wr.data + br.data)
+    down[root] = root_h[0]
+    out = Tensor(np.concatenate([down, h], axis=1),
+                 requires_grad=any(t.requires_grad for t in (H, W, U, b, Wr, br)))
+
+    def bwd(d_out):
+        d_kid = d_out[kids, :n]
+        d_cell = d_kid * o * (1.0 - tc * tc)
+        dc = np.zeros((rows, n))  # what each node's cell receives from its children
+        for r in range(len(kid_list) - 1, -1, -1):
+            d_cell[r] += dc[kid_list[r]]
+            dc[par_list[r]] += d_cell[r] * f[r]
+        dz = np.empty_like(z)
+        dz[:, :n] = d_cell * g
+        dz[:, n : 2 * n] = d_cell * c[par]
+        dz[:, 2 * n : 3 * n] = d_kid * tc
+        dz[:, : 3 * n] *= sig * (1.0 - sig)
+        dz[:, 3 * n :] = d_cell * i * (1.0 - g * g)
+        d_root = d_out[root : root + 1, :n] * (1.0 - root_h * root_h)
+        if H.requires_grad:
+            dh = np.array(d_out[:, n:])
+            dh[kids] += dz @ W.data.T
+            np.add.at(dh, par, dz @ U.data.T)
+            dh[root] += (d_root @ Wr.data.T)[0]
+            T._accumulate(H, dh)
+        if W.requires_grad:
+            T._accumulate(W, h[kids].T @ dz)
+        if U.requires_grad:
+            T._accumulate(U, h[par].T @ dz)
+        if b.requires_grad:
+            T._accumulate(b, dz.sum(axis=0, keepdims=True))
+        if Wr.requires_grad:
+            T._accumulate(Wr, h[root : root + 1].T @ d_root)
+        if br.requires_grad:
+            T._accumulate(br, d_root)
+
+    T._record(out, bwd)
+    return out

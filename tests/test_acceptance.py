@@ -143,7 +143,7 @@ def test_criterion_3_gradient_checks(figure_example):
         assert min_relu_margin(enc, figure_example) > 1e-3
 
         def loss():
-            out = enc.encode(figure_example)
+            out = enc.encode([figure_example])
             return T.sum_all(T.mul(out, out))
 
         worst, where = finite_difference_check(store.params, loss, eps=1e-5)
@@ -174,8 +174,8 @@ def test_criterion_4_reentrancy_sensitivity(figure_example):
             if tok == "he":
                 bumped[i] += 1e-3
                 break
-        base = enc.encode(figure_example, node_embeddings=T.Tensor(nodes.copy())).data
-        after = enc.encode(figure_example, node_embeddings=T.Tensor(bumped)).data
+        base = enc.encode([figure_example], node_embeddings=T.Tensor(nodes.copy())).data
+        after = enc.encode([figure_example], node_embeddings=T.Tensor(bumped)).data
         return base[fpos], after[fpos]
 
     g_base, g_after = probe("graph")
@@ -205,7 +205,7 @@ def test_criterion_5_tree_graph_agreement():
             assert na == nb
             pb.data[...] = pa.data
         delta = np.abs(
-            encoders["graph"].encode(ex).data - encoders["tree"].encode(ex).data
+            encoders["graph"].encode([ex]).data - encoders["tree"].encode([ex]).data
         ).max()
         if delta > 1e-12:
             ok = False

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from amrgen import amr, tensor as T, transforms
+from amrgen.vocab import Vocab
 from amrgen.encoders import (
     KINDS,
     BiLstmEncoder,
@@ -18,6 +19,7 @@ from conftest import (
     build_sequence_vocab,
     finite_difference_check,
     min_relu_margin,
+    random_dag_graph,
     random_tree_graph,
 )
 
@@ -68,7 +70,7 @@ def test_all_kinds_output_shape(figure_example):
     n = len(figure_example.sequence.tokens)
     for kind in KINDS:
         enc, _ = make_encoder(kind, vocab)
-        out = enc.encode(figure_example)
+        out = enc.encode([figure_example])
         assert out.shape == (n, 6), kind
         assert np.all(np.isfinite(out.data)), kind
 
@@ -115,7 +117,7 @@ def test_treelstm_rejects_reentrant_input(figure_example):
     enc = StackEncoder(cfg, vocab, T.ParamStore(np.random.default_rng(0)))
     levi = figure_example.structures["graph"].levi  # reentrant: 'he' has two incoming edges
     with pytest.raises(ValueError, match="not a tree"):
-        enc.struct.encode(levi, T.Tensor(np.zeros((levi.node_count, 4))))
+        enc.struct.encode([levi], T.Tensor(np.zeros((levi.node_count, 4))))
 
 
 def bare_levi(count, edges, root=0):
@@ -134,7 +136,7 @@ def test_treelstm_rejects_edges_that_are_not_one_rooted_tree(edges, root):
     cell = ChildSumTreeLstm(3, 8, T.ParamStore(np.random.default_rng(0)))
     count = 1 + max(max(edge) for edge in edges)
     with pytest.raises(ValueError, match="not a tree"):
-        cell.encode(bare_levi(count, edges, root), T.Tensor(np.zeros((count, 3))))
+        cell.encode([bare_levi(count, edges, root)], T.Tensor(np.zeros((count, 3))))
 
 
 def test_treelstm_bottom_up_ignores_siblings():
@@ -143,10 +145,10 @@ def test_treelstm_bottom_up_ignores_siblings():
     cell = ChildSumTreeLstm(3, 8, T.ParamStore(rng))
     edges = ((0, 1), (0, 2))  # root 0 with two leaves
     x = np.random.default_rng(5).uniform(-1, 1, size=(3, 3))
-    base = cell.encode(bare_levi(3, edges), T.Tensor(x.copy())).data
+    base = cell.encode([bare_levi(3, edges)], T.Tensor(x.copy())).data
     x2 = x.copy()
     x2[2] += 1.0  # perturb the second leaf
-    bumped = cell.encode(bare_levi(3, edges), T.Tensor(x2)).data
+    bumped = cell.encode([bare_levi(3, edges)], T.Tensor(x2)).data
     # output layout: [down ; up] with half = 4
     assert np.array_equal(base[1, 4:], bumped[1, 4:])  # sibling's up half unchanged
     assert not np.array_equal(base[0, 4:], bumped[0, 4:])  # root's up half sees it
@@ -159,10 +161,10 @@ def test_treelstm_top_down_broadcasts_context():
     cell = ChildSumTreeLstm(3, 8, T.ParamStore(rng))
     edges = ((0, 1), (0, 2))
     x = np.random.default_rng(7).uniform(-1, 1, size=(3, 3))
-    base = cell.encode(bare_levi(3, edges), T.Tensor(x.copy())).data
+    base = cell.encode([bare_levi(3, edges)], T.Tensor(x.copy())).data
     x2 = x.copy()
     x2[2] += 1.0
-    bumped = cell.encode(bare_levi(3, edges), T.Tensor(x2)).data
+    bumped = cell.encode([bare_levi(3, edges)], T.Tensor(x2)).data
     # output layout: [down ; up]; the up half of node 1 is unchanged,
     # the down half is not
     assert np.array_equal(base[1, 4:], bumped[1, 4:])
@@ -180,12 +182,12 @@ def test_gcn_direction_weights_differ():
     gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=False, edge_dropout=0.0)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     x = T.Tensor(np.random.default_rng(9).uniform(-1, 1, size=(3, 4)))
-    base = gcn.encode(levi, x).data.copy()
+    base = gcn.encode([levi], x).data.copy()
     gcn.layers[0]["W_out"].data[...] = 0.0
-    no_out = gcn.encode(levi, x).data
+    no_out = gcn.encode([levi], x).data
     assert not np.array_equal(base, no_out)
     gcn.layers[0]["W_in"].data[...] = 0.0
-    nothing = gcn.encode(levi, x).data
+    nothing = gcn.encode([levi], x).data
     # relu(0 + 0 + 0 bias) = 0 everywhere once both directions are silenced
     assert np.allclose(nothing, 0.0)
 
@@ -200,10 +202,10 @@ def test_gcn_receptive_field_grows_with_layers():
     def delta_at_root(layers):
         gcn = GcnEncoder(4, 4, layers, T.ParamStore(np.random.default_rng(11)), highway=False,
                          edge_dropout=0.0)
-        base = gcn.encode(levi, T.Tensor(x.copy())).data
+        base = gcn.encode([levi], T.Tensor(x.copy())).data
         x2 = x.copy()
         x2[2] += 1.0  # concept node 'c'
-        bumped = gcn.encode(levi, T.Tensor(x2)).data
+        bumped = gcn.encode([levi], T.Tensor(x2)).data
         return np.abs(base[0] - bumped[0]).max()
 
     assert delta_at_root(2) == 0.0  # two hops cannot reach
@@ -219,7 +221,7 @@ def test_gcn_highway_keeps_input_path():
     for key in ("W_in", "W_out", "W_t"):
         gcn.layers[0][key].data[...] = 0.0
     x = T.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(3, 4)))
-    out = gcn.encode(levi, x).data
+    out = gcn.encode([levi], x).data
     assert np.allclose(out, x.data / 2.0, atol=1e-12)
 
 
@@ -242,7 +244,7 @@ def test_gcn_edge_dropout_draws_once_per_layer():
     gcn = GcnEncoder(4, 4, 3, T.ParamStore(np.random.default_rng(0)), edge_dropout=0.5)
     x = T.Tensor(np.random.default_rng(1).uniform(-1, 1, size=(3, 4)))
     rng = np.random.default_rng(2)
-    gcn.encode(levi, x, rng=rng)
+    gcn.draw(levi, rng)
     expected = np.random.default_rng(2)
     for _ in range(3):
         expected.random(len(levi.edges))
@@ -254,8 +256,8 @@ def test_gcn_edge_dropout_changes_messages():
     gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=False, edge_dropout=0.9)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     x = T.Tensor(np.random.default_rng(15).uniform(-1, 1, size=(3, 4)))
-    eval_out = gcn.encode(levi, x).data
-    train_out = gcn.encode(levi, x, rng=np.random.default_rng(16)).data
+    eval_out = gcn.encode([levi], x).data
+    train_out = gcn.encode([levi], x, [gcn.draw(levi, np.random.default_rng(16))]).data
     assert not np.array_equal(eval_out, train_out)
 
 
@@ -274,7 +276,7 @@ def test_gcn_tree_graph_agree_without_reentrancies():
         for (na, pa), (nb, pb) in zip(sorted(graph_params.items()), sorted(tree_params.items())):
             assert na == nb
             pb.data[...] = pa.data
-        assert np.abs(enc_graph.encode(ex).data - enc_tree.encode(ex).data).max() <= 1e-12
+        assert np.abs(enc_graph.encode([ex]).data - enc_tree.encode([ex]).data).max() <= 1e-12
 
 
 def test_edge_order_permutation_equivariance(figure_graph):
@@ -289,8 +291,8 @@ def test_edge_order_permutation_equivariance(figure_graph):
     # same linearization, so the same vocab applies
     vocab = build_sequence_vocab(ex1)
     enc, _ = make_encoder("GCN", vocab, seed=5)
-    out1 = enc.encode(ex1).data
-    out2 = enc.encode(ex2).data
+    out1 = enc.encode([ex1]).data
+    out2 = enc.encode([ex2]).data
     tok1 = list(ex1.sequence.tokens)
     tok2 = list(ex2.sequence.tokens)
     # compare per concept token; positions shift but states must match
@@ -315,8 +317,8 @@ def test_reentrancy_sensitivity_graph_vs_tree(figure_example):
             if tok == "he":
                 bumped[i] += 1e-3
                 break  # first copy only
-        base = enc.encode(figure_example, node_embeddings=T.Tensor(nodes.copy())).data
-        after = enc.encode(figure_example, node_embeddings=T.Tensor(bumped)).data
+        base = enc.encode([figure_example], node_embeddings=T.Tensor(nodes.copy())).data
+        after = enc.encode([figure_example], node_embeddings=T.Tensor(bumped)).data
         return base[fpos], after[fpos]
 
     g_base, g_after = probe("graph")
@@ -338,11 +340,31 @@ def test_stack_gradients(kind, figure_example):
     assert min_relu_margin(enc, figure_example) > 1e-3
 
     def loss():
-        out = enc.encode(figure_example)
+        out = enc.encode([figure_example])
         return T.sum_all(T.mul(out, out))
 
     worst, where = finite_difference_check(params, loss)
     assert worst <= 1e-4, where
+
+
+# --------------------------------------------------------------------------
+# Batches
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_batch_encodes_as_its_examples_do_one_by_one(kind):
+    """A batch's rows are each example's rows encoded alone, with the same
+    dropout and edge-dropout masks when the draws come from one rng."""
+    rng = np.random.default_rng(21)
+    graph_of = random_dag_graph if default_repr(kind) == "graph" else random_tree_graph
+    examples = [transforms.prepare_example(graph_of(rng)) for _ in range(5)]
+    vocab = Vocab.build(ex.sequence.tokens for ex in examples)
+    enc, _ = make_encoder(kind, vocab, dropout=0.3, edge_dropout=0.2)
+    for seed in (None, 3):
+        batch = enc.encode(examples, rng=None if seed is None else np.random.default_rng(seed))
+        one_rng = None if seed is None else np.random.default_rng(seed)
+        alone = np.concatenate([enc.encode([ex], rng=one_rng).data for ex in examples])
+        assert np.array_equal(batch.data, alone)
 
 
 # --------------------------------------------------------------------------
@@ -352,16 +374,16 @@ def test_stack_gradients(kind, figure_example):
 def test_encode_deterministic(figure_example):
     vocab = build_sequence_vocab(figure_example)
     for kind in KINDS:
-        a = make_encoder(kind, vocab, seed=9)[0].encode(figure_example).data
-        b = make_encoder(kind, vocab, seed=9)[0].encode(figure_example).data
+        a = make_encoder(kind, vocab, seed=9)[0].encode([figure_example]).data
+        b = make_encoder(kind, vocab, seed=9)[0].encode([figure_example]).data
         assert np.array_equal(a, b), kind
 
 
 def test_dropout_rng_controls_training_noise(figure_example):
     vocab = build_sequence_vocab(figure_example)
     enc, _ = make_encoder("Seq", vocab, dropout=0.5)
-    a = enc.encode(figure_example, rng=np.random.default_rng(1)).data
-    b = enc.encode(figure_example, rng=np.random.default_rng(1)).data
-    c = enc.encode(figure_example, rng=np.random.default_rng(2)).data
+    a = enc.encode([figure_example], rng=np.random.default_rng(1)).data
+    b = enc.encode([figure_example], rng=np.random.default_rng(1)).data
+    c = enc.encode([figure_example], rng=np.random.default_rng(2)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)

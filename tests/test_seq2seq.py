@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T, transforms
+from amrgen.decoder import initial_rows
 from amrgen.encoders import KINDS, EncoderConfig, StackEncoder, default_repr
 from amrgen.seq2seq import (
     Checkpoint,
@@ -179,11 +180,15 @@ def test_batch_loss_sums_the_examples_losses(toy10):
 
 
 # --------------------------------------------------------------------------
-# Tape size: the decoder, the output layer and the loss run once per batch
+# Tape size: the encoder, the decoder, the output layer and the loss run once
+# per batch
 
-# tape entries for one example: the encoder's, 5 for the first decoder
-# state, the encoder projection, one decoder_batch and one output_nll entry
-TAPE_ENTRIES = {"Seq": 14, "GCNSeq": 17, "TreeLSTMSeq": 17, "GCN": 14}
+# tape entries for one example: the encoder's (an embedding lookup and a
+# dropout, the BiLSTM, a GCN layer each or the two tree passes, a row gather
+# after a structural encoder, and the output dropout), the encoder
+# projection, then one entry each for the first decoder state,
+# decoder_batch and output_nll
+TAPE_ENTRIES = {"Seq": 8, "GCNSeq": 11, "TreeLSTMSeq": 11, "GCN": 10}
 
 
 @pytest.mark.parametrize("kind", sorted(TAPE_ENTRIES))
@@ -206,6 +211,25 @@ def test_tape_size_is_pinned_and_independent_of_target_length(kind, graph, figur
             model.sequence_loss(example, rng=np.random.default_rng(0))
         sizes.append(len(tape))
     assert sizes == [TAPE_ENTRIES[kind]] * 2
+
+
+@pytest.mark.parametrize("kind", sorted(TAPE_ENTRIES))
+def test_tape_size_of_a_batch(kind, toy10):
+    """A batch of 4 records as many entries as one example, but for the GCN
+    layers, which run per example: each example's layers and the slice of
+    its rows, and the concat that joins their outputs."""
+    src, tgt = build_vocabs(toy10, unk_threshold=1)
+    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8, hidden_dim=8,
+                        dropout=0.3, edge_dropout=0.1)
+    model = Seq2SeqModel(cfg, src, tgt, seed=0)
+    sizes = []
+    for batch in (toy10[:1], toy10[:4]):
+        with T.Tape() as tape:
+            model.batch_loss(batch, rng=np.random.default_rng(0))
+        sizes.append(len(tape))
+    layers = cfg.gcn_layers if "GCN" in kind else 0
+    per_example_gcn = 4 * (layers + 1) + 1 - layers if layers else 0
+    assert sizes == [TAPE_ENTRIES[kind], TAPE_ENTRIES[kind] + per_example_gcn]
 
 
 # --------------------------------------------------------------------------
@@ -334,11 +358,12 @@ def test_score_sentence_agrees_with_greedy(toy10, kind, seed, index, eos_bias):
 def reference_beam_decode(model, ex, beam, max_len):
     """beam_decode without its early stop or batching: every prefix stepped
     alone for all max_len steps, one argsort per hypothesis."""
-    enc, enc_proj = model._encode(ex)
+    enc, enc_proj, sizes = model._encode([ex])
+    enc, enc_proj = enc.data, enc_proj.data
     eos = model.tgt_vocab.index(EOS)
     zero = np.zeros((1, enc.shape[1]))
-    greedy = ((model.tgt_vocab.index(BOS),), 0.0, (zero, model._init_state(enc).data, zero))
-    enc, enc_proj = enc.data, enc_proj.data
+    s0 = initial_rows(enc, sizes, model.W_init.data, model.b_init.data)
+    greedy = ((model.tgt_vocab.index(BOS),), 0.0, (zero, s0, zero))
     hyps, done = [greedy], []
     for _ in range(max_len):
         live = hyps if greedy[0][-1] == eos else hyps + [greedy]

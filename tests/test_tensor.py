@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import decoder as D, tensor as T
-from amrgen.encoders import _tree_topology, adjacency
+from amrgen.encoders import adjacency
 from amrgen.tensor import ShapeError, Tensor
+from amrgen.transforms import Forest
 
 import reference_kernels
 
@@ -152,7 +153,7 @@ def test_log_softmax_matches_log_of_softmax():
 def test_dropout_keep_one_is_identity():
     rng = np.random.default_rng(2)
     a = Tensor(_rand(rng, 4, 4))
-    out = T.dropout(a, 1.0, rng)
+    out = T.dropout(a, 1.0, rng.random(a.shape))
     assert np.array_equal(out.data, a.data)
 
 
@@ -165,7 +166,7 @@ def test_dropout_eval_mode_is_identity():
 def test_dropout_scales_surviving_entries():
     rng = np.random.default_rng(4)
     a = Tensor(np.ones((50, 50)))
-    out = T.dropout(a, 0.5, rng).data
+    out = T.dropout(a, 0.5, rng.random(a.shape)).data
     kept = out != 0.0
     assert np.allclose(out[kept], 2.0)  # inverted scaling by 1/keep
     rate = kept.mean()
@@ -175,14 +176,19 @@ def test_dropout_scales_surviving_entries():
 def test_dropout_invalid_keep():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
-        T.dropout(Tensor(np.ones((2, 2))), 0.0, rng)
+        T.dropout(Tensor(np.ones((2, 2))), 0.0, rng.random((2, 2)))
+
+
+def test_dropout_rejects_draws_of_another_shape():
+    with pytest.raises(ShapeError):
+        T.dropout(Tensor(np.ones((2, 2))), 0.5, np.full((2, 3), 0.1))
 
 
 def test_dropout_grad_masks_match_forward():
     rng = np.random.default_rng(6)
     a = _param(rng, 5, 5)
     with T.Tape() as tape:
-        out = T.dropout(a, 0.5, np.random.default_rng(7))
+        out = T.dropout(a, 0.5, np.random.default_rng(7).random(a.shape))
         loss = T.sum_all(out)
         T.backward(tape, loss)
     # gradient is 1/keep where kept, 0 where dropped
@@ -428,7 +434,8 @@ def test_lstm_sequence_grad(rows, reverse):
     d, n = (int(v) for v in rng.integers(1, 5, size=2))
     X, W, U, b = _lstm_params(rng, rows, d, n)
     w = Tensor(_rand(rng, rows, n))
-    _check([X, W, U, b], lambda: T.sum_all(T.mul(T.lstm_sequence(X, W, U, b, reverse), w)))
+    _check([X, W, U, b],
+           lambda: T.sum_all(T.mul(reference_kernels.lstm_sequence(X, W, U, b, reverse), w)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -444,7 +451,7 @@ def test_fused_lstm_forward_matches_composed(seed):
         assert np.abs(got - want.data).max() <= 1e-12
     X = _param(rng, 7, d)
     for reverse in (False, True):
-        fused = T.lstm_sequence(X, W, U, b, reverse).data
+        fused = reference_kernels.lstm_sequence(X, W, U, b, reverse).data
         composed = _composed_lstm_sequence(X, W, U, b, reverse).data
         assert fused.shape == (7, n)
         assert np.abs(fused - composed).max() <= 1e-12
@@ -456,9 +463,126 @@ def test_lstm_step_is_one_tape_entry():
     zero = Tensor(np.zeros((1, 2)))
     with T.Tape() as tape:
         state = T.lstm_step(x, zero, zero, W, U, b)
-        T.lstm_sequence(x, W, U, b)
+        reference_kernels.lstm_sequence(x, W, U, b)
     assert len(tape) == 2
     assert state.shape == (1, 4) and state.requires_grad
+
+
+def _bilstm_inputs(rng, lengths, d, n):
+    """X over sequences of the given lengths, then each direction's W, U and b."""
+    shapes = ((d, 4 * n), (n, 4 * n), (1, 4 * n)) * 2
+    return _param(rng, sum(lengths), d), [_param(rng, *shape) for shape in shapes]
+
+
+def _per_sequence_bilstm(X, lengths, weights):
+    """The reference: lstm_sequence forward and in reverse over each
+    sequence's rows."""
+    W_f, U_f, b_f, W_b, U_b, b_b = weights
+    rows, start = [], 0
+    for length in lengths:
+        x = T.slice_rows(X, start, start + length)
+        rows.append(T.concat([reference_kernels.lstm_sequence(x, W_f, U_f, b_f),
+                              reference_kernels.lstm_sequence(x, W_b, U_b, b_b, reverse=True)],
+                             axis=1))
+        start += length
+    return T.concat(rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       d=st.integers(1, 4), n=st.integers(1, 4))
+def test_bilstm_batch_matches_the_per_sequence_kernels(seed, lengths, d, n):
+    """bilstm_batch equals lstm_sequence run on each sequence in each
+    direction: its output bit for bit in any batch, with or without a tape,
+    and its gradients bit for bit for one sequence and within 1e-12 of the
+    per-sequence ones summed for more."""
+    rng = np.random.default_rng(seed)
+    X, weights = _bilstm_inputs(rng, lengths, d, n)
+    inputs = [X, *weights]
+    w = Tensor(_rand(rng, sum(lengths), 2 * n))
+    got, got_grads, entries = _values_and_grads(
+        lambda: T.bilstm_batch(X, lengths, *weights), inputs, w)
+    want, want_grads, _ = _values_and_grads(
+        lambda: _per_sequence_bilstm(X, lengths, weights), inputs, w)
+    assert entries == 3  # the kernel, mul and sum_all
+    assert np.array_equal(got, want)
+    assert np.array_equal(T.bilstm_batch(X, lengths, *weights).data, want)
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        if len(lengths) == 1:
+            assert np.array_equal(got_grad, want_grad)
+        else:
+            assert _relative_error(got_grad, want_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bilstm_batch_grad(seed):
+    rng = np.random.default_rng(seed)
+    lengths = [3, 1, 4]  # unequal, and one of a single row
+    X, weights = _bilstm_inputs(rng, lengths, 3, 2)
+    w = Tensor(_rand(rng, sum(lengths), 4))
+    _check([X, *weights], lambda: T.sum_all(T.mul(T.bilstm_batch(X, lengths, *weights), w)))
+
+
+def test_bilstm_batch_rejects_mismatched_inputs():
+    rng = np.random.default_rng(0)
+    X, weights = _bilstm_inputs(rng, [2, 3], 3, 2)
+    for lengths in ([2, 2], [5, 0], []):
+        with pytest.raises(ShapeError):
+            T.bilstm_batch(X, lengths, *weights)
+    with pytest.raises(ShapeError):
+        T.bilstm_batch(X, [5], _param(rng, 2, 8), *weights[1:])
+    with pytest.raises(ShapeError):
+        T.bilstm_batch(X, [5], *weights[:4], _param(rng, 3, 8), weights[5])
+
+
+def _composed_initial_state(enc, W, b):
+    """The first decoder state of one example from single kernels."""
+    mean = T.scale(T.sum_rows(enc), 1.0 / enc.shape[0])
+    return T.tanh(T.add(T.matmul(mean, W), b))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), sizes=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+       h=st.integers(1, 5))
+def test_initial_state_matches_composed(seed, sizes, h):
+    """initial_state equals the composed kernels on each example's rows, bit
+    for bit; so do its gradients for one example, and for more they are
+    within 1e-12 of the per-example ones summed. initial_rows is its
+    forward."""
+    rng = np.random.default_rng(seed)
+    enc, W, b = _param(rng, sum(sizes), h), _param(rng, h, h), _param(rng, 1, h)
+    w = Tensor(_rand(rng, len(sizes), h))
+    starts = np.cumsum(sizes) - sizes
+    got, got_grads, entries = _values_and_grads(
+        lambda: D.initial_state(enc, sizes, W, b), [enc, W, b], w)
+    want, want_grads, _ = _values_and_grads(lambda: T.concat([
+        _composed_initial_state(T.slice_rows(enc, a, a + size), W, b)
+        for a, size in zip(starts, sizes)]), [enc, W, b], w)
+    assert entries == 3
+    assert np.array_equal(got, want)
+    assert np.array_equal(D.initial_rows(enc.data, sizes, W.data, b.data), want)
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        if len(sizes) == 1:
+            assert np.array_equal(got_grad, want_grad)
+        else:
+            assert _relative_error(got_grad, want_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_initial_state_grad(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [2, 1, 3]
+    enc, W, b = _param(rng, 6, 3), _param(rng, 3, 3), _param(rng, 1, 3)
+    w = Tensor(_rand(rng, 3, 3))
+    _check([enc, W, b], lambda: T.sum_all(T.mul(D.initial_state(enc, sizes, W, b), w)))
+
+
+def test_initial_state_rejects_mismatched_sizes():
+    rng = np.random.default_rng(0)
+    enc, W, b = _param(rng, 4, 2), _param(rng, 2, 2), _param(rng, 1, 2)
+    for sizes in ([2, 1], [4, 0], []):
+        with pytest.raises(ShapeError):
+            D.initial_state(enc, sizes, W, b)
 
 
 def test_constant_operands_get_no_gradient():
@@ -661,8 +785,8 @@ def _composed_tree_lstm_down(H, W, U, b, Wr, br, parent, order):
 
 @st.composite
 def trees(draw):
-    """(children, parent, order) of a tree of 1 to 12 nodes: a random one, a
-    chain or a star, with shuffled node numbers."""
+    """(children, parent, order, forest) of a tree of 1 to 12 nodes: a random
+    one, a chain or a star, with shuffled node numbers."""
     count = draw(st.integers(1, 12))
     shape = draw(st.sampled_from(["random", "chain", "star"]))
     if shape == "chain":
@@ -673,7 +797,8 @@ def trees(draw):
         parents = [draw(st.integers(0, i)) for i in range(count - 1)]
     label = draw(st.permutations(range(count)))
     edges = [(label[p], label[i + 1]) for i, p in enumerate(parents)]
-    return _tree_topology(count, edges, label[0])
+    return (*reference_kernels.tree_topology(count, edges, label[0]),
+            Forest.tree(count, edges, label[0]))
 
 
 def _tree_params(rng, rows, d, n):
@@ -683,42 +808,118 @@ def _tree_params(rng, rows, d, n):
             "Wr": _param(rng, n, n), "br": _param(rng, 1, n)}
 
 
-def _up_args(p, children, order):
-    return p["X"], p["W"], p["U"], p["Uf"], p["b"], children, order
+def _up_args(p, *topology):
+    return (p["X"], p["W"], p["U"], p["Uf"], p["b"], *topology)
 
 
-def _down_args(p, parent, order):
-    return p["H"], p["Wd"], p["Ud"], p["bd"], p["Wr"], p["br"], parent, order
+def _down_args(p, *topology):
+    return (p["H"], p["Wd"], p["Ud"], p["bd"], p["Wr"], p["br"], *topology)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(tree=trees(), seed=st.integers(0, 2**16), dims=st.tuples(st.integers(1, 3), st.integers(1, 3)))
 def test_tree_lstm_kernels_grad(tree, seed, dims):
-    children, parent, order = tree
+    children, parent, order, forest = tree
     rng = np.random.default_rng(seed)
     p = _tree_params(rng, len(order), *dims)
     w_up = Tensor(_rand(rng, len(order), dims[1]))
     w_down = Tensor(_rand(rng, len(order), 2 * dims[1]))
     _check([p[k] for k in ("X", "W", "U", "Uf", "b")],
-           lambda: T.sum_all(T.mul(T.tree_lstm_up(*_up_args(p, children, order)), w_up)))
+           lambda: T.sum_all(T.mul(T.tree_lstm_up(*_up_args(p, forest)), w_up)))
     _check([p[k] for k in ("H", "Wd", "Ud", "bd", "Wr", "br")],
-           lambda: T.sum_all(T.mul(T.tree_lstm_down(*_down_args(p, parent, order)), w_down)))
+           lambda: T.sum_all(T.mul(T.tree_lstm_down(*_down_args(p, forest)), w_down)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(tree=trees(), seed=st.integers(0, 2**16))
 def test_tree_lstm_kernels_match_composed(tree, seed):
-    children, parent, order = tree
+    children, parent, order, forest = tree
     p = _tree_params(np.random.default_rng(seed), len(order), 5, 4)
     with T.Tape() as tape:
-        up = T.tree_lstm_up(*_up_args(p, children, order))
-        down = T.tree_lstm_down(*_down_args(p, parent, order))
+        up = T.tree_lstm_up(*_up_args(p, forest))
+        down = T.tree_lstm_down(*_down_args(p, forest))
     assert len(tape) == 2
     assert up.shape == (len(order), 4) and down.shape == (len(order), 8)
     want_up = _composed_tree_lstm_up(*_up_args(p, children, order))
     want_down = _composed_tree_lstm_down(*_down_args(p, parent, order))
     assert np.abs(up.data - want_up.data).max() <= 1e-12
     assert np.abs(down.data - want_down.data).max() <= 1e-12
+
+
+@st.composite
+def forests(draw):
+    """1 to 5 trees of `trees` side by side: the trees and their Forest."""
+    parts = draw(st.lists(trees(), min_size=1, max_size=5))
+    return parts, Forest.join([tree[3] for tree in parts])
+
+
+def _per_tree(kernel, p, names, parts, topology):
+    """kernel, one of the node-by-node references, run on each tree's rows
+    of p[names[0]] with the weights p[names[1:]] and the tree's topology."""
+    outs, start = [], 0
+    for part in parts:
+        rows = T.slice_rows(p[names[0]], start, start + len(part[2]))
+        outs.append(kernel(rows, *(p[k] for k in names[1:]), *topology(part)))
+        start += len(part[2])
+    return T.concat(outs)
+
+
+UP, DOWN = ("X", "W", "U", "Uf", "b"), ("H", "Wd", "Ud", "bd", "Wr", "br")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(forest=forests(), seed=st.integers(0, 2**16), d=st.integers(1, 3), n=st.integers(2, 3))
+def test_tree_lstm_kernels_over_a_forest_match_the_per_node_kernels(forest, seed, d, n):
+    """Both passes over a forest equal the node-by-node kernels run on each
+    tree: their output bit for bit (numpy sums a node's children in order
+    for a pass width above 1), and their gradients bit for bit for one tree
+    and within 1e-12 of the per-tree ones summed for more."""
+    parts, joined = forest
+    rows = sum(joined.sizes)
+    rng = np.random.default_rng(seed)
+    p = _tree_params(rng, rows, d, n)
+    cases = [
+        (lambda: T.tree_lstm_up(*_up_args(p, joined)), reference_kernels.tree_lstm_up_per_node,
+         UP, lambda part: (part[0], part[2]), n),
+        (lambda: T.tree_lstm_down(*_down_args(p, joined)),
+         reference_kernels.tree_lstm_down_per_node, DOWN, lambda part: (part[1], part[2]), 2 * n),
+    ]
+    for kernel, reference, names, topology, width in cases:
+        inputs = [p[k] for k in names]
+        w = Tensor(_rand(rng, rows, width))
+        got, got_grads, entries = _values_and_grads(kernel, inputs, w)
+        want, want_grads, _ = _values_and_grads(
+            lambda: _per_tree(reference, p, names, parts, topology), inputs, w)
+        assert entries == 3
+        assert np.array_equal(got, want)
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            if len(parts) == 1:
+                assert np.array_equal(got_grad, want_grad)
+            else:
+                assert _relative_error(got_grad, want_grad) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(forest=forests(), seed=st.integers(0, 2**16))
+def test_tree_lstm_kernels_grad_over_a_forest(forest, seed):
+    _, joined = forest
+    rows = sum(joined.sizes)
+    rng = np.random.default_rng(seed)
+    p = _tree_params(rng, rows, 2, 2)
+    w_up, w_down = Tensor(_rand(rng, rows, 2)), Tensor(_rand(rng, rows, 4))
+    _check([p[k] for k in UP],
+           lambda: T.sum_all(T.mul(T.tree_lstm_up(*_up_args(p, joined)), w_up)))
+    _check([p[k] for k in DOWN],
+           lambda: T.sum_all(T.mul(T.tree_lstm_down(*_down_args(p, joined)), w_down)))
+
+
+def test_tree_lstm_kernels_reject_rows_that_do_not_fit_the_forest():
+    forest = Forest.join([Forest.tree(3, [(0, 1), (0, 2)], 0), Forest.tree(1, [], 0)])
+    p = _tree_params(np.random.default_rng(0), 5, 2, 2)
+    with pytest.raises(ShapeError):
+        T.tree_lstm_up(*_up_args(p, forest))
+    with pytest.raises(ShapeError):
+        T.tree_lstm_down(*_down_args(p, forest))
 
 
 # --------------------------------------------------------------------------
@@ -735,7 +936,7 @@ def _decoder_inputs(rng, steps, rows, vocab, d, h):
 
 def _batch_of_one(ids, tensors):
     s0, enc, enc_proj, *weights = tensors
-    return D.decoder_batch([ids], [s0], [enc], [enc_proj], *weights)
+    return D.decoder_batch([ids], s0, enc, enc_proj, [enc.shape[0]], *weights)
 
 
 def _gcn_inputs(rng, nodes, edge_count, h, highway):
@@ -858,6 +1059,17 @@ def _decoder_batch_inputs(rng, lengths, sizes, vocab, d, h):
     return examples, weights
 
 
+def _joined(examples):
+    """The batch's id lists, then its s0, enc and enc_proj as tensors of the
+    examples' rows, one example after another, and its encoders' sizes."""
+    ids, s0, enc, enc_proj = zip(*examples)
+
+    def rows(tensors):
+        return Tensor(np.concatenate([t.data for t in tensors]), requires_grad=True)
+
+    return list(ids), rows(s0), rows(enc), rows(enc_proj), [t.shape[0] for t in enc]
+
+
 def _relative_error(got, want) -> float:
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
@@ -872,16 +1084,13 @@ def test_decoder_batch_matches_the_per_example_kernel(seed, lengths, data, d, h)
     sizes = data.draw(st.lists(st.integers(1, 8), min_size=len(lengths), max_size=len(lengths)))
     rng = np.random.default_rng(seed)
     examples, weights = _decoder_batch_inputs(rng, lengths, sizes, 5, d, h)
-    inputs = [t for _, *tensors in examples for t in tensors] + list(weights)
+    ids, s0, enc, enc_proj, enc_sizes = _joined(examples)
+    inputs = [s0, enc, enc_proj, *weights]
     ws = [Tensor(_rand(rng, steps, 2 * h)) for steps in lengths]
-
-    def batched():
-        ids, s0, enc, enc_proj = zip(*examples)
-        return D.decoder_batch(list(ids), list(s0), list(enc), list(enc_proj), *weights)
-
-    got, got_grads, entries = _values_and_grads(batched, inputs, T.concat(ws))
+    got, got_grads, entries = _values_and_grads(
+        lambda: D.decoder_batch(ids, s0, enc, enc_proj, enc_sizes, *weights), inputs, T.concat(ws))
     assert entries == 3  # the kernel, mul and sum_all
-    for t in inputs:
+    for t in weights:
         t.grad = None
     want = []
     for (ids, s0, enc, enc_proj), w in zip(examples, ws):  # gradients add up across tapes
@@ -889,7 +1098,8 @@ def test_decoder_batch_matches_the_per_example_kernel(seed, lengths, data, d, h)
             out = reference_kernels.decoder_sequence(ids, s0, enc, enc_proj, *weights)
             T.backward(tape, T.sum_all(T.mul(out, w)))
         want.append(out.data)
-    want_grads = [t.grad for t in inputs]
+    want_grads = [np.concatenate([t.grad for t in col]) for col in list(zip(*examples))[1:]]
+    want_grads += [t.grad for t in weights]
     if len(lengths) == 1:
         assert np.array_equal(got, want[0])
         for got_grad, want_grad in zip(got_grads, want_grads):
@@ -905,22 +1115,24 @@ def test_decoder_batch_grad(seed):
     rng = np.random.default_rng(seed)
     lengths, sizes = [3, 1, 4], [2, 4, 1]  # unequal targets and encoders
     examples, weights = _decoder_batch_inputs(rng, lengths, sizes, 4, 2, 3)
-    ids, s0, enc, enc_proj = (list(col) for col in zip(*examples))
+    ids, s0, enc, enc_proj, enc_sizes = _joined(examples)
     w = Tensor(_rand(rng, sum(lengths), 6))
-    _check(s0 + enc + enc_proj + list(weights),
-           lambda: T.sum_all(T.mul(D.decoder_batch(ids, s0, enc, enc_proj, *weights), w)))
+    _check([s0, enc, enc_proj, *weights], lambda: T.sum_all(T.mul(
+        D.decoder_batch(ids, s0, enc, enc_proj, enc_sizes, *weights), w)))
 
 
 def test_decoder_batch_rejects_mismatched_inputs():
     rng = np.random.default_rng(0)
     examples, weights = _decoder_batch_inputs(rng, [2, 3], [2, 2], 4, 2, 3)
-    ids, s0, enc, enc_proj = (list(col) for col in zip(*examples))
+    ids, s0, enc, enc_proj, sizes = _joined(examples)
     with pytest.raises(ShapeError):
-        D.decoder_batch(ids, s0[:1], enc, enc_proj, *weights)
+        D.decoder_batch(ids, Tensor(s0.data[:1]), enc, enc_proj, sizes, *weights)
     with pytest.raises(ShapeError):
-        D.decoder_batch([ids[0], []], s0, enc, enc_proj, *weights)
+        D.decoder_batch([ids[0], []], s0, enc, enc_proj, sizes, *weights)
     with pytest.raises(ShapeError):
-        D.decoder_batch(ids, s0, enc, [enc_proj[0], Tensor(np.zeros((3, 3)))], *weights)
+        D.decoder_batch(ids, s0, enc, Tensor(np.zeros((3, 3))), sizes, *weights)
+    with pytest.raises(ShapeError):
+        D.decoder_batch(ids, s0, enc, enc_proj, [2, 3], *weights)
 
 
 @pytest.mark.parametrize("activation", sorted(T.ACTIVATIONS))
