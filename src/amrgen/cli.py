@@ -37,6 +37,7 @@ from .seq2seq import (
     NumericError,
     TrainExample,
     TrainSettings,
+    check_seed,
     generate,
     train,
     write_log,
@@ -295,6 +296,7 @@ def cmd_train(args):
             max_epochs=args.epochs,
             patience=args.patience,
         )
+        check_seed(args.seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     examples = load_examples(args.data)

@@ -161,10 +161,10 @@ class _Packing:
     m ranks. State arrays have one row per (step, example), step by step and
     in rank order within a step. `steps[t]` is (rows, m, r): rows is the
     slice of step t's m state rows, and the running examples' encoder rows
-    are the first r rows of all encoder rows concatenated in rank order.
-    `rows[k]` lists rank k's state rows, and with more than one example
-    `perm` lists the state rows of every example, one example after another
-    in the given order."""
+    are the first r rows of all encoder rows concatenated in rank order, rank
+    k's from `enc_starts[k]`. `rows[k]` lists rank k's state rows, and with
+    more than one example `perm` lists the state rows of every example, one
+    example after another in the given order."""
 
     def __init__(self, lengths, sizes):
         batch = len(lengths)
@@ -172,8 +172,9 @@ class _Packing:
         self.lengths = [lengths[j] for j in self.order]
         self.sizes = [sizes[j] for j in self.order]
         self.width = max(sizes)
-        enc_starts = [0, *itertools.accumulate(self.sizes)]
-        self.steps = [(slice(a, a + m), m, enc_starts[m]) for a, m in zip(starts, self.running)]
+        self.enc_starts = [0, *itertools.accumulate(self.sizes)]
+        self.steps = [(slice(a, a + m), m, self.enc_starts[m])
+                      for a, m in zip(starts, self.running)]
         if batch == 1:  # the identity layout
             self.rows = [np.arange(self.lengths[0])]
             return
@@ -184,8 +185,8 @@ class _Packing:
         self.perm = np.concatenate([self.rows[k] for k in rank])
         # each encoder row's rank, and its place in a (ranks, width) block
         self.row_rank = np.repeat(np.arange(batch), self.sizes)
-        self.pad = (self.row_rank * self.width + np.arange(enc_starts[-1])
-                    - np.array(enc_starts)[self.row_rank])
+        self.pad = (self.row_rank * self.width + np.arange(self.enc_starts[-1])
+                    - np.array(self.enc_starts)[self.row_rank])
 
     def previous_rows(self):
         """The previous step's row of every row after the first step's."""
@@ -200,31 +201,6 @@ class _Packing:
         block = np.full(m * self.width, -np.inf)
         block[self.pad[:r]] = scores.reshape(-1)
         return block.reshape(m, self.width)
-
-    def chunks(self):
-        """Runs of steps, last first, each of at most as many (step, encoder
-        row) cells as the examples have on average, or of one step: (t0, t1)
-        for steps t0 to t1 - 1. A batch of one is one run."""
-        cells = sum(length * size for length, size in zip(self.lengths, self.sizes))
-        budget = -(-cells // len(self.lengths))
-        t1 = len(self.steps)
-        while t1:
-            t0, cells = t1 - 1, self.steps[t1 - 1][2]
-            while t0 and cells + self.steps[t0 - 1][2] <= budget:
-                t0 -= 1
-                cells += self.steps[t0][2]
-            yield t0, t1
-            t1 = t0
-
-    def cell_rows(self, t0, t1, starts):
-        """The cells of steps t0 to t1 - 1, one step after another, as rows of
-        an array that holds each running rank's (steps, encoder rows) block
-        from starts[rank]."""
-        ranks = np.concatenate([np.arange(m) for m in self.running[t0:t1]])
-        step = np.repeat(np.arange(t1 - t0), self.running[t0:t1])
-        counts = np.array(self.sizes)[ranks]
-        firsts = np.asarray(starts)[ranks] + step * counts
-        return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tensor, b: Tensor,
@@ -245,14 +221,16 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
     encoder rows concatenated, without padding (cross-example operation
     batching, Neubig, Goldberg & Dyer 2017); what reduces over encoder rows,
     the softmax and the context, runs per example on blocks padded to the
-    longest encoder, with -inf scores on the padding. Nothing the size of
-    (steps, encoder rows, h) waits for backward but the activations of its
-    first run of steps: backward goes through `_Packing.chunks` runs of
-    steps, recomputes each run's attention activations from the stored query
-    rows, steps back through it, and reduces over its encoder rows per
-    example; the weight gradients are then GEMMs over all rows. A batch of
-    one is one run and performs the one-sentence kernel's operations, so it
-    gives that kernel's bits.
+    longest encoder, with -inf scores on the padding. On a tape the forward
+    keeps every step's attention activations E, one row per (step, encoder
+    row) cell, step after step in one (cells, h) array, and backward is one
+    pass back over the steps that reads them: K = v (1 - E^2) per step, the
+    enc_proj gradient summed per step over the running examples' rows, each
+    example's query gradient a sum over its own cells, so that a step costs
+    linearly in its cells at any batch size, and the weight gradients, v_a's
+    among them, as GEMMs over all rows after the loop. A batch of one
+    performs the one-sentence kernel's operations, so it gives that kernel's
+    bits. Without a tape only the output rows are kept.
     """
     batch, d, n = len(ids), emb.shape[1], U.shape[0]
     if (not batch or len(sizes) != batch or min(sizes) < 1 or s0.shape != (batch, n)
@@ -265,14 +243,13 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
     order = pack.order
     ends = list(itertools.accumulate(sizes))
     enc_rows = [slice(ends[j] - sizes[j], ends[j]) for j in order]  # each rank's encoder rows
-    projs = [enc_proj.data[rows] for rows in enc_rows]
     if batch == 1:  # the identity layout
         idx = np.asarray(ids[0], dtype=np.intp)
         proj_cat, enc_block = enc_proj.data, enc.data[None]
     else:
         idx = np.empty(len(pack.perm), dtype=np.intp)
         idx[pack.perm] = np.concatenate([np.asarray(i, dtype=np.intp) for i in ids])
-        proj_cat = np.concatenate(projs)
+        proj_cat = np.concatenate([enc_proj.data[rows] for rows in enc_rows])
         enc_block = np.zeros((batch, pack.width, n))
         for rank, rows in enumerate(enc_rows):
             enc_block[rank, : pack.sizes[rank]] = enc.data[rows]
@@ -284,20 +261,19 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
     inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
     needs_grad = any(t.requires_grad for t in inputs)
     taping = needs_grad and tensor._ACTIVE_TAPE is not None  # else keep only the output rows
-    # the attention activations of the steps that backward takes first,
-    # kept so that a batch of one recomputes none
-    saved, last_e = [], []
-    keep_from = next(pack.chunks())[0] if taping else len(pack.steps)
-    for t, (rows, m, r) in enumerate(pack.steps):
+    if taping:  # the attention activations, step t's r cells after step t - 1's
+        e_all = np.empty((sum(r for _, _, r in pack.steps), u_a.shape[1]))
+    saved, cell = [], 0
+    for rows, m, r in pack.steps:
         if m < len(s):
             s, c, ctx = s[:m], c[:m], ctx[:m]
         s, c, sig, g = _decoder_lstm(xw[rows], ctx, s, c, w_ctx, u)
         q = s @ u_a
-        pre = proj_cat[:r] + (q if m == 1 else q[pack.row_rank[:r]])
+        pre = np.add(proj_cat[:r], q if m == 1 else q[pack.row_rank[:r]],
+                     out=e_all[cell : cell + r] if taping else None)
+        cell += r
         pre += bias_a
         scores = np.tanh(pre, out=pre) @ v
-        if t >= keep_from:
-            last_e.append(pre)
         scores = (scores.reshape(m, r // m) if r == m * pack.width
                   else pack.padded(scores, m, r))
         exp = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -306,13 +282,13 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
             ctx = alpha @ enc_block[0]
         else:
             ctx = np.matmul(alpha[:, None], enc_block[:m])[:, 0]
-        saved.append((s, ctx, c, sig, g, q, alpha) if taping else (s, ctx))
+        saved.append((s, ctx, c, sig, g, alpha) if taping else (s, ctx))
     s_all, ctx_all, *kept = (np.concatenate(col) for col in zip(*saved))
     stacked = np.concatenate([s_all, ctx_all], axis=1)
     out = Tensor(stacked if batch == 1 else stacked[pack.perm], requires_grad=needs_grad)
     if not taping:
         return out
-    c_all, sig, g, q_all, alpha = kept
+    c_all, sig, g, alpha = kept
 
     def bwd(d_out):
         if batch > 1:
@@ -337,88 +313,56 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
         del tc, dsig
         back = np.ascontiguousarray(np.concatenate([u, w_ctx]).T)  # dz -> [ds ; dctx] before
         u_a_t = np.ascontiguousarray(u_a.T)
-        h = u_a.shape[1]
-        d_scores = np.empty(alpha.shape)
-        d_query = np.empty(q_all.shape)  # gradient of s_t U_a
+        d_query = np.empty((len(c_all), u_a.shape[1]))  # gradient of s_t U_a
         d_ctx = np.empty((len(c_all), n))
+        d_cells = np.empty(len(e_all))  # d score of each cell
         d_s, d_c = d_out[:, :n], d_out[:, n:]
         ds_next = dctx_next = dc_next = np.zeros((pack.running[-1], n))
         enc_first = enc_block[0]
-        if batch > 1:
-            k_block = np.zeros((batch * pack.width, h))
-        d_proj, seen = np.empty(enc.shape), 0  # seen: the ranks whose rows it holds
-        for t0, t1 in pack.chunks():
-            # the run's attention activations E as one (steps, N, h) block
-            # per running rank, and d score / d pre-activation K = v (1 - E^2)
-            blocks, starts, start = [], [], 0
-            for rank in range(pack.running[t0]):
-                rows_k, size = pack.rows[rank][t0:t1], pack.sizes[rank]
-                blocks.append((rows_k, size, slice(start, start + len(rows_k) * size)))
-                starts.append(start)
-                start += len(rows_k) * size
-            if batch > 1:
-                cell_rows = pack.cell_rows(t0, t1, starts)
-            if t1 == len(pack.steps):  # the forward kept these, step by step
-                e = np.concatenate(last_e)
-                del last_e[:]
-                if batch > 1:
-                    e[cell_rows] = e.copy()
-            else:
-                e = np.empty((start, h))
-                for rank, (rows_k, size, cells) in enumerate(blocks):
-                    np.add(projs[rank][None], q_all[rows_k][:, None],
-                           out=e[cells].reshape(len(rows_k), size, h))
-                e += bias_a
-                np.tanh(e, out=e)
-            k_att = e * e
+        if batch == 1:  # d score / d pre-activation K = v (1 - E^2) at once
+            k_att = e_all * e_all
             np.subtract(1.0, k_att, out=k_att)
             k_att *= v[:, 0]
-            cell = start
-            for rows, m, r in reversed(pack.steps[t0:t1]):
-                if m > len(ds_next):  # the examples whose last step this is
-                    more = np.zeros((m - len(ds_next), n))
-                    ds_next, dctx_next, dc_next = (
-                        np.concatenate([x, more]) for x in (ds_next, dctx_next, dc_next))
-                cell -= r
-                dctx = d_ctx[rows] = d_c[rows] + dctx_next
-                al = alpha[rows]
-                if m == 1:  # plain products, the same numbers as the stacked ones
-                    d_alpha = enc_first @ dctx[0]
-                    d_score = al * (d_alpha - d_alpha @ al[0])
-                    k_t = k_att[cell_rows[cell : cell + r]] if batch > 1 else k_att[cell : cell + r]
-                    dq = (d_score if r == pack.width else d_score[:, :r]) @ k_t
-                else:
-                    d_alpha = np.matmul(enc_block[:m], dctx[:, :, None])[:, :, 0]
-                    d_score = al * (d_alpha - np.matmul(d_alpha[:, None], al[:, :, None])[:, 0])
-                    k_block[pack.pad[:r]] = k_att[cell_rows[cell : cell + r]]
-                    dq = np.matmul(d_score[:, None],
-                                   k_block[: m * pack.width].reshape(m, pack.width, h))[:, 0]
-                d_scores[rows], d_query[rows] = d_score, dq
-                ds = d_s[rows] + ds_next + dq @ u_a_t
-                dc = dc_next + ds * s_to_c[rows]
-                dz_t = k[rows]
-                dz_t *= dc[:, None]
-                np.multiply(k_o[rows], ds, out=dz_t[:, 2])
-                before = dz_t.reshape(m, 4 * n) @ back
-                ds_next, dctx_next = before[:, :n], before[:, n:]
-                dc_next = dc * f[rows]
-            # what reduces over the run's cells: per example for enc_proj,
-            # over all of them for v_a
-            chunk_scores = []
-            for rank, (rows_k, size, cells) in enumerate(blocks):
-                d_score = d_scores[rows_k, :size]
-                chunk_scores.append(d_score.reshape(-1))
-                if enc_proj.requires_grad:
-                    grad = np.einsum("tr,trh->rh", d_score,
-                                     k_att[cells].reshape(len(rows_k), size, h))
-                    if rank < seen:
-                        d_proj[enc_rows[rank]] += grad
-                    else:
-                        d_proj[enc_rows[rank]] = grad
-            seen = len(blocks)
-            if v_a.requires_grad:
-                _accumulate(v_a, e.T @ np.concatenate(chunk_scores).reshape(-1, 1))
-            del e, k_att
+        else:  # the enc_proj gradient over v of the encoder rows in rank order
+            d_proj_cat = np.zeros(enc.shape)
+            v_row, enc_starts = v[:, 0], np.asarray(pack.enc_starts)
+        cell = len(e_all)
+        for rows, m, r in reversed(pack.steps):
+            if m > len(ds_next):  # the examples whose last step this is
+                more = np.zeros((m - len(ds_next), n))
+                ds_next, dctx_next, dc_next = (
+                    np.concatenate([x, more]) for x in (ds_next, dctx_next, dc_next))
+            cells = slice(cell - r, cell)
+            cell -= r
+            dctx = d_ctx[rows] = d_c[rows] + dctx_next
+            al = alpha[rows]
+            if m == 1:  # plain products, the same numbers as the stacked ones
+                d_alpha = enc_first @ dctx[0]
+                d_score = al * (d_alpha - d_alpha @ al[0])
+            else:
+                d_alpha = np.matmul(enc_block[:m], dctx[:, :, None])[:, :, 0]
+                d_score = al * (d_alpha - np.matmul(d_alpha[:, None], al[:, :, None])[:, 0])
+            if batch == 1:
+                d_cells[cells] = d_score[0]
+                dq = d_score @ k_att[cells]
+            else:  # the cells' d score times K over v, summed per example for dq
+                d_cell = d_cells[cells] = d_score.reshape(-1)[pack.pad[:r]]
+                e = e_all[cells]
+                grad = e * e
+                np.subtract(1.0, grad, out=grad)
+                grad *= d_cell[:, None]
+                d_proj_cat[:r] += grad
+                dq = np.add.reduceat(grad, enc_starts[:m], axis=0)
+                dq *= v_row
+            d_query[rows] = dq
+            ds = d_s[rows] + ds_next + dq @ u_a_t
+            dc = dc_next + ds * s_to_c[rows]
+            dz_t = k[rows]
+            dz_t *= dc[:, None]
+            np.multiply(k_o[rows], ds, out=dz_t[:, 2])
+            before = dz_t.reshape(m, 4 * n) @ back
+            ds_next, dctx_next = before[:, :n], before[:, n:]
+            dc_next = dc * f[rows]
         dz = k.reshape(-1, 4 * n)
         if s0.requires_grad:
             d_s0 = np.empty((batch, n))
@@ -431,7 +375,18 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
                 d_enc[rows] = alpha[rows_k, : pack.sizes[rank]].T @ d_ctx[rows_k]
             _accumulate(enc, d_enc)
         if enc_proj.requires_grad:
+            if batch == 1:
+                steps, size = len(pack.steps), sizes[0]
+                d_proj = np.einsum("tr,trh->rh", d_cells.reshape(steps, size),
+                                   k_att.reshape(steps, size, -1))
+            else:
+                d_proj = np.empty(enc.shape)
+                for rank, rows in enumerate(enc_rows):
+                    d_proj[rows] = d_proj_cat[pack.enc_starts[rank] : pack.enc_starts[rank + 1]]
+                d_proj *= v_row
             _accumulate(enc_proj, d_proj)
+        if v_a.requires_grad:
+            _accumulate(v_a, e_all.T @ d_cells.reshape(-1, 1))
         if emb.requires_grad:
             np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
         if W.requires_grad:

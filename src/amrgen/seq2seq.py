@@ -295,6 +295,12 @@ def _checked_vocab(itos, specials, side: str) -> Vocab:
     return Vocab(itos=tuple(itos))
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is one that numpy's generators take."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def train(
     train_examples,
     dev_examples,
@@ -314,6 +320,7 @@ def train(
     """
     from .evaluation import corpus_bleu
 
+    check_seed(seed)
     if not train_examples:
         raise ValueError("empty training corpus")
     if not dev_examples:

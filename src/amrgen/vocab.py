@@ -29,7 +29,9 @@ class Vocab:
         return self.stoi.get(token, self.stoi[UNK])
 
     def indices(self, tokens) -> list:
-        return [self.index(t) for t in tokens]
+        stoi = self.stoi
+        unk = stoi[UNK]
+        return [stoi.get(t, unk) for t in tokens]
 
     def token(self, index: int) -> str:
         return self.itos[index]

@@ -172,6 +172,7 @@ def test_train_bad_model_flag_is_config_error(small_jsonl, tmp_path, capsys):
         ("--lr", "nan"),
         ("--gcn-layers", "0"),
         ("--gcn-layers", "-2"),
+        ("--seed", "-1"),
     ],
 )
 def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, capsys):

@@ -82,6 +82,15 @@ def test_build_vocabs_unk_threshold_drops_rare(toy10):
         assert tgt3.index(word) == tgt3.index(UNK)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(known=st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True),
+       data=st.data())
+def test_indices_maps_each_token_as_index_does(known, data):
+    vocab = Vocab.build([known], specials=(UNK, BOS, EOS))
+    tokens = data.draw(st.lists(st.sampled_from(known) | st.text(max_size=3), max_size=20))
+    assert vocab.indices(tokens) == [vocab.index(t) for t in tokens]
+
+
 # --------------------------------------------------------------------------
 # Scoring
 
@@ -524,6 +533,11 @@ def test_train_settings_reject_a_rate_or_norm_that_is_not_finite_and_positive(na
 def test_train_empty_corpus_raises():
     with pytest.raises(ValueError):
         train([], [], seq_config(), seed=0, settings=quick_settings())
+
+
+def test_train_negative_seed_raises(toy10):
+    with pytest.raises(ValueError, match="seed"):
+        train(toy10, toy10, seq_config(), seed=-1, settings=quick_settings())
 
 
 def test_train_empty_dev_falls_back_to_train(toy10):

@@ -1121,6 +1121,38 @@ def test_decoder_batch_grad(seed):
         D.decoder_batch(ids, s0, enc, enc_proj, enc_sizes, *weights), w)))
 
 
+def test_decoder_batch_keeps_its_attention_activations_only_for_backward():
+    # on a tape the entry holds one (cells, h) array of attention
+    # activations, a cell per (step, running example's encoder row), and
+    # backward frees it once it has run the entry; without a tape nothing is
+    # kept but the output rows
+    import gc
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    lengths, sizes, h = [30, 12, 25], [40, 9, 33], 8
+    examples, weights = _decoder_batch_inputs(rng, lengths, sizes, 6, 4, h)
+    ids, s0, enc, enc_proj, enc_sizes = _joined(examples)
+    activations = sum(steps * size for steps, size in zip(lengths, sizes)) * h * 8
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            out = D.decoder_batch(ids, s0, enc, enc_proj, enc_sizes, *weights)
+            loss = T.sum_all(out)
+        held = tracemalloc.get_traced_memory()[0]
+        T.backward(tape, loss)
+        assert held - tracemalloc.get_traced_memory()[0] >= activations
+        del tape, out, loss
+        before = tracemalloc.get_traced_memory()[0]
+        out = D.decoder_batch(ids, s0, enc, enc_proj, enc_sizes, *weights)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        assert out.data.nbytes <= kept < out.data.nbytes + activations // 4
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
 def test_decoder_batch_rejects_mismatched_inputs():
     rng = np.random.default_rng(0)
     examples, weights = _decoder_batch_inputs(rng, [2, 3], [2, 2], 4, 2, 3)
