@@ -1,0 +1,5 @@
+"""`python -m amrgen`: the amrgen command line."""
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

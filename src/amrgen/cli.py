@@ -38,7 +38,7 @@ from .seq2seq import (
     TrainExample,
     TrainSettings,
     check_seed,
-    generate,
+    generate_all,
     train,
     write_log,
 )
@@ -341,8 +341,8 @@ def cmd_generate(args):
     model = _load_model(args.ckpt)
     examples = load_examples(args.data)
     lines = []
-    for ex in examples:
-        tokens, truncated = generate(model, ex, beam=args.beam)
+    # generate_all yields as it decodes, so each warning prints between examples
+    for ex, (tokens, truncated) in zip(examples, generate_all(model, examples, beam=args.beam)):
         if truncated:
             print(f"warning: {ex.id}: output truncated at length limit", file=sys.stderr)
         lines.append(" ".join(tokens))
@@ -383,7 +383,7 @@ def cmd_evaluate(args):
         hypotheses = _read_hypotheses(args.hyp)
     else:
         model = _load_model(args.ckpt)
-        hypotheses = [generate(model, ex, beam=args.beam)[0] for ex in examples]
+        hypotheses = [tokens for tokens, _ in generate_all(model, examples, beam=args.beam)]
     if len(hypotheses) != len(references):
         raise DataError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
@@ -636,3 +636,7 @@ def main(argv=None) -> int:
 
 def console_main():  # console_scripts entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -138,66 +138,81 @@ class Seq2SeqModel:
         more hypothesis, which always takes the first argmax. Returns
         (tokens, log-prob, truncated) of the best of the greedy path and the
         finished or length-capped beam hypotheses under log-prob / (len + 1);
-        greedy wins ties, so the result is never worse than greedy and beam=1
-        is greedy decoding. truncated means the result hit max_len before EOS.
+        greedy wins ties, so the result is never worse than the greedy path
+        it carries, and beam=1 is greedy decoding. truncated means the result
+        hit max_len before EOS.
 
-        The greedy path is stepped alone, and every other live prefix in one
-        batched step. The search stops once no live hypothesis can beat or tie
-        a finished result: log-probs only fall and a result is divided by at
-        most max_len + 1, so no descendant of a hypothesis with log-prob L
-        scores above L / (max_len + 1), and an earlier result wins a tie.
+        Each search step is one `_step` call over every distinct live prefix:
+        the greedy path's first, while it is live, then the other beam
+        hypotheses'. A path carries its state as a row of the previous step's
+        (ctx, s, c) arrays. With beam=1 the greedy path is the whole search
+        and steps one row at a time. With a larger beam its row takes the
+        rounding of the larger product, so the greedy path a beam carries can
+        differ from greedy_decode's in the last bits of its log-prob, and in
+        its tokens where two next ids tie to within that rounding.
+
+        The search stops once no live hypothesis can beat or tie a finished
+        result: log-probs only fall and a result is divided by at most
+        max_len + 1, so no descendant of a hypothesis with log-prob L scores
+        above L / (max_len + 1), and an earlier result wins a tie.
         """
         if beam < 1:
             raise ValueError(f"beam must be >= 1, got {beam}")
         if max_len is None:
             max_len = 2 * len(ex.repr.sequence) + 10
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
         enc, enc_proj, sizes = self._encode([ex])
         enc, enc_proj = enc.data, enc_proj.data
         eos = self.tgt_vocab.index(EOS)
         zero = np.zeros((1, self.config.hidden_dim))
-        s0 = initial_rows(enc, sizes, self.W_init.data, self.b_init.data)
-        # a hypothesis: (BOS + token ids, log-prob, (ctx, s, c) rows before its last id)
-        greedy = ((self.tgt_vocab.index(BOS),), 0.0, (zero, s0, zero))
-        hyps, done = [greedy], []  # done[0] is the greedy result once it has finished
+        state = [zero, initial_rows(enc, sizes, self.W_init.data, self.b_init.data), zero]
+        # a path: (BOS + token ids, log-prob); a hypothesis adds the row of
+        # state that holds its (ctx, s, c) before its last id, and the greedy
+        # path's is row 0
+        greedy = ((self.tgt_vocab.index(BOS),), 0.0)
+        hyps = [(*greedy, 0)] if beam > 1 else []
+        done = []  # done[0] is the greedy result once it has finished
         for _ in range(max_len):
-            if greedy[0][-1] == eos and (
+            live = greedy[0][-1] != eos
+            if not live and (
                     not hyps or max(map(_normalized, done)) >= hyps[0][1] / (max_len + 1)):
                 hyps = []
                 break
-            rows = {}  # prefix -> (log-probs of the next id, state rows after the prefix)
-            if greedy[0][-1] != eos:
-                log_probs, *after = self._step([greedy[0][-1]], *greedy[2], enc, enc_proj)
-                rows[greedy[0]] = (log_probs[0], after)
-            batch = [hyp for hyp in hyps if hyp[0] not in rows]
-            if batch:
-                state = [np.concatenate([hyp[2][j] for hyp in batch]) for j in range(3)]
-                log_probs, *after = self._step([ids[-1] for ids, _, _ in batch], *state,
-                                               enc, enc_proj)
-                for r, (ids, _, _) in enumerate(batch):
-                    rows[ids] = (log_probs[r], [a[r : r + 1] for a in after])
-            if greedy[0][-1] != eos:
-                log_probs, after = rows[greedy[0]]
-                idx = int(log_probs.argmax())
-                greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[idx]), after)
+            # the ids and state rows to step, and each hypothesis's row of the step
+            token_ids, rows, at = ([greedy[0][-1]], [0], []) if live else ([], [], [])
+            for ids, _, row in hyps:
+                if live and ids == greedy[0]:
+                    at.append(0)
+                else:
+                    at.append(len(rows))
+                    token_ids.append(ids[-1])
+                    rows.append(row)
+            state = [a[rows] for a in state]
+            log_probs, *state = self._step(token_ids, *state, enc, enc_proj)
+            if live:
+                idx = int(log_probs[0].argmax())
+                greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[0, idx]))
                 if idx == eos:
                     done.insert(0, (greedy[0][1:-1], greedy[1], False))
             if not hyps:
                 continue
             # each hypothesis's `beam` best next ids, ties in argsort()[::-1]
             # order, then one stable sort of all of them by log-prob
-            log_probs = np.array([rows[ids][0] for ids, _, _ in hyps])
+            log_probs = log_probs[at]
             top = log_probs.argsort(axis=1)[:, :-beam - 1:-1]
             picked = log_probs[np.arange(len(hyps))[:, None], top].tolist()
-            candidates = [(logp + value, ids, idx)
-                          for (ids, logp, _), values, idxs in zip(hyps, picked, top.tolist())
+            candidates = [(logp + value, ids, idx, row)
+                          for (ids, logp, _), row, values, idxs in zip(hyps, at, picked,
+                                                                       top.tolist())
                           for value, idx in zip(values, idxs)]
             candidates.sort(key=_FIRST, reverse=True)
             hyps = []
-            for logp, ids, idx in candidates:
+            for logp, ids, idx, row in candidates:
                 if idx == eos:
                     done.append((ids[1:], logp, False))
                 else:
-                    hyps.append((ids + (idx,), logp, rows[ids][1]))
+                    hyps.append((ids + (idx,), logp, row))
                     if len(hyps) >= beam:
                         break
         if greedy[0][-1] != eos:
@@ -224,6 +239,14 @@ def generate(model: Seq2SeqModel, ex: TrainExample, beam: int = 1, max_len: int 
     """Decode and de-anonymize one example; returns (tokens, truncated)."""
     tokens, _, truncated = model.beam_decode(ex, beam=beam, max_len=max_len)
     return deanonymize(tokens, ex.anon_map), truncated
+
+
+def generate_all(model: Seq2SeqModel, examples, beam: int = 1):
+    """`generate` over the examples, one after another: the one decode loop
+    of the CLI and of training's dev BLEU. Yields (tokens, truncated) per
+    example as it is decoded."""
+    for ex in examples:
+        yield generate(model, ex, beam=beam)
 
 
 # --------------------------------------------------------------------------
@@ -340,12 +363,8 @@ def train(
     log = []
 
     def dev_bleu() -> float:
-        hyps, refs = [], []
-        for ex in dev_examples:
-            tokens, _ = generate(model, ex, beam=1)
-            hyps.append(tokens)
-            refs.append(list(ex.reference))
-        return corpus_bleu(hyps, refs)
+        hyps = [tokens for tokens, _ in generate_all(model, dev_examples)]
+        return corpus_bleu(hyps, [list(ex.reference) for ex in dev_examples])
 
     tgt_tokens = sum(len(ex.target) for ex in train_examples)
     unk = tgt_vocab.index(UNK)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from amrgen import amr, tensor as T, transforms
+from amrgen.decoder import initial_rows
 from amrgen.encoders import GcnEncoder, StackEncoder
-from amrgen.vocab import Vocab
+from amrgen.vocab import BOS, EOS, Vocab
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -152,3 +153,51 @@ def min_relu_margin(encoder: StackEncoder, example) -> float:
 
 def build_sequence_vocab(example) -> Vocab:
     return Vocab.build([example.sequence.tokens])
+
+
+# --------------------------------------------------------------------------
+# Decoding
+
+
+def reference_beam_decode(model, ex, beam, max_len):
+    """beam_decode without its early stop or batching: every prefix stepped
+    alone for all max_len steps, one argsort per hypothesis."""
+    enc, enc_proj, sizes = model._encode([ex])
+    enc, enc_proj = enc.data, enc_proj.data
+    eos = model.tgt_vocab.index(EOS)
+    zero = np.zeros((1, enc.shape[1]))
+    s0 = initial_rows(enc, sizes, model.W_init.data, model.b_init.data)
+    greedy = ((model.tgt_vocab.index(BOS),), 0.0, (zero, s0, zero))
+    hyps, done = [greedy], []
+    for _ in range(max_len):
+        live = hyps if greedy[0][-1] == eos else hyps + [greedy]
+        if not live:
+            break
+        rows = {}
+        for ids, _, state in live:
+            if ids not in rows:
+                log_probs, *after = model._step([ids[-1]], *state, enc, enc_proj)
+                rows[ids] = (log_probs[0], after)
+        if greedy[0][-1] != eos:
+            log_probs, after = rows[greedy[0]]
+            idx = int(log_probs.argmax())
+            greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[idx]), after)
+        candidates = []
+        for ids, logp, _ in hyps:
+            log_probs, after = rows[ids]
+            for idx in log_probs.argsort()[::-1][:beam].tolist():
+                candidates.append((ids + (idx,), logp + float(log_probs[idx]), after))
+        candidates.sort(key=lambda entry: entry[1], reverse=True)
+        hyps = []
+        for entry in candidates:
+            if entry[0][-1] == eos:
+                done.append((entry[0][1:-1], entry[1], False))
+            else:
+                hyps.append(entry)
+            if len(hyps) >= beam:
+                break
+    finished = greedy[0][-1] == eos
+    results = [(greedy[0][1:-1] if finished else greedy[0][1:], greedy[1], not finished)]
+    results += done + [(ids[1:], logp, True) for ids, logp, _ in hyps]
+    ids, logp, truncated = max(results, key=lambda r: r[1] / (len(r[0]) + 1))
+    return [model.tgt_vocab.token(i) for i in ids], logp, truncated

@@ -37,6 +37,7 @@ from conftest import (
     finite_difference_check,
     min_relu_margin,
     random_tree_graph,
+    reference_beam_decode,
 )
 
 
@@ -271,6 +272,25 @@ def test_criterion_7_contrastive(memorized, toy_annotations):
     rate = 100.0 * wins / total
     ok = ok and total == 1000 and 45.0 <= rate <= 55.0
     verdict(7, f"contrastive: memorized >= 90%/category, random at {rate:.1f}%", ok)
+
+
+@pytest.mark.parametrize("max_len", [None, 4])
+def test_beam_search_matches_the_reference_on_memorized_models(memorized, max_len):
+    """beam_decode against the reference search, which steps every prefix
+    alone, on the memorized checkpoints: the same tokens and truncated flags,
+    equal greedy log-probs, and the others within 1e-12, since a beam steps
+    its greedy row in a larger product."""
+    examples, results, _ = memorized
+    for kind, (ck, _) in results.items():
+        model = ck.build_model()
+        for ex in examples:
+            limit = max_len or 2 * len(ex.repr.sequence) + 10
+            for beam in (1, 2, 5):
+                tokens, logp, truncated = model.beam_decode(ex, beam=beam, max_len=max_len)
+                ref_tokens, ref_logp, ref_truncated = reference_beam_decode(model, ex, beam, limit)
+                where = (kind, ex.id, beam, max_len)
+                assert (tokens, truncated) == (ref_tokens, ref_truncated), where
+                assert abs(logp - ref_logp) <= (0.0 if beam == 1 else 1e-12), where
 
 
 def test_criterion_8_bleu_and_buckets():

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: commands, artifacts, exit codes."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import amrgen
 from amrgen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_examples, main
 from amrgen.tensor import load_arrays, save_arrays
 
@@ -180,6 +184,21 @@ def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, c
     code = main(["train", "--data", str(small_jsonl), "--out", str(out_dir), flag, value])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("module", ["amrgen", "amrgen.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    path = [str(Path(amrgen.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out_dir = tmp_path / "y"
+    done = subprocess.run(
+        [sys.executable, "-m", module, "train", "--data", str(tmp_path / "x"),
+         "--out", str(out_dir), "--seed", "-1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == EXIT_CONFIG
+    err = done.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error:"), err
     assert not out_dir.exists()
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T, transforms
-from amrgen.decoder import initial_rows
 from amrgen.encoders import KINDS, EncoderConfig, StackEncoder, default_repr
 from amrgen.seq2seq import (
     Checkpoint,
@@ -17,13 +16,14 @@ from amrgen.seq2seq import (
     TrainSettings,
     build_vocabs,
     generate,
+    generate_all,
     train,
     write_log,
 )
 from amrgen.transforms import prepare_example
 from amrgen.vocab import BOS, EOS, UNK, Vocab
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, reference_beam_decode
 
 
 def make_examples(corpus, ids):
@@ -313,6 +313,13 @@ def test_beam_below_one_is_rejected(small_model, toy10):
         small_model.beam_decode(toy10[0], beam=0)
 
 
+@pytest.mark.parametrize("max_len", [0, -3])
+@pytest.mark.parametrize("beam", [1, 4])
+def test_max_len_below_one_is_rejected(small_model, toy10, beam, max_len):
+    with pytest.raises(ValueError, match="max_len"):
+        small_model.beam_decode(toy10[0], beam=beam, max_len=max_len)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -321,8 +328,10 @@ def test_beam_below_one_is_rejected(small_model, toy10):
     max_len=st.integers(1, 25),
 )
 def test_decoder_properties(toy10, seed, index, beam, max_len):
-    """Beam never scores below greedy under the normalized score, truncated
-    marks a result of max_len tokens, and scoring agrees with the loss."""
+    """Beam never scores below greedy under the normalized score, up to the
+    rounding of stepping the greedy row inside the beam's larger product;
+    truncated marks a result of max_len tokens, and scoring agrees with the
+    loss."""
     ex = toy10[index]
     src, tgt = build_vocabs(toy10, unk_threshold=1)
     cfg = EncoderConfig(kind="Seq", input_repr="sequence", embedding_dim=8, hidden_dim=8,
@@ -330,7 +339,7 @@ def test_decoder_properties(toy10, seed, index, beam, max_len):
     model = Seq2SeqModel(cfg, src, tgt, seed=seed)
     g_tokens, g_score, g_truncated = model.greedy_decode(ex, max_len=max_len)
     b_tokens, b_score, b_truncated = model.beam_decode(ex, beam=beam, max_len=max_len)
-    assert b_score / (len(b_tokens) + 1) >= g_score / (len(g_tokens) + 1)
+    assert b_score / (len(b_tokens) + 1) >= g_score / (len(g_tokens) + 1) - 1e-12
     assert g_truncated == (len(g_tokens) == max_len)
     assert b_truncated == (len(b_tokens) == max_len)
     score = model.score_sentence(ex, ex.target)
@@ -364,50 +373,6 @@ def test_score_sentence_agrees_with_greedy(toy10, kind, seed, index, eos_bias):
         assert abs(model.score_sentence(ex, tokens) - logp) <= 1e-12
 
 
-def reference_beam_decode(model, ex, beam, max_len):
-    """beam_decode without its early stop or batching: every prefix stepped
-    alone for all max_len steps, one argsort per hypothesis."""
-    enc, enc_proj, sizes = model._encode([ex])
-    enc, enc_proj = enc.data, enc_proj.data
-    eos = model.tgt_vocab.index(EOS)
-    zero = np.zeros((1, enc.shape[1]))
-    s0 = initial_rows(enc, sizes, model.W_init.data, model.b_init.data)
-    greedy = ((model.tgt_vocab.index(BOS),), 0.0, (zero, s0, zero))
-    hyps, done = [greedy], []
-    for _ in range(max_len):
-        live = hyps if greedy[0][-1] == eos else hyps + [greedy]
-        if not live:
-            break
-        rows = {}
-        for ids, _, state in live:
-            if ids not in rows:
-                log_probs, *after = model._step([ids[-1]], *state, enc, enc_proj)
-                rows[ids] = (log_probs[0], after)
-        if greedy[0][-1] != eos:
-            log_probs, after = rows[greedy[0]]
-            idx = int(log_probs.argmax())
-            greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[idx]), after)
-        candidates = []
-        for ids, logp, _ in hyps:
-            log_probs, after = rows[ids]
-            for idx in log_probs.argsort()[::-1][:beam].tolist():
-                candidates.append((ids + (idx,), logp + float(log_probs[idx]), after))
-        candidates.sort(key=lambda entry: entry[1], reverse=True)
-        hyps = []
-        for entry in candidates:
-            if entry[0][-1] == eos:
-                done.append((entry[0][1:-1], entry[1], False))
-            else:
-                hyps.append(entry)
-            if len(hyps) >= beam:
-                break
-    finished = greedy[0][-1] == eos
-    results = [(greedy[0][1:-1] if finished else greedy[0][1:], greedy[1], not finished)]
-    results += done + [(ids[1:], logp, True) for ids, logp, _ in hyps]
-    ids, logp, truncated = max(results, key=lambda r: r[1] / (len(r[0]) + 1))
-    return [model.tgt_vocab.token(i) for i in ids], logp, truncated
-
-
 def eos_biased_model(toy10, seed, eos_bias, dim=8):
     """An untrained model whose every step favours EOS by eos_bias nats more,
     so that its greedy path and beam hypotheses finish early."""
@@ -438,7 +403,8 @@ def test_beam_matches_the_unpruned_search(toy10, seed, index, beam, max_len, eos
     assert abs(logp - ref_logp) <= 1e-9
 
 
-def test_beam_stops_early_and_batches_its_steps(toy10, monkeypatch):
+def counted_steps(monkeypatch):
+    """The row count of every Seq2SeqModel._step call from now on."""
     rows = []
     step = Seq2SeqModel._step
 
@@ -447,15 +413,20 @@ def test_beam_stops_early_and_batches_its_steps(toy10, monkeypatch):
         return step(self, token_ids, *args)
 
     monkeypatch.setattr(Seq2SeqModel, "_step", counting)
+    return rows
+
+
+def test_beam_stops_early_and_batches_its_steps(toy10, monkeypatch):
+    rows = counted_steps(monkeypatch)
     ex = toy10[0]
     max_len = 2 * len(ex.repr.sequence) + 10
     # with EOS made unlikely the greedy path never ends, so the search runs
-    # all max_len steps: one for the greedy row, at most one for the others
+    # all max_len steps, each one call over the greedy row and all the others
     model = eos_biased_model(toy10, 0, -20.0, dim=16)
     assert model.greedy_decode(ex)[2]
     rows.clear()
     model.beam_decode(ex, beam=5)
-    assert len(rows) <= 2 * max_len
+    assert len(rows) <= max_len
     assert max(rows) > 1
     # sure of EOS, the search stops once no live hypothesis can win; every
     # step it runs calls _step at least once
@@ -464,6 +435,28 @@ def test_beam_stops_early_and_batches_its_steps(toy10, monkeypatch):
     tokens, _, truncated = model.beam_decode(ex, beam=5)
     assert not truncated
     assert len(rows) <= max_len // 2, (len(rows), max_len)
+
+
+@pytest.mark.parametrize("eos_bias", [-20.0, 0.0, 3.0])
+def test_greedy_decode_steps_one_row_per_token(toy10, monkeypatch, eos_bias):
+    rows = counted_steps(monkeypatch)
+    model = eos_biased_model(toy10, 0, eos_bias)
+    for ex in toy10:
+        rows.clear()
+        tokens, _, truncated = model.greedy_decode(ex)
+        assert rows == [1] * (len(tokens) + (not truncated))
+
+
+def test_generate_all_is_generate_per_example(small_model, toy10):
+    for beam in (1, 3):
+        assert list(generate_all(small_model, toy10[:4], beam=beam)) == [
+            generate(small_model, ex, beam=beam) for ex in toy10[:4]]
+
+    def first_only():  # so that amrgen generate warns about an example as it decodes it
+        yield toy10[0]
+        raise AssertionError("decoded past the first example")
+
+    assert next(generate_all(small_model, first_only())) == generate(small_model, toy10[0])
 
 
 def test_generate_deanonymizes(small_model, toy10):
