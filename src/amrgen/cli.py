@@ -194,9 +194,9 @@ def load_examples(jsonl_path):
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"{jsonl_path}:{line_no}: invalid JSON ({err})") from None
-            if not (isinstance(record, dict) and "id" in record
+            if not (isinstance(record, dict) and isinstance(record.get("id"), str)
                     and isinstance(record.get("penman"), str)):
-                raise DataError(f"{jsonl_path}:{line_no}: a record needs an id and a penman string")
+                raise DataError(f"{jsonl_path}:{line_no}: a record needs a string id and penman")
             sentence, anon_map = record.get("sentence", []), record.get("anon_map", [])
             if not (isinstance(sentence, list) and all(isinstance(w, str) for w in sentence)):
                 raise DataError(f"{jsonl_path}:{line_no}: sentence must be a list of strings")
@@ -374,8 +374,8 @@ def _references(examples):
 
 
 def cmd_evaluate(args):
-    if not args.hyp and not args.ckpt:
-        raise ConfigError("evaluate needs --hyp or --ckpt")
+    if bool(args.hyp) == bool(args.ckpt):
+        raise ConfigError("evaluate needs --hyp or --ckpt, not both")
     _check_beam(args.beam)
     examples = load_examples(args.data)
     references = _references(examples)

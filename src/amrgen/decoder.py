@@ -14,8 +14,8 @@ import itertools
 import numpy as np
 
 from . import tensor
-from .tensor import (ShapeError, Tensor, _accumulate, _grad_buffer, _lstm_gates, _record,
-                     packed_layout)
+from .tensor import (ShapeError, Tensor, _accumulate, _grad_buffer, _grow, _lstm_back,
+                     _lstm_cell, _lstm_factors, _record)
 
 
 def _attend(q, enc, enc_proj, U, b, v):
@@ -40,11 +40,8 @@ def _decoder_lstm(xw, ctx, s, c, W_ctx, U):
     half of the input projection with the bias, y W[:d] + b, and ctx, s and c
     are the (m, h) context, hidden and cell rows before the step. Returns s
     and c after it and the gates sig and g."""
-    n = s.shape[1]
-    z = xw + ctx @ W_ctx + s @ U
-    sig, g = _lstm_gates(z, n)
-    c = sig[:, n : 2 * n] * c + sig[:, :n] * g
-    return sig[:, 2 * n :] * np.tanh(c), c, sig, g
+    sig, g, c, s = _lstm_cell(xw + ctx @ W_ctx + s @ U, c)
+    return s, c, sig, g
 
 
 def decoder_step(ids, ctx, s, c, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a, W_o, b_o, W_v, b_v):
@@ -153,47 +150,28 @@ def output_nll(rows: Tensor, ids, lengths, W_o: Tensor, b_o: Tensor, W_v: Tensor
     return out
 
 
-class _Packing:
-    """The packed layout of a batch of sequences (Appleyard et al. 2016),
-    from their lengths and their encoders' row counts. `order` lists the
-    examples by length, longest first and stable, and an example's rank is
-    its place there, so the examples still running at step t are the first
-    m ranks. State arrays have one row per (step, example), step by step and
-    in rank order within a step. `steps[t]` is (rows, m, r): rows is the
-    slice of step t's m state rows, and the running examples' encoder rows
-    are the first r rows of all encoder rows concatenated in rank order, rank
-    k's from `enc_starts[k]`. `rows[k]` lists rank k's state rows, and with
-    more than one example `perm` lists the state rows of every example, one
-    example after another in the given order."""
+class _Packing(tensor.Packing):
+    """A `tensor.Packing` of a batch's target sequences, with what the
+    attention adds from their encoders' row counts: `sizes` in rank order
+    and `width`, the largest. The examples running at a step of m rows have
+    as encoder rows the first `enc_starts[m]` rows of all encoder rows
+    concatenated in rank order, rank k's from `enc_starts[k]`: `enc_rows`
+    holds where each of them is among the encoder rows, `row_rank` its rank
+    and `pad` its place in a (ranks, width) block. For one example
+    `enc_rows` and `pad` are slices, and no step reads `row_rank`."""
 
     def __init__(self, lengths, sizes):
-        batch = len(lengths)
-        self.order, self.running, starts = packed_layout(lengths)
-        self.lengths = [lengths[j] for j in self.order]
+        super().__init__(lengths)
         self.sizes = [sizes[j] for j in self.order]
         self.width = max(sizes)
         self.enc_starts = [0, *itertools.accumulate(self.sizes)]
-        self.steps = [(slice(a, a + m), m, self.enc_starts[m])
-                      for a, m in zip(starts, self.running)]
-        if batch == 1:  # the identity layout
-            self.rows = [np.arange(self.lengths[0])]
+        if len(sizes) == 1:
+            self.enc_rows = self.pad = slice(None)
             return
-        starts = np.array(starts)
-        self.rows = [starts[:length] + rank for rank, length in enumerate(self.lengths)]
-        rank = np.empty(batch, dtype=np.intp)
-        rank[self.order] = np.arange(batch)
-        self.perm = np.concatenate([self.rows[k] for k in rank])
-        # each encoder row's rank, and its place in a (ranks, width) block
-        self.row_rank = np.repeat(np.arange(batch), self.sizes)
+        self.enc_rows = np.argsort(np.repeat(np.argsort(self.order), sizes), kind="stable")
+        self.row_rank = np.repeat(np.arange(len(sizes)), self.sizes)
         self.pad = (self.row_rank * self.width + np.arange(self.enc_starts[-1])
                     - np.array(self.enc_starts)[self.row_rank])
-
-    def previous_rows(self):
-        """The previous step's row of every row after the first step's."""
-        if len(self.order) == 1:
-            return slice(0, self.lengths[0] - 1)
-        running = np.array(self.running)
-        return np.arange(running[0], running.sum()) - np.repeat(running[:-1], running[1:])
 
     def padded(self, scores, m, r):
         """The r scores of the running examples' encoder rows as an (m, width)
@@ -215,12 +193,13 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
     example's rows, one after another in the given order: row t of an
     example is [s_t ; ctx_t], the output layer's input.
 
-    The steps run over a `_Packing` of the batch. emb[ids] W[:d] + b is one
-    GEMM over all rows before the loop. At each step the LSTM runs on the
-    running examples' rows, and the attention's elementwise work on their
-    encoder rows concatenated, without padding (cross-example operation
-    batching, Neubig, Goldberg & Dyer 2017); what reduces over encoder rows,
-    the softmax and the context, runs per example on blocks padded to the
+    The steps run over a `tensor.Packing` of the batch, with the attention's
+    additions in `_Packing`. emb[ids] W[:d] + b is one GEMM over all rows
+    before the loop. At each step the LSTM runs on the running examples'
+    rows, and the attention's elementwise work on their encoder rows
+    concatenated, without padding (cross-example operation batching,
+    Neubig, Goldberg & Dyer 2017); what reduces over encoder rows, the
+    softmax and the context, runs per example on blocks padded to the
     longest encoder, with -inf scores on the padding. On a tape the forward
     keeps every step's attention activations E, one row per (step, encoder
     row) cell, step after step in one (cells, h) array, and backward is one
@@ -228,9 +207,12 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
     enc_proj gradient summed per step over the running examples' rows, each
     example's query gradient a sum over its own cells, so that a step costs
     linearly in its cells at any batch size, and the weight gradients, v_a's
-    among them, as GEMMs over all rows after the loop. A batch of one
-    performs the one-sentence kernel's operations, so it gives that kernel's
-    bits. Without a tape only the output rows are kept.
+    among them, as GEMMs over all rows after the loop. Without a tape only
+    the output rows are kept. Two paths of one example stay, for the
+    one-sentence kernel's bits and for speed, as scoring runs one example
+    at a time: a step with one running example takes plain products, and a
+    batch of one forms its attention backward's K over all cells at once and
+    the enc_proj gradient as one einsum.
     """
     batch, d, n = len(ids), emb.shape[1], U.shape[0]
     if (not batch or len(sizes) != batch or min(sizes) < 1 or s0.shape != (batch, n)
@@ -240,31 +222,24 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
                          f"{[len(i) for i in ids]}, s0 {s0.shape}, enc {enc.shape}, enc_proj "
                          f"{enc_proj.shape} in examples of {list(sizes)}, W {W.shape}")
     pack = _Packing([len(i) for i in ids], sizes)
-    order = pack.order
-    ends = list(itertools.accumulate(sizes))
-    enc_rows = [slice(ends[j] - sizes[j], ends[j]) for j in order]  # each rank's encoder rows
-    if batch == 1:  # the identity layout
-        idx = np.asarray(ids[0], dtype=np.intp)
-        proj_cat, enc_block = enc_proj.data, enc.data[None]
-    else:
-        idx = np.empty(len(pack.perm), dtype=np.intp)
-        idx[pack.perm] = np.concatenate([np.asarray(i, dtype=np.intp) for i in ids])
-        proj_cat = np.concatenate([enc_proj.data[rows] for rows in enc_rows])
-        enc_block = np.zeros((batch, pack.width, n))
-        for rank, rows in enumerate(enc_rows):
-            enc_block[rank, : pack.sizes[rank]] = enc.data[rows]
+    idx = np.empty(pack.steps[-1].stop, dtype=np.intp)
+    idx[pack.rows] = np.concatenate(ids)
+    proj_cat = enc_proj.data[pack.enc_rows]  # the encoder rows in rank order
+    enc_block = np.zeros((batch, pack.width, n))
+    enc_block.reshape(-1, n)[pack.pad] = enc.data[pack.enc_rows]
     w_emb, w_ctx = W.data[:d], W.data[d:]
     xw = emb.data[idx] @ w_emb + b.data
     u, u_a, v, bias_a = U.data, U_a.data, v_a.data, b_a.data
-    s = s_first = s0.data[order]
+    s = s_first = s0.data[pack.order]
     c = ctx = np.zeros((batch, n))
     inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
     needs_grad = any(t.requires_grad for t in inputs)
     taping = needs_grad and tensor._ACTIVE_TAPE is not None  # else keep only the output rows
     if taping:  # the attention activations, step t's r cells after step t - 1's
-        e_all = np.empty((sum(r for _, _, r in pack.steps), u_a.shape[1]))
+        e_all = np.empty((sum(pack.enc_starts[m] for m in pack.running), u_a.shape[1]))
     saved, cell = [], 0
-    for rows, m, r in pack.steps:
+    for rows, m in zip(pack.steps, pack.running):
+        r = pack.enc_starts[m]
         if m < len(s):
             s, c, ctx = s[:m], c[:m], ctx[:m]
         s, c, sig, g = _decoder_lstm(xw[rows], ctx, s, c, w_ctx, u)
@@ -284,41 +259,22 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
             ctx = np.matmul(alpha[:, None], enc_block[:m])[:, 0]
         saved.append((s, ctx, c, sig, g, alpha) if taping else (s, ctx))
     s_all, ctx_all, *kept = (np.concatenate(col) for col in zip(*saved))
-    stacked = np.concatenate([s_all, ctx_all], axis=1)
-    out = Tensor(stacked if batch == 1 else stacked[pack.perm], requires_grad=needs_grad)
+    out = Tensor(np.concatenate([s_all, ctx_all], axis=1)[pack.rows], requires_grad=needs_grad)
     if not taping:
         return out
     c_all, sig, g, alpha = kept
 
     def bwd(d_out):
-        if batch > 1:
-            packed = np.empty_like(d_out)
-            packed[pack.perm] = d_out
-            d_out = packed
-        zero = np.zeros((batch, n))  # the context and cell before the first step
-        prev = pack.previous_rows()
-        tc = np.tanh(c_all)
-        dsig = sig * (1.0 - sig)
-        # dZ row is [dc K_i, dc K_f, ds K_o, dc K_g] with dc, ds the row's
-        # cell and hidden gradients; the K are fixed by the forward pass.
-        # k holds K_i, K_f and K_g and becomes dZ in the loop, row by row
-        k = np.empty((len(c_all), 4, n))
-        k[:, 0] = g * dsig[:, :n]
-        k[:, 1] = np.concatenate([zero, c_all[prev]]) * dsig[:, n : 2 * n]
-        k[:, 2] = 0.0
-        k[:, 3] = sig[:, :n] * (1.0 - g * g)
-        k_o = tc * dsig[:, 2 * n :]
-        s_to_c = sig[:, 2 * n :] * (1.0 - tc * tc)
-        f = sig[:, n : 2 * n]
-        del tc, dsig
+        packed = np.empty_like(d_out)
+        packed[pack.rows] = d_out
+        factors = _lstm_factors(sig, g, c_all, pack.before(c_all))
         back = np.ascontiguousarray(np.concatenate([u, w_ctx]).T)  # dz -> [ds ; dctx] before
         u_a_t = np.ascontiguousarray(u_a.T)
         d_query = np.empty((len(c_all), u_a.shape[1]))  # gradient of s_t U_a
         d_ctx = np.empty((len(c_all), n))
         d_cells = np.empty(len(e_all))  # d score of each cell
-        d_s, d_c = d_out[:, :n], d_out[:, n:]
-        ds_next = dctx_next = dc_next = np.zeros((pack.running[-1], n))
-        enc_first = enc_block[0]
+        d_s, d_c = packed[:, :n], packed[:, n:]
+        carried = [np.zeros((pack.running[-1], n))] * 3  # ds, dctx and dc from the next step
         if batch == 1:  # d score / d pre-activation K = v (1 - E^2) at once
             k_att = e_all * e_all
             np.subtract(1.0, k_att, out=k_att)
@@ -327,17 +283,15 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
             d_proj_cat = np.zeros(enc.shape)
             v_row, enc_starts = v[:, 0], np.asarray(pack.enc_starts)
         cell = len(e_all)
-        for rows, m, r in reversed(pack.steps):
-            if m > len(ds_next):  # the examples whose last step this is
-                more = np.zeros((m - len(ds_next), n))
-                ds_next, dctx_next, dc_next = (
-                    np.concatenate([x, more]) for x in (ds_next, dctx_next, dc_next))
+        for rows, m in zip(reversed(pack.steps), reversed(pack.running)):
+            ds_next, dctx_next, dc_next = _grow(m, carried)
+            r = pack.enc_starts[m]
             cells = slice(cell - r, cell)
             cell -= r
             dctx = d_ctx[rows] = d_c[rows] + dctx_next
             al = alpha[rows]
             if m == 1:  # plain products, the same numbers as the stacked ones
-                d_alpha = enc_first @ dctx[0]
+                d_alpha = enc_block[0] @ dctx[0]
                 d_score = al * (d_alpha - d_alpha @ al[0])
             else:
                 d_alpha = np.matmul(enc_block[:m], dctx[:, :, None])[:, :, 0]
@@ -355,25 +309,18 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
                 dq = np.add.reduceat(grad, enc_starts[:m], axis=0)
                 dq *= v_row
             d_query[rows] = dq
-            ds = d_s[rows] + ds_next + dq @ u_a_t
-            dc = dc_next + ds * s_to_c[rows]
-            dz_t = k[rows]
-            dz_t *= dc[:, None]
-            np.multiply(k_o[rows], ds, out=dz_t[:, 2])
-            before = dz_t.reshape(m, 4 * n) @ back
-            ds_next, dctx_next = before[:, :n], before[:, n:]
-            dc_next = dc * f[rows]
-        dz = k.reshape(-1, 4 * n)
+            dc_next = _lstm_back(factors, rows, d_s[rows] + ds_next + dq @ u_a_t, dc_next)
+            before = factors[0][rows].reshape(m, 4 * n) @ back
+            carried = before[:, :n], before[:, n:], dc_next
+        dz = factors[0].reshape(-1, 4 * n)
         if s0.requires_grad:
             d_s0 = np.empty((batch, n))
-            d_s0[order] = ds_next
+            d_s0[pack.order] = carried[0]
             _accumulate(s0, d_s0)
-        if enc.requires_grad:
-            d_enc = np.empty(enc.shape)
-            for rank, rows in enumerate(enc_rows):
-                rows_k = pack.rows[rank]
-                d_enc[rows] = alpha[rows_k, : pack.sizes[rank]].T @ d_ctx[rows_k]
-            _accumulate(enc, d_enc)
+        if enc.requires_grad:  # per example, from its rows in the given order
+            cuts = np.cumsum([len(i) for i in ids])[:-1]
+            parts = zip(np.split(alpha[pack.rows], cuts), np.split(d_ctx[pack.rows], cuts), sizes)
+            _accumulate(enc, np.concatenate([a[:, :size].T @ dc for a, dc, size in parts]))
         if enc_proj.requires_grad:
             if batch == 1:
                 steps, size = len(pack.steps), sizes[0]
@@ -381,8 +328,7 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
                                    k_att.reshape(steps, size, -1))
             else:
                 d_proj = np.empty(enc.shape)
-                for rank, rows in enumerate(enc_rows):
-                    d_proj[rows] = d_proj_cat[pack.enc_starts[rank] : pack.enc_starts[rank + 1]]
+                d_proj[pack.enc_rows] = d_proj_cat
                 d_proj *= v_row
             _accumulate(enc_proj, d_proj)
         if v_a.requires_grad:
@@ -390,10 +336,9 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
         if emb.requires_grad:
             np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
         if W.requires_grad:
-            ctx_prev = np.concatenate([zero, ctx_all[prev]])
-            _accumulate(W, np.concatenate([emb.data[idx], ctx_prev], axis=1).T @ dz)
+            _accumulate(W, np.concatenate([emb.data[idx], pack.before(ctx_all)], axis=1).T @ dz)
         if U.requires_grad:
-            _accumulate(U, np.concatenate([s_first, s_all[prev]]).T @ dz)
+            _accumulate(U, pack.before(s_all, s_first).T @ dz)
         if b.requires_grad:
             _accumulate(b, dz.sum(axis=0, keepdims=True))
         if U_a.requires_grad:

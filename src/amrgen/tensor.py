@@ -378,15 +378,62 @@ def _lstm_gates(z, n):
     return 1.0 / (1.0 + np.exp(-z[..., : 3 * n])), np.tanh(z[..., 3 * n :])
 
 
+def _lstm_cell(z, c):
+    """One LSTM step from its pre-activations z and the cell c before it:
+    the gates sig (i, f, o) and g, and the cell c' and hidden state h'."""
+    n = c.shape[-1]
+    sig, g = _lstm_gates(z, n)
+    c = sig[..., n : 2 * n] * c + sig[..., :n] * g
+    return sig, g, c, sig[..., 2 * n :] * np.tanh(c)
+
+
+def _lstm_factors(sig, g, c, c_before):
+    """What the backward of LSTM rows needs from their forward: their gates
+    sig and g, cells c and cells before the step c_before give k, whose row
+    blocks K_i, K_f, 0 and K_g become dZ = [dc K_i, dc K_f, dh K_o, dc K_g]
+    in `_lstm_back`, then K_o, the hidden-to-cell factor o (1 - tanh(c)^2)
+    and f."""
+    n = g.shape[-1]
+    dsig = sig * (1.0 - sig)
+    tc = np.tanh(c)
+    k = np.empty(g.shape[:-1] + (4, n))
+    k[..., 0, :] = g * dsig[..., :n]
+    k[..., 1, :] = c_before * dsig[..., n : 2 * n]
+    k[..., 2, :] = 0.0
+    k[..., 3, :] = sig[..., :n] * (1.0 - g * g)
+    return k, tc * dsig[..., 2 * n :], sig[..., 2 * n :] * (1.0 - tc * tc), sig[..., n : 2 * n]
+
+
+def _lstm_back(factors, rows, dh, dc_next):
+    """One step back through the LSTM rows `rows` of `_lstm_factors`: from
+    their hidden gradient dh and the cell gradient dc_next that the next step
+    carries, their rows of k become dZ in place; returns the cell gradient
+    carried to the step before."""
+    k, k_o, h_to_c, f = factors
+    dc = dc_next + dh * h_to_c[rows]
+    dz = k[rows]
+    dz *= dc[..., None, :]
+    np.multiply(k_o[rows], dh, out=dz[..., 2, :])
+    return dc * f[rows]
+
+
+def _grow(m, carried):
+    """The gradients carried back to a step of m rows: the sequences whose
+    last step it is start from zero rows."""
+    if m == len(carried[0]):
+        return carried
+    more = np.zeros((m - len(carried[0]),) + carried[0].shape[1:])
+    return [np.concatenate([x, more]) for x in carried]
+
+
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
     """One LSTM step as one tape entry, returning the (m, 2n) rows [h' ; c']."""
     n = h.shape[1]
     z = x.data @ W.data + h.data @ U.data + b.data
-    sig, g = _lstm_gates(z, n)
+    sig, g, c_next, h_next = _lstm_cell(z, c.data)
     i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
-    c_next = f * c.data + i * g
     tc = np.tanh(c_next)
-    out = Tensor(np.concatenate([o * tc, c_next], axis=1),
+    out = Tensor(np.concatenate([h_next, c_next], axis=1),
                  requires_grad=any(t.requires_grad for t in (x, h, c, W, U, b)))
 
     def bwd(d_out):
@@ -415,20 +462,46 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor) 
     return out
 
 
-def packed_layout(lengths):
+class Packing:
     """The packed layout of sequences of the given lengths (Appleyard et al.
-    2016), as (order, running, starts). order lists the sequences longest
-    first, stable, and a sequence's rank is its place there; running[t]
-    counts the sequences still running at step t, which are the first
-    running[t] ranks, and step t's rows are starts[t] to starts[t + 1], one
-    per running rank in rank order."""
-    order = sorted(range(len(lengths)), key=lambda j: -lengths[j])
-    running, m = [], len(order)
-    for t in range(lengths[order[0]]):
-        while lengths[order[m - 1]] <= t:
-            m -= 1
-        running.append(m)
-    return order, running, [0, *itertools.accumulate(running)]
+    2016). `order` lists the sequences longest first, stable, and a
+    sequence's rank is its place there; `lengths` are theirs in rank order.
+    `running[t]` counts the sequences still running at step t, the first
+    running[t] ranks, and `steps[t]` is the slice of step t's packed rows,
+    one per running rank in rank order. The input rows are the sequences'
+    positions, one sequence after another in the given order: `rows` holds
+    each input row's packed row, position t at step t, and `reversed_rows`
+    its packed row when the sequence is read from its end, position t at step
+    length - 1 - t. `previous` holds the packed row one step earlier of each
+    row after step 0's. For one sequence these three are slices."""
+
+    def __init__(self, lengths):
+        self.order = sorted(range(len(lengths)), key=lambda j: -lengths[j])
+        self.lengths = [lengths[j] for j in self.order]
+        running = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
+        self.running = running.tolist()
+        starts = [0, *itertools.accumulate(self.running)]
+        self.steps = [slice(a, z) for a, z in zip(starts, starts[1:])]
+        if len(lengths) == 1:
+            self.rows, self.reversed_rows = slice(None), slice(None, None, -1)
+            self.previous = slice(0, starts[-1] - 1)
+            return
+        sizes = np.array(lengths)
+        rank = np.empty(len(lengths), dtype=np.intp)
+        rank[self.order] = np.arange(len(lengths))
+        seq = np.repeat(np.arange(len(lengths)), sizes)
+        pos = np.arange(starts[-1]) - (np.cumsum(sizes) - sizes)[seq]
+        step_rows = np.array(starts)
+        self.rows = step_rows[pos] + rank[seq]
+        self.reversed_rows = step_rows[sizes[seq] - 1 - pos] + rank[seq]
+        self.previous = np.arange(starts[1], starts[-1]) - np.repeat(running[:-1], running[1:])
+
+    def before(self, a, first=0.0):
+        """Each packed row's row of a one step earlier, and first at step 0."""
+        out = np.empty_like(a)
+        out[: self.running[0]] = first
+        out[self.running[0] :] = a[self.previous]
+        return out
 
 
 def _block_matmul(x, w, lone):
@@ -452,16 +525,19 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
     hidden state after reading its sequence's rows up to i, and from the
     last one back to i, each from a zero state.
 
-    The sequences run packed (`packed_layout`): step t advances the forward
-    direction at row t and the reverse one at row N - 1 - t of every
-    sequence still running, both as one (m, 2, 4 hidden) block. X W + b is a
-    GEMM per direction before the loop, and the recurrent products h U are
-    row-stacked one-row products, so each sequence's states have the bits
-    of running it alone. Without a tape nothing is kept for backward.
-    Backward is one reverse loop over the steps that fills dZ, the gradient
-    of the pre-activations; then per direction dX = dZ W^T, dW = X^T dZ and
-    dU = H_prev^T dZ are GEMMs over X's rows in order, which gives a batch
-    of one the bits of running each direction on its own.
+    The sequences run over a `Packing`, forward by its `rows` and in reverse
+    by its `reversed_rows`: step t advances the forward direction at row t
+    and the reverse one at row N - 1 - t of every sequence still running,
+    both as one (m, 2, 4 hidden) block. X W + b is a GEMM per direction
+    before the loop, with one-row products for one-row sequences
+    (`_block_matmul`), and the recurrent products h U are row-stacked one-row
+    products, so each sequence's states have the bits of running it alone;
+    for one sequence the layout is slices, which cost no gather. Without a
+    tape nothing is kept for backward. Backward is one reverse loop over the
+    steps that fills dZ, the gradient of the pre-activations; then per
+    direction dX = dZ W^T, dW = X^T dZ and dU = H_prev^T dZ are GEMMs over
+    X's rows in order, which gives a batch of one the bits of running each
+    direction on its own.
     """
     rows, n = X.shape[0], U_f.shape[0]
     if (X.data.ndim != 2 or not lengths or min(lengths) < 1 or sum(lengths) != rows
@@ -470,19 +546,10 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
         raise ShapeError(f"bilstm_batch shape mismatch: X {X.shape} in sequences of "
                          f"{list(lengths)}, W {W_f.shape} and {W_b.shape}, U {U_f.shape} "
                          f"and {U_b.shape}")
-    order, running, starts = packed_layout(lengths)
+    pack = Packing(lengths)
+    packed = (pack.rows, pack.reversed_rows)  # X's rows' packed rows in each direction
     sizes = np.array(lengths)
     firsts = np.cumsum(sizes) - sizes
-    # packed[0][i] and packed[1][i]: X's row i's packed row in each direction
-    if len(lengths) == 1:  # the identity layout
-        packed = (slice(None), slice(None, None, -1))
-    else:
-        rank = np.empty(len(lengths), dtype=np.intp)
-        rank[order] = np.arange(len(lengths))
-        seq = np.repeat(np.arange(len(lengths)), sizes)
-        pos = np.arange(rows) - firsts[seq]
-        step_rows = np.array(starts)
-        packed = (step_rows[pos] + rank[seq], step_rows[sizes[seq] - 1 - pos] + rank[seq])
     lone = firsts[sizes == 1] if rows > 1 else firsts[:0]
     x = X.data
     xw = np.empty((rows, 2, 4 * n))
@@ -496,13 +563,11 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
     if taping:
         sig, g, c_all = np.empty((rows, 2, 3 * n)), np.empty((rows, 2, n)), np.empty((rows, 2, n))
     h = c = np.zeros((len(lengths), 2, n))
-    for t, m in enumerate(running):
-        r = slice(starts[t], starts[t + 1])
+    for r, m in zip(pack.steps, pack.running):
         if m < len(h):
             h, c = h[:m], c[:m]
-        s, gt = _lstm_gates(xw[r] + np.matmul(h[:, :, None], u)[:, :, 0], n)
-        c = s[..., n : 2 * n] * c + s[..., :n] * gt
-        h = h_all[r] = s[..., 2 * n :] * np.tanh(c)
+        s, gt, c, h = _lstm_cell(xw[r] + np.matmul(h[:, :, None], u)[:, :, 0], c)
+        h_all[r] = h
         if taping:
             sig[r], g[r], c_all[r] = s, gt, c
     out = Tensor(np.concatenate([h_all[packed[0], 0], h_all[packed[1], 1]], axis=1),
@@ -513,39 +578,15 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
     def bwd(d_out):
         d_h = np.empty((rows, 2, n))
         d_h[packed[0], 0], d_h[packed[1], 1] = d_out[:, :n], d_out[:, n:]
-        steps = np.array(running)
-        prev = np.arange(running[0], rows) - np.repeat(steps[:-1], steps[1:])
-        dsig = sig * (1.0 - sig)
-        tc = np.tanh(c_all)
-        # dZ row is [dc K_i, dc K_f, dh K_o, dc K_g] with dc, dh the row's
-        # cell and hidden gradients; the K are fixed by the forward pass.
-        # k holds K_i, K_f and K_g and becomes dZ in the loop, step by step
-        k = np.empty((rows, 2, 4, n))
-        k[:, :, 0] = g * dsig[..., :n]
-        k[: running[0], :, 1] = k[:, :, 2] = 0.0
-        k[running[0] :, :, 1] = c_all[prev] * dsig[running[0] :, :, n : 2 * n]
-        k[:, :, 3] = sig[..., :n] * (1.0 - g * g)
-        k_o = tc * dsig[..., 2 * n :]
-        h_to_c = sig[..., 2 * n :] * (1.0 - tc * tc)
-        f = sig[..., n : 2 * n]
-        del dsig, tc
+        factors = _lstm_factors(sig, g, c_all, pack.before(c_all))
         u_t = np.ascontiguousarray(u.transpose(0, 2, 1))
-        dh_next = dc_next = np.zeros((running[-1], 2, n))
-        for t in range(len(running) - 1, -1, -1):
-            m, r = running[t], slice(starts[t], starts[t + 1])
-            if m > len(dh_next):  # the sequences whose last step this is
-                more = np.zeros((m - len(dh_next), 2, n))
-                dh_next, dc_next = np.concatenate([dh_next, more]), np.concatenate([dc_next, more])
-            dh = d_h[r] + dh_next
-            dc = dc_next + dh * h_to_c[r]
-            dz = k[r]
-            dz *= dc[:, :, None]
-            np.multiply(k_o[r], dh, out=dz[:, :, 2])
-            dh_next = np.matmul(dz.reshape(m, 2, 1, 4 * n), u_t)[:, :, 0]
-            dc_next = dc * f[r]
-        dz = k.reshape(rows, 2, 4 * n)
-        h_prev = np.zeros((rows, 2, n))
-        h_prev[running[0] :] = h_all[prev]
+        carried = [np.zeros((pack.running[-1], 2, n))] * 2  # dh and dc from the next step
+        for r, m in zip(reversed(pack.steps), reversed(pack.running)):
+            dh_next, dc_next = _grow(m, carried)
+            dc_next = _lstm_back(factors, r, d_h[r] + dh_next, dc_next)
+            carried = np.matmul(factors[0][r].reshape(m, 2, 1, 4 * n), u_t)[:, :, 0], dc_next
+        dz = factors[0].reshape(rows, 2, 4 * n)
+        h_prev = pack.before(h_all)
         d_x = None
         for d, (W, U, b) in enumerate(((W_f, U_f, b_f), (W_b, U_b, b_b))):
             dz_d = np.ascontiguousarray(dz[packed[d], d])

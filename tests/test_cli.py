@@ -267,6 +267,8 @@ PENMAN = "(s / sleep-01 :arg0 (b / boy))"
         {"anon_map": [["boy"]]},
         {"anon_map": [["boy", 7]]},
         {"anon_map": ["bo"]},
+        {"id": ["x-1"]},
+        {"id": None},
     ],
 )
 def test_record_field_of_wrong_type_is_data_error(fields, tmp_path, capsys):
@@ -322,6 +324,14 @@ def test_evaluate_ends_a_hypothesis_line_only_at_newline(small_jsonl, tmp_path, 
 def test_evaluate_needs_hyp_or_ckpt(small_jsonl, capsys):
     assert main(["evaluate", "--data", str(small_jsonl)]) == EXIT_CONFIG
     assert "needs --hyp or --ckpt" in capsys.readouterr().err
+
+
+def test_evaluate_takes_hyp_or_ckpt_not_both(small_jsonl, tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the boy sleeps at night\na dog runs in paris\n")
+    argv = ["evaluate", "--data", str(small_jsonl), "--hyp", str(hyp), "--ckpt", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error:")
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

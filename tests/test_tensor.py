@@ -535,6 +535,36 @@ def test_bilstm_batch_rejects_mismatched_inputs():
         T.bilstm_batch(X, [5], *weights[:4], _param(rng, 3, 8), weights[5])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8))
+def test_packing_puts_each_position_at_its_step(lengths):
+    """Every position of every sequence lands at its step in its rank's
+    place. The index arrays and the one-sequence slices are read through
+    the same gathers, so both must select the rows checked here."""
+    pack = T.Packing(lengths)
+    total = sum(lengths)
+    assert pack.order == sorted(range(len(lengths)), key=lambda j: (-lengths[j], j))
+    assert pack.lengths == sorted(lengths, reverse=True)
+    assert pack.running == [sum(length > t for length in lengths) for t in range(max(lengths))]
+    assert [(s.start, s.stop - s.start) for s in pack.steps] == [
+        (sum(pack.running[:t]), m) for t, m in enumerate(pack.running)]
+    packed = np.arange(total)
+    rows, reversed_rows = packed[pack.rows], packed[pack.reversed_rows]
+    previous = packed[pack.previous]
+    assert sorted(rows) == sorted(reversed_rows) == list(range(total))
+    assert len(previous) == total - pack.running[0]
+    for rank, j in enumerate(pack.order):
+        start = sum(lengths[:j])
+        for t in range(lengths[j]):
+            assert rows[start + t] == pack.steps[t].start + rank
+            assert reversed_rows[start + t] == pack.steps[lengths[j] - 1 - t].start + rank
+            if t:
+                assert previous[rows[start + t] - pack.running[0]] == rows[start + t - 1]
+    earlier = pack.before(packed.astype(float), -1.0)
+    assert (earlier[: pack.running[0]] == -1.0).all()
+    assert np.array_equal(earlier[pack.running[0] :], previous)
+
+
 def _composed_initial_state(enc, W, b):
     """The first decoder state of one example from single kernels."""
     mean = T.scale(T.sum_rows(enc), 1.0 / enc.shape[0])
