@@ -124,7 +124,8 @@ def _collect_penman_files(path):
     raise DataError(f"no such file or directory: {path!r}")
 
 
-def preprocess_corpus(input_path, anonymize_flag=False, threshold=5, log=lambda m: None):
+def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationPolicy.threshold,
+                      log=lambda m: None):
     """Parse, transform and serialize a PENMAN corpus into JSONL records.
 
     Returns (records, skipped count, stats list).
@@ -204,11 +205,15 @@ def load_examples(jsonl_path):
                     isinstance(m, list) and len(m) == 2 and all(isinstance(w, str) for w in m)
                     for m in anon_map)):
                 raise DataError(f"{jsonl_path}:{line_no}: anon_map must be a list of string pairs")
+            try:
+                graph = parse_penman(record["penman"])
+            except PenmanParseError as err:
+                raise DataError(f"{jsonl_path}:{line_no}: {err}") from None
             sentence, anon_map = tuple(sentence), tuple(tuple(m) for m in anon_map)
             examples.append(
                 TrainExample(
                     id=record["id"],
-                    repr=prepare_example(parse_penman(record["penman"])),
+                    repr=prepare_example(graph),
                     target=tuple(anonymize_sentence(sentence, anon_map)),
                     reference=sentence,
                     anon_map=anon_map,
@@ -550,19 +555,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--model", choices=KINDS, default="Seq")
+        p.add_argument("--model", choices=KINDS, default=EncoderConfig.kind)
         p.add_argument("--repr", choices=("sequence", "tree", "graph"), default=None)
-        p.add_argument("--embedding-dim", type=int, default=64)
-        p.add_argument("--hidden-dim", type=int, default=64)
-        p.add_argument("--gcn-layers", type=int, default=2)
-        p.add_argument("--dropout", type=float, default=0.3)
-        p.add_argument("--edge-dropout", type=float, default=0.1)
+        p.add_argument("--embedding-dim", type=int, default=EncoderConfig.embedding_dim)
+        p.add_argument("--hidden-dim", type=int, default=EncoderConfig.hidden_dim)
+        p.add_argument("--gcn-layers", type=int, default=EncoderConfig.gcn_layers)
+        p.add_argument("--dropout", type=float, default=EncoderConfig.dropout)
+        p.add_argument("--edge-dropout", type=float, default=EncoderConfig.edge_dropout)
 
     p = sub.add_parser("preprocess", help="PENMAN corpus -> JSONL + vocab + stats")
     p.add_argument("--input", required=True, help="PENMAN file or directory")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument("--anonymize", action="store_true")
-    p.add_argument("--rare-threshold", type=int, default=5)
+    p.add_argument("--rare-threshold", type=int, default=AnonymizationPolicy.threshold)
     p.add_argument("--config")
     p.set_defaults(func=cmd_preprocess)
 
@@ -571,10 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--lr", type=float, default=TrainSettings.lr)
+    p.add_argument("--batch-size", type=int, default=TrainSettings.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainSettings.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainSettings.patience)
     add_model_flags(p)
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)

@@ -2,10 +2,12 @@
 LSTM (gate order i, f, o, g) on [y_t ; ctx_{t-1}], y_t the embedding of its
 input id, then attends with its hidden state s_t over the encoder rows, which
 gives ctx_t (input feeding); the output layer gives the log-softmax of
-tanh([s_t ; ctx_t] W_o + b_o) W_v + b_v. `decoder_step` runs a step and the
-output layer for any number of rows, for decoding; `decoder_batch` runs a
-batch's teacher-forced recurrence and `output_nll` its output layer and loss.
-`initial_rows` and `initial_state` give the first hidden state.
+tanh([s_t ; ctx_t] W_o + b_o) W_v + b_v. One attention, `_attend`, runs over
+an `EncoderRows`, the layout of the encoder rows that each row attends over.
+`decoder_step` runs a step and the output layer for any number of rows, for
+decoding; `decoder_batch` runs a batch's teacher-forced recurrence and
+`output_nll` its output layer and loss. `initial_state` gives the first
+hidden state.
 """
 from __future__ import annotations
 
@@ -18,69 +20,91 @@ from .tensor import (ShapeError, Tensor, _accumulate, _grad_buffer, _grow, _lstm
                      _lstm_cell, _lstm_factors, _record)
 
 
-def _attend(q, enc, enc_proj, U, b, v):
-    """Additive attention of the (m, h) query rows q over the (N, h) rows of
-    enc in numpy. With E = tanh(enc_proj + q U + b) for every (query, row)
-    pair, alpha is the softmax over rows of E v, and context row i is
-    alpha_i enc; enc_proj is enc's projection, computed once per example.
-    Returns the (m, h) context rows, the (m, N, h) activations E and the
-    (m, N) weights alpha."""
-    m, rows = q.shape[0], enc.shape[0]
-    pre = enc_proj[None] + (q @ U)[:, None]
-    pre += b
-    e = np.tanh(pre)
-    scores = (e.reshape(m * rows, -1) @ v).reshape(m, rows)
+class EncoderRows:
+    """The encoder rows that the decoder's rows attend over: rank k, row k of
+    a step, attends over sizes[k] rows of enc from starts[k]. Its cells, one
+    per (rank, row), run rank after rank from `cell_starts[k]`: `rows` holds
+    each cell's row of enc, `row_rank` its rank, `pad` its place in a (ranks,
+    width) block and `proj` its row of enc_proj; `block` holds each rank's
+    rows of enc padded with zeros to (ranks, width, h). For one rank `rows`
+    and `pad` are slices, `proj` and `block` views, and no step reads
+    `row_rank`."""
+
+    def __init__(self, enc, enc_proj, sizes, starts):
+        self.width = max(sizes)
+        self.cell_starts = [0, *itertools.accumulate(sizes)]
+        if len(sizes) == 1:
+            self.rows, self.pad = slice(starts[0], starts[0] + sizes[0]), slice(None)
+            self.proj, self.block = enc_proj[self.rows], enc[self.rows][None]
+            return
+        self.row_rank = np.repeat(np.arange(len(sizes)), sizes)
+        offset = np.arange(self.cell_starts[-1]) - np.array(self.cell_starts)[self.row_rank]
+        self.rows = np.asarray(starts, dtype=np.intp)[self.row_rank] + offset
+        self.pad = self.row_rank * self.width + offset
+        self.proj = enc_proj[self.rows]
+        self.block = np.zeros((len(sizes), self.width, enc.shape[1]))
+        self.block.reshape(-1, enc.shape[1])[self.pad] = enc[self.rows]
+
+    def padded(self, scores, m, r):
+        """The scores of the first m ranks' r cells as an (m, width) block,
+        -inf on the padding."""
+        block = np.full(m * self.width, -np.inf)
+        block[self.pad[:r]] = scores.reshape(-1)
+        return block.reshape(m, self.width)
+
+
+def _attend(att, m, s, U_a, b_a, v_a, out=None):
+    """Additive attention (Bahdanau et al. 2015) in numpy of the (m, h) rows
+    s over the first m ranks of att, an `EncoderRows`: each cell's E =
+    tanh(enc_proj + s U_a + b_a), written into out if given, and each rank's
+    softmax alpha of E v_a, padded to width with -inf scores, times its rows
+    of enc. Returns the (m, h) contexts, the (cells, h) E and the (m, width)
+    alpha, zero on the padding."""
+    r = att.cell_starts[m]
+    q = s @ U_a
+    e = np.add(att.proj[:r], q if m == 1 else q[att.row_rank[:r]], out=out)
+    e += b_a
+    scores = np.tanh(e, out=e) @ v_a
+    scores = scores.reshape(m, r // m) if r == m * att.width else att.padded(scores, m, r)
     exp = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = exp / exp.sum(axis=1, keepdims=True)
-    return alpha @ enc, e, alpha
+    if m == 1:  # a plain product, the same numbers as the stacked one
+        return alpha @ att.block[0], e, alpha
+    return np.matmul(alpha[:, None], att.block[:m])[:, 0], e, alpha
 
 
 def _decoder_lstm(xw, ctx, s, c, W_ctx, U):
-    """The decoder's LSTM for m rows in numpy. xw is the (m, 4h) embedding
-    half of the input projection with the bias, y W[:d] + b, and ctx, s and c
-    are the (m, h) context, hidden and cell rows before the step. Returns s
-    and c after it and the gates sig and g."""
+    """The decoder's LSTM for m rows in numpy: xw is the input projection's
+    (m, 4h) embedding half with the bias, y W[:d] + b, and ctx, s and c the
+    (m, h) rows before the step. Returns s and c after it and sig and g."""
     sig, g, c, s = _lstm_cell(xw + ctx @ W_ctx + s @ U, c)
     return s, c, sig, g
 
 
-def decoder_step(ids, ctx, s, c, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a, W_o, b_o, W_v, b_v):
-    """One step in plain numpy for m rows over the same encoder rows, from
-    their input ids and (m, h) ctx, s and c rows, with `decoder_batch`'s
-    weights and then the output layer's. Returns the (m, V) log-probs of the
-    next id and the (ctx, s, c) rows after the step."""
+def decoder_step(ids, ctx, s, c, att, emb, W, U, b, U_a, b_a, v_a, W_o, b_o, W_v, b_v):
+    """One step in plain numpy for m rows, row k attending over rank k of
+    att, an `EncoderRows`, from their input ids and (m, h) ctx, s and c rows,
+    with `decoder_batch`'s weights and then the output layer's. Returns the
+    (m, V) log-probs of the next id and the (ctx, s, c) rows after the step."""
     d = emb.shape[1]
     s, c, _, _ = _decoder_lstm(emb[ids] @ W[:d] + b, ctx, s, c, W[d:], U)
-    ctx = _attend(s, enc, enc_proj, U_a, b_a, v_a)[0]
+    ctx = _attend(att, len(s), s, U_a, b_a, v_a)[0]
     return output_rows(np.concatenate([s, ctx], axis=1), W_o, b_o, W_v, b_v), ctx, s, c
 
 
-def _initial(enc, sizes, W_init, b_init):
-    """Each example's mean encoder row, summed over the rows in order, and
-    tanh(mean W_init + b_init), the latter a row-stacked one-row product."""
-    ends = list(itertools.accumulate(sizes))
-    mean = np.concatenate([enc[end - size : end].sum(axis=0, keepdims=True)
-                           for size, end in zip(sizes, ends)])
-    mean *= (1.0 / np.array(sizes, dtype=np.float64))[:, None]
-    return mean, np.tanh(np.matmul(mean[:, None], W_init)[:, 0] + b_init)
-
-
-def initial_rows(enc, sizes, W_init, b_init):
-    """The decoder's first hidden state of each example in plain numpy, one
-    (B, h) row per example: tanh(m W_init + b_init) with m the mean of the
-    example's encoder rows. enc holds the examples' rows one example after
-    another and sizes their row counts; the cell and the context start at
-    zero."""
-    return _initial(enc, sizes, W_init, b_init)[1]
-
-
 def initial_state(enc: Tensor, sizes, W_init: Tensor, b_init: Tensor) -> Tensor:
-    """`initial_rows` as one tape entry. Forward and backward run the
-    composed kernels' operations (row sum, scale, matmul, add, tanh) in their
-    order, so a batch of one gives their bits."""
+    """The decoder's first hidden states as one tape entry, a (B, h) row per
+    example: tanh(m W_init + b_init), m the mean of the example's encoder
+    rows, which enc holds one example after another, sizes their counts; the
+    cell and the context start at zero. Forward and backward run the
+    composed kernels' operations (row sum, scale, row-stacked one-row
+    matmul, add, tanh) in their order, so a batch of one gives their bits."""
     if enc.data.ndim != 2 or sum(sizes) != enc.shape[0] or min(sizes) < 1:
         raise ShapeError(f"initial_state shape mismatch: enc {enc.shape}, sizes {list(sizes)}")
-    mean, state = _initial(enc.data, sizes, W_init.data, b_init.data)
+    inverse = (1.0 / np.array(sizes, dtype=np.float64))[:, None]
+    mean = inverse * np.concatenate([enc.data[end - size : end].sum(axis=0, keepdims=True)
+                                     for size, end in zip(sizes, itertools.accumulate(sizes))])
+    state = np.tanh(np.matmul(mean[:, None], W_init.data)[:, 0] + b_init.data)
     out = Tensor(state, requires_grad=any(t.requires_grad for t in (enc, W_init, b_init)))
 
     def bwd(g):
@@ -88,8 +112,7 @@ def initial_state(enc: Tensor, sizes, W_init: Tensor, b_init: Tensor) -> Tensor:
         if b_init.requires_grad:
             _accumulate(b_init, d_pre.sum(axis=0, keepdims=True))
         if enc.requires_grad:
-            d_mean = (d_pre @ W_init.data.T) * (1.0 / np.array(sizes, dtype=np.float64))[:, None]
-            _accumulate(enc, np.repeat(d_mean, sizes, axis=0))
+            _accumulate(enc, np.repeat((d_pre @ W_init.data.T) * inverse, sizes, axis=0))
         if W_init.requires_grad:
             _accumulate(W_init, mean.T @ d_pre)
 
@@ -150,69 +173,36 @@ def output_nll(rows: Tensor, ids, lengths, W_o: Tensor, b_o: Tensor, W_v: Tensor
     return out
 
 
-class _Packing(tensor.Packing):
-    """A `tensor.Packing` of a batch's target sequences, with what the
-    attention adds from their encoders' row counts: `sizes` in rank order
-    and `width`, the largest. The examples running at a step of m rows have
-    as encoder rows the first `enc_starts[m]` rows of all encoder rows
-    concatenated in rank order, rank k's from `enc_starts[k]`: `enc_rows`
-    holds where each of them is among the encoder rows, `row_rank` its rank
-    and `pad` its place in a (ranks, width) block. For one example
-    `enc_rows` and `pad` are slices, and no step reads `row_rank`."""
-
-    def __init__(self, lengths, sizes):
-        super().__init__(lengths)
-        self.sizes = [sizes[j] for j in self.order]
-        self.width = max(sizes)
-        self.enc_starts = [0, *itertools.accumulate(self.sizes)]
-        if len(sizes) == 1:
-            self.enc_rows = self.pad = slice(None)
-            return
-        self.enc_rows = np.argsort(np.repeat(np.argsort(self.order), sizes), kind="stable")
-        self.row_rank = np.repeat(np.arange(len(sizes)), self.sizes)
-        self.pad = (self.row_rank * self.width + np.arange(self.enc_starts[-1])
-                    - np.array(self.enc_starts)[self.row_rank])
-
-    def padded(self, scores, m, r):
-        """The r scores of the running examples' encoder rows as an (m, width)
-        block, -inf on the padding."""
-        block = np.full(m * self.width, -np.inf)
-        block[self.pad[:r]] = scores.reshape(-1)
-        return block.reshape(m, self.width)
-
-
 def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tensor, b: Tensor,
                   U_a: Tensor, b_a: Tensor, v_a: Tensor) -> Tensor:
     """The decoder's recurrence over a batch of sentences as one tape entry.
     ids holds each example's input ids, s0 their (B, h) first hidden states,
-    and enc and enc_proj the examples' encoder rows, one example after
-    another, with sizes their row counts, and the rows' projection; the cell
-    and the context start at zero. emb is the (V, d) table of the ids'
-    embeddings, W, U and b are the LSTM's weights over [y ; ctx], and U_a,
-    b_a and v_a those of the attention, as in `_attend`. The output has each
-    example's rows, one after another in the given order: row t of an
-    example is [s_t ; ctx_t], the output layer's input.
+    enc and enc_proj the examples' encoder rows, one example after another,
+    and their projection, sizes their row counts; the cell and the context
+    start at zero. emb is the (V, d) table of the ids' embeddings, W, U and
+    b the LSTM's weights over [y ; ctx], and U_a, b_a and v_a `_attend`'s.
+    The output has each example's rows, one after another in the given
+    order: row t of an example is [s_t ; ctx_t], the output layer's input.
 
-    The steps run over a `tensor.Packing` of the batch, with the attention's
-    additions in `_Packing`. emb[ids] W[:d] + b is one GEMM over all rows
-    before the loop. At each step the LSTM runs on the running examples'
-    rows, and the attention's elementwise work on their encoder rows
-    concatenated, without padding (cross-example operation batching,
-    Neubig, Goldberg & Dyer 2017); what reduces over encoder rows, the
-    softmax and the context, runs per example on blocks padded to the
-    longest encoder, with -inf scores on the padding. On a tape the forward
-    keeps every step's attention activations E, one row per (step, encoder
-    row) cell, step after step in one (cells, h) array, and backward is one
-    pass back over the steps that reads them: K = v (1 - E^2) per step, the
-    enc_proj gradient summed per step over the running examples' rows, each
-    example's query gradient a sum over its own cells, so that a step costs
-    linearly in its cells at any batch size, and the weight gradients, v_a's
-    among them, as GEMMs over all rows after the loop. Without a tape only
-    the output rows are kept. Two paths of one example stay, for the
-    one-sentence kernel's bits and for speed, as scoring runs one example
-    at a time: a step with one running example takes plain products, and a
-    batch of one forms its attention backward's K over all cells at once and
-    the enc_proj gradient as one einsum.
+    The steps run over a `tensor.Packing` of the batch. emb[ids] W[:d] + b
+    is one GEMM over all rows before the loop. At each step the LSTM runs on
+    the running examples' rows, and `_attend` over an `EncoderRows` of the
+    examples in rank order: elementwise on their encoder rows concatenated
+    without padding (cross-example operation batching, Neubig, Goldberg &
+    Dyer 2017), and per example, on blocks padded to the longest encoder,
+    for the softmax and the context. On a tape the forward keeps every
+    step's attention activations E, one row per (step, encoder row) cell, in
+    one (cells, h) array, and backward is one pass back over the steps that
+    reads them: K = v (1 - E^2) per step, the enc_proj gradient summed per
+    step over the running examples' rows, each example's query gradient a
+    sum over its own cells, so that a step costs linearly in its cells at
+    any batch size, and the weight gradients, v_a's among them, as GEMMs
+    over all rows after the loop. Without a tape only the output rows are
+    kept. Two paths of one example stay, for the one-sentence kernel's bits
+    and for speed, as scoring runs one example at a time: a step with one
+    running example takes plain products, and a batch of one forms its
+    attention backward's K over all cells at once and the enc_proj gradient
+    as one einsum.
     """
     batch, d, n = len(ids), emb.shape[1], U.shape[0]
     if (not batch or len(sizes) != batch or min(sizes) < 1 or s0.shape != (batch, n)
@@ -221,42 +211,31 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
         raise ShapeError(f"decoder_batch shape mismatch: {batch} id lists of lengths "
                          f"{[len(i) for i in ids]}, s0 {s0.shape}, enc {enc.shape}, enc_proj "
                          f"{enc_proj.shape} in examples of {list(sizes)}, W {W.shape}")
-    pack = _Packing([len(i) for i in ids], sizes)
+    pack = tensor.Packing([len(i) for i in ids])
+    starts = [0, *itertools.accumulate(sizes)]
+    att = EncoderRows(enc.data, enc_proj.data, [sizes[j] for j in pack.order],
+                      [starts[j] for j in pack.order])
     idx = np.empty(pack.steps[-1].stop, dtype=np.intp)
     idx[pack.rows] = np.concatenate(ids)
-    proj_cat = enc_proj.data[pack.enc_rows]  # the encoder rows in rank order
-    enc_block = np.zeros((batch, pack.width, n))
-    enc_block.reshape(-1, n)[pack.pad] = enc.data[pack.enc_rows]
     w_emb, w_ctx = W.data[:d], W.data[d:]
     xw = emb.data[idx] @ w_emb + b.data
-    u, u_a, v, bias_a = U.data, U_a.data, v_a.data, b_a.data
+    u, u_a, v = U.data, U_a.data, v_a.data
     s = s_first = s0.data[pack.order]
     c = ctx = np.zeros((batch, n))
     inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
     needs_grad = any(t.requires_grad for t in inputs)
     taping = needs_grad and tensor._ACTIVE_TAPE is not None  # else keep only the output rows
     if taping:  # the attention activations, step t's r cells after step t - 1's
-        e_all = np.empty((sum(pack.enc_starts[m] for m in pack.running), u_a.shape[1]))
+        e_all = np.empty((sum(att.cell_starts[m] for m in pack.running), u_a.shape[1]))
     saved, cell = [], 0
     for rows, m in zip(pack.steps, pack.running):
-        r = pack.enc_starts[m]
+        r = att.cell_starts[m]
         if m < len(s):
             s, c, ctx = s[:m], c[:m], ctx[:m]
         s, c, sig, g = _decoder_lstm(xw[rows], ctx, s, c, w_ctx, u)
-        q = s @ u_a
-        pre = np.add(proj_cat[:r], q if m == 1 else q[pack.row_rank[:r]],
-                     out=e_all[cell : cell + r] if taping else None)
+        ctx, _, alpha = _attend(att, m, s, u_a, b_a.data, v,
+                                out=e_all[cell : cell + r] if taping else None)
         cell += r
-        pre += bias_a
-        scores = np.tanh(pre, out=pre) @ v
-        scores = (scores.reshape(m, r // m) if r == m * pack.width
-                  else pack.padded(scores, m, r))
-        exp = np.exp(scores - scores.max(axis=1, keepdims=True))
-        alpha = exp / exp.sum(axis=1, keepdims=True)
-        if m == 1:  # a plain product, the same numbers as the stacked one
-            ctx = alpha @ enc_block[0]
-        else:
-            ctx = np.matmul(alpha[:, None], enc_block[:m])[:, 0]
         saved.append((s, ctx, c, sig, g, alpha) if taping else (s, ctx))
     s_all, ctx_all, *kept = (np.concatenate(col) for col in zip(*saved))
     out = Tensor(np.concatenate([s_all, ctx_all], axis=1)[pack.rows], requires_grad=needs_grad)
@@ -281,32 +260,32 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
             k_att *= v[:, 0]
         else:  # the enc_proj gradient over v of the encoder rows in rank order
             d_proj_cat = np.zeros(enc.shape)
-            v_row, enc_starts = v[:, 0], np.asarray(pack.enc_starts)
+            v_row, cell_starts = v[:, 0], np.asarray(att.cell_starts)
         cell = len(e_all)
         for rows, m in zip(reversed(pack.steps), reversed(pack.running)):
             ds_next, dctx_next, dc_next = _grow(m, carried)
-            r = pack.enc_starts[m]
+            r = att.cell_starts[m]
             cells = slice(cell - r, cell)
             cell -= r
             dctx = d_ctx[rows] = d_c[rows] + dctx_next
             al = alpha[rows]
             if m == 1:  # plain products, the same numbers as the stacked ones
-                d_alpha = enc_block[0] @ dctx[0]
+                d_alpha = att.block[0] @ dctx[0]
                 d_score = al * (d_alpha - d_alpha @ al[0])
             else:
-                d_alpha = np.matmul(enc_block[:m], dctx[:, :, None])[:, :, 0]
+                d_alpha = np.matmul(att.block[:m], dctx[:, :, None])[:, :, 0]
                 d_score = al * (d_alpha - np.matmul(d_alpha[:, None], al[:, :, None])[:, 0])
             if batch == 1:
                 d_cells[cells] = d_score[0]
                 dq = d_score @ k_att[cells]
             else:  # the cells' d score times K over v, summed per example for dq
-                d_cell = d_cells[cells] = d_score.reshape(-1)[pack.pad[:r]]
+                d_cell = d_cells[cells] = d_score.reshape(-1)[att.pad[:r]]
                 e = e_all[cells]
                 grad = e * e
                 np.subtract(1.0, grad, out=grad)
                 grad *= d_cell[:, None]
                 d_proj_cat[:r] += grad
-                dq = np.add.reduceat(grad, enc_starts[:m], axis=0)
+                dq = np.add.reduceat(grad, cell_starts[:m], axis=0)
                 dq *= v_row
             d_query[rows] = dq
             dc_next = _lstm_back(factors, rows, d_s[rows] + ds_next + dq @ u_a_t, dc_next)
@@ -328,7 +307,7 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
                                    k_att.reshape(steps, size, -1))
             else:
                 d_proj = np.empty(enc.shape)
-                d_proj[pack.enc_rows] = d_proj_cat
+                d_proj[att.rows] = d_proj_cat
                 d_proj *= v_row
             _accumulate(enc_proj, d_proj)
         if v_a.requires_grad:

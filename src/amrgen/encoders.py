@@ -8,7 +8,7 @@ order, whatever the configuration.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,10 @@ class EncoderConfig:
     edge_dropout: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):  # an int is a float too; a bool is no int
+            value, wanted = getattr(self, f.name), type(f.default)
+            if not (type(value) is wanted or wanted is float and type(value) is int):
+                raise ValueError(f"{f.name} must be {wanted.__name__}, got {value!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         allowed = INPUT_REPRS[self.kind]
@@ -82,6 +86,8 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EncoderConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"an encoder config must be an object, got {data!r}")
         return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
 
 

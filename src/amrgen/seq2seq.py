@@ -14,12 +14,12 @@ from operator import itemgetter
 import numpy as np
 
 from . import tensor as T
-from .decoder import (decoder_batch, decoder_step, initial_rows, initial_state, output_nll,
+from .decoder import (EncoderRows, decoder_batch, decoder_step, initial_state, output_nll,
                       output_rows)
 from .encoders import EncoderConfig, LstmCell, StackEncoder
 from .tensor import Tensor
 from .transforms import ExampleRepr, deanonymize
-from .vocab import BOS, EOS, UNK, Vocab
+from .vocab import BOS, EOS, SOURCE_SPECIALS, TARGET_SPECIALS, UNK, Vocab
 
 
 class NumericError(RuntimeError):
@@ -163,10 +163,11 @@ class Seq2SeqModel:
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         enc, enc_proj, sizes = self._encode([ex])
-        enc, enc_proj = enc.data, enc_proj.data
+        ranks = beam + 1 if beam > 1 else 1  # a row per live path at most
+        att = EncoderRows(enc.data, enc_proj.data, sizes * ranks, [0] * ranks)
         eos = self.tgt_vocab.index(EOS)
         zero = np.zeros((1, self.config.hidden_dim))
-        state = [zero, initial_rows(enc, sizes, self.W_init.data, self.b_init.data), zero]
+        state = [zero, initial_state(enc, sizes, self.W_init, self.b_init).data, zero]
         # a path: (BOS + token ids, log-prob); a hypothesis adds the row of
         # state that holds its (ctx, s, c) before its last id, and the greedy
         # path's is row 0
@@ -189,7 +190,7 @@ class Seq2SeqModel:
                     token_ids.append(ids[-1])
                     rows.append(row)
             state = [a[rows] for a in state]
-            log_probs, *state = self._step(token_ids, *state, enc, enc_proj)
+            log_probs, *state = self._step(token_ids, *state, att)
             if live:
                 idx = int(log_probs[0].argmax())
                 greedy = (greedy[0] + (idx,), greedy[1] + float(log_probs[0, idx]))
@@ -221,11 +222,12 @@ class Seq2SeqModel:
         ids, logp, truncated = max(results, key=_normalized)
         return [self.tgt_vocab.token(i) for i in ids], logp, truncated
 
-    def _step(self, token_ids, ctx, s, c, enc, enc_proj):
-        """`decoder.decoder_step` with the model's weights."""
+    def _step(self, token_ids, ctx, s, c, att):
+        """`decoder.decoder_step` with the model's weights, row k of ctx, s
+        and c attending over rank k of att, a `decoder.EncoderRows`."""
         weights = (self.tgt_embedding, self.cell.W, self.cell.U, self.cell.b, self.U_a, self.b_a,
                    self.v_a, self.W_o, self.b_o, self.W_v, self.b_v)
-        return decoder_step(token_ids, ctx, s, c, enc, enc_proj, *(p.data for p in weights))
+        return decoder_step(token_ids, ctx, s, c, att, *(p.data for p in weights))
 
 
 _FIRST = itemgetter(0)
@@ -255,10 +257,10 @@ def generate_all(model: Seq2SeqModel, examples, beam: int = 1):
 
 def build_vocabs(examples, unk_threshold: int = 2):
     src = Vocab.build(
-        (ex.repr.sequence.tokens for ex in examples), min_freq=1, specials=(UNK,)
+        (ex.repr.sequence.tokens for ex in examples), min_freq=1, specials=SOURCE_SPECIALS
     )
     tgt = Vocab.build(
-        (ex.target for ex in examples), min_freq=unk_threshold, specials=(UNK, BOS, EOS)
+        (ex.target for ex in examples), min_freq=unk_threshold, specials=TARGET_SPECIALS
     )
     return src, tgt
 
@@ -291,8 +293,8 @@ class Checkpoint:
         manifest, arrays = T.load_arrays(path)
         return cls(
             config=EncoderConfig.from_dict(manifest["config"]),
-            src_vocab=_checked_vocab(manifest["src_vocab"], (UNK,), "source"),
-            tgt_vocab=_checked_vocab(manifest["tgt_vocab"], (UNK, BOS, EOS), "target"),
+            src_vocab=_checked_vocab(manifest["src_vocab"], SOURCE_SPECIALS, "source"),
+            tgt_vocab=_checked_vocab(manifest["tgt_vocab"], TARGET_SPECIALS, "target"),
             arrays=arrays,
             meta=manifest["meta"],
         )

@@ -478,14 +478,15 @@ class Packing:
     def __init__(self, lengths):
         self.order = sorted(range(len(lengths)), key=lambda j: -lengths[j])
         self.lengths = [lengths[j] for j in self.order]
+        if len(lengths) == 1:
+            self.running, self.previous = [1] * lengths[0], slice(0, lengths[0] - 1)
+            self.steps = [slice(t, t + 1) for t in range(lengths[0])]
+            self.rows, self.reversed_rows = slice(None), slice(None, None, -1)
+            return
         running = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
         self.running = running.tolist()
         starts = [0, *itertools.accumulate(self.running)]
         self.steps = [slice(a, z) for a, z in zip(starts, starts[1:])]
-        if len(lengths) == 1:
-            self.rows, self.reversed_rows = slice(None), slice(None, None, -1)
-            self.previous = slice(0, starts[-1] - 1)
-            return
         sizes = np.array(lengths)
         rank = np.empty(len(lengths), dtype=np.intp)
         rank[self.order] = np.arange(len(lengths))
@@ -1015,8 +1016,12 @@ def load_arrays(path):
         try:
             with zipfile.ZipFile(handle) as archive:
                 manifest = json.loads(archive.read("manifest.json"))
+                if not (isinstance(manifest, dict) and isinstance(manifest.get("arrays"), dict)):
+                    raise ValueError("the manifest and its arrays must be objects")
                 arrays = {}
                 for name, shape in manifest["arrays"].items():
+                    if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+                        raise ValueError(f"array {name!r}: shape {shape!r} is not a list of sizes")
                     raw = archive.read(f"data/{name}")
                     arrays[name] = (np.frombuffer(raw, dtype="<f8").astype(np.float64)
                                     .reshape(shape))

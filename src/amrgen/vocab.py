@@ -7,6 +7,8 @@ from dataclasses import dataclass
 UNK = "<unk>"
 BOS = "<s>"
 EOS = "</s>"
+SOURCE_SPECIALS = (UNK,)  # the first tokens of a source vocabulary
+TARGET_SPECIALS = (UNK, BOS, EOS)  # the first tokens of a target vocabulary
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from amrgen import amr, tensor as T, transforms
-from amrgen.decoder import initial_rows
+from amrgen.decoder import EncoderRows, initial_state
 from amrgen.encoders import GcnEncoder, StackEncoder
 from amrgen.vocab import BOS, EOS, Vocab
 
@@ -163,10 +163,10 @@ def reference_beam_decode(model, ex, beam, max_len):
     """beam_decode without its early stop or batching: every prefix stepped
     alone for all max_len steps, one argsort per hypothesis."""
     enc, enc_proj, sizes = model._encode([ex])
-    enc, enc_proj = enc.data, enc_proj.data
+    att = EncoderRows(enc.data, enc_proj.data, sizes, [0])
     eos = model.tgt_vocab.index(EOS)
     zero = np.zeros((1, enc.shape[1]))
-    s0 = initial_rows(enc, sizes, model.W_init.data, model.b_init.data)
+    s0 = initial_state(enc, sizes, model.W_init, model.b_init).data
     greedy = ((model.tgt_vocab.index(BOS),), 0.0, (zero, s0, zero))
     hyps, done = [greedy], []
     for _ in range(max_len):
@@ -176,7 +176,7 @@ def reference_beam_decode(model, ex, beam, max_len):
         rows = {}
         for ids, _, state in live:
             if ids not in rows:
-                log_probs, *after = model._step([ids[-1]], *state, enc, enc_proj)
+                log_probs, *after = model._step([ids[-1]], *state, att)
                 rows[ids] = (log_probs[0], after)
         if greedy[0][-1] != eos:
             log_probs, after = rows[greedy[0]]

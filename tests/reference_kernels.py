@@ -66,13 +66,15 @@ def decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a):
     xw = x_emb @ w_emb + b.data
     u, enc_d, u_a, v = U.data, enc.data, U_a.data, v_a.data
     s, c, ctx = s0.data, np.zeros((1, n)), np.zeros((1, n))
+    att = D.EncoderRows(enc_d, enc_proj.data, [len(enc_d)], [0])
+    e = np.empty((steps, len(enc_d), u_a.shape[1]))  # the attention activations
     rows = []
     for t in range(steps):
         s, c, sig, g = D._decoder_lstm(xw[t : t + 1], ctx, s, c, w_ctx, u)
         tc = np.tanh(c)
-        ctx, e, alpha = D._attend(s, enc_d, enc_proj.data, u_a, b_a.data, v)
-        rows.append((s, c, ctx, sig, g, tc, e, alpha))
-    s_all, c_all, ctx_all, sig, g, tc, e, alpha = (np.concatenate(col) for col in zip(*rows))
+        ctx, _, alpha = D._attend(att, 1, s, u_a, b_a.data, v, out=e[t])
+        rows.append((s, c, ctx, sig, g, tc, alpha))
+    s_all, c_all, ctx_all, sig, g, tc, alpha = (np.concatenate(col) for col in zip(*rows))
     inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
     out = Tensor(np.concatenate([s_all, ctx_all], axis=1),
                  requires_grad=any(t.requires_grad for t in inputs))

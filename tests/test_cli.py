@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
 import amrgen
-from amrgen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_examples, main
+from amrgen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, load_examples, main
+from amrgen.encoders import EncoderConfig
+from amrgen.seq2seq import TrainSettings
 from amrgen.tensor import load_arrays, save_arrays
+from amrgen.transforms import AnonymizationPolicy
 
 TOY = Path(__file__).parent.parent / "src" / "amrgen" / "data" / "toy_corpus.txt"
 
@@ -278,6 +282,35 @@ def test_record_field_of_wrong_type_is_data_error(fields, tmp_path, capsys):
     assert_one_line_error(capsys, "data error:")
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unparsable_penman_names_its_file_and_line(command, small_jsonl, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    good = json.dumps({"id": "x-1", "penman": PENMAN, "sentence": ["the", "boy", "sleeps"]})
+    bad.write_text(good + "\n" + json.dumps({"id": "x-2", "penman": "(s / sleep-01"}) + "\n")
+    if command == "train":  # the training data loads, then the dev data fails
+        argv = ["train", "--data", str(small_jsonl), "--dev", str(bad),
+                "--out", str(tmp_path / "x")]
+    else:
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("the boy sleeps\nthe boy sleeps\n")
+        argv = ["evaluate", "--data", str(bad), "--hyp", str(hyp)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {bad}:2: unbalanced parentheses"), err
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    args = build_parser().parse_args(["train", "--data", "x", "--out", "y"])
+    config, settings = EncoderConfig(), TrainSettings()
+    assert (args.model, args.embedding_dim, args.hidden_dim, args.gcn_layers, args.dropout,
+            args.edge_dropout) == (config.kind, config.embedding_dim, config.hidden_dim,
+                                   config.gcn_layers, config.dropout, config.edge_dropout)
+    assert (args.lr, args.batch_size, args.epochs, args.patience) == (
+        settings.lr, settings.batch_size, settings.max_epochs, settings.patience)
+    args = build_parser().parse_args(["preprocess", "--input", "x", "--out", "y"])
+    assert args.rare_threshold == AnonymizationPolicy().threshold
+
+
 # --------------------------------------------------------------------------
 # generate / evaluate
 
@@ -398,6 +431,34 @@ def test_broken_checkpoint_vocabulary_is_data_error(command, damage, trained, sm
     code = main([command, "--ckpt", str(trained), "--data", str(small_jsonl), *extra])
     assert code == EXIT_DATA
     assert_one_line_error(capsys, "data error:")
+
+
+def _config(key, value):
+    return lambda manifest: {**manifest, "config": {**manifest["config"], key: value}}
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [(_config("embedding_dim", "4"), "embedding_dim"), (_config("dropout", "x"), "dropout"),
+     (lambda manifest: {**manifest, "arrays": {**manifest["arrays"], "W_a": "ab"}}, "'W_a'"),
+     (lambda manifest: [manifest], "manifest"),
+     (lambda manifest: {**manifest, "arrays": list(manifest["arrays"])}, "arrays"),
+     (lambda manifest: {**manifest, "config": [1]}, "config"),
+     (_config("gcn_layers", 2.5), "gcn_layers"), (_config("highway", "yes"), "highway")],
+    ids=["string dim", "string dropout", "string shape", "list manifest", "list arrays",
+         "list config", "fractional gcn layers", "string highway"],
+)
+def test_damaged_checkpoint_manifest_is_data_error(damage, named, trained, small_jsonl, capsys):
+    # save_arrays writes the arrays' shapes itself, so the manifest is rewritten in the zip
+    with zipfile.ZipFile(trained) as archive:
+        entries = {name: archive.read(name) for name in archive.namelist()}
+    entries["manifest.json"] = json.dumps(damage(json.loads(entries["manifest.json"]))).encode()
+    with zipfile.ZipFile(trained, "w") as archive:
+        for name, payload in entries.items():
+            archive.writestr(name, payload)
+    assert main(["generate", "--ckpt", str(trained), "--data", str(small_jsonl)]) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and named in err[0], err
 
 
 def test_evaluate_length_mismatch_is_data_error(small_jsonl, tmp_path):

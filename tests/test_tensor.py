@@ -565,6 +565,47 @@ def test_packing_puts_each_position_at_its_step(lengths):
     assert np.array_equal(earlier[pack.running[0] :], previous)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spans=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 8)), min_size=1, max_size=6))
+def test_encoder_rows_put_each_cell_in_its_rank_place(spans):
+    """Each rank's cells read its encoder rows in order, at its row of the
+    padded block, and padded() puts -inf exactly on the padding. A rank
+    alone gets slices, which must read the same rows as the index arrays
+    of the rank among others."""
+    starts, sizes = (list(col) for col in zip(*spans))
+    rng = np.random.default_rng(len(spans))
+    enc, enc_proj = (_rand(rng, max(a + n for a, n in spans), 3) for _ in range(2))
+    att = D.EncoderRows(enc, enc_proj, sizes, starts)
+    width, cells = max(sizes), sum(sizes)
+    assert att.width == width and att.cell_starts == [0, *np.cumsum(sizes).tolist()]
+    rows, pad = np.arange(len(enc))[att.rows], np.arange(len(sizes) * width)[att.pad]
+    assert len(rows) == len(pad) == cells
+    if len(sizes) > 1:
+        assert att.row_rank.tolist() == [k for k, n in enumerate(sizes) for _ in range(n)]
+    for k, (start, size) in enumerate(spans):
+        here = slice(att.cell_starts[k], att.cell_starts[k + 1])
+        assert rows[here].tolist() == list(range(start, start + size))
+        assert pad[here].tolist() == list(range(k * width, k * width + size))
+        assert np.array_equal(att.block[k, :size], enc[start : start + size])
+        assert not att.block[k, size:].any()
+        alone = D.EncoderRows(enc, enc_proj, [size], [start])
+        assert np.array_equal(enc[alone.rows], enc[rows[here]])
+        assert np.array_equal(alone.proj, att.proj[here])
+        assert np.array_equal(np.arange(size)[alone.pad], pad[here] - k * width)
+        assert np.array_equal(alone.block[0], att.block[k, :size])
+    assert np.array_equal(att.proj, enc_proj[rows])
+    for m in range(1, len(sizes) + 1):  # _attend pads a step's scores where it has padding
+        r = att.cell_starts[m]
+        if r == m * width:
+            continue
+        block = att.padded(np.arange(r, dtype=float), m, r)
+        assert block.shape == (m, width)
+        for k in range(m):
+            here = np.arange(att.cell_starts[k], att.cell_starts[k + 1], dtype=float)
+            assert np.array_equal(block[k, : sizes[k]], here)
+            assert np.isneginf(block[k, sizes[k] :]).all()
+
+
 def _composed_initial_state(enc, W, b):
     """The first decoder state of one example from single kernels."""
     mean = T.scale(T.sum_rows(enc), 1.0 / enc.shape[0])
@@ -577,8 +618,7 @@ def _composed_initial_state(enc, W, b):
 def test_initial_state_matches_composed(seed, sizes, h):
     """initial_state equals the composed kernels on each example's rows, bit
     for bit; so do its gradients for one example, and for more they are
-    within 1e-12 of the per-example ones summed. initial_rows is its
-    forward."""
+    within 1e-12 of the per-example ones summed."""
     rng = np.random.default_rng(seed)
     enc, W, b = _param(rng, sum(sizes), h), _param(rng, h, h), _param(rng, 1, h)
     w = Tensor(_rand(rng, len(sizes), h))
@@ -590,7 +630,6 @@ def test_initial_state_matches_composed(seed, sizes, h):
         for a, size in zip(starts, sizes)]), [enc, W, b], w)
     assert entries == 3
     assert np.array_equal(got, want)
-    assert np.array_equal(D.initial_rows(enc.data, sizes, W.data, b.data), want)
     for got_grad, want_grad in zip(got_grads, want_grads):
         if len(sizes) == 1:
             assert np.array_equal(got_grad, want_grad)
@@ -1035,13 +1074,20 @@ def test_gcn_layer_matches_composed(seed, nodes, edge_count, h, highway, activat
         assert np.abs(got - want).max() <= 1e-9
 
 
+def _step_weights(rng, vocab, d, h):
+    """decoder_step's weights, after the encoder layout."""
+    return (_rand(rng, vocab, d), _rand(rng, d + h, 4 * h), _rand(rng, h, 4 * h),
+            _rand(rng, 1, 4 * h), _rand(rng, h, h), _rand(rng, 1, h), _rand(rng, h, 1),
+            _rand(rng, 2 * h, h), _rand(rng, 1, h), _rand(rng, h, vocab), _rand(rng, 1, vocab))
+
+
 def _step_inputs(rng, m, rows, vocab, d, h):
-    """decoder_step's arguments after the ids: m rows' ctx, s and c, the
-    encoder rows and their projection, then the weights."""
-    return ((*(_rand(rng, m, h) for _ in range(3)), _rand(rng, rows, h), _rand(rng, rows, h),
-             _rand(rng, vocab, d), _rand(rng, d + h, 4 * h), _rand(rng, h, 4 * h),
-             _rand(rng, 1, 4 * h), _rand(rng, h, h), _rand(rng, 1, h), _rand(rng, h, 1),
-             _rand(rng, 2 * h, h), _rand(rng, 1, h), _rand(rng, h, vocab), _rand(rng, 1, vocab)))
+    """decoder_step's arguments after the ids: m rows' ctx, s and c, an
+    EncoderRows of m ranks that all attend over the same encoder rows, as a
+    beam search's rows do, then the weights."""
+    ctx, s, c, enc, enc_proj = (_rand(rng, *shape) for shape in [(m, h)] * 3 + [(rows, h)] * 2)
+    return (ctx, s, c, D.EncoderRows(enc, enc_proj, [rows] * m, [0] * m),
+            *_step_weights(rng, vocab, d, h))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1057,6 +1103,30 @@ def test_decoder_step_on_stacked_rows_matches_one_row_calls(seed, m, rows, h):
         one = slice(i, i + 1)
         single = D.decoder_step(ids[one], ctx[one], s[one], c[one], *weights)
         for got, want in zip(stacked, single):  # log-probs, ctx, s and c
+            assert np.abs(got[one] - want).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), spans=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)),
+                                                  min_size=2, max_size=4),
+       h=st.integers(1, 5))
+def test_decoder_step_rows_of_different_examples_match_each_alone(seed, spans, h):
+    """Rows of several examples stepped through one EncoderRows, each over
+    its own encoder rows (start, size) of one array, match each row stepped
+    alone over its example's rows."""
+    rng = np.random.default_rng(seed)
+    m = len(spans)
+    starts, sizes = (list(col) for col in zip(*spans))
+    enc, enc_proj = (_rand(rng, max(a + n for a, n in spans), h) for _ in range(2))
+    ids = rng.integers(0, 6, size=m).tolist()
+    ctx, s, c = (_rand(rng, m, h) for _ in range(3))
+    weights = _step_weights(rng, 6, 3, h)
+    stacked = D.decoder_step(ids, ctx, s, c, D.EncoderRows(enc, enc_proj, sizes, starts), *weights)
+    for i, (start, size) in enumerate(spans):
+        one = slice(i, i + 1)
+        alone = D.decoder_step(ids[one], ctx[one], s[one], c[one],
+                               D.EncoderRows(enc, enc_proj, [size], [start]), *weights)
+        for got, want in zip(stacked, alone):  # log-probs, ctx, s and c
             assert np.abs(got[one] - want).max() <= 1e-12
 
 
