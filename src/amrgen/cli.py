@@ -183,10 +183,11 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationP
     return records, skipped, stats_list
 
 
-def load_examples(jsonl_path):
-    """Rebuild TrainExamples from a preprocessed JSONL file."""
-    examples = []
-    with _text_input(jsonl_path) as handle:
+def _jsonl_records(path):
+    """The line number and record of each non-blank line of a JSONL file;
+    invalid JSON, or a record that is not an object with a string id, is a
+    DataError naming the file and line."""
+    with _text_input(path) as handle:
         for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
@@ -194,31 +195,39 @@ def load_examples(jsonl_path):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
-                raise DataError(f"{jsonl_path}:{line_no}: invalid JSON ({err})") from None
-            if not (isinstance(record, dict) and isinstance(record.get("id"), str)
-                    and isinstance(record.get("penman"), str)):
-                raise DataError(f"{jsonl_path}:{line_no}: a record needs a string id and penman")
-            sentence, anon_map = record.get("sentence", []), record.get("anon_map", [])
-            if not (isinstance(sentence, list) and all(isinstance(w, str) for w in sentence)):
-                raise DataError(f"{jsonl_path}:{line_no}: sentence must be a list of strings")
-            if not (isinstance(anon_map, list) and all(
-                    isinstance(m, list) and len(m) == 2 and all(isinstance(w, str) for w in m)
-                    for m in anon_map)):
-                raise DataError(f"{jsonl_path}:{line_no}: anon_map must be a list of string pairs")
-            try:
-                graph = parse_penman(record["penman"])
-            except PenmanParseError as err:
-                raise DataError(f"{jsonl_path}:{line_no}: {err}") from None
-            sentence, anon_map = tuple(sentence), tuple(tuple(m) for m in anon_map)
-            examples.append(
-                TrainExample(
-                    id=record["id"],
-                    repr=prepare_example(graph),
-                    target=tuple(anonymize_sentence(sentence, anon_map)),
-                    reference=sentence,
-                    anon_map=anon_map,
-                )
+                raise DataError(f"{path}:{line_no}: invalid JSON ({err})") from None
+            if not (isinstance(record, dict) and isinstance(record.get("id"), str)):
+                raise DataError(f"{path}:{line_no}: a record needs a string id")
+            yield line_no, record
+
+
+def load_examples(jsonl_path):
+    """Rebuild TrainExamples from a preprocessed JSONL file."""
+    examples = []
+    for line_no, record in _jsonl_records(jsonl_path):
+        if not isinstance(record.get("penman"), str):
+            raise DataError(f"{jsonl_path}:{line_no}: a record needs a string penman")
+        sentence, anon_map = record.get("sentence", []), record.get("anon_map", [])
+        if not (isinstance(sentence, list) and all(isinstance(w, str) for w in sentence)):
+            raise DataError(f"{jsonl_path}:{line_no}: sentence must be a list of strings")
+        if not (isinstance(anon_map, list) and all(
+                isinstance(m, list) and len(m) == 2 and all(isinstance(w, str) for w in m)
+                for m in anon_map)):
+            raise DataError(f"{jsonl_path}:{line_no}: anon_map must be a list of string pairs")
+        try:
+            graph = parse_penman(record["penman"])
+        except PenmanParseError as err:
+            raise DataError(f"{jsonl_path}:{line_no}: {err}") from None
+        sentence, anon_map = tuple(sentence), tuple(tuple(m) for m in anon_map)
+        examples.append(
+            TrainExample(
+                id=record["id"],
+                repr=prepare_example(graph),
+                target=tuple(anonymize_sentence(sentence, anon_map)),
+                reference=sentence,
+                anon_map=anon_map,
             )
+        )
     if not examples:
         raise DataError(f"no examples in {jsonl_path!r}")
     return examples
@@ -442,27 +451,22 @@ def cmd_analyze(args):
 
 def load_pairs(path):
     pairs = []
-    with _text_input(path) as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                reference, contrastive = record["reference"], record["contrastive"]
-                if not all(isinstance(s, list) and all(isinstance(w, str) for w in s)
-                           for s in (reference, contrastive)):
-                    raise ValueError("reference and contrastive must be lists of strings")
-                pairs.append(
-                    ContrastivePair(
-                        id=record["id"],
-                        reference=tuple(reference),
-                        contrastive=tuple(contrastive),
-                        category=record["category"],
-                    )
+    for line_no, record in _jsonl_records(path):
+        try:
+            reference, contrastive = record["reference"], record["contrastive"]
+            if not all(isinstance(s, list) and all(isinstance(w, str) for w in s)
+                       for s in (reference, contrastive)):
+                raise ValueError("reference and contrastive must be lists of strings")
+            pairs.append(
+                ContrastivePair(
+                    id=record["id"],
+                    reference=tuple(reference),
+                    contrastive=tuple(contrastive),
+                    category=record["category"],
                 )
-            except (KeyError, TypeError, ValueError) as err:
-                raise DataError(f"{path}:{line_no}: bad contrastive pair ({err})") from None
+            )
+        except (KeyError, ValueError) as err:
+            raise DataError(f"{path}:{line_no}: bad contrastive pair ({err})") from None
     return pairs
 
 
@@ -637,6 +641,10 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as err:  # the dims, --batch-size and --beam ask for the memory
+        print(f"configuration error: out of memory ({err}); lower the dims, --batch-size "
+              "or --beam", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def console_main():  # console_scripts entry point

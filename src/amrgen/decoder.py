@@ -73,21 +73,13 @@ def _attend(att, m, s, U_a, b_a, v_a, out=None):
     return np.matmul(alpha[:, None], att.block[:m])[:, 0], e, alpha
 
 
-def _decoder_lstm(xw, ctx, s, c, W_ctx, U):
-    """The decoder's LSTM for m rows in numpy: xw is the input projection's
-    (m, 4h) embedding half with the bias, y W[:d] + b, and ctx, s and c the
-    (m, h) rows before the step. Returns s and c after it and sig and g."""
-    sig, g, c, s = _lstm_cell(xw + ctx @ W_ctx + s @ U, c)
-    return s, c, sig, g
-
-
 def decoder_step(ids, ctx, s, c, att, emb, W, U, b, U_a, b_a, v_a, W_o, b_o, W_v, b_v):
     """One step in plain numpy for m rows, row k attending over rank k of
     att, an `EncoderRows`, from their input ids and (m, h) ctx, s and c rows,
     with `decoder_batch`'s weights and then the output layer's. Returns the
     (m, V) log-probs of the next id and the (ctx, s, c) rows after the step."""
     d = emb.shape[1]
-    s, c, _, _ = _decoder_lstm(emb[ids] @ W[:d] + b, ctx, s, c, W[d:], U)
+    _, _, c, s = _lstm_cell(emb[ids] @ W[:d] + b + ctx @ W[d:] + s @ U, c)
     ctx = _attend(att, len(s), s, U_a, b_a, v_a)[0]
     return output_rows(np.concatenate([s, ctx], axis=1), W_o, b_o, W_v, b_v), ctx, s, c
 
@@ -198,11 +190,9 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
     sum over its own cells, so that a step costs linearly in its cells at
     any batch size, and the weight gradients, v_a's among them, as GEMMs
     over all rows after the loop. Without a tape only the output rows are
-    kept. Two paths of one example stay, for the one-sentence kernel's bits
-    and for speed, as scoring runs one example at a time: a step with one
-    running example takes plain products, and a batch of one forms its
-    attention backward's K over all cells at once and the enc_proj gradient
-    as one einsum.
+    kept. Every batch, one example included, runs this one backward. A step
+    with one running example takes plain products: they are cheaper at one
+    row, and a batch's longest example runs alone through its last steps.
     """
     batch, d, n = len(ids), emb.shape[1], U.shape[0]
     if (not batch or len(sizes) != batch or min(sizes) < 1 or s0.shape != (batch, n)
@@ -232,7 +222,7 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
         r = att.cell_starts[m]
         if m < len(s):
             s, c, ctx = s[:m], c[:m], ctx[:m]
-        s, c, sig, g = _decoder_lstm(xw[rows], ctx, s, c, w_ctx, u)
+        sig, g, c, s = _lstm_cell(xw[rows] + ctx @ w_ctx + s @ u, c)
         ctx, _, alpha = _attend(att, m, s, u_a, b_a.data, v,
                                 out=e_all[cell : cell + r] if taping else None)
         cell += r
@@ -254,13 +244,8 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
         d_cells = np.empty(len(e_all))  # d score of each cell
         d_s, d_c = packed[:, :n], packed[:, n:]
         carried = [np.zeros((pack.running[-1], n))] * 3  # ds, dctx and dc from the next step
-        if batch == 1:  # d score / d pre-activation K = v (1 - E^2) at once
-            k_att = e_all * e_all
-            np.subtract(1.0, k_att, out=k_att)
-            k_att *= v[:, 0]
-        else:  # the enc_proj gradient over v of the encoder rows in rank order
-            d_proj_cat = np.zeros(enc.shape)
-            v_row, cell_starts = v[:, 0], np.asarray(att.cell_starts)
+        d_proj_cat = np.zeros(enc.shape)  # the enc_proj gradient over v, rows in rank order
+        v_row, cell_starts = v[:, 0], np.asarray(att.cell_starts)
         cell = len(e_all)
         for rows, m in zip(reversed(pack.steps), reversed(pack.running)):
             ds_next, dctx_next, dc_next = _grow(m, carried)
@@ -275,18 +260,16 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
             else:
                 d_alpha = np.matmul(att.block[:m], dctx[:, :, None])[:, :, 0]
                 d_score = al * (d_alpha - np.matmul(d_alpha[:, None], al[:, :, None])[:, 0])
-            if batch == 1:
-                d_cells[cells] = d_score[0]
-                dq = d_score @ k_att[cells]
-            else:  # the cells' d score times K over v, summed per example for dq
-                d_cell = d_cells[cells] = d_score.reshape(-1)[att.pad[:r]]
-                e = e_all[cells]
-                grad = e * e
-                np.subtract(1.0, grad, out=grad)
-                grad *= d_cell[:, None]
-                d_proj_cat[:r] += grad
-                dq = np.add.reduceat(grad, cell_starts[:m], axis=0)
-                dq *= v_row
+            # the cells' d score times K over v, summed per example for dq
+            flat = d_score.reshape(-1)
+            d_cell = d_cells[cells] = flat if r == m * att.width else flat[att.pad[:r]]
+            e = e_all[cells]
+            grad = e * e
+            np.subtract(1.0, grad, out=grad)
+            grad *= d_cell[:, None]
+            d_proj_cat[:r] += grad
+            dq = np.add.reduceat(grad, cell_starts[:m], axis=0)
+            dq *= v_row
             d_query[rows] = dq
             dc_next = _lstm_back(factors, rows, d_s[rows] + ds_next + dq @ u_a_t, dc_next)
             before = factors[0][rows].reshape(m, 4 * n) @ back
@@ -301,14 +284,9 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
             parts = zip(np.split(alpha[pack.rows], cuts), np.split(d_ctx[pack.rows], cuts), sizes)
             _accumulate(enc, np.concatenate([a[:, :size].T @ dc for a, dc, size in parts]))
         if enc_proj.requires_grad:
-            if batch == 1:
-                steps, size = len(pack.steps), sizes[0]
-                d_proj = np.einsum("tr,trh->rh", d_cells.reshape(steps, size),
-                                   k_att.reshape(steps, size, -1))
-            else:
-                d_proj = np.empty(enc.shape)
-                d_proj[att.rows] = d_proj_cat
-                d_proj *= v_row
+            d_proj = np.empty(enc.shape)
+            d_proj[att.rows] = d_proj_cat
+            d_proj *= v_row
             _accumulate(enc_proj, d_proj)
         if v_a.requires_grad:
             _accumulate(v_a, e_all.T @ d_cells.reshape(-1, 1))

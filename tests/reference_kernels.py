@@ -70,7 +70,7 @@ def decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a):
     e = np.empty((steps, len(enc_d), u_a.shape[1]))  # the attention activations
     rows = []
     for t in range(steps):
-        s, c, sig, g = D._decoder_lstm(xw[t : t + 1], ctx, s, c, w_ctx, u)
+        sig, g, c, s = T._lstm_cell(xw[t : t + 1] + ctx @ w_ctx + s @ u, c)
         tc = np.tanh(c)
         ctx, _, alpha = D._attend(att, 1, s, u_a, b_a.data, v, out=e[t])
         rows.append((s, c, ctx, sig, g, tc, alpha))

@@ -192,6 +192,15 @@ def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, c
     assert not out_dir.exists()
 
 
+def test_train_out_of_memory_is_config_error(toy_jsonl, tmp_path, capsys):
+    # numpy refuses a 225 TiB embedding table at once, allocating nothing
+    code = main(["train", "--data", str(toy_jsonl), "--out", str(tmp_path / "x"),
+                 "--embedding-dim", "100000000000"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: out of memory"), err
+
+
 @pytest.mark.parametrize("module", ["amrgen", "amrgen.cli"])
 def test_python_dash_m_runs_the_cli(module, tmp_path):
     path = [str(Path(amrgen.__file__).parent.parent), os.environ.get("PYTHONPATH")]
@@ -660,6 +669,21 @@ def test_contrastive_sentence_not_a_list_of_strings_is_data_error(fields, traine
     assert code == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error:") and "lists of strings" in err[0], err
+
+
+@pytest.mark.parametrize("pair_id", [["toy-001"], None, 1])
+def test_contrastive_pair_id_not_a_string_is_data_error(pair_id, trained, small_jsonl, tmp_path,
+                                                        capsys):
+    record = {"id": pair_id, "reference": ["a"], "contrastive": ["b"], "category": "number"}
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    code = main(
+        ["contrastive", "--ckpt", str(trained), "--data", str(small_jsonl), "--pairs", str(pairs)]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and "string id" in err[0], err
 
 
 # --------------------------------------------------------------------------
