@@ -259,7 +259,7 @@ def cmd_preprocess(args):
     word_counts = Counter()
     for record in records:
         token_counts.update(record["tokens"])
-        word_counts.update(record["sentence"])
+        word_counts.update(anonymize_sentence(record["sentence"], record["anon_map"]))
     base, _ = os.path.splitext(args.out)
     for suffix, counts in (("src", token_counts), ("tgt", word_counts)):
         with open(f"{base}.vocab.{suffix}", "w", encoding="utf-8") as handle:
@@ -315,7 +315,11 @@ def cmd_train(args):
         raise ConfigError(str(err)) from None
     examples = load_examples(args.data)
     dev = load_examples(args.dev) if args.dev else examples
-    os.makedirs(args.out, exist_ok=True)
+    top = os.path.abspath(args.out)  # the nearest of --out and its ancestors that exists
+    while not os.path.exists(top):
+        top = os.path.dirname(top)
+    if not (os.path.isdir(top) and os.access(top, os.W_OK)):  # then it fails, making nothing
+        os.makedirs(args.out, exist_ok=True)
     checkpoint, log = train(
         examples,
         dev,
@@ -324,6 +328,7 @@ def cmd_train(args):
         settings=settings,
         log_sink=lambda m: print(m, file=sys.stderr),
     )
+    os.makedirs(args.out, exist_ok=True)  # only now, so that a failed run leaves none
     checkpoint.save(os.path.join(args.out, "checkpoint.bin"))
     write_log(os.path.join(args.out, "train_log.jsonl"), log)
     _write_manifest(

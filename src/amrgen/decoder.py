@@ -16,8 +16,8 @@ import itertools
 import numpy as np
 
 from . import tensor
-from .tensor import (ShapeError, Tensor, _accumulate, _grad_buffer, _grow, _lstm_back,
-                     _lstm_cell, _lstm_factors, _record)
+from .tensor import (ShapeError, Tensor, _accumulate, _grad_buffer, _grow, _log_softmax,
+                     _lstm_back, _lstm_cell, _lstm_factors, _record, _softmax)
 
 
 class EncoderRows:
@@ -66,8 +66,7 @@ def _attend(att, m, s, U_a, b_a, v_a, out=None):
     e += b_a
     scores = np.tanh(e, out=e) @ v_a
     scores = scores.reshape(m, r // m) if r == m * att.width else att.padded(scores, m, r)
-    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha = exp / exp.sum(axis=1, keepdims=True)
+    alpha = _softmax(scores)
     if m == 1:  # a plain product, the same numbers as the stacked one
         return alpha @ att.block[0], e, alpha
     return np.matmul(alpha[:, None], att.block[:m])[:, 0], e, alpha
@@ -115,9 +114,7 @@ def initial_state(enc: Tensor, sizes, W_init: Tensor, b_init: Tensor) -> Tensor:
 def _output_layer(rows, W_o, b_o, W_v, b_v):
     """o = tanh(rows W_o + b_o) and the log-softmax rows of o W_v + b_v."""
     o = np.tanh(rows @ W_o + b_o)
-    logits = o @ W_v + b_v
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return o, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return o, _log_softmax(o @ W_v + b_v)
 
 
 def output_rows(rows, W_o, b_o, W_v, b_v):

@@ -231,43 +231,56 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-def tanh(a: Tensor) -> Tensor:
-    value = np.tanh(a.data)
-    out = Tensor(value, requires_grad=a.requires_grad)
-
-    def bwd(g):
-        _accumulate(a, g * (1.0 - value * value))
-
-    _record(out, bwd)
-    return out
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    value = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(value, requires_grad=a.requires_grad)
-
-    def bwd(g):
-        _accumulate(a, g * value * (1.0 - value))
-
-    _record(out, bwd)
-    return out
+def _relu_values(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0), requires_grad=a.requires_grad)
+def _tanh_values(x):
+    value = np.tanh(x)
+    return value, 1.0 - value * value
 
-    def bwd(g):
-        _accumulate(a, g * mask)
 
-    _record(out, bwd)
-    return out
+def _sigmoid_values(x):
+    value = _sigmoid(x)
+    return value, value * (1.0 - value)
+
+
+# each activation's one definition, by name (the GCN's choices): x -> (act(x), act'(x))
+ACTIVATIONS = {"relu": _relu_values, "tanh": _tanh_values, "sigmoid": _sigmoid_values}
+
+
+def _activation_kernel(values):
+    """The tape kernel of an ACTIVATIONS entry: act(a), and backward g act'(a)."""
+
+    def kernel(a: Tensor) -> Tensor:
+        value, slope = values(a.data)
+        out = Tensor(value, requires_grad=a.requires_grad)
+        _record(out, lambda g: _accumulate(a, g * slope))
+        return out
+
+    return kernel
+
+
+tanh, sigmoid, relu = (_activation_kernel(ACTIVATIONS[k]) for k in ("tanh", "sigmoid", "relu"))
+
+
+def _softmax(x):
+    exp = np.exp(x - x.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    value = exp / exp.sum(axis=-1, keepdims=True)
+    value = _softmax(a.data)
     out = Tensor(value, requires_grad=a.requires_grad)
 
     def bwd(g):
@@ -279,8 +292,7 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    value = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    value = _log_softmax(a.data)
     out = Tensor(value, requires_grad=a.requires_grad)
     soft = np.exp(value)
 
@@ -374,8 +386,8 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
 
 
 def _lstm_gates(z, n):
-    """sigmoid of the i, f, o blocks and tanh of the g block of z."""
-    return 1.0 / (1.0 + np.exp(-z[..., : 3 * n])), np.tanh(z[..., 3 * n :])
+    """sigmoid of every n-wide block of z but the last, and tanh of the last."""
+    return _sigmoid(z[..., :-n]), np.tanh(z[..., -n:])
 
 
 def _lstm_cell(z, c):
@@ -431,32 +443,25 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor) 
     n = h.shape[1]
     z = x.data @ W.data + h.data @ U.data + b.data
     sig, g, c_next, h_next = _lstm_cell(z, c.data)
-    i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
-    tc = np.tanh(c_next)
     out = Tensor(np.concatenate([h_next, c_next], axis=1),
                  requires_grad=any(t.requires_grad for t in (x, h, c, W, U, b)))
 
     def bwd(d_out):
-        dh = d_out[:, :n]
-        dc = d_out[:, n:] + dh * o * (1.0 - tc * tc)
-        dz = np.empty_like(z)
-        dz[:, :n] = dc * g
-        dz[:, n : 2 * n] = dc * c.data
-        dz[:, 2 * n : 3 * n] = dh * tc
-        dz[:, : 3 * n] *= sig * (1.0 - sig)
-        dz[:, 3 * n :] = dc * i * (1.0 - g * g)
+        factors = _lstm_factors(sig, g, c_next, c.data)
+        dc = _lstm_back(factors, slice(None), d_out[:, :n], d_out[:, n:])
+        dz = factors[0].reshape(-1, 4 * n)
         if x.requires_grad:
             _accumulate(x, dz @ W.data.T)
         if h.requires_grad:
             _accumulate(h, dz @ U.data.T)
         if c.requires_grad:
-            _accumulate(c, dc * f)
+            _accumulate(c, dc)
         if W.requires_grad:
             _accumulate(W, x.data.T @ dz)
         if U.requires_grad:
             _accumulate(U, h.data.T @ dz)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(dz, b.shape))
+            _accumulate(b, dz.sum(axis=0, keepdims=True))
 
     _record(out, bwd)
     return out
@@ -676,8 +681,7 @@ def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, forest)
         """The nodes' gates, cells and hidden states from their i, o, u
         pre-activations, and for parents from the children's forget gates f
         and cells."""
-        io = 1.0 / (1.0 + np.exp(-pre[:, : 2 * n]))
-        u = np.tanh(pre[:, 2 * n :])
+        io, u = _lstm_gates(pre, n)
         act[nodes, :2] = io.reshape(-1, 2, n)
         act[nodes, 2] = u
         c = io[:, :n] * u
@@ -692,7 +696,7 @@ def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, forest)
         hk, a = h_all[level.rows], xw[level.nodes]
         h_sum[level.nodes] = s = _child_sums(hk, level)
         a_f = _per_child(a[:, 3 * n :], level)
-        f_all[level.slots] = f = 1.0 / (1.0 + np.exp(-(a_f + _child_products(hk, uf, level))))
+        f_all[level.slots] = f = _sigmoid(a_f + _child_products(hk, uf, level))
         states(level.nodes, a[:, : 3 * n] + np.matmul(s[:, None], u_mat)[:, 0], level, f)
     out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, Uf, b)))
 
@@ -824,25 +828,6 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
 
 # --------------------------------------------------------------------------
 # Fused GCN layer
-
-
-def _relu_values(x):
-    mask = x > 0
-    return np.where(mask, x, 0.0), mask
-
-
-def _tanh_values(x):
-    value = np.tanh(x)
-    return value, 1.0 - value * value
-
-
-def _sigmoid_values(x):
-    value = 1.0 / (1.0 + np.exp(-x))
-    return value, value * (1.0 - value)
-
-
-# the GCN's activations by name: each maps x to (act(x), act'(x))
-ACTIVATIONS = {"relu": _relu_values, "tanh": _tanh_values, "sigmoid": _sigmoid_values}
 
 
 def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_out: Tensor,

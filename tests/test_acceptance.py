@@ -31,6 +31,7 @@ from amrgen.seq2seq import (
 )
 from amrgen.vocab import Vocab
 
+from bit_digests import MEMORIZE_SEED, MEMORIZE_SETTINGS, memorize_config
 from conftest import (
     FIGURE_GRAPH,
     build_sequence_vocab,
@@ -63,19 +64,6 @@ def make_train_examples(corpus, ids):
 
 TOY10 = [f"toy-{i:03d}" for i in range(1, 11)]
 
-MEMORIZE_SETTINGS = TrainSettings(
-    lr=1.0, lr_decay=0.8, batch_size=1, max_epochs=500, patience=10,
-    unk_threshold=1, eval_every=50,
-)
-
-
-def memorize_config(kind):
-    return EncoderConfig(
-        kind=kind, input_repr=default_repr(kind), embedding_dim=64, hidden_dim=64,
-        dropout=0.0, edge_dropout=0.0,
-    )
-
-
 @pytest.fixture(scope="module")
 def memorized(toy_corpus):
     """Train the three stackings once; criteria 6 and 7 share the result."""
@@ -83,7 +71,7 @@ def memorized(toy_corpus):
     started = time.monotonic()
     results = {}
     for kind in ("Seq", "GCNSeq", "TreeLSTMSeq"):
-        ck, log = train(examples, examples, memorize_config(kind), seed=1,
+        ck, log = train(examples, examples, memorize_config(kind), seed=MEMORIZE_SEED,
                         settings=MEMORIZE_SETTINGS)
         results[kind] = (ck, log)
     return examples, results, time.monotonic() - started

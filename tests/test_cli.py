@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import amrgen
+from amrgen import cli
 from amrgen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, load_examples, main
 from amrgen.encoders import EncoderConfig
 from amrgen.seq2seq import TrainSettings
@@ -112,6 +114,24 @@ def test_preprocess_anonymize_records_map(tmp_path):
     assert any(k.startswith("location_name_") for k in mapping)
 
 
+def _vocab_counts(path):
+    with open(path, encoding="utf-8") as handle:
+        return {token: int(count) for token, count in (line.rstrip("\n").split("\t")
+                                                       for line in handle)}
+
+
+@pytest.mark.parametrize("anonymize", [[], ["--anonymize", "--rare-threshold", "2"]],
+                         ids=["plain", "anonymized"])
+def test_preprocess_target_vocab_counts_the_targets_that_training_reads(tmp_path, anonymize):
+    out = tmp_path / "toy.jsonl"
+    assert main(["preprocess", "--input", str(TOY), "--out", str(out), *anonymize]) == EXIT_OK
+    examples = load_examples(out)
+    targets = Counter(token for ex in examples for token in ex.target)
+    assert _vocab_counts(tmp_path / "toy.vocab.tgt") == targets
+    # anonymized targets hold placeholders, which no reference holds
+    assert bool(set(targets) - {w for ex in examples for w in ex.reference}) == bool(anonymize)
+
+
 def test_preprocess_missing_input_is_data_error(tmp_path, capsys):
     out = tmp_path / "x.jsonl"
     assert main(["preprocess", "--input", str(tmp_path / "none.amr"), "--out", str(out)]) == EXIT_DATA
@@ -192,13 +212,24 @@ def test_train_bad_setting_is_config_error(flag, value, small_jsonl, tmp_path, c
     assert not out_dir.exists()
 
 
-def test_train_out_of_memory_is_config_error(toy_jsonl, tmp_path, capsys):
+def test_train_out_of_memory_is_config_error(toy_jsonl, tmp_path, capsys, monkeypatch):
     # numpy refuses a 225 TiB embedding table at once, allocating nothing
-    code = main(["train", "--data", str(toy_jsonl), "--out", str(tmp_path / "x"),
+    out_dir = tmp_path / "x" / "y"
+    code = main(["train", "--data", str(toy_jsonl), "--out", str(out_dir),
                  "--embedding-dim", "100000000000"])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: out of memory"), err
+    assert not (tmp_path / "x").exists()  # a failed run leaves no directory it made
+    # an --out that is a file, or lies below one, fails before any training
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training ran"))
+    out_file = tmp_path / "file"
+    out_file.write_text("kept")
+    assert main(["train", "--data", str(toy_jsonl), "--out", str(out_file)]) == EXIT_DATA
+    assert_one_line_error(capsys, f"data error: [Errno 17] File exists: {str(out_file)!r}")
+    assert main(["train", "--data", str(toy_jsonl), "--out", str(out_file / "y")]) == EXIT_DATA
+    assert_one_line_error(capsys, "data error: [Errno 20] Not a directory")
+    assert out_file.read_text() == "kept"
 
 
 @pytest.mark.parametrize("module", ["amrgen", "amrgen.cli"])
@@ -587,7 +618,7 @@ def test_analyze_repeated_system_name_is_config_error(toy_jsonl, tmp_path, capsy
 GOLDEN_SHA256 = {
     ".jsonl": "e5fc850726f922fc2fb82193c06aa58cdfd8032d8eac358642826e7a37fd94aa",
     ".vocab.src": "36655cdbc91136de42a65de5e53ead09324e17d895e8b5e545a0da206314bab2",
-    ".vocab.tgt": "e0c931cae6d6e396d7fab2d32c7669ab8ad94d58d53e81abe5700690dd5377ca",
+    ".vocab.tgt": "27e2f230119498eaf13fa8128c1c14dc9ab13578336419c09ef9a3d2baf74c68",
     ".stats.json": "2a87f2312a95edb6dcbcc1c7ba6586bc880c1e3481eeeae345f9173f0d2015d9",
     "analyze": "b8d54a77ca5298febbca9903b2e9dee1bf2cda6220d3fe5ece0feec81565e553",
 }

@@ -427,6 +427,35 @@ def test_lstm_step_grad(seed, outputs):
     _check([x, h, c, W, U, b], loss)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 5), d=st.integers(1, 5), n=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_lstm_step_gradients_match_the_composed_step(rows, d, n, seed):
+    """lstm_step's backward, the one that the packed kernels share, gives
+    the composed kernels' gradients of all six inputs up to rounding."""
+    rng = np.random.default_rng(seed)
+    x, W, U, b = _lstm_params(rng, rows, d, n)
+    h, c = _param(rng, rows, n), _param(rng, rows, n)
+    inputs = (x, h, c, W, U, b)
+    wh, wc = Tensor(_rand(rng, rows, n)), Tensor(_rand(rng, rows, n))
+
+    def gradients(step):
+        for t in inputs:
+            t.grad = None
+        with T.Tape() as tape:
+            h_next, c_next = step()
+            T.backward(tape, T.add(T.sum_all(T.mul(h_next, wh)), T.sum_all(T.mul(c_next, wc))))
+        return [t.grad for t in inputs]
+
+    def fused():
+        state = T.lstm_step(*inputs)
+        return T.slice_cols(state, 0, n), T.slice_cols(state, n, 2 * n)
+
+    composed = gradients(lambda: _composed_lstm_step(*inputs))
+    for got, want in zip(gradients(fused), composed):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("rows", [1, 2, 6])
 def test_lstm_sequence_grad(rows, reverse):
@@ -697,12 +726,12 @@ def test_backward_releases_each_entry_once_it_has_run():
             loss = D.output_nll(h, [1, 3], [2], *output)
         entries = len(tape)
         # arrays that only a kernel's backward closure holds: the LSTM's
-        # tanh(c') and the output layer's log-probs
+        # sigmoid gates and the output layer's log-probs
         saved = {name: weakref.ref(cell.cell_contents)
                  for _, fn in tape._ops for name, cell in zip(fn.__code__.co_freevars,
                                                                fn.__closure__)
-                 if name in ("tc", "log_probs")}
-        assert sorted(saved) == ["log_probs", "tc"]
+                 if name in ("sig", "log_probs")}
+        assert sorted(saved) == ["log_probs", "sig"]
         assert all(ref() is not None for ref in saved.values())
         T.backward(tape, loss)
         assert len(tape) == entries

@@ -28,9 +28,16 @@ from amrgen.vocab import EOS
 
 DECODE_KINDS = ("Seq", "GCNSeq", "TreeLSTMSeq", "GCN")
 BEAMS = (1, 2, 3, 5, 6)
-# criterion 6's fixture (tests/test_acceptance.py): its settings, dims and seed
+# criterion 6's fixture, which tests/test_acceptance.py imports: its seed,
+# settings and each kind's encoder
+MEMORIZE_SEED = 1
 MEMORIZE_SETTINGS = TrainSettings(lr=1.0, lr_decay=0.8, batch_size=1, max_epochs=500,
                                   patience=10, unk_threshold=1, eval_every=50)
+
+
+def memorize_config(kind):
+    return EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=64,
+                         hidden_dim=64, dropout=0.0, edge_dropout=0.0)
 
 
 def toy_examples():
@@ -82,9 +89,8 @@ def decode_digest(examples, kinds=DECODE_KINDS):
 def memorize(kind, examples):
     """Criterion 6's run for kind: the epochs run and (epoch, dev BLEU) at
     each evaluation."""
-    config = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=64,
-                           hidden_dim=64, dropout=0.0, edge_dropout=0.0)
-    _, log = train(examples, examples, config, seed=1, settings=MEMORIZE_SETTINGS)
+    _, log = train(examples, examples, memorize_config(kind), seed=MEMORIZE_SEED,
+                   settings=MEMORIZE_SETTINGS)
     every = MEMORIZE_SETTINGS.eval_every
     return len(log), [(e["epoch"], e["dev_bleu"]) for e in log if e["epoch"] % every == 0]
 
