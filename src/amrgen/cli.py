@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from . import __version__
 from .amr import (PenmanParseError, compute_stats, iter_blocks, parse_block, parse_penman,
                   serialize_penman, validate)
-from .encoders import KINDS, EncoderConfig, default_repr
+from .encoders import INPUT_REPRS, KINDS, EncoderConfig
 from .evaluation import (
     DEPENDENCY_BUCKETS,
     REENTRANCY_BUCKETS,
@@ -245,6 +245,9 @@ def _histogram(values, edges):
 
 
 def cmd_preprocess(args):
+    if args.rare_threshold < 0:
+        raise ConfigError(f"--rare-threshold must be >= 0 (0 makes no concept rare), got "
+                          f"{args.rare_threshold}")
     records, skipped, stats_list = preprocess_corpus(
         args.input, anonymize_flag=args.anonymize, threshold=args.rare_threshold,
         log=lambda m: print(m, file=sys.stderr),
@@ -290,7 +293,7 @@ def _encoder_config(args) -> EncoderConfig:
     try:
         return EncoderConfig(
             kind=args.model,
-            input_repr=args.repr or default_repr(args.model),
+            input_repr=args.repr or "",
             embedding_dim=args.embedding_dim,
             hidden_dim=args.hidden_dim,
             gcn_layers=args.gcn_layers,
@@ -565,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_model_flags(p):
         p.add_argument("--model", choices=KINDS, default=EncoderConfig.kind)
-        p.add_argument("--repr", choices=("sequence", "tree", "graph"), default=None)
+        reprs = sorted({r for kind_reprs in INPUT_REPRS.values() for r in kind_reprs})
+        p.add_argument("--repr", choices=reprs, default=None)
         p.add_argument("--embedding-dim", type=int, default=EncoderConfig.embedding_dim)
         p.add_argument("--hidden-dim", type=int, default=EncoderConfig.hidden_dim)
         p.add_argument("--gcn-layers", type=int, default=EncoderConfig.gcn_layers)

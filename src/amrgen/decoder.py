@@ -17,7 +17,8 @@ import numpy as np
 
 from . import tensor
 from .tensor import (ShapeError, Tensor, _accumulate, _grad_buffer, _grow, _log_softmax,
-                     _lstm_back, _lstm_cell, _lstm_factors, _record, _softmax)
+                     _log_softmax_back, _lstm_back, _lstm_cell, _lstm_factors, _record, _softmax,
+                     _tanh_slope)
 
 
 class EncoderRows:
@@ -96,19 +97,14 @@ def initial_state(enc: Tensor, sizes, W_init: Tensor, b_init: Tensor) -> Tensor:
     mean = inverse * np.concatenate([enc.data[end - size : end].sum(axis=0, keepdims=True)
                                      for size, end in zip(sizes, itertools.accumulate(sizes))])
     state = np.tanh(np.matmul(mean[:, None], W_init.data)[:, 0] + b_init.data)
-    out = Tensor(state, requires_grad=any(t.requires_grad for t in (enc, W_init, b_init)))
 
     def bwd(g):
-        d_pre = g * (1.0 - state * state)
-        if b_init.requires_grad:
-            _accumulate(b_init, d_pre.sum(axis=0, keepdims=True))
-        if enc.requires_grad:
-            _accumulate(enc, np.repeat((d_pre @ W_init.data.T) * inverse, sizes, axis=0))
-        if W_init.requires_grad:
-            _accumulate(W_init, mean.T @ d_pre)
+        d_pre = g * _tanh_slope(state)
+        _accumulate(b_init, d_pre.sum(axis=0, keepdims=True))
+        _accumulate(enc, np.repeat((d_pre @ W_init.data.T) * inverse, sizes, axis=0))
+        _accumulate(W_init, mean.T @ d_pre)
 
-    _record(out, bwd)
-    return out
+    return _record(state, (enc, W_init, b_init), bwd)
 
 
 def _output_layer(rows, W_o, b_o, W_v, b_v):
@@ -139,27 +135,19 @@ def output_nll(rows: Tensor, ids, lengths, W_o: Tensor, b_o: Tensor, W_v: Tensor
     total = 0.0
     for part, factor in zip(np.split(log_probs[picks], np.cumsum(lengths)[:-1]), factors):
         total += part.sum() * factor
-    inputs = (rows, W_o, b_o, W_v, b_v)
-    out = Tensor(np.array(total).reshape(1, 1), requires_grad=any(t.requires_grad for t in inputs))
 
     def bwd(g):
-        d_logits = np.zeros_like(log_probs)
-        d_logits[picks] += g.reshape(-1)[0] * np.repeat(factors, lengths)
-        d_logits -= np.exp(log_probs) * d_logits.sum(axis=1, keepdims=True)
-        if b_v.requires_grad:
-            _accumulate(b_v, d_logits.sum(axis=0, keepdims=True))
-        if W_v.requires_grad:
-            _accumulate(W_v, o.T @ d_logits)
-        d_pre = (d_logits @ W_v.data.T) * (1.0 - o * o)
-        if b_o.requires_grad:
-            _accumulate(b_o, d_pre.sum(axis=0, keepdims=True))
-        if W_o.requires_grad:
-            _accumulate(W_o, rows.data.T @ d_pre)
-        if rows.requires_grad:
-            _accumulate(rows, d_pre @ W_o.data.T)
+        d_picks = np.zeros_like(log_probs)
+        d_picks[picks] += g.reshape(-1)[0] * np.repeat(factors, lengths)
+        d_logits = _log_softmax_back(d_picks, log_probs)
+        _accumulate(b_v, d_logits.sum(axis=0, keepdims=True))
+        _accumulate(W_v, o.T @ d_logits)
+        d_pre = (d_logits @ W_v.data.T) * _tanh_slope(o)
+        _accumulate(b_o, d_pre.sum(axis=0, keepdims=True))
+        _accumulate(W_o, rows.data.T @ d_pre)
+        _accumulate(rows, d_pre @ W_o.data.T)
 
-    _record(out, bwd)
-    return out
+    return _record(np.array(total).reshape(1, 1), (rows, W_o, b_o, W_v, b_v), bwd)
 
 
 def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tensor, b: Tensor,
@@ -209,9 +197,7 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
     u, u_a, v = U.data, U_a.data, v_a.data
     s = s_first = s0.data[pack.order]
     c = ctx = np.zeros((batch, n))
-    inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
-    needs_grad = any(t.requires_grad for t in inputs)
-    taping = needs_grad and tensor._ACTIVE_TAPE is not None  # else keep only the output rows
+    taping = tensor._ACTIVE_TAPE is not None  # else keep only the output rows
     if taping:  # the attention activations, step t's r cells after step t - 1's
         e_all = np.empty((sum(att.cell_starts[m] for m in pack.running), u_a.shape[1]))
     saved, cell = [], 0
@@ -225,12 +211,9 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
         cell += r
         saved.append((s, ctx, c, sig, g, alpha) if taping else (s, ctx))
     s_all, ctx_all, *kept = (np.concatenate(col) for col in zip(*saved))
-    out = Tensor(np.concatenate([s_all, ctx_all], axis=1)[pack.rows], requires_grad=needs_grad)
-    if not taping:
-        return out
-    c_all, sig, g, alpha = kept
 
     def bwd(d_out):
+        c_all, sig, g, alpha = kept
         packed = np.empty_like(d_out)
         packed[pack.rows] = d_out
         factors = _lstm_factors(sig, g, c_all, pack.before(c_all))
@@ -272,33 +255,24 @@ def decoder_batch(ids, s0, enc, enc_proj, sizes, emb: Tensor, W: Tensor, U: Tens
             before = factors[0][rows].reshape(m, 4 * n) @ back
             carried = before[:, :n], before[:, n:], dc_next
         dz = factors[0].reshape(-1, 4 * n)
-        if s0.requires_grad:
-            d_s0 = np.empty((batch, n))
-            d_s0[pack.order] = carried[0]
-            _accumulate(s0, d_s0)
-        if enc.requires_grad:  # per example, from its rows in the given order
-            cuts = np.cumsum([len(i) for i in ids])[:-1]
-            parts = zip(np.split(alpha[pack.rows], cuts), np.split(d_ctx[pack.rows], cuts), sizes)
-            _accumulate(enc, np.concatenate([a[:, :size].T @ dc for a, dc, size in parts]))
-        if enc_proj.requires_grad:
-            d_proj = np.empty(enc.shape)
-            d_proj[att.rows] = d_proj_cat
-            d_proj *= v_row
-            _accumulate(enc_proj, d_proj)
-        if v_a.requires_grad:
-            _accumulate(v_a, e_all.T @ d_cells.reshape(-1, 1))
-        if emb.requires_grad:
-            np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
-        if W.requires_grad:
-            _accumulate(W, np.concatenate([emb.data[idx], pack.before(ctx_all)], axis=1).T @ dz)
-        if U.requires_grad:
-            _accumulate(U, pack.before(s_all, s_first).T @ dz)
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0, keepdims=True))
-        if U_a.requires_grad:
-            _accumulate(U_a, s_all.T @ d_query)
-        if b_a.requires_grad:
-            _accumulate(b_a, d_query.sum(axis=0, keepdims=True))
+        d_s0 = np.empty((batch, n))
+        d_s0[pack.order] = carried[0]
+        _accumulate(s0, d_s0)
+        # enc's gradient per example, from its rows in the given order
+        cuts = np.cumsum([len(i) for i in ids])[:-1]
+        parts = zip(np.split(alpha[pack.rows], cuts), np.split(d_ctx[pack.rows], cuts), sizes)
+        _accumulate(enc, np.concatenate([a[:, :size].T @ dc for a, dc, size in parts]))
+        d_proj = np.empty(enc.shape)
+        d_proj[att.rows] = d_proj_cat
+        d_proj *= v_row
+        _accumulate(enc_proj, d_proj)
+        _accumulate(v_a, e_all.T @ d_cells.reshape(-1, 1))
+        np.add.at(_grad_buffer(emb), idx, dz @ w_emb.T)
+        _accumulate(W, np.concatenate([emb.data[idx], pack.before(ctx_all)], axis=1).T @ dz)
+        _accumulate(U, pack.before(s_all, s_first).T @ dz)
+        _accumulate(b, dz.sum(axis=0, keepdims=True))
+        _accumulate(U_a, s_all.T @ d_query)
+        _accumulate(b_a, d_query.sum(axis=0, keepdims=True))
 
-    _record(out, bwd)
-    return out
+    return _record(np.concatenate([s_all, ctx_all], axis=1)[pack.rows],
+                   (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a), bwd)

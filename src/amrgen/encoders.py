@@ -44,8 +44,11 @@ KINDS = tuple(INPUT_REPRS)
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """An encoder's settings. input_repr is the kind's `default_repr` unless
+    given, and the resolved value is what `to_dict` saves."""
+
     kind: str = "Seq"
-    input_repr: str = "sequence"
+    input_repr: str = ""
     embedding_dim: int = 64
     hidden_dim: int = 64
     gcn_layers: int = 2
@@ -61,6 +64,8 @@ class EncoderConfig:
                 raise ValueError(f"{f.name} must be {wanted.__name__}, got {value!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
+        if not self.input_repr:
+            object.__setattr__(self, "input_repr", default_repr(self.kind))
         allowed = INPUT_REPRS[self.kind]
         if self.input_repr not in allowed:
             raise ValueError(

@@ -3,8 +3,10 @@ checkpoint serialization. Everything is 64-bit and CPU-only by design:
 desk-scale problem sizes keep gradient checks reliable. At these sizes the
 cost is per-op Python overhead, not FLOPs, so recurrent cells are fused
 kernels (one tape entry per step, or per sequence) with closed-form backward
-passes, and backward computes nothing for operands that need no gradient.
-The decoder's kernels are in `decoder`.
+passes. Which tensors get a gradient is decided in two places: `_record`
+builds every kernel's output, which needs a gradient when any input does and
+only then goes on the tape, and `_accumulate` (with `_grad_buffer`) drops the
+gradient of an input that needs none. The decoder's kernels are in `decoder`.
 """
 from __future__ import annotations
 
@@ -68,11 +70,16 @@ class Tape:
 _ACTIVE_TAPE = None
 
 
-def _record(out: Tensor, backward) -> None:
-    """Put a kernel's output on the active tape with its backward function,
-    which takes the output's gradient."""
+def _record(data, inputs, backward) -> Tensor:
+    """A kernel's output, a tensor of data: it needs a gradient when any of
+    the kernel's input tensors does, and only then goes on the active tape
+    with backward, which takes the output's gradient. Backward hands every
+    input's gradient to `_accumulate` or `_grad_buffer`, which drop it for an
+    input that needs none."""
+    out = Tensor(data, any(t.requires_grad for t in inputs))
     if out.requires_grad and _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE._ops.append((out, backward))
+    return out
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
@@ -87,7 +94,10 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 
 
 def _grad_buffer(t: Tensor) -> np.ndarray:
-    """t's gradient array, created as zeros, for kernels that add into a part of it."""
+    """t's gradient array, created as zeros, for kernels that add into a part
+    of it; a throwaway array when t needs no gradient."""
+    if not t.requires_grad:
+        return np.zeros_like(t.data)
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     return t.grad
@@ -103,7 +113,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from loss.
+    """Populate the grads of every tensor reachable from loss that needs one.
 
     Each entry is released once it has run: the tape drops its backward
     closure, with the arrays that the closure kept, and its output's
@@ -131,16 +141,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
-    _record(out, bwd)
-    return out
+    return _record(a.data @ b.data, (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -148,16 +154,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}") from None
-    out = Tensor(data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
-    _record(out, bwd)
-    return out
+    return _record(data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -165,26 +167,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}") from None
-    out = Tensor(data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    _record(out, bwd)
-    return out
+    return _record(data, (a, b), bwd)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
-    out = Tensor(a.data * factor, requires_grad=a.requires_grad)
-
-    def bwd(g):
-        _accumulate(a, g * factor)
-
-    _record(out, bwd)
-    return out
+    return _record(a.data * factor, (a,), lambda g: _accumulate(a, g * factor))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -193,10 +185,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        requires_grad=any(t.requires_grad for t in tensors),
-    )
     sizes = [t.shape[axis] for t in tensors]
 
     def bwd(g):
@@ -207,28 +195,17 @@ def concat(tensors, axis: int = 0) -> Tensor:
             _accumulate(t, g[tuple(index)])
             offset += size
 
-    _record(out, bwd)
-    return out
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def sum_rows(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(axis=0, keepdims=True), requires_grad=a.requires_grad)
-
-    def bwd(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    _record(out, bwd)
-    return out
+    return _record(a.data.sum(axis=0, keepdims=True), (a,),
+                   lambda g: _accumulate(a, np.broadcast_to(g, a.shape)))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum().reshape(1, 1), requires_grad=a.requires_grad)
-
-    def bwd(g):
-        _accumulate(a, np.full(a.shape, g.reshape(-1)[0]))
-
-    _record(out, bwd)
-    return out
+    return _record(a.data.sum().reshape(1, 1), (a,),
+                   lambda g: _accumulate(a, np.full(a.shape, g.reshape(-1)[0])))
 
 
 def _sigmoid(x):
@@ -240,14 +217,24 @@ def _relu_values(x):
     return np.where(mask, x, 0.0), mask
 
 
+def _tanh_slope(value):
+    """tanh's slope at a point where tanh is value."""
+    return 1.0 - value * value
+
+
+def _sigmoid_slope(value):
+    """sigmoid's slope at a point where sigmoid is value."""
+    return value * (1.0 - value)
+
+
 def _tanh_values(x):
     value = np.tanh(x)
-    return value, 1.0 - value * value
+    return value, _tanh_slope(value)
 
 
 def _sigmoid_values(x):
     value = _sigmoid(x)
-    return value, value * (1.0 - value)
+    return value, _sigmoid_slope(value)
 
 
 # each activation's one definition, by name (the GCN's choices): x -> (act(x), act'(x))
@@ -259,9 +246,7 @@ def _activation_kernel(values):
 
     def kernel(a: Tensor) -> Tensor:
         value, slope = values(a.data)
-        out = Tensor(value, requires_grad=a.requires_grad)
-        _record(out, lambda g: _accumulate(a, g * slope))
-        return out
+        return _record(value, (a,), lambda g: _accumulate(a, g * slope))
 
     return kernel
 
@@ -279,28 +264,24 @@ def _log_softmax(x):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _log_softmax_back(g, value):
+    """The gradient of log-softmax rows' input from the gradient g of their values."""
+    return g - np.exp(value) * g.sum(axis=-1, keepdims=True)
+
+
 def softmax(a: Tensor) -> Tensor:
     value = _softmax(a.data)
-    out = Tensor(value, requires_grad=a.requires_grad)
 
     def bwd(g):
         dot = (g * value).sum(axis=-1, keepdims=True)
         _accumulate(a, value * (g - dot))
 
-    _record(out, bwd)
-    return out
+    return _record(value, (a,), bwd)
 
 
 def log_softmax(a: Tensor) -> Tensor:
     value = _log_softmax(a.data)
-    out = Tensor(value, requires_grad=a.requires_grad)
-    soft = np.exp(value)
-
-    def bwd(g):
-        _accumulate(a, g - soft * g.sum(axis=-1, keepdims=True))
-
-    _record(out, bwd)
-    return out
+    return _record(value, (a,), lambda g: _accumulate(a, _log_softmax_back(g, value)))
 
 
 def dropout(a: Tensor, keep_prob: float, draws) -> Tensor:
@@ -315,13 +296,7 @@ def dropout(a: Tensor, keep_prob: float, draws) -> Tensor:
     if draws.shape != a.shape:
         raise ShapeError(f"dropout draws of shape {draws.shape} for {a.shape}")
     mask = (draws < keep_prob) / keep_prob
-    out = Tensor(a.data * mask, requires_grad=a.requires_grad)
-
-    def bwd(g):
-        _accumulate(a, g * mask)
-
-    _record(out, bwd)
-    return out
+    return _record(a.data * mask, (a,), lambda g: _accumulate(a, g * mask))
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
@@ -329,54 +304,34 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
-    out = Tensor(table.data[idx], requires_grad=table.requires_grad)
-
-    def bwd(g):
-        np.add.at(_grad_buffer(table), idx, g)
-
-    _record(out, bwd)
-    return out
+    return _record(table.data[idx], (table,), lambda g: np.add.at(_grad_buffer(table), idx, g))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[:, start:stop], requires_grad=a.requires_grad)
-
     def bwd(g):
         _grad_buffer(a)[:, start:stop] += g
 
-    _record(out, bwd)
-    return out
+    return _record(a.data[:, start:stop], (a,), bwd)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[start:stop, :], requires_grad=a.requires_grad)
-
     def bwd(g):
         _grad_buffer(a)[start:stop, :] += g
 
-    _record(out, bwd)
-    return out
+    return _record(a.data[start:stop, :], (a,), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, requires_grad=a.requires_grad)
-
-    def bwd(g):
-        _accumulate(a, g.T)
-
-    _record(out, bwd)
-    return out
+    return _record(a.data.T, (a,), lambda g: _accumulate(a, g.T))
 
 
 def pick(a: Tensor, row: int, col: int) -> Tensor:
     """Select a single entry as a (1, 1) tensor."""
-    out = Tensor(a.data[row, col].reshape(1, 1), requires_grad=a.requires_grad)
 
     def bwd(g):
         _grad_buffer(a)[row, col] += g.reshape(-1)[0]
 
-    _record(out, bwd)
-    return out
+    return _record(a.data[row, col].reshape(1, 1), (a,), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -406,14 +361,14 @@ def _lstm_factors(sig, g, c, c_before):
     in `_lstm_back`, then K_o, the hidden-to-cell factor o (1 - tanh(c)^2)
     and f."""
     n = g.shape[-1]
-    dsig = sig * (1.0 - sig)
+    dsig = _sigmoid_slope(sig)
     tc = np.tanh(c)
     k = np.empty(g.shape[:-1] + (4, n))
     k[..., 0, :] = g * dsig[..., :n]
     k[..., 1, :] = c_before * dsig[..., n : 2 * n]
     k[..., 2, :] = 0.0
-    k[..., 3, :] = sig[..., :n] * (1.0 - g * g)
-    return k, tc * dsig[..., 2 * n :], sig[..., 2 * n :] * (1.0 - tc * tc), sig[..., n : 2 * n]
+    k[..., 3, :] = sig[..., :n] * _tanh_slope(g)
+    return k, tc * dsig[..., 2 * n :], sig[..., 2 * n :] * _tanh_slope(tc), sig[..., n : 2 * n]
 
 
 def _lstm_back(factors, rows, dh, dc_next):
@@ -443,28 +398,19 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, U: Tensor, b: Tensor) 
     n = h.shape[1]
     z = x.data @ W.data + h.data @ U.data + b.data
     sig, g, c_next, h_next = _lstm_cell(z, c.data)
-    out = Tensor(np.concatenate([h_next, c_next], axis=1),
-                 requires_grad=any(t.requires_grad for t in (x, h, c, W, U, b)))
 
     def bwd(d_out):
         factors = _lstm_factors(sig, g, c_next, c.data)
         dc = _lstm_back(factors, slice(None), d_out[:, :n], d_out[:, n:])
         dz = factors[0].reshape(-1, 4 * n)
-        if x.requires_grad:
-            _accumulate(x, dz @ W.data.T)
-        if h.requires_grad:
-            _accumulate(h, dz @ U.data.T)
-        if c.requires_grad:
-            _accumulate(c, dc)
-        if W.requires_grad:
-            _accumulate(W, x.data.T @ dz)
-        if U.requires_grad:
-            _accumulate(U, h.data.T @ dz)
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0, keepdims=True))
+        _accumulate(x, dz @ W.data.T)
+        _accumulate(h, dz @ U.data.T)
+        _accumulate(c, dc)
+        _accumulate(W, x.data.T @ dz)
+        _accumulate(U, h.data.T @ dz)
+        _accumulate(b, dz.sum(axis=0, keepdims=True))
 
-    _record(out, bwd)
-    return out
+    return _record(np.concatenate([h_next, c_next], axis=1), (x, h, c, W, U, b), bwd)
 
 
 class Packing:
@@ -562,9 +508,7 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
     xw[packed[0], 0] = _block_matmul(x, W_f.data, lone) + b_f.data
     xw[packed[1], 1] = _block_matmul(x, W_b.data, lone) + b_b.data
     u = np.stack([U_f.data, U_b.data])
-    inputs = (X, W_f, U_f, b_f, W_b, U_b, b_b)
-    needs_grad = any(t.requires_grad for t in inputs)
-    taping = needs_grad and _ACTIVE_TAPE is not None  # else keep only the hidden states
+    taping = _ACTIVE_TAPE is not None  # else keep only the hidden states
     h_all = np.empty((rows, 2, n))
     if taping:
         sig, g, c_all = np.empty((rows, 2, 3 * n)), np.empty((rows, 2, n)), np.empty((rows, 2, n))
@@ -576,10 +520,6 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
         h_all[r] = h
         if taping:
             sig[r], g[r], c_all[r] = s, gt, c
-    out = Tensor(np.concatenate([h_all[packed[0], 0], h_all[packed[1], 1]], axis=1),
-                 requires_grad=needs_grad)
-    if not taping:
-        return out
 
     def bwd(d_out):
         d_h = np.empty((rows, 2, n))
@@ -596,19 +536,14 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
         d_x = None
         for d, (W, U, b) in enumerate(((W_f, U_f, b_f), (W_b, U_b, b_b))):
             dz_d = np.ascontiguousarray(dz[packed[d], d])
-            if X.requires_grad:
-                d_x = dz_d @ W.data.T if d_x is None else d_x + dz_d @ W.data.T
-            if W.requires_grad:
-                _accumulate(W, x.T @ dz_d)
-            if U.requires_grad:
-                _accumulate(U, np.ascontiguousarray(h_prev[packed[d], d]).T @ dz_d)
-            if b.requires_grad:
-                _accumulate(b, dz_d.sum(axis=0, keepdims=True))
-        if X.requires_grad:
-            _accumulate(X, d_x)
+            d_x = dz_d @ W.data.T if d_x is None else d_x + dz_d @ W.data.T
+            _accumulate(W, x.T @ dz_d)
+            _accumulate(U, np.ascontiguousarray(h_prev[packed[d], d]).T @ dz_d)
+            _accumulate(b, dz_d.sum(axis=0, keepdims=True))
+        _accumulate(X, d_x)
 
-    _record(out, bwd)
-    return out
+    return _record(np.concatenate([h_all[packed[0], 0], h_all[packed[1], 1]], axis=1),
+                   (X, W_f, U_f, b_f, W_b, U_b, b_b), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -698,7 +633,6 @@ def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, forest)
         a_f = _per_child(a[:, 3 * n :], level)
         f_all[level.slots] = f = _sigmoid(a_f + _child_products(hk, uf, level))
         states(level.nodes, a[:, : 3 * n] + np.matmul(s[:, None], u_mat)[:, 0], level, f)
-    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, Uf, b)))
 
     def bwd(dH):
         i, o, u = act[:, 0], act[:, 1], act[:, 2]
@@ -735,19 +669,13 @@ def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, forest)
             d_sum = _per_child(np.matmul(d_iou[:, None], u_t)[:, 0], level)
             dh_all[level.rows] += d_sum + _child_products(d_f, uf_t, level)
         gates(forest.leaves)
-        if X.requires_grad:
-            _accumulate(X, dz @ W.data.T)
-        if W.requires_grad:
-            _accumulate(W, X.data.T @ dz)
-        if U.requires_grad:
-            _accumulate(U, h_sum.T @ dz[:, : 3 * n])
-        if Uf.requires_grad:
-            _accumulate(Uf, h_all[kids].T @ dzf)
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0, keepdims=True))
+        _accumulate(X, dz @ W.data.T)
+        _accumulate(W, X.data.T @ dz)
+        _accumulate(U, h_sum.T @ dz[:, : 3 * n])
+        _accumulate(Uf, h_all[kids].T @ dzf)
+        _accumulate(b, dz.sum(axis=0, keepdims=True))
 
-    _record(out, bwd)
-    return out
+    return _record(h_all, (X, W, U, Uf, b), bwd)
 
 
 def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: Tensor,
@@ -783,8 +711,6 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
     down[kids] = o * tc
     root_h = np.tanh(np.matmul(h[roots, None], Wr.data)[:, 0] + br.data)
     down[roots] = root_h
-    out = Tensor(np.concatenate([down, h], axis=1),
-                 requires_grad=any(t.requires_grad for t in (H, W, U, b, Wr, br)))
 
     def bwd(d_out):
         d_kid = d_out[kids, :n]
@@ -805,25 +731,18 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
         dz = dz[unsort]  # in forest.down's order, as the weight gradients sum it
         d_root = d_out[roots, :n] * (1.0 - root_h * root_h)
         kid_h, par_h = h[forest.down], h[forest.down_parent]
-        if H.requires_grad:
-            dh = np.array(d_out[:, n:])
-            dh[forest.down] += dz @ W.data.T
-            np.add.at(dh, forest.down_parent, dz @ U.data.T)
-            dh[roots] += d_root @ Wr.data.T
-            _accumulate(H, dh)
-        if W.requires_grad:
-            _accumulate(W, kid_h.T @ dz)
-        if U.requires_grad:
-            _accumulate(U, par_h.T @ dz)
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0, keepdims=True))
-        if Wr.requires_grad:
-            _accumulate(Wr, h[roots].T @ d_root)
-        if br.requires_grad:
-            _accumulate(br, d_root.sum(axis=0, keepdims=True))
+        dh = np.array(d_out[:, n:])
+        dh[forest.down] += dz @ W.data.T
+        np.add.at(dh, forest.down_parent, dz @ U.data.T)
+        dh[roots] += d_root @ Wr.data.T
+        _accumulate(H, dh)
+        _accumulate(W, kid_h.T @ dz)
+        _accumulate(U, par_h.T @ dz)
+        _accumulate(b, dz.sum(axis=0, keepdims=True))
+        _accumulate(Wr, h[roots].T @ d_root)
+        _accumulate(br, d_root.sum(axis=0, keepdims=True))
 
-    _record(out, bwd)
-    return out
+    return _record(np.concatenate([down, h], axis=1), (H, W, U, b, Wr, br), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -847,39 +766,30 @@ def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_ou
         raise ShapeError(f"gcn_layer shape mismatch: {h.shape} @ {W_in.shape}, a_in {a_in.shape}")
     pre = a_in @ (h @ W_in.data) + a_out @ (h @ W_out.data) + b.data
     out, slope = activation(pre)
-    weights = (W_in, W_out, b)
+    inputs = (H, W_in, W_out, b)
     if W_t is not None:
-        weights += (W_t, b_t)
+        inputs += (W_t, b_t)
         gate, gate_slope = _sigmoid_values(h @ W_t.data + b_t.data)
         tanh_out = np.tanh(out)
         out = gate * tanh_out + (1.0 - gate) * h
-    result = Tensor(out, requires_grad=any(t.requires_grad for t in (H,) + weights))
 
     def bwd(g):
         d_h = None
         if W_t is not None:
             d_gate = g * (tanh_out - h) * gate_slope
-            if W_t.requires_grad:
-                _accumulate(W_t, h.T @ d_gate)
-            if b_t.requires_grad:
-                _accumulate(b_t, d_gate.sum(axis=0, keepdims=True))
-            if H.requires_grad:
-                d_h = g * (1.0 - gate) + d_gate @ W_t.data.T
-            g = g * gate * (1.0 - tanh_out * tanh_out)
+            _accumulate(W_t, h.T @ d_gate)
+            _accumulate(b_t, d_gate.sum(axis=0, keepdims=True))
+            d_h = g * (1.0 - gate) + d_gate @ W_t.data.T
+            g = g * gate * _tanh_slope(tanh_out)
         d_pre = g * slope
-        if b.requires_grad:
-            _accumulate(b, d_pre.sum(axis=0, keepdims=True))
+        _accumulate(b, d_pre.sum(axis=0, keepdims=True))
         d_in, d_out = a_out @ d_pre, a_in @ d_pre  # gradients of H W_in and H W_out
-        if W_in.requires_grad:
-            _accumulate(W_in, h.T @ d_in)
-        if W_out.requires_grad:
-            _accumulate(W_out, h.T @ d_out)
-        if H.requires_grad:
-            d_msg = d_in @ W_in.data.T + d_out @ W_out.data.T
-            _accumulate(H, d_msg if d_h is None else d_h + d_msg)
+        _accumulate(W_in, h.T @ d_in)
+        _accumulate(W_out, h.T @ d_out)
+        d_msg = d_in @ W_in.data.T + d_out @ W_out.data.T
+        _accumulate(H, d_msg if d_h is None else d_h + d_msg)
 
-    _record(result, bwd)
-    return result
+    return _record(out, inputs, bwd)
 
 
 # --------------------------------------------------------------------------
@@ -923,7 +833,7 @@ class ParamStore:
             raise ValueError(f"shape mismatch for parameter {name!r}")
         else:
             data = self.arrays.pop(name).copy()
-        p = self.params[name] = Tensor(data, requires_grad=True)
+        p = self.params[name] = Tensor(data, True)
         return p
 
     def views(self, flat: np.ndarray) -> dict:

@@ -75,9 +75,6 @@ def decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a):
         ctx, _, alpha = D._attend(att, 1, s, u_a, b_a.data, v, out=e[t])
         rows.append((s, c, ctx, sig, g, tc, alpha))
     s_all, c_all, ctx_all, sig, g, tc, alpha = (np.concatenate(col) for col in zip(*rows))
-    inputs = (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a)
-    out = Tensor(np.concatenate([s_all, ctx_all], axis=1),
-                 requires_grad=any(t.requires_grad for t in inputs))
 
     def bwd(d_out):
         zero = np.zeros((1, n))
@@ -118,29 +115,19 @@ def decoder_sequence(ids, s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a):
             ds_next, dctx_next = before[:n], before[n:]
             dc_next = dc * f[t]
         dz = dz.reshape(steps, 4 * n)
-        if s0.requires_grad:
-            T._accumulate(s0, ds_next[None])
-        if enc.requires_grad:
-            T._accumulate(enc, alpha.T @ d_ctx)
-        if enc_proj.requires_grad:
-            T._accumulate(enc_proj, np.einsum("tr,trh->rh", d_scores, k_att))
-        if emb.requires_grad:
-            np.add.at(T._grad_buffer(emb), idx, dz @ w_emb.T)
-        if W.requires_grad:
-            T._accumulate(W, np.concatenate([x_emb, ctx_prev], axis=1).T @ dz)
-        if U.requires_grad:
-            T._accumulate(U, s_prev.T @ dz)
-        if b.requires_grad:
-            T._accumulate(b, dz.sum(axis=0, keepdims=True))
-        if U_a.requires_grad:
-            T._accumulate(U_a, s_all.T @ d_query)
-        if b_a.requires_grad:
-            T._accumulate(b_a, d_query.sum(axis=0, keepdims=True))
-        if v_a.requires_grad:
-            T._accumulate(v_a, e.reshape(-1, e.shape[2]).T @ d_scores.reshape(-1, 1))
+        T._accumulate(s0, ds_next[None])
+        T._accumulate(enc, alpha.T @ d_ctx)
+        T._accumulate(enc_proj, np.einsum("tr,trh->rh", d_scores, k_att))
+        np.add.at(T._grad_buffer(emb), idx, dz @ w_emb.T)
+        T._accumulate(W, np.concatenate([x_emb, ctx_prev], axis=1).T @ dz)
+        T._accumulate(U, s_prev.T @ dz)
+        T._accumulate(b, dz.sum(axis=0, keepdims=True))
+        T._accumulate(U_a, s_all.T @ d_query)
+        T._accumulate(b_a, d_query.sum(axis=0, keepdims=True))
+        T._accumulate(v_a, e.reshape(-1, e.shape[2]).T @ d_scores.reshape(-1, 1))
 
-    T._record(out, bwd)
-    return out
+    return T._record(np.concatenate([s_all, ctx_all], axis=1),
+                     (s0, enc, enc_proj, emb, W, U, b, U_a, b_a, v_a), bwd)
 
 
 def output_nll(rows, ids, lengths, W_o, b_o, W_v, b_v):
@@ -213,7 +200,6 @@ def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = Fa
         tc[t] = np.tanh(c)
         h = s[2 * n :] * tc[t]
         h_all[t] = h
-    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, b)))
 
     def bwd(dH):
         dsig = sig * (1.0 - sig)
@@ -238,17 +224,12 @@ def lstm_sequence(X: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = Fa
             dh_next = dz[t].reshape(-1) @ u_t
             dc_next = dc * f[t]
         dz = dz.reshape(rows, 4 * n)
-        if X.requires_grad:
-            T._accumulate(X, dz @ W.data.T)
-        if W.requires_grad:
-            T._accumulate(W, X.data.T @ dz)
-        if U.requires_grad:
-            T._accumulate(U, _previous_rows(h_all, reverse).T @ dz)
-        if b.requires_grad:
-            T._accumulate(b, dz.sum(axis=0, keepdims=True))
+        T._accumulate(X, dz @ W.data.T)
+        T._accumulate(W, X.data.T @ dz)
+        T._accumulate(U, _previous_rows(h_all, reverse).T @ dz)
+        T._accumulate(b, dz.sum(axis=0, keepdims=True))
 
-    T._record(out, bwd)
-    return out
+    return T._record(h_all, (X, W, U, b), bwd)
 
 
 def tree_topology(node_count: int, edges, root: int):
@@ -327,7 +308,6 @@ def tree_lstm_up_per_node(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor
         c_all[node] = c
         tc[node] = np.tanh(c)
         h_all[node] = gates[1] * tc[node]
-    out = Tensor(h_all, requires_grad=any(t.requires_grad for t in (X, W, U, Uf, b)))
 
     def bwd(dH):
         i, o, u = act[:, 0], act[:, 1], act[:, 2]
@@ -358,19 +338,13 @@ def tree_lstm_up_per_node(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor
                 dz[node, 3 * n :] = d_f.sum(axis=0)
                 dc_all[ch] = dc * f_all[rows_f]
                 dh_all[ch] += dz_iou @ u_t + d_f @ uf_t
-        if X.requires_grad:
-            T._accumulate(X, dz @ W.data.T)
-        if W.requires_grad:
-            T._accumulate(W, X.data.T @ dz)
-        if U.requires_grad:
-            T._accumulate(U, h_sum.T @ dz[:, : 3 * n])
-        if Uf.requires_grad:
-            T._accumulate(Uf, h_all[kids].T @ dzf)
-        if b.requires_grad:
-            T._accumulate(b, dz.sum(axis=0, keepdims=True))
+        T._accumulate(X, dz @ W.data.T)
+        T._accumulate(W, X.data.T @ dz)
+        T._accumulate(U, h_sum.T @ dz[:, : 3 * n])
+        T._accumulate(Uf, h_all[kids].T @ dzf)
+        T._accumulate(b, dz.sum(axis=0, keepdims=True))
 
-    T._record(out, bwd)
-    return out
+    return T._record(h_all, (X, W, U, Uf, b), bwd)
 
 
 def tree_lstm_down_per_node(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: Tensor,
@@ -406,8 +380,6 @@ def tree_lstm_down_per_node(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tens
     down[kids] = o * tc
     root_h = np.tanh(h[root : root + 1] @ Wr.data + br.data)
     down[root] = root_h[0]
-    out = Tensor(np.concatenate([down, h], axis=1),
-                 requires_grad=any(t.requires_grad for t in (H, W, U, b, Wr, br)))
 
     def bwd(d_out):
         d_kid = d_out[kids, :n]
@@ -423,22 +395,15 @@ def tree_lstm_down_per_node(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tens
         dz[:, : 3 * n] *= sig * (1.0 - sig)
         dz[:, 3 * n :] = d_cell * i * (1.0 - g * g)
         d_root = d_out[root : root + 1, :n] * (1.0 - root_h * root_h)
-        if H.requires_grad:
-            dh = np.array(d_out[:, n:])
-            dh[kids] += dz @ W.data.T
-            np.add.at(dh, par, dz @ U.data.T)
-            dh[root] += (d_root @ Wr.data.T)[0]
-            T._accumulate(H, dh)
-        if W.requires_grad:
-            T._accumulate(W, h[kids].T @ dz)
-        if U.requires_grad:
-            T._accumulate(U, h[par].T @ dz)
-        if b.requires_grad:
-            T._accumulate(b, dz.sum(axis=0, keepdims=True))
-        if Wr.requires_grad:
-            T._accumulate(Wr, h[root : root + 1].T @ d_root)
-        if br.requires_grad:
-            T._accumulate(br, d_root)
+        dh = np.array(d_out[:, n:])
+        dh[kids] += dz @ W.data.T
+        np.add.at(dh, par, dz @ U.data.T)
+        dh[root] += (d_root @ Wr.data.T)[0]
+        T._accumulate(H, dh)
+        T._accumulate(W, h[kids].T @ dz)
+        T._accumulate(U, h[par].T @ dz)
+        T._accumulate(b, dz.sum(axis=0, keepdims=True))
+        T._accumulate(Wr, h[root : root + 1].T @ d_root)
+        T._accumulate(br, d_root)
 
-    T._record(out, bwd)
-    return out
+    return T._record(np.concatenate([down, h], axis=1), (H, W, U, b, Wr, br), bwd)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from amrgen import amr, tensor as T, transforms
-from amrgen.encoders import KINDS, EncoderConfig, StackEncoder, default_repr
+from amrgen.encoders import KINDS, EncoderConfig, StackEncoder
 from amrgen.evaluation import (
     CATEGORIES,
     DEPENDENCY_BUCKETS,
@@ -122,7 +122,7 @@ def test_criterion_3_gradient_checks(figure_example):
     worst_overall = 0.0
     for kind in KINDS:
         cfg = EncoderConfig(
-            kind=kind, input_repr=default_repr(kind), embedding_dim=4, hidden_dim=6,
+            kind=kind, embedding_dim=4, hidden_dim=6,
             dropout=0.0, edge_dropout=0.0,
         )
         store = T.ParamStore(np.random.default_rng(0))

@@ -399,6 +399,15 @@ def test_evaluate_needs_hyp_or_ckpt(small_jsonl, capsys):
     assert "needs --hyp or --ckpt" in capsys.readouterr().err
 
 
+def test_preprocess_negative_rare_threshold_is_config_error(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    argv = ["preprocess", "--input", str(TOY), "--out", str(out), "--anonymize"]
+    assert main(argv + ["--rare-threshold", "-5"]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error:")
+    assert not out.exists()
+    assert main(argv + ["--rare-threshold", "0"]) == EXIT_OK  # 0: no concept is rare
+
+
 def test_evaluate_takes_hyp_or_ckpt_not_both(small_jsonl, tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("the boy sleeps at night\na dog runs in paris\n")

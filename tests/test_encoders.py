@@ -28,7 +28,6 @@ def make_encoder(kind, vocab, seed=0, d=4, h=6, **over):
     """A StackEncoder and its parameters by checkpoint name."""
     cfg = EncoderConfig(
         kind=kind,
-        input_repr=over.pop("input_repr", default_repr(kind)),
         embedding_dim=d,
         hidden_dim=h,
         dropout=over.pop("dropout", 0.0),
@@ -54,6 +53,13 @@ def test_config_rejects_bad_combinations():
         EncoderConfig(kind="Nope", input_repr="sequence")
     with pytest.raises(ValueError):
         EncoderConfig(kind="Seq", input_repr="sequence", hidden_dim=7)  # odd
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_fills_in_the_kinds_default_repr(kind):
+    cfg = EncoderConfig(kind=kind)
+    assert cfg.input_repr == default_repr(kind)
+    assert cfg.to_dict()["input_repr"] == default_repr(kind)  # saved resolved
 
 
 def test_config_round_trips_through_dict():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T, transforms
-from amrgen.encoders import KINDS, EncoderConfig, StackEncoder, default_repr
+from amrgen.encoders import KINDS, EncoderConfig, StackEncoder
 from amrgen.seq2seq import (
     Checkpoint,
     NumericError,
@@ -166,8 +166,7 @@ def test_batch_loss_gradients(kind, toy10):
                 for ex, cut in zip(list(by_length.values())[:3], (4, 1, 6))]
     assert len(examples) == 3
     src, tgt = build_vocabs(examples, unk_threshold=1)
-    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=3, hidden_dim=4,
-                        dropout=0.0, edge_dropout=0.0)
+    cfg = EncoderConfig(kind=kind, embedding_dim=3, hidden_dim=4, dropout=0.0, edge_dropout=0.0)
     model = Seq2SeqModel(cfg, src, tgt, seed=0)
     params = model.params()
     for p in params.values():
@@ -211,8 +210,7 @@ def test_tape_size_is_pinned_and_independent_of_target_length(kind, graph, figur
         ex = toy10[0]
     longer = TrainExample(id=ex.id, repr=ex.repr, target=ex.target + ("the",) * 5, reference=())
     src, tgt = build_vocabs([ex], unk_threshold=1)
-    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8, hidden_dim=8,
-                        dropout=0.3, edge_dropout=0.1)
+    cfg = EncoderConfig(kind=kind, embedding_dim=8, hidden_dim=8, dropout=0.3, edge_dropout=0.1)
     model = Seq2SeqModel(cfg, src, tgt, seed=0)
     sizes = []
     for example in (ex, longer):
@@ -228,8 +226,7 @@ def test_tape_size_of_a_batch(kind, toy10):
     layers, which run per example: each example's layers and the slice of
     its rows, and the concat that joins their outputs."""
     src, tgt = build_vocabs(toy10, unk_threshold=1)
-    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8, hidden_dim=8,
-                        dropout=0.3, edge_dropout=0.1)
+    cfg = EncoderConfig(kind=kind, embedding_dim=8, hidden_dim=8, dropout=0.3, edge_dropout=0.1)
     model = Seq2SeqModel(cfg, src, tgt, seed=0)
     sizes = []
     for batch in (toy10[:1], toy10[:4]):
@@ -363,8 +360,7 @@ def test_score_sentence_agrees_with_greedy(toy10, kind, seed, index, eos_bias):
     decoder.output_rows. A finished greedy result scores, under
     score_sentence, the log-prob that greedy decoding returned."""
     src, tgt = build_vocabs(toy10, unk_threshold=1)
-    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8,
-                        hidden_dim=8, dropout=0.0, edge_dropout=0.0)
+    cfg = EncoderConfig(kind=kind, embedding_dim=8, hidden_dim=8, dropout=0.0, edge_dropout=0.0)
     model = Seq2SeqModel(cfg, src, tgt, seed=seed)
     model.b_v.data[0, tgt.index(EOS)] += eos_bias  # so that more greedy paths finish
     ex = toy10[index]
@@ -576,8 +572,7 @@ def _per_example_batch_loss(batch_loss):
 def test_train_matches_the_per_example_loop(kind, toy10, monkeypatch, tmp_path):
     """Batch 1 gives the per-example loop's checkpoint bytes; batch 4 its
     per-epoch losses to 1e-9 relative, with the same dropout draws."""
-    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=8, hidden_dim=8,
-                        dropout=0.3, edge_dropout=0.1)
+    cfg = EncoderConfig(kind=kind, embedding_dim=8, hidden_dim=8, dropout=0.3, edge_dropout=0.1)
     runs = {}
     for reference in (False, True):
         if reference:
@@ -729,8 +724,7 @@ DECODER_PARAMS = (
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_parameter_names_shapes_and_order_are_pinned(kind):
-    cfg = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=4, hidden_dim=6,
-                        gcn_layers=2)
+    cfg = EncoderConfig(kind=kind, embedding_dim=4, hidden_dim=6, gcn_layers=2)
     src, tgt = Vocab(itos=(UNK, "a", "b", "c")), Vocab(itos=(UNK, BOS, EOS, "x", "y"))
     model = Seq2SeqModel(cfg, src, tgt, seed=0)
     got = [f"{name} {'x'.join(map(str, p.shape))}" for name, p in model.params().items()]

@@ -693,6 +693,51 @@ def test_constant_operands_get_no_gradient():
     assert np.allclose(w.grad, a.data.T @ k.data)
 
 
+def _fused_kernel_cases(rng):
+    """name -> (the fused kernel as a function of its tensor operands, the operands)."""
+    n = 3
+    forest = Forest.join([Forest.tree(4, [(0, 1), (0, 2), (2, 3)], 0), Forest.tree(1, [], 0),
+                          Forest.tree(3, [(1, 0), (1, 2)], 1)])
+    x, W, U, b = _lstm_params(rng, 2, 3, n)
+    X, bilstm = _bilstm_inputs(rng, [3, 1, 2], 2, n)
+    tree = _tree_params(rng, 8, 2, n)
+    a_in, a_out, gcn = _gcn_inputs(rng, 5, 7, n, highway=True)
+    examples, weights = _decoder_batch_inputs(rng, [3, 1, 2], [2, 3, 1], 4, 2, n)
+    ids, s0, enc, enc_proj, sizes = _joined(examples)
+    out_ids, out_lengths, output = _output_inputs(rng, 5, n, 4, 2)
+    return {
+        "matmul": (T.matmul, [_param(rng, 3, 4), _param(rng, 4, 2)]),
+        "lstm_step": (T.lstm_step, [x, _param(rng, 2, n), _param(rng, 2, n), W, U, b]),
+        "bilstm_batch": (lambda X, *w: T.bilstm_batch(X, [3, 1, 2], *w), [X, *bilstm]),
+        "tree_lstm_up": (lambda *p: T.tree_lstm_up(*p, forest), [tree[k] for k in UP]),
+        "tree_lstm_down": (lambda *p: T.tree_lstm_down(*p, forest), [tree[k] for k in DOWN]),
+        "gcn_layer": (lambda H, *w: _fused_gcn(a_in, a_out, [H, *w], "tanh"), gcn),
+        "initial_state": (lambda e, W, b: D.initial_state(e, [2, 1, 3], W, b),
+                          [_param(rng, 6, n), _param(rng, n, n), _param(rng, 1, n)]),
+        "decoder_batch": (lambda *t: D.decoder_batch(ids, t[0], t[1], t[2], sizes, *t[3:]),
+                          [s0, enc, enc_proj, *weights]),
+        "output_nll": (lambda *t: D.output_nll(t[0], out_ids, out_lengths, *t[1:]), list(output)),
+    }
+
+
+@pytest.mark.parametrize("name", ["matmul", "lstm_step", "bilstm_batch", "tree_lstm_up",
+                                  "tree_lstm_down", "gcn_layer", "initial_state",
+                                  "decoder_batch", "output_nll"])
+def test_a_constant_operand_of_a_fused_kernel_gets_no_gradient(name):
+    """Made constant, each operand in turn keeps no gradient, and every
+    other operand gets the bits that it gets when all are trainable."""
+    rng = np.random.default_rng(11)
+    kernel, operands = _fused_kernel_cases(rng)[name]
+    w = Tensor(_rand(rng, *kernel(*operands).shape))
+    _, want, _ = _values_and_grads(lambda: kernel(*operands), operands, w)
+    for constant in operands:
+        constant.requires_grad = False
+        _, got, _ = _values_and_grads(lambda: kernel(*operands), operands, w)
+        constant.requires_grad = True
+        for t, got_grad, want_grad in zip(operands, got, want):
+            assert got_grad is None if t is constant else np.array_equal(got_grad, want_grad)
+
+
 def test_first_gradient_is_a_copy_not_an_alias():
     # add hands x and y the same upstream array; if both stored it, the
     # gradient that x receives later from x * x would land in y.grad too

@@ -22,7 +22,7 @@ import tempfile
 from importlib import resources
 
 from amrgen import amr, transforms
-from amrgen.encoders import KINDS, EncoderConfig, default_repr
+from amrgen.encoders import KINDS, EncoderConfig
 from amrgen.seq2seq import Seq2SeqModel, TrainExample, TrainSettings, build_vocabs, train, write_log
 from amrgen.vocab import EOS
 
@@ -36,8 +36,7 @@ MEMORIZE_SETTINGS = TrainSettings(lr=1.0, lr_decay=0.8, batch_size=1, max_epochs
 
 
 def memorize_config(kind):
-    return EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=64,
-                         hidden_dim=64, dropout=0.0, edge_dropout=0.0)
+    return EncoderConfig(kind=kind, embedding_dim=64, hidden_dim=64, dropout=0.0, edge_dropout=0.0)
 
 
 def toy_examples():
@@ -56,7 +55,7 @@ def _sha256(path):
 def train_digests(kind, batch_size, examples, epochs=3):
     """The sha256 of the checkpoint and the log of a short training run on
     examples[:14] with examples[14:21] as dev, and its last train loss."""
-    config = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=12,
+    config = EncoderConfig(kind=kind, embedding_dim=12,
                            hidden_dim=10, dropout=0.3, edge_dropout=0.1)
     settings = TrainSettings(batch_size=batch_size, max_epochs=epochs)
     checkpoint, log = train(examples[:14], examples[14:21], config, seed=3, settings=settings)
@@ -73,8 +72,7 @@ def decode_digest(examples, kinds=DECODE_KINDS):
     src_vocab, tgt_vocab = build_vocabs(examples, unk_threshold=1)
     digest = hashlib.sha256()
     for kind in kinds:
-        config = EncoderConfig(kind=kind, input_repr=default_repr(kind), embedding_dim=16,
-                               hidden_dim=16)
+        config = EncoderConfig(kind=kind, embedding_dim=16, hidden_dim=16)
         model = Seq2SeqModel(config, src_vocab, tgt_vocab, seed=5)
         model.b_v.data[0, tgt_vocab.index(EOS)] += 0.5
         for ex in examples:
