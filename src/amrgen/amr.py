@@ -23,6 +23,11 @@ class PenmanParseError(ValueError):
         self.col = col
 
 
+class GraphTooDeepError(ValueError):
+    """Raised when a path from a graph's root is too long for the canonical
+    traversal, which recurses once per node along it."""
+
+
 @dataclass(frozen=True)
 class AmrGraph:
     """Immutable rooted directed graph with labeled nodes and edges.
@@ -54,7 +59,8 @@ class AmrGraph:
     def traversal(self) -> tuple:
         """transforms._traverse of this graph, run once per graph object:
         (sequence, tree, pos_tree, first_pos, edge_pos), which every derived
-        artifact reads."""
+        artifact reads; a GraphTooDeepError if a path from the root is longer
+        than the interpreter's recursion limit allows."""
         from .transforms import _traverse  # deferred: transforms imports this module
 
         return _traverse(self)
@@ -116,6 +122,11 @@ def parse_penman(text: str) -> AmrGraph:
     Constants (numbers, quoted strings, bare symbols such as ``-``) become
     ordinary nodes, one per occurrence. Re-mentioned variables produce
     additional incoming edges on the existing node.
+
+    The parser keeps a stack of the open nodes instead of recursing, so
+    nesting has no depth limit. Do not make it a nested function that calls
+    itself: the function would hold itself in its closure cell, a cycle that
+    keeps the token list and dicts alive until the cyclic collector runs.
     """
     if not text or not text.strip():
         raise PenmanParseError("empty input", 1, 1)
@@ -135,10 +146,12 @@ def parse_penman(text: str) -> AmrGraph:
 
     defs = {}  # var -> concept label, in definition order
     triples = []  # (parent_var, relation, target token or child var)
-
-    def parse_node():  # toks[pos] is '('
-        nonlocal pos
-        open_k, var_k = pos, pos + 1
+    stack = []  # per open node: its variable, the place of its '(' and the relation to it
+    role, root = None, None  # role: the relation to the node whose '(' is at toks[pos]
+    if toks[0] != "(":
+        fail(f"expected '(', found {value(toks[0])!r}", 0)
+    while root is None:
+        var_k = pos + 1  # toks[pos] is '('
         if var_k >= n:
             fail("expected variable name, found end of input", n - 1)
         var = toks[var_k]
@@ -151,14 +164,21 @@ def parse_penman(text: str) -> AmrGraph:
         if var in defs:
             fail(f"duplicate definition of variable {var!r}", var_k)
         defs[var] = value(toks[var_k + 2])
+        stack.append((var, pos, role))
         pos = var_k + 3
-        while True:
+        while True:  # the relations of the innermost open node, up to the next '('
             if pos >= n:
-                fail("unbalanced parentheses: missing ')'", open_k)
+                fail("unbalanced parentheses: missing ')'", stack[-1][1])
             role = toks[pos]
             if role == ")":
                 pos += 1
-                return var
+                child, _, led = stack.pop()
+                if not stack:
+                    root = child
+                    break
+                var = stack[-1][0]
+                triples.append((var, led, child))
+                continue
             if role[0] != ":":
                 fail(f"expected relation starting with ':', found {value(role)!r}", pos)
             pos += 1
@@ -166,18 +186,13 @@ def parse_penman(text: str) -> AmrGraph:
                 fail(f"expected target after relation {role!r}", pos - 1)
             target = toks[pos]
             if target == "(":
-                triples.append((var, role, parse_node()))
-            elif target in ")/":
+                break
+            if target in ")/":
                 fail(f"unexpected token {target!r} after relation {role!r}", pos)
-            else:
-                # resolved after parsing: an atom naming a defined variable
-                # is a reference; other atoms and quoted strings are constants
-                pos += 1
-                triples.append((var, role, target))
-
-    if toks[0] != "(":
-        fail(f"expected '(', found {value(toks[0])!r}", 0)
-    root = parse_node()
+            # resolved after parsing: an atom naming a defined variable is a
+            # reference; other atoms and quoted strings are constants
+            pos += 1
+            triples.append((var, role, target))
     if pos < n:
         fail(f"unbalanced parentheses: unexpected {value(toks[pos])!r} after graph", pos)
 
@@ -203,6 +218,11 @@ def serialize_penman(graph: AmrGraph, indent: bool = False) -> str:
 
     The first visit of a reentrant node prints its subtree; later visits print
     only the variable.
+
+    The walk keeps a stack of its own instead of recursing, so nesting has no
+    depth limit. Do not make it a nested function that calls itself: the
+    function would hold itself in its closure cell, a cycle that keeps the
+    graph, with its cached traversal, alive until the cyclic collector runs.
     """
     labels = graph.labels()
     # deterministic variable assignment: keep source ids when they are legal
@@ -226,21 +246,26 @@ def serialize_penman(graph: AmrGraph, indent: bool = False) -> str:
             return label
         return '"' + label.replace('"', "") + '"'
 
-    visited = set()
-
-    def emit(nid: str, depth: int) -> str:
+    parts, visited = [], set()
+    out, edges = graph.out_index, graph.edges
+    stack = [(graph.root, 0)]  # (node id, depth), or a string to emit
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            parts.append(entry)
+            continue
+        nid, depth = entry
         if nid in visited:
-            return var_of[nid]
+            parts.append(var_of[nid])
+            continue
         visited.add(nid)
-        parts = [f"({var_of[nid]} / {atom(labels[nid])}"]
-        for _, rel, child in graph.out_edges(nid):
-            if indent:
-                parts.append("\n" + "    " * (depth + 1) + f"{rel} {emit(child, depth + 1)}")
-            else:
-                parts.append(f" {rel} {emit(child, depth + 1)}")
-        return "".join(parts) + ")"
-
-    return emit(graph.root, 0)
+        parts.append(f"({var_of[nid]} / {atom(labels[nid])}")
+        stack.append(")")
+        sep = "\n" + "    " * (depth + 1) if indent else " "
+        for idx in reversed(out.get(nid, ())):
+            _, rel, child = edges[idx]
+            stack += ((child, depth + 1), f"{sep}{rel} ")
+    return "".join(parts)
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from collections import Counter
 from contextlib import contextmanager
 
 from . import __version__
-from .amr import (PenmanParseError, compute_stats, iter_blocks, parse_block, parse_penman,
-                  serialize_penman, validate)
+from .amr import (GraphTooDeepError, PenmanParseError, compute_stats, iter_blocks, parse_block,
+                  parse_penman, serialize_penman, validate)
 from .encoders import INPUT_REPRS, KINDS, EncoderConfig
 from .evaluation import (
     DEPENDENCY_BUCKETS,
@@ -128,11 +128,14 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationP
                       log=lambda m: None):
     """Parse, transform and serialize a PENMAN corpus into JSONL records.
 
+    A block that does not parse, a graph that is invalid and one too deep to
+    traverse are skipped, each with one logged line. With none left, the
+    DataError names the first one skipped instead.
+
     Returns (records, skipped count, stats list).
     """
     files = _collect_penman_files(input_path)
-    examples = []
-    skipped = 0
+    examples, skips = [], []  # skips: why each block left out was left out
     counter = 0
     for path in files:
         with _text_input(path) as handle:
@@ -142,17 +145,23 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationP
             try:
                 example = parse_block(block, default_id=f"example-{counter}")
             except PenmanParseError as err:
-                log(f"skipping malformed block {counter}: {err}")
-                skipped += 1
+                skips.append(f"malformed block {counter}: {err}")
                 continue
             problems = validate(example.graph)
             if problems:
-                log(f"skipping invalid graph {example.id}: {problems[0].detail}")
-                skipped += 1
+                skips.append(f"invalid graph {example.id}: {problems[0].detail}")
+                continue
+            try:  # the traversal that every record reads, before any label counts
+                linearize(example.graph)
+            except GraphTooDeepError as err:
+                skips.append(f"graph {example.id}: {err}")
                 continue
             examples.append(example)
     if not examples:
-        raise DataError(f"no parseable examples in {input_path!r}")
+        first = f"; skipped {len(skips)}, the first: {skips[0]}" if skips else ""
+        raise DataError(f"no parseable examples in {input_path!r}{first}")
+    for reason in skips:
+        log(f"skipping {reason}")
 
     policy = None
     if anonymize_flag:
@@ -180,7 +189,7 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationP
                 "stats": stats.to_dict(),
             }
         )
-    return records, skipped, stats_list
+    return records, len(skips), stats_list
 
 
 def _jsonl_records(path):
@@ -215,14 +224,14 @@ def load_examples(jsonl_path):
                 for m in anon_map)):
             raise DataError(f"{jsonl_path}:{line_no}: anon_map must be a list of string pairs")
         try:
-            graph = parse_penman(record["penman"])
-        except PenmanParseError as err:
+            example = prepare_example(parse_penman(record["penman"]))
+        except (PenmanParseError, GraphTooDeepError) as err:
             raise DataError(f"{jsonl_path}:{line_no}: {err}") from None
         sentence, anon_map = tuple(sentence), tuple(tuple(m) for m in anon_map)
         examples.append(
             TrainExample(
                 id=record["id"],
-                repr=prepare_example(graph),
+                repr=example,
                 target=tuple(anonymize_sentence(sentence, anon_map)),
                 reference=sentence,
                 anon_map=anon_map,

@@ -15,6 +15,7 @@ stay aligned.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .amr import AmrGraph
+from .amr import AmrGraph, GraphTooDeepError
 
 
 @dataclass(frozen=True)
@@ -232,61 +233,82 @@ class TokenSequence:
         return len(self.tokens)
 
 
+class _Traversal:
+    """The lists and dicts that one canonical traversal fills in.
+
+    visit recurses as a method. Do not make it a nested function that calls
+    itself: the function would hold itself in its closure cell, a cycle that
+    keeps all of the walk's lists and dicts alive until the cyclic collector
+    runs, instead of freeing them when the walk returns."""
+
+    def __init__(self, graph: AmrGraph):
+        self.labels, self.edges, self.out = graph.labels(), graph.edges, graph.out_index
+        self.tokens, self.alignment, self.pos_tree = [], [], []
+        self.tree_nodes, self.tree_edges, self.copy_of, self.edge_origin = [], [], [], []
+        self.first_pos, self.edge_pos = {}, {}
+        self.path = set()  # the current root path, for cycle breaking
+        self.copies = {}  # node id -> tree copies made so far
+
+    def visit(self, nid, emit):
+        """Add a tree copy of nid, and its concept token if emit, then the
+        copies below it unless nid is on the root path; returns the copy's id."""
+        count = self.copies.get(nid, 0)
+        self.copies[nid] = count + 1
+        tid = nid if count == 0 else f"{nid}#{count}"
+        label, tokens, tree_nodes = self.labels[nid], self.tokens, self.tree_nodes
+        tree_nodes.append((tid, label))
+        self.copy_of.append((tid, nid))
+        emit_children = False
+        if emit:
+            if nid not in self.first_pos:
+                self.first_pos[nid] = len(tokens)
+                emit_children = True
+            tokens.append(label)
+            self.alignment.append(("node", nid))
+            self.pos_tree.append(len(tree_nodes) - 1)
+        path = self.path
+        if nid not in path:
+            path.add(nid)
+            edges, tree_edges = self.edges, self.tree_edges
+            for eidx in self.out.get(nid, ()):
+                _, rel, child = edges[eidx]
+                slot = len(tree_edges)
+                tree_edges.append(None)
+                self.edge_origin.append(eidx)
+                if emit_children:
+                    self.edge_pos[eidx] = len(tokens)
+                    tokens.append(rel)
+                    self.alignment.append(("edge", eidx))
+                    self.pos_tree.append(slot)
+                tree_edges[slot] = (tid, rel, self.visit(child, emit_children))
+            path.discard(nid)
+        return tid
+
+
 def _traverse(graph: AmrGraph):
     """The canonical depth-first traversal, which AmrGraph.traversal runs once
     per graph object: (sequence, tree, pos_tree, first_pos, edge_pos), where
     pos_tree holds per position its tree node index, or its tree edge index
     for a relation token, first_pos maps each node id to the position of its
     first mention, in mention order, and edge_pos each edge index to the
-    position of its relation token."""
-    labels, edges, out = graph.labels(), graph.edges, graph.out_index
-    tokens, alignment = [], []
-    tree_nodes, tree_edges, copy_of, edge_origin = [], [], [], []
-    pos_tree = []
-    first_pos, edge_pos = {}, {}
-    path = set()  # the current root path, for cycle breaking
-    copies = {}  # node id -> tree copies made so far
-
-    def rec(nid, emit):
-        count = copies.get(nid, 0)
-        copies[nid] = count + 1
-        tid = nid if count == 0 else f"{nid}#{count}"
-        tree_nodes.append((tid, labels[nid]))
-        copy_of.append((tid, nid))
-        emit_children = False
-        if emit:
-            if nid not in first_pos:
-                first_pos[nid] = len(tokens)
-                emit_children = True
-            tokens.append(labels[nid])
-            alignment.append(("node", nid))
-            pos_tree.append(len(tree_nodes) - 1)
-        if nid not in path:
-            path.add(nid)
-            for eidx in out.get(nid, ()):
-                _, rel, child = edges[eidx]
-                slot = len(tree_edges)
-                tree_edges.append(None)
-                edge_origin.append(eidx)
-                if emit_children:
-                    edge_pos[eidx] = len(tokens)
-                    tokens.append(rel)
-                    alignment.append(("edge", eidx))
-                    pos_tree.append(slot)
-                tree_edges[slot] = (tid, rel, rec(child, emit_children))
-            path.discard(nid)
-        return tid
-
-    root_tid = rec(graph.root, True)
-    sequence = TokenSequence(tokens=tuple(tokens), alignment=tuple(alignment))
+    position of its relation token. A GraphTooDeepError if a path from the
+    root is longer than the interpreter's recursion limit allows."""
+    walk = _Traversal(graph)
+    try:
+        root_tid = walk.visit(graph.root, True)
+    except RecursionError:
+        raise GraphTooDeepError(
+            "graph too deep to traverse: a path from its root is longer than the "
+            f"recursion limit ({sys.getrecursionlimit()}) allows") from None
+    sequence = TokenSequence(tokens=tuple(walk.tokens), alignment=tuple(walk.alignment))
     tree = AmrTree(
-        nodes=tuple(tree_nodes),
-        edges=tuple(tree_edges),
+        nodes=tuple(walk.tree_nodes),
+        edges=tuple(walk.tree_edges),
         root=root_tid,
-        copy_of=tuple(copy_of),
-        edge_origin=tuple(edge_origin),
+        copy_of=tuple(walk.copy_of),
+        edge_origin=tuple(walk.edge_origin),
     )
-    return sequence, tree, tuple(pos_tree), first_pos, edge_pos
+    return sequence, tree, tuple(walk.pos_tree), walk.first_pos, walk.edge_pos
 
 
 def linearize(graph: AmrGraph) -> TokenSequence:

@@ -1,11 +1,16 @@
 """Shared fixtures and oracle helpers for the test suite."""
 import importlib.resources as resources
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amrgen
+import bit_digests
 from amrgen import amr, tensor as T, transforms
 from amrgen.decoder import EncoderRows, initial_state
 from amrgen.encoders import GcnEncoder, StackEncoder
@@ -17,6 +22,43 @@ FIGURE_GRAPH = (
     "(e / eat-01 :arg0 (h / he) :arg1 (p / pizza) "
     ":instrument (f / finger :part-of h))"
 )
+
+
+# --------------------------------------------------------------------------
+# The pinned digests: tools/bit_digests.py run in a process of its own
+
+_DIGEST_RUN = pytest.StashKey()
+
+
+def start_digest_run():
+    """tools/bit_digests.py at one BLAS thread, printing the lines that
+    golden/bit_digests.txt pins."""
+    tool = Path(bit_digests.__file__)
+    path = [str(Path(amrgen.__file__).parent.parent), str(tool.parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.Popen([sys.executable, str(tool)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def pytest_collection_finish(session):
+    """Start the digest run once the tests are chosen, if one of them reads
+    it: the run takes several seconds of one core, and beside the other tests
+    it adds little to the suite's wall time."""
+    if any("digest_run" in getattr(item, "fixturenames", ()) for item in session.items):
+        session.config.stash[_DIGEST_RUN] = start_digest_run()
+
+
+def pytest_sessionfinish(session):
+    run = session.config.stash.get(_DIGEST_RUN, None)
+    if run is not None and run.poll() is None:  # the session ended before its test
+        run.kill()
+        run.communicate()
+
+
+@pytest.fixture
+def digest_run(request):
+    """The session's digest run, or a new one."""
+    return request.config.stash.get(_DIGEST_RUN, None) or start_digest_run()
 
 
 @pytest.fixture(scope="session")

@@ -332,3 +332,12 @@ def test_toy_corpus_loads(toy_corpus):
     assert all(not validate(ex.graph) for ex in toy_corpus)
     ids = [ex.id for ex in toy_corpus]
     assert len(set(ids)) == 60
+
+
+def test_round_trip_nesting_past_the_recursion_limit():
+    # parsing and serializing walk with a stack of their own, at any depth
+    depth = 5000
+    text = "".join(f"(a{i} / x :arg0 " for i in range(depth)) + "(z / y)" + ")" * depth
+    g = parse_penman(text)
+    assert g.node_count == depth + 1 and g.edge_count == depth
+    assert serialize_penman(g) == text

@@ -339,6 +339,65 @@ def test_unparsable_penman_names_its_file_and_line(command, small_jsonl, tmp_pat
     assert len(err) == 1 and err[0].startswith(f"data error: {bad}:2: unbalanced parentheses"), err
 
 
+# Graphs too deep for the canonical traversal, which recurses once per node
+# along a path from the root: 5000 is far past the recursion limit, wherever
+# the walk starts.
+DEEP = 5000
+
+
+def nested_penman(depth):
+    """A chain of depth + 1 nodes, each nested in the one before."""
+    return "".join(f"(a{i} / x :arg0 " for i in range(depth)) + "(z / y)" + ")" * depth
+
+
+def remention_penman(length):
+    """A graph nested two deep whose re-mentions form a path of length nodes:
+    each a_i re-mentions a_(i-1)."""
+    children = " ".join(f":arg{i} (a{i} / x :arg0 a{i - 1})" for i in range(1, length))
+    return f"(r / x :arg0 (a0 / x) {children})"
+
+
+@pytest.mark.parametrize("penman", [nested_penman(DEEP), remention_penman(DEEP)],
+                         ids=["nested", "remention-path"])
+def test_graph_too_deep_to_traverse_names_its_file_and_line(penman, tmp_path, capsys):
+    data = tmp_path / "deep.jsonl"
+    good = json.dumps({"id": "x-1", "penman": PENMAN, "sentence": ["the", "boy", "sleeps"]})
+    data.write_text(good + "\n" + json.dumps({"id": "x-2", "penman": penman}) + "\n")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the boy sleeps\nthe boy sleeps\n")
+    assert main(["evaluate", "--data", str(data), "--hyp", str(hyp)]) == EXIT_DATA
+    assert_one_line_error(capsys, f"data error: {data}:2: graph too deep to traverse")
+
+
+DEEP_BLOCK = f"# ::id deep-1\n# ::snt deep\n{nested_penman(DEEP)}\n"
+
+
+@pytest.mark.parametrize("block, reason", [(BAD_BLOCK, "malformed block 1: unbalanced"),
+                                           (DEEP_BLOCK, "graph deep-1: graph too deep")],
+                         ids=["malformed", "too-deep"])
+def test_preprocess_with_every_block_skipped_is_one_line_data_error(block, reason, tmp_path,
+                                                                   capsys):
+    src, out = tmp_path / "bad.amr", tmp_path / "bad.jsonl"
+    src.write_text(block)
+    assert main(["preprocess", "--input", str(src), "--out", str(out)]) == EXIT_DATA
+    assert_one_line_error(capsys, f"data error: no parseable examples in {str(src)!r}; "
+                                  f"skipped 1, the first: {reason}")
+    assert not out.exists()
+
+
+def test_preprocess_skips_a_graph_too_deep_to_traverse(tmp_path, capsys):
+    src, out = tmp_path / "mixed.amr", tmp_path / "mixed.jsonl"
+    src.write_text(GOOD_BLOCK + "\n" + DEEP_BLOCK + "\n"
+                   + "# ::id ok-2\n# ::snt a dog runs\n(r / run-02 :arg0 (d / dog))\n")
+    assert main(["preprocess", "--input", str(src), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("skipping graph deep-1: graph too deep"), err
+    assert "wrote 2 examples (1 skipped)" in captured.out
+    assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok-1", "ok-2"]
+    assert json.loads((tmp_path / "mixed.stats.json").read_text())["skipped"] == 1
+
+
 def test_parser_defaults_are_the_dataclass_defaults():
     args = build_parser().parse_args(["train", "--data", "x", "--out", "y"])
     config, settings = EncoderConfig(), TrainSettings()

@@ -9,6 +9,7 @@ Oracle notes:
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrgen import amr, transforms
@@ -367,3 +368,12 @@ def test_one_traversal_per_graph_object(monkeypatch):
     # the result lives on the graph object: an equal graph parsed again traverses again
     assert amr.compute_stats(parse_penman(text)) == stats
     assert len(traversed) == 2
+
+
+def test_traversal_past_the_recursion_limit_is_graph_too_deep_error():
+    depth = 5000
+    g = parse_penman("".join(f"(a{i} / x :arg0 " for i in range(depth)) + "(z / y)"
+                     + ")" * depth)
+    for derive in (linearize, to_tree, prepare_example, amr.compute_stats):
+        with pytest.raises(amr.GraphTooDeepError, match="graph too deep to traverse"):
+            derive(g)

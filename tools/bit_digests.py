@@ -16,16 +16,20 @@ It prints:
   for four stackings: the epochs run and the dev BLEU at each evaluation.
 """
 import argparse
+import glob
 import hashlib
+import json
 import os
 import tempfile
 from importlib import resources
 
-from amrgen import amr, transforms
+from amrgen import amr, cli, transforms
 from amrgen.encoders import KINDS, EncoderConfig
 from amrgen.seq2seq import Seq2SeqModel, TrainExample, TrainSettings, build_vocabs, train, write_log
 from amrgen.vocab import EOS
 
+TOY_CORPUS = resources.files("amrgen") / "data" / "toy_corpus.txt"
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "golden")
 DECODE_KINDS = ("Seq", "GCNSeq", "TreeLSTMSeq", "GCN")
 BEAMS = (1, 2, 3, 5, 6)
 # criterion 6's fixture, which tests/test_acceptance.py imports: its seed,
@@ -41,10 +45,9 @@ def memorize_config(kind):
 
 def toy_examples():
     """The 60 toy graphs as training examples, their sentences the targets."""
-    text = (resources.files("amrgen") / "data" / "toy_corpus.txt").read_text()
     return [TrainExample(id=ex.id, repr=transforms.prepare_example(ex.graph),
                          target=tuple(ex.sentence), reference=tuple(ex.sentence))
-            for ex in amr.read_corpus_text(text)]
+            for ex in amr.read_corpus_text(TOY_CORPUS.read_text())]
 
 
 def _sha256(path):
@@ -84,6 +87,33 @@ def decode_digest(examples, kinds=DECODE_KINDS):
     return digest.hexdigest()
 
 
+def corpus_digest():
+    """One sha256 over the anonymized preprocess records of the toy corpus,
+    in sorted-key JSON, and over the derived artifacts and the PENMAN text of
+    every toy and golden graph."""
+    digest = hashlib.sha256()
+    with resources.as_file(TOY_CORPUS) as path:
+        records, _, _ = cli.preprocess_corpus(str(path), anonymize_flag=True)
+    for record in records:
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    graphs = [ex.graph for ex in amr.read_corpus_text(TOY_CORPUS.read_text())]
+    for path in sorted(glob.glob(os.path.join(GOLDEN, "*.amr"))):
+        with open(path, encoding="utf-8") as handle:
+            graphs.append(amr.parse_penman(handle.read()))
+    for graph in graphs:
+        example = transforms.prepare_example(graph)
+        sequence, tree = example.sequence, example.tree
+        parts = [sequence.tokens, sequence.alignment,
+                 tree.nodes, tree.edges, tree.root, tree.copy_of, tree.edge_origin]
+        for key in ("graph", "tree"):
+            aligned = example.structures[key]
+            parts += [aligned.levi.nodes, aligned.levi.edges, aligned.levi.root,
+                      aligned.pos_to_node, aligned.init_pos]
+        parts.append(amr.serialize_penman(graph))
+        digest.update(repr(parts).encode())
+    return digest.hexdigest()
+
+
 def memorize(kind, examples):
     """Criterion 6's run for kind: the epochs run and (epoch, dev BLEU) at
     each evaluation."""
@@ -106,6 +136,7 @@ def main(argv=None):
             print(f"train {kind:<12} batch {batch_size}: checkpoint {checkpoint[:16]} "
                   f"log {log[:16]} loss {loss!r}", flush=True)
     print(f"decode {decode_digest(examples)}", flush=True)
+    print(f"corpus {corpus_digest()}", flush=True)
     if args.memorize:
         for kind in DECODE_KINDS:
             epochs, evaluations = memorize(kind, examples[:10])
