@@ -484,6 +484,8 @@ def load_pairs(path):
             )
         except (KeyError, ValueError) as err:
             raise DataError(f"{path}:{line_no}: bad contrastive pair ({err})") from None
+    if not pairs:
+        raise DataError(f"no contrastive pairs in {path!r}")
     return pairs
 
 
@@ -491,6 +493,9 @@ def cmd_contrastive(args):
     model = _load_model(args.ckpt)
     examples = {ex.id: ex for ex in load_examples(args.data)}
     pairs = load_pairs(args.pairs)
+    if not any(pair.id in examples for pair in pairs):
+        raise DataError(f"no contrastive pair in {args.pairs!r} names an example in "
+                        f"{args.data!r}")
     results, skipped = contrastive_eval(model.score_sentence, pairs, examples.get)
     report = {
         category: {"count": r.count, "accuracy": round(r.accuracy, 2)}

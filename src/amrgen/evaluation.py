@@ -223,20 +223,27 @@ def contrastive_eval(score_fn, pairs, example_lookup):
     """Accuracy per category: a win needs the reference strictly more
     probable than the contrastive sentence; ties count as losses.
 
-    score_fn(example, tokens) -> total log-probability.
+    score_fn(example, tokens) -> total log-probability. The pairs are scored
+    grouped by example id, in the order of each id's first appearance, and
+    each pair's reference before its contrastive sentence, so that a scorer
+    that keeps its last example's encoding encodes each example once.
     Returns (per-category CategoryResult, skipped count).
     """
     counts = {c: 0 for c in CATEGORIES}
     wins = {c: 0 for c in CATEGORIES}
     skipped = 0
+    by_id = {}
     for pair in pairs:
-        example = example_lookup(pair.id)
+        by_id.setdefault(pair.id, []).append(pair)
+    for pair_id, group in by_id.items():
+        example = example_lookup(pair_id)
         if example is None:
-            skipped += 1
+            skipped += len(group)
             continue
-        counts[pair.category] += 1
-        if score_fn(example, pair.reference) > score_fn(example, pair.contrastive):
-            wins[pair.category] += 1
+        for pair in group:
+            counts[pair.category] += 1
+            if score_fn(example, pair.reference) > score_fn(example, pair.contrastive):
+                wins[pair.category] += 1
     results = {c: CategoryResult(count=counts[c], wins=wins[c]) for c in CATEGORIES}
     return results, skipped
 

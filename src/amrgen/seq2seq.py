@@ -83,6 +83,7 @@ class Seq2SeqModel:
         self.b_o = store.zeros("b_o", (1, h))
         self.W_v = store.uniform("W_v", (h, len(tgt_vocab)))
         self.b_v = store.zeros("b_v", (1, len(tgt_vocab)))
+        self._last = (None, None, None)  # see _encoded
 
     def params(self) -> dict:
         return self.store.params
@@ -91,21 +92,33 @@ class Seq2SeqModel:
 
     def _encode(self, examples, rng=None):
         """The examples' encoder rows, one example after another, their
-        projection by W_a, and each example's row count."""
+        projection by W_a, each example's row count and the decoder's first
+        states."""
         enc = self.encoder.encode([ex.repr for ex in examples], rng)
-        return enc, T.matmul(enc, self.W_a), [len(ex.repr.sequence) for ex in examples]
+        sizes = [len(ex.repr.sequence) for ex in examples]
+        return (enc, T.matmul(enc, self.W_a), sizes,
+                initial_state(enc, sizes, self.W_init, self.b_init))
 
-    def _teacher_forced(self, examples, token_lists, rng=None):
+    def _encoded(self, ex: TrainExample):
+        """`_encode([ex])` without dropout, for decoding and scoring. The
+        model keeps the last one, keyed on the ExampleRepr object itself,
+        which the entry holds so that its identity cannot be reused, and on
+        `store.updates`: encoding another example replaces it, and an
+        `sgd_step` makes it stale."""
+        held, updates, encoding = self._last
+        if held is not ex.repr or updates != self.store.updates:
+            encoding = self._encode([ex])
+            self._last = (ex.repr, self.store.updates, encoding)
+        return encoding
+
+    def _teacher_forced(self, encoding, token_lists):
         """The output layer's input rows [s ; ctx] of each example's tokens +
         EOS, one example after another, and the target ids of each, feeding
-        the reference token back in at every step. The encoder, the first
-        decoder state and the recurrence each run once over the batch;
-        dropout draws from rng in the order of encoding the examples one by
-        one."""
+        the reference token back in at every step, from the examples'
+        `_encode`. The recurrence runs once over the batch."""
         bos, eos = self.tgt_vocab.index(BOS), self.tgt_vocab.index(EOS)
         targets = [self.tgt_vocab.indices(tokens) + [eos] for tokens in token_lists]
-        enc, enc_proj, sizes = self._encode(examples, rng)
-        s0 = initial_state(enc, sizes, self.W_init, self.b_init)
+        enc, enc_proj, sizes, s0 = encoding
         rows = decoder_batch(
             [[bos] + ids[:-1] for ids in targets], s0, enc, enc_proj, sizes, self.tgt_embedding,
             self.cell.W, self.cell.U, self.cell.b, self.U_a, self.b_a, self.v_a)
@@ -113,8 +126,11 @@ class Seq2SeqModel:
 
     def batch_loss(self, examples, rng=None) -> Tensor:
         """The sum over the examples, in order, of each one's mean token
-        negative log-likelihood of its target, teacher-forced."""
-        rows, targets = self._teacher_forced(examples, [ex.target for ex in examples], rng)
+        negative log-likelihood of its target, teacher-forced. The encoder
+        and the first decoder state run once over the batch; dropout draws
+        from rng in the order of encoding the examples one by one."""
+        rows, targets = self._teacher_forced(self._encode(examples, rng),
+                                             [ex.target for ex in examples])
         return output_nll(rows, [i for ids in targets for i in ids], list(map(len, targets)),
                           self.W_o, self.b_o, self.W_v, self.b_v)
 
@@ -124,7 +140,7 @@ class Seq2SeqModel:
 
     def score_sentence(self, ex: TrainExample, tokens) -> float:
         """Total log-probability of the token sequence (EOS included)."""
-        rows, (targets,) = self._teacher_forced([ex], [tokens])
+        rows, (targets,) = self._teacher_forced(self._encoded(ex), [tokens])
         log_probs = output_rows(rows.data, self.W_o.data, self.b_o.data, self.W_v.data,
                                 self.b_v.data)
         return float(log_probs[np.arange(len(targets)), targets].sum())
@@ -162,12 +178,12 @@ class Seq2SeqModel:
             max_len = 2 * len(ex.repr.sequence) + 10
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
-        enc, enc_proj, sizes = self._encode([ex])
+        enc, enc_proj, sizes, s0 = self._encoded(ex)
         ranks = beam + 1 if beam > 1 else 1  # a row per live path at most
         att = EncoderRows(enc.data, enc_proj.data, sizes * ranks, [0] * ranks)
         eos = self.tgt_vocab.index(EOS)
         zero = np.zeros((1, self.config.hidden_dim))
-        state = [zero, initial_state(enc, sizes, self.W_init, self.b_init).data, zero]
+        state = [zero, s0.data, zero]
         # a path: (BOS + token ids, log-prob); a hypothesis adds the row of
         # state that holds its (ctx, s, c) before its last id, and the greedy
         # path's is row 0

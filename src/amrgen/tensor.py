@@ -807,6 +807,11 @@ class ParamStore:
     grad, and each parameter's data and grad become views into them, so an
     SGD step, clipping and clearing are operations on two vectors. Only
     training packs: a model that only decodes needs no gradient storage.
+
+    Parameters change through `sgd_step`, which counts its steps in
+    `updates`; a model keys what it keeps of a decoded example on that
+    count. Code that writes a parameter's data directly after the model has
+    decoded or scored must build a new model from the changed arrays.
     """
 
     def __init__(self, rng, arrays=None):
@@ -815,6 +820,7 @@ class ParamStore:
         self.params = {}
         self.theta = None
         self.grad = None
+        self.updates = 0  # sgd_step calls
 
     def uniform(self, name: str, shape) -> Tensor:
         return self._add(name, shape, lambda: self.rng.uniform(-0.1, 0.1, size=shape))
@@ -854,11 +860,15 @@ class ParamStore:
 
 
 def sgd_step(store: ParamStore, lr: float) -> None:
-    """theta <- theta - lr * grad on a packed store; the gradient is cleared.
-    The gradient is scaled in place, so no temporary of its size is made."""
+    """theta <- theta - lr * grad on a packed store; the gradient is cleared
+    and store.updates counts the step. This is the one way parameters
+    change: code that writes a parameter's data directly after decoding
+    must build a new model. The gradient is scaled in place, so no
+    temporary of its size is made."""
     store.grad *= lr
     store.theta -= store.grad
     store.grad.fill(0.0)
+    store.updates += 1
 
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:

@@ -204,7 +204,7 @@ def build_sequence_vocab(example) -> Vocab:
 def reference_beam_decode(model, ex, beam, max_len):
     """beam_decode without its early stop or batching: every prefix stepped
     alone for all max_len steps, one argsort per hypothesis."""
-    enc, enc_proj, sizes = model._encode([ex])
+    enc, enc_proj, sizes = model._encode([ex])[:3]
     att = EncoderRows(enc.data, enc_proj.data, sizes, [0])
     eos = model.tgt_vocab.index(EOS)
     zero = np.zeros((1, enc.shape[1]))

@@ -785,6 +785,28 @@ def test_contrastive_pair_id_not_a_string_is_data_error(pair_id, trained, small_
     assert len(err) == 1 and err[0].startswith("data error:") and "string id" in err[0], err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "no contrastive pairs in"),
+    ("\n  \n\t\n", "no contrastive pairs in"),
+    (json.dumps({"id": "elsewhere-1", "reference": ["a"], "contrastive": ["b"],
+                 "category": "number"}) + "\n", "no contrastive pair in"),
+], ids=["empty", "blank lines", "every pair skipped"])
+def test_contrastive_without_a_pair_to_score_is_data_error(text, message, trained, small_jsonl,
+                                                           tmp_path, capsys):
+    # before, each of these printed four categories of count 0 and exited 0
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(text)
+    capsys.readouterr()
+    code = main(
+        ["contrastive", "--ckpt", str(trained), "--data", str(small_jsonl), "--pairs", str(pairs)]
+    )
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, captured
+    assert err[0].startswith(f"data error: {message}"), err
+
+
 # --------------------------------------------------------------------------
 # unreadable paths
 

@@ -320,6 +320,55 @@ def test_contrastive_eval_skips_unknown_examples():
     assert results["gender"].count == 0
 
 
+def test_contrastive_eval_scores_each_example_s_pairs_together():
+    pairs = [
+        _pair("gender", ["a1"], ["b1"], pid="a"),
+        _pair("number", ["x1"], ["y1"], pid="b"),
+        _pair("number", ["a2"], ["b2"], pid="a"),
+        _pair("gender", ["m1"], ["n1"], pid="missing"),
+        _pair("antecedent", ["z1"], ["w1"], pid="c"),
+        _pair("gender", ["x2"], ["y2"], pid="b"),
+        _pair("gender", ["a3"], ["b3"], pid="a"),
+    ]
+    calls, looked_up = [], []
+
+    def lookup(pid):
+        looked_up.append(pid)
+        return None if pid == "missing" else pid.upper()
+
+    results, skipped = contrastive_eval(
+        lambda ex, toks: calls.append((ex, toks[0])) or 0.0, pairs, lookup)
+    assert calls == [("A", "a1"), ("A", "b1"), ("A", "a2"), ("A", "b2"), ("A", "a3"), ("A", "b3"),
+                     ("B", "x1"), ("B", "y1"), ("B", "x2"), ("B", "y2"),
+                     ("C", "z1"), ("C", "w1")]
+    assert looked_up == ["a", "b", "missing", "c"]
+    assert skipped == 1
+    assert [results[c].count for c in CATEGORIES] == [1, 0, 2, 3]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    pairs=st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from(CATEGORIES),
+                             st.integers(0, 3), st.integers(0, 3)).filter(lambda t: t[2] != t[3]),
+                   max_size=12),
+    data=st.data(),
+)
+def test_contrastive_eval_does_not_depend_on_the_pairs_order(pairs, data):
+    # ids "d" are unknown; scores come from a fixed table, so ties occur
+    scores = {("a", 0): -1.0, ("a", 1): -2.0, ("a", 2): -1.0, ("a", 3): -0.5,
+              ("b", 0): -3.0, ("b", 1): -3.0, ("b", 2): -0.1, ("b", 3): -4.0,
+              ("c", 0): -0.2, ("c", 1): -0.3, ("c", 2): -0.2, ("c", 3): -9.0}
+    pairs = [_pair(category, [f"w{ref}"], [f"w{alt}"], pid=pid)
+             for pid, category, ref, alt in pairs]
+    shuffled = data.draw(st.permutations(pairs))
+
+    def run(order):
+        return contrastive_eval(lambda ex, toks: scores[ex, int(toks[0][1:])], order,
+                                lambda pid: None if pid == "d" else pid)
+
+    assert run(shuffled) == run(pairs)
+
+
 def test_categories_partition():
     assert CATEGORIES == ("antecedent", "pronoun_type", "number", "gender")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from amrgen import tensor as T, transforms
 from amrgen.encoders import KINDS, EncoderConfig, StackEncoder
+from amrgen.evaluation import ContrastivePair, contrastive_eval
 from amrgen.seq2seq import (
     Checkpoint,
     NumericError,
@@ -133,6 +134,98 @@ def test_score_conditions_on_source(small_model, toy10):
     s1 = small_model.score_sentence(toy10[0], toy10[0].target)
     s2 = small_model.score_sentence(toy10[1], toy10[0].target)
     assert s1 != s2
+
+
+# --------------------------------------------------------------------------
+# The encoding a model keeps of the last example it decoded or scored
+
+DECODE_KINDS = ("Seq", "GCNSeq", "TreeLSTMSeq", "GCN")
+
+
+def decode_model(toy10, kind, seed=0):
+    src, tgt = build_vocabs(toy10, unk_threshold=1)
+    return Seq2SeqModel(EncoderConfig(kind=kind, embedding_dim=8, hidden_dim=8), src, tgt,
+                        seed=seed)
+
+
+def test_contrastive_eval_encodes_each_example_once(toy10, monkeypatch):
+    model = decode_model(toy10, "Seq")
+    examples = toy10[:3]
+    # three rounds over the examples, so that consecutive pairs never share an id
+    pairs = [ContrastivePair(id=ex.id, reference=ex.target, contrastive=ex.target + (word,),
+                             category=category)
+             for word, category in (("the", "number"), ("a", "gender"), ("it", "antecedent"))
+             for ex in examples]
+    calls = counted_encodes(monkeypatch)
+    _, skipped = contrastive_eval(model.score_sentence, pairs, {ex.id: ex for ex in toy10}.get)
+    assert skipped == 0
+    assert len(calls) == len(examples)  # one per sentence, 2 * len(pairs), before
+
+
+def test_the_kept_encoding_serves_decoding_then_scoring(toy10, monkeypatch):
+    model = decode_model(toy10, "TreeLSTMSeq")
+    calls = counted_encodes(monkeypatch)
+    tokens, _, _ = model.beam_decode(toy10[0], beam=3)
+    model.score_sentence(toy10[0], tokens)
+    assert len(calls) == 1
+
+
+def test_the_model_keeps_one_example(toy10, monkeypatch):
+    model = decode_model(toy10, "GCNSeq")
+    calls = counted_encodes(monkeypatch)
+    for ex in (toy10[0], toy10[1], toy10[0]):
+        model.greedy_decode(ex)
+    assert len(calls) == 3
+
+
+def test_batch_loss_neither_reads_nor_replaces_the_kept_encoding(toy10, monkeypatch):
+    model = decode_model(toy10, "Seq")
+    calls = counted_encodes(monkeypatch)
+    ex = toy10[0]
+    score = model.score_sentence(ex, ex.target)
+    with T.Tape() as tape:
+        T.backward(tape, model.batch_loss([ex, toy10[1]], np.random.default_rng(0)))
+    assert len(calls) == 2
+    assert model.score_sentence(ex, ex.target) == score
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", DECODE_KINDS)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(calls=st.lists(st.tuples(st.sampled_from(["score", "decode"]), st.integers(0, 3),
+                                st.integers(0, 3), st.integers(1, 6), st.sampled_from([None, 3])),
+                      min_size=1, max_size=8))
+def test_a_kept_encoding_gives_the_bits_of_a_fresh_model(toy10, kind, calls):
+    """Every call on one model returns what the same call returns on a
+    model built afresh, which encodes its example itself."""
+    model = decode_model(toy10, kind)
+
+    def run(on, op, index, other, beam, max_len):
+        ex = toy10[index]
+        if op == "score":  # the example's own target or another example's
+            return float(on.score_sentence(ex, toy10[other].target)).hex()
+        tokens, log_prob, truncated = on.beam_decode(ex, beam=beam, max_len=max_len)
+        return tokens, float(log_prob).hex(), truncated
+
+    for call in calls:
+        assert run(model, *call) == run(decode_model(toy10, kind), *call), call
+
+
+def test_an_sgd_step_makes_the_kept_encoding_stale(toy10):
+    model = decode_model(toy10, "GCNSeq")
+    store = model.store
+    store.pack()
+    ex = toy10[0]
+    before = model.score_sentence(ex, ex.target)
+    with T.Tape() as tape:
+        T.backward(tape, model.batch_loss([ex]))
+    assert np.any(store.grad != 0.0)
+    T.sgd_step(store, 0.5)
+    rebuilt = Seq2SeqModel(model.config, model.src_vocab, model.tgt_vocab,
+                           arrays=store.views(store.theta))
+    after = model.score_sentence(ex, ex.target)
+    assert after == rebuilt.score_sentence(ex, ex.target)
+    assert after != before
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +375,8 @@ def test_truncated_means_the_result_hit_max_len(beam, small_model, toy10):
             assert truncated == (len(tokens) == max_len), (ex.id, max_len, tokens)
 
 
-def test_beam_encodes_once(small_model, toy10, monkeypatch):
+def counted_encodes(monkeypatch):
+    """A list that grows by one at each StackEncoder.encode call."""
     calls = []
     encode = StackEncoder.encode
 
@@ -291,7 +385,12 @@ def test_beam_encodes_once(small_model, toy10, monkeypatch):
         return encode(self, *args, **kwargs)
 
     monkeypatch.setattr(StackEncoder, "encode", counting)
-    small_model.beam_decode(toy10[0], beam=4)
+    return calls
+
+
+def test_beam_encodes_once(toy10, monkeypatch):
+    calls = counted_encodes(monkeypatch)
+    decode_model(toy10, "Seq").beam_decode(toy10[0], beam=4)
     assert len(calls) == 1
 
 
