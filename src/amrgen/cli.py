@@ -443,7 +443,7 @@ def _bucket_edges(spec):
 
 
 def cmd_analyze(args):
-    edges = _bucket_edges(args.buckets) if args.buckets else None
+    edges = None if args.buckets is None else _bucket_edges(args.buckets)
     systems = {}
     for spec in args.outputs:
         name, _, path = spec.partition("=")

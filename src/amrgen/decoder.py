@@ -27,9 +27,10 @@ class EncoderRows:
     per (rank, row), run rank after rank from `cell_starts[k]`: `rows` holds
     each cell's row of enc, `row_rank` its rank, `pad` its place in a (ranks,
     width) block and `proj` its row of enc_proj; `block` holds each rank's
-    rows of enc padded with zeros to (ranks, width, h). For one rank `rows`
-    and `pad` are slices, `proj` and `block` views, and no step reads
-    `row_rank`."""
+    rows of enc padded with zeros to (ranks, width, h). One rank is shared:
+    every row of a step attends over it, as a search's paths all attend over
+    one example's rows. Its `rows` and `pad` are slices, `proj` and `block`
+    views, and it has no `row_rank`."""
 
     def __init__(self, enc, enc_proj, sizes, starts):
         self.width = max(sizes)
@@ -56,14 +57,20 @@ class EncoderRows:
 
 def _attend(att, m, s, U_a, b_a, v_a, out=None):
     """Additive attention (Bahdanau et al. 2015) in numpy of the (m, h) rows
-    s over the first m ranks of att, an `EncoderRows`: each cell's E =
-    tanh(enc_proj + s U_a + b_a), written into out if given, and each rank's
-    softmax alpha of E v_a, padded to width with -inf scores, times its rows
-    of enc. Returns the (m, h) contexts, the (cells, h) E and the (m, width)
-    alpha, zero on the padding."""
-    r = att.cell_starts[m]
+    s over att, an `EncoderRows`: row k over rank k, or every row over the
+    one rank of a shared att. Each cell's E = tanh(enc_proj + s U_a + b_a),
+    written into out if given, and each row's softmax alpha of E v_a, padded
+    to width with -inf scores, times its rank's rows of enc. Returns the
+    (m, h) contexts, the (cells, h) E and the (m, width) alpha, zero on the
+    padding."""
     q = s @ U_a
-    e = np.add(att.proj[:r], q if m == 1 else q[att.row_rank[:r]], out=out)
+    if len(att.cell_starts) == 2:  # shared: the cells of row k are q_k + proj
+        r = m * att.width
+        cells = None if out is None else out.reshape(m, att.width, -1)
+        e = np.add(att.proj, q[:, None], out=cells).reshape(r, -1)
+    else:
+        r = att.cell_starts[m]
+        e = np.add(att.proj[:r], q if m == 1 else q[att.row_rank[:r]], out=out)
     e += b_a
     scores = np.tanh(e, out=e) @ v_a
     scores = scores.reshape(m, r // m) if r == m * att.width else att.padded(scores, m, r)
@@ -74,7 +81,7 @@ def _attend(att, m, s, U_a, b_a, v_a, out=None):
 
 
 def decoder_step(ids, ctx, s, c, att, emb, W, U, b, U_a, b_a, v_a, W_o, b_o, W_v, b_v):
-    """One step in plain numpy for m rows, row k attending over rank k of
+    """One step in plain numpy for m rows, each attending over its rank of
     att, an `EncoderRows`, from their input ids and (m, h) ctx, s and c rows,
     with `decoder_batch`'s weights and then the output layer's. Returns the
     (m, V) log-probs of the next id and the (ctx, s, c) rows after the step."""

@@ -18,19 +18,27 @@ REENTRANCY_BUCKETS = ((0, 0), (1, 5), (6, 20))
 DEPENDENCY_BUCKETS = ((0, 10), (11, 50), (51, 250))
 
 
-def _ngram_counts(tokens, max_n: int) -> Counter:
-    """Every n-gram of tokens for n = 1..max_n, as a tuple, in one Counter."""
-    return Counter(chain.from_iterable(zip(*[tokens[k:] for k in range(n)])
-                                       for n in range(1, max_n + 1)))
-
-
 def _clipped_matches(hyp, ref, max_n: int) -> list:
     """Per order n = 1..max_n, the count of hypothesis n-grams found in the
-    reference, each n-gram clipped to its count there."""
-    matches = [0] * max_n
-    hyp_counts, ref_counts = _ngram_counts(hyp, max_n), _ngram_counts(ref, max_n)
-    for gram in hyp_counts.keys() & ref_counts.keys():
-        matches[len(gram) - 1] += min(hyp_counts[gram], ref_counts[gram])
+    reference, each n-gram clipped to its count there.
+
+    One table counts the reference's n-grams of every order: unigrams as the
+    tokens themselves, longer n-grams as tuples, so no two orders share a
+    key. Each hypothesis n-gram that finds a count left in the table takes
+    one, so an n-gram matches at most as often as the reference holds it."""
+    table = Counter(ref)
+    table.update(chain.from_iterable(zip(*[ref[k:] for k in range(n)])
+                                     for n in range(2, max_n + 1)))
+    left = table.get
+    matches = []
+    for n in range(1, max_n + 1):
+        tally = 0
+        for gram in hyp if n == 1 else zip(*[hyp[k:] for k in range(n)]):
+            count = left(gram)
+            if count:
+                table[gram] = count - 1
+                tally += 1
+        matches.append(tally)
     return matches
 
 

@@ -161,11 +161,13 @@ class Seq2SeqModel:
         Each search step is one `_step` call over every distinct live prefix:
         the greedy path's first, while it is live, then the other beam
         hypotheses'. A path carries its state as a row of the previous step's
-        (ctx, s, c) arrays. With beam=1 the greedy path is the whole search
-        and steps one row at a time. With a larger beam its row takes the
-        rounding of the larger product, so the greedy path a beam carries can
-        differ from greedy_decode's in the last bits of its log-prob, and in
-        its tokens where two next ids tie to within that rounding.
+        (ctx, s, c) arrays, and every row attends over one shared rank of
+        the example's encoder rows, never a copy per path. With beam=1 the
+        greedy path is the whole search and steps one row at a time. With a
+        larger beam its row takes the rounding of the larger product, so the
+        greedy path a beam carries can differ from greedy_decode's in the
+        last bits of its log-prob, and in its tokens where two next ids tie
+        to within that rounding.
 
         The search stops once no live hypothesis can beat or tie a finished
         result: log-probs only fall and a result is divided by at most
@@ -179,8 +181,7 @@ class Seq2SeqModel:
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         enc, enc_proj, sizes, s0 = self._encoded(ex)
-        ranks = beam + 1 if beam > 1 else 1  # a row per live path at most
-        att = EncoderRows(enc.data, enc_proj.data, sizes * ranks, [0] * ranks)
+        att = EncoderRows(enc.data, enc_proj.data, sizes, [0])  # shared by every path
         eos = self.tgt_vocab.index(EOS)
         zero = np.zeros((1, self.config.hidden_dim))
         state = [zero, s0.data, zero]
@@ -205,7 +206,8 @@ class Seq2SeqModel:
                     at.append(len(rows))
                     token_ids.append(ids[-1])
                     rows.append(row)
-            state = [a[rows] for a in state]
+            if beam > 1:  # with beam=1, state is the greedy path's one row
+                state = [a[rows] for a in state]
             log_probs, *state = self._step(token_ids, *state, att)
             if live:
                 idx = int(log_probs[0].argmax())
@@ -239,8 +241,8 @@ class Seq2SeqModel:
         return [self.tgt_vocab.token(i) for i in ids], logp, truncated
 
     def _step(self, token_ids, ctx, s, c, att):
-        """`decoder.decoder_step` with the model's weights, row k of ctx, s
-        and c attending over rank k of att, a `decoder.EncoderRows`."""
+        """`decoder.decoder_step` with the model's weights, each row of ctx,
+        s and c attending over its rank of att, a `decoder.EncoderRows`."""
         weights = (self.tgt_embedding, self.cell.W, self.cell.U, self.cell.b, self.U_a, self.b_a,
                    self.v_a, self.W_o, self.b_o, self.W_v, self.b_v)
         return decoder_step(token_ids, ctx, s, c, att, *(p.data for p in weights))

@@ -673,6 +673,21 @@ def test_analyze_buckets_out_of_order_are_config_errors(spec, toy_jsonl, tmp_pat
     assert_one_line_error(capsys, f"configuration error: bad bucket spec {spec!r}")
 
 
+@pytest.mark.parametrize("through_config", [False, True])
+def test_analyze_empty_buckets_are_a_config_error(through_config, toy_jsonl, tmp_path, capsys):
+    # an empty spec names no bucket; the default edges apply only without one
+    hyp = _identity_outputs(toy_jsonl, tmp_path)
+    argv = ["analyze", "--data", str(toy_jsonl), "--outputs", f"A={hyp}"]
+    if through_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"buckets": ""}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--buckets", ""]
+    assert main(argv) == EXIT_CONFIG
+    assert_one_line_error(capsys, "configuration error: bad bucket spec ''")
+
+
 def test_analyze_repeated_system_name_is_config_error(toy_jsonl, tmp_path, capsys):
     hyp = _identity_outputs(toy_jsonl, tmp_path)
     code = main(["analyze", "--data", str(toy_jsonl), "--outputs", f"A={hyp}", f"A={hyp}"])

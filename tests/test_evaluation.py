@@ -19,6 +19,7 @@ from amrgen.evaluation import (
     REENTRANCY_BUCKETS,
     ContrastivePair,
     PronounAnnotation,
+    _clipped_matches,
     bucket_report,
     contrastive_eval,
     corpus_bleu,
@@ -171,6 +172,27 @@ def test_metrics_equal_the_per_order_reference(pairs, max_n):
     assert corpus_bleu(hyps, refs, max_n) == _reference_corpus_bleu(hyps, refs, max_n)
     for hyp, ref in pairs:
         assert sentence_metric(hyp, ref, max_n) == _reference_sentence_metric(hyp, ref, max_n)
+
+
+@st.composite
+def _repetitive_pair(draw):
+    """A hypothesis and a reference of up to 40 tokens over one alphabet of
+    1 to 30 symbols: the small alphabets repeat n-grams of every order."""
+    sentence = st.lists(st.sampled_from(range(draw(st.integers(1, 30)))).map(str), max_size=40)
+    return draw(sentence), draw(sentence)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(pair=_repetitive_pair(), max_n=st.integers(1, 5))
+def test_clipped_matches_equal_the_per_order_counts(pair, max_n):
+    hyp, ref = pair
+    want = [_order_match(hyp, ref, n) for n in range(1, max_n + 1)]
+    assert _clipped_matches(hyp, ref, max_n) == want
+
+
+def test_clipped_matches_of_an_empty_hypothesis_are_zero():
+    for ref in ([], ["a"], ["a", "a", "b", "a"]):
+        assert _clipped_matches([], ref, 5) == [0] * 5
 
 
 # --------------------------------------------------------------------------

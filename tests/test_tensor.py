@@ -1157,10 +1157,10 @@ def _step_weights(rng, vocab, d, h):
 
 def _step_inputs(rng, m, rows, vocab, d, h):
     """decoder_step's arguments after the ids: m rows' ctx, s and c, an
-    EncoderRows of m ranks that all attend over the same encoder rows, as a
-    beam search's rows do, then the weights."""
+    EncoderRows of one rank that all of them attend over, as a beam search's
+    rows do, then the weights."""
     ctx, s, c, enc, enc_proj = (_rand(rng, *shape) for shape in [(m, h)] * 3 + [(rows, h)] * 2)
-    return (ctx, s, c, D.EncoderRows(enc, enc_proj, [rows] * m, [0] * m),
+    return (ctx, s, c, D.EncoderRows(enc, enc_proj, [rows], [0]),
             *_step_weights(rng, vocab, d, h))
 
 
@@ -1178,6 +1178,23 @@ def test_decoder_step_on_stacked_rows_matches_one_row_calls(seed, m, rows, h):
         single = D.decoder_step(ids[one], ctx[one], s[one], c[one], *weights)
         for got, want in zip(stacked, single):  # log-probs, ctx, s and c
             assert np.abs(got[one] - want).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 7), rows=st.integers(1, 40),
+       h=st.integers(1, 70))
+def test_a_shared_rank_gives_the_bits_of_a_rank_per_row(seed, m, rows, h):
+    """m rows over one shared rank step to the same bits as over m ranks
+    that each copy the same encoder rows, the layout beam search used to
+    build."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 6, size=m).tolist()
+    ctx, s, c, shared, *weights = _step_inputs(rng, m, rows, 6, 3, h)
+    enc, enc_proj = shared.block[0], shared.proj
+    copied = D.EncoderRows(enc, enc_proj, [rows] * m, [0] * m)
+    for got, want in zip(D.decoder_step(ids, ctx, s, c, shared, *weights),
+                         D.decoder_step(ids, ctx, s, c, copied, *weights)):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

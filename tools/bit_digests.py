@@ -12,6 +12,9 @@ It prints:
   the default max_len and at 3) and the `score_sentence` of all 60 toy
   graphs, under untrained models of four stackings (dims 16, seed 5, +0.5
   on EOS's output bias so that hypotheses finish);
+- one sha256 over corpus BLEU at max_n 1-4 and every pair's sentence
+  metric at the same orders, as float.hex, for each toy sentence against
+  itself, against the next one and against a copy with repeated tokens;
 - with --memorize, criterion 6's memorization of the first 10 toy graphs
   for four stackings: the epochs run and the dev BLEU at each evaluation.
 """
@@ -25,6 +28,7 @@ from importlib import resources
 
 from amrgen import amr, cli, transforms
 from amrgen.encoders import KINDS, EncoderConfig
+from amrgen.evaluation import corpus_bleu, sentence_metric
 from amrgen.seq2seq import Seq2SeqModel, TrainExample, TrainSettings, build_vocabs, train, write_log
 from amrgen.vocab import EOS
 
@@ -114,6 +118,26 @@ def corpus_digest():
     return digest.hexdigest()
 
 
+def bleu_digest(examples):
+    """One sha256 over float.hex of corpus BLEU at max_n 1-4 and of each
+    pair's sentence metric at the same orders, for pairs of the examples'
+    sentences: each one against itself, against the next one, and against a
+    copy that doubles each token of its first half and then repeats it
+    whole, so that its n-grams repeat and clipping counts."""
+    sentences = [list(ex.reference) for ex in examples]
+    pairs = []
+    for k, ref in enumerate(sentences):
+        doubled = [token for token in ref[: (len(ref) + 1) // 2] for _ in (0, 1)] + ref
+        pairs += [(ref, ref), (sentences[(k + 1) % len(sentences)], ref), (doubled, ref)]
+    hypotheses, references = [hyp for hyp, _ in pairs], [ref for _, ref in pairs]
+    digest = hashlib.sha256()
+    for max_n in range(1, 5):
+        digest.update(corpus_bleu(hypotheses, references, max_n).hex().encode() + b"\n")
+        for hyp, ref in pairs:
+            digest.update(sentence_metric(hyp, ref, max_n).hex().encode() + b"\n")
+    return digest.hexdigest()
+
+
 def memorize(kind, examples):
     """Criterion 6's run for kind: the epochs run and (epoch, dev BLEU) at
     each evaluation."""
@@ -137,6 +161,7 @@ def main(argv=None):
                   f"log {log[:16]} loss {loss!r}", flush=True)
     print(f"decode {decode_digest(examples)}", flush=True)
     print(f"corpus {corpus_digest()}", flush=True)
+    print(f"bleu {bleu_digest(examples)}", flush=True)
     if args.memorize:
         for kind in DECODE_KINDS:
             epochs, evaluations = memorize(kind, examples[:10])
