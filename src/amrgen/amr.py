@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from sys import intern
 
 
 class PenmanParseError(ValueError):
@@ -123,6 +124,10 @@ def parse_penman(text: str) -> AmrGraph:
     ordinary nodes, one per occurrence. Re-mentioned variables produce
     additional incoming edges on the existing node.
 
+    Every string the graph keeps (variable, concept, relation, constant and
+    constant id) is interned with sys.intern, so graphs parsed separately
+    share one object per distinct token.
+
     The parser keeps a stack of the open nodes instead of recursing, so
     nesting has no depth limit. Do not make it a nested function that calls
     itself: the function would hold itself in its closure cell, a cycle that
@@ -144,7 +149,7 @@ def parse_penman(text: str) -> AmrGraph:
     def value(tok):  # a quoted string without its quotes
         return tok[1:-1] if tok[0] == '"' else tok
 
-    defs = {}  # var -> concept label, in definition order
+    defs = {}  # var -> its node (var, concept label), in definition order
     triples = []  # (parent_var, relation, target token or child var)
     stack = []  # per open node: its variable, the place of its '(' and the relation to it
     role, root = None, None  # role: the relation to the node whose '(' is at toks[pos]
@@ -163,7 +168,8 @@ def parse_penman(text: str) -> AmrGraph:
             fail("expected concept after '/'", min(var_k + 2, n - 1))
         if var in defs:
             fail(f"duplicate definition of variable {var!r}", var_k)
-        defs[var] = value(toks[var_k + 2])
+        var = intern(var)
+        defs[var] = (var, intern(value(toks[var_k + 2])))
         stack.append((var, pos, role))
         pos = var_k + 3
         while True:  # the relations of the innermost open node, up to the next '('
@@ -181,6 +187,7 @@ def parse_penman(text: str) -> AmrGraph:
                 continue
             if role[0] != ":":
                 fail(f"expected relation starting with ':', found {value(role)!r}", pos)
+            role = intern(role)
             pos += 1
             if pos >= n:
                 fail(f"expected target after relation {role!r}", pos - 1)
@@ -196,11 +203,14 @@ def parse_penman(text: str) -> AmrGraph:
     if pos < n:
         fail(f"unbalanced parentheses: unexpected {value(toks[pos])!r} after graph", pos)
 
-    nodes, edges = list(defs.items()), []
+    nodes, edges = list(defs.values()), []
     for parent, role, target in triples:
-        if target not in defs:  # a constant: a fresh leaf node per occurrence
-            node_id = f"_c{len(nodes) - len(defs)}"
-            nodes.append((node_id, value(target)))
+        node = defs.get(target)
+        if node is not None:  # a child or a reference: its interned variable
+            target = node[0]
+        else:  # a constant: a fresh leaf node per occurrence
+            node_id = intern(f"_c{len(nodes) - len(defs)}")
+            nodes.append((node_id, intern(value(target))))
             target = node_id
         edges.append((parent, role, target))
     return AmrGraph(nodes=tuple(nodes), edges=tuple(edges), root=root)
@@ -363,13 +373,13 @@ def parse_block(block: str, default_id: str) -> CorpusExample:
         if stripped.startswith("# ::"):
             body = stripped[4:]
             key, _, value = body.partition(" ")
-            meta[key] = value.strip()
+            meta[intern(key)] = value.strip()
         elif stripped.startswith("#"):
             continue
         else:
             graph_lines.append(line)
     graph = parse_penman("\n".join(graph_lines))
-    sentence = tuple(meta.get("snt", "").lower().split())
+    sentence = tuple(map(intern, meta.get("snt", "").lower().split()))
     example_id = meta.get("id", default_id)
     metadata = tuple((k, v) for k, v in meta.items() if k not in ("id",))
     return CorpusExample(id=example_id, graph=graph, sentence=sentence, metadata=metadata)

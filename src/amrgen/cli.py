@@ -15,6 +15,7 @@ import sys
 import zipfile
 from collections import Counter
 from contextlib import contextmanager
+from sys import intern
 
 from . import __version__
 from .amr import (GraphTooDeepError, PenmanParseError, compute_stats, iter_blocks, parse_block,
@@ -24,11 +25,11 @@ from .evaluation import (
     DEPENDENCY_BUCKETS,
     REENTRANCY_BUCKETS,
     ContrastivePair,
+    bleu_scores,
     bucket_report,
     bucket_spans,
     check_bucket_edges,
     contrastive_eval,
-    corpus_bleu,
     format_bucket_table,
     sentence_metric,
 )
@@ -210,24 +211,36 @@ def _jsonl_records(path):
             yield line_no, record
 
 
+def _interned_words(value):
+    """value as a tuple of interned strings if it is a list of strings, else
+    None; sys.intern itself rejects an item that is not a string."""
+    if isinstance(value, list):
+        try:
+            return tuple(map(intern, value))
+        except TypeError:
+            pass
+    return None
+
+
 def load_examples(jsonl_path):
-    """Rebuild TrainExamples from a preprocessed JSONL file."""
+    """Rebuild TrainExamples from a preprocessed JSONL file. Sentence and
+    anon_map words are interned as they are checked, so the examples share
+    one object per distinct word with the graphs that parse_penman builds."""
     examples = []
     for line_no, record in _jsonl_records(jsonl_path):
         if not isinstance(record.get("penman"), str):
             raise DataError(f"{jsonl_path}:{line_no}: a record needs a string penman")
-        sentence, anon_map = record.get("sentence", []), record.get("anon_map", [])
-        if not (isinstance(sentence, list) and all(isinstance(w, str) for w in sentence)):
+        sentence = _interned_words(record.get("sentence", []))
+        if sentence is None:
             raise DataError(f"{jsonl_path}:{line_no}: sentence must be a list of strings")
-        if not (isinstance(anon_map, list) and all(
-                isinstance(m, list) and len(m) == 2 and all(isinstance(w, str) for w in m)
-                for m in anon_map)):
+        anon_map = record.get("anon_map", [])
+        anon_map = tuple(map(_interned_words, anon_map)) if isinstance(anon_map, list) else None
+        if anon_map is None or any(m is None or len(m) != 2 for m in anon_map):
             raise DataError(f"{jsonl_path}:{line_no}: anon_map must be a list of string pairs")
         try:
             example = prepare_example(parse_penman(record["penman"]))
         except (PenmanParseError, GraphTooDeepError) as err:
             raise DataError(f"{jsonl_path}:{line_no}: {err}") from None
-        sentence, anon_map = tuple(sentence), tuple(tuple(m) for m in anon_map)
         examples.append(
             TrainExample(
                 id=record["id"],
@@ -419,13 +432,10 @@ def cmd_evaluate(args):
         raise DataError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
+    bleu, sentence_scores = bleu_scores(hypotheses, references)
     report = {
-        "corpus_bleu": round(corpus_bleu(hypotheses, references), 4),
-        "sentence_metric_mean": round(
-            sum(sentence_metric(h, r) for h, r in zip(hypotheses, references))
-            / len(references),
-            4,
-        ),
+        "corpus_bleu": round(bleu, 4),
+        "sentence_metric_mean": round(sum(sentence_scores) / len(references), 4),
         "examples": len(references),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -470,15 +480,15 @@ def load_pairs(path):
     pairs = []
     for line_no, record in _jsonl_records(path):
         try:
-            reference, contrastive = record["reference"], record["contrastive"]
-            if not all(isinstance(s, list) and all(isinstance(w, str) for w in s)
-                       for s in (reference, contrastive)):
+            reference = _interned_words(record["reference"])
+            contrastive = _interned_words(record["contrastive"])
+            if reference is None or contrastive is None:
                 raise ValueError("reference and contrastive must be lists of strings")
             pairs.append(
                 ContrastivePair(
                     id=record["id"],
-                    reference=tuple(reference),
-                    contrastive=tuple(contrastive),
+                    reference=reference,
+                    contrastive=contrastive,
                     category=record["category"],
                 )
             )

@@ -42,30 +42,51 @@ def _clipped_matches(hyp, ref, max_n: int) -> list:
     return matches
 
 
-def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
-    """Corpus-level BLEU: geometric mean of clipped n-gram precisions up to
-    4-grams with brevity penalty, as a percentage."""
+def _pair_counts(hypotheses, references, max_n: int) -> list:
+    """Per pair, (hypothesis length, reference length, clipped matches)."""
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis/reference length mismatch: {len(hypotheses)} vs {len(references)}"
         )
+    counts = []
+    for hyp, ref in zip(hypotheses, references):
+        hyp, ref = list(hyp), list(ref)
+        counts.append((len(hyp), len(ref), _clipped_matches(hyp, ref, max_n)))
+    return counts
+
+
+def _corpus_score(counts, max_n: int) -> float:
     matches = [0] * max_n
     totals = [0] * max_n
     hyp_len = 0
     ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp = list(hyp)
-        ref = list(ref)
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for k, match in enumerate(_clipped_matches(hyp, ref, max_n)):
-            totals[k] += max(len(hyp) - k, 0)
+    for length, ref_length, pair in counts:
+        hyp_len += length
+        ref_len += ref_length
+        for k, match in enumerate(pair):
+            totals[k] += max(length - k, 0)
             matches[k] += match
     if hyp_len == 0 or any(m == 0 for m in matches):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_precision)
+
+
+def _sentence_score(length, ref_length, matches, max_n: int) -> float:
+    if matches[0] == 0:  # an empty hypothesis has no match either
+        return 0.0
+    log_sum = math.log(matches[0] / length)
+    for k in range(1, max_n):
+        log_sum += math.log((matches[k] + 1) / (max(length - k, 0) + 1))
+    brevity = 1.0 if length > ref_length else math.exp(1.0 - ref_length / length)
+    return 100.0 * brevity * math.exp(log_sum / max_n)
+
+
+def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
+    """Corpus-level BLEU: geometric mean of clipped n-gram precisions up to
+    4-grams with brevity penalty, as a percentage."""
+    return _corpus_score(_pair_counts(hypotheses, references, max_n), max_n)
 
 
 def sentence_metric(hypothesis, reference, max_n: int = 4) -> float:
@@ -77,14 +98,17 @@ def sentence_metric(hypothesis, reference, max_n: int = 4) -> float:
         raise ValueError("empty reference")
     if not hyp:
         return 0.0
-    matches = _clipped_matches(hyp, ref, max_n)
-    if matches[0] == 0:
-        return 0.0
-    log_sum = math.log(matches[0] / len(hyp))
-    for k in range(1, max_n):
-        log_sum += math.log((matches[k] + 1) / (max(len(hyp) - k, 0) + 1))
-    brevity = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
-    return 100.0 * brevity * math.exp(log_sum / max_n)
+    return _sentence_score(len(hyp), len(ref), _clipped_matches(hyp, ref, max_n), max_n)
+
+
+def bleu_scores(hypotheses, references, max_n: int = 4):
+    """corpus_bleu and each pair's sentence_metric, the same floats, from one
+    count of clipped matches per pair."""
+    if not all(references):
+        raise ValueError("empty reference")
+    counts = _pair_counts(hypotheses, references, max_n)
+    return (_corpus_score(counts, max_n),
+            [_sentence_score(*count, max_n) for count in counts])
 
 
 # --------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class Seq2SeqModel:
     def __init__(self, config: EncoderConfig, src_vocab: Vocab, tgt_vocab: Vocab, seed: int = 0,
                  arrays=None):
         """Parameters are drawn from seed or, given arrays (a checkpoint's),
-        copied from there."""
+        taken from there without a copy (see ParamStore)."""
         self.config = config
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
@@ -319,7 +319,9 @@ class Checkpoint:
 
     def build_model(self) -> Seq2SeqModel:
         """The model of the saved configuration with the saved parameters;
-        a ValueError when the arrays do not match it by name and shape."""
+        a ValueError when the arrays do not match it by name and shape. The
+        model's parameters are this checkpoint's arrays, not copies: a model
+        whose data is written in place must be built from copied arrays."""
         model = Seq2SeqModel(self.config, self.src_vocab, self.tgt_vocab, arrays=self.arrays)
         if set(model.params()) != set(self.arrays):
             raise ValueError("checkpoint parameter names do not match the configuration")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import zipfile
 
 import numpy as np
@@ -800,13 +801,14 @@ class ParamStore:
     """Every trainable parameter of a model, by name in creation order.
 
     Initial values are drawn from rng in creation order or, given arrays (a
-    saved model's name -> ndarray), copied from there, drawing nothing; a
-    name or shape that arrays lacks is a ValueError, and the store keeps no
-    reference to an array it has copied. pack() moves all
-    values into one flat vector theta and allocates one flat gradient vector
-    grad, and each parameter's data and grad become views into them, so an
-    SGD step, clipping and clearing are operations on two vectors. Only
-    training packs: a model that only decodes needs no gradient storage.
+    saved model's name -> float64 ndarray), taken over from there without a
+    copy, drawing nothing: each parameter's data is the given array, so a
+    write to one shows in the other. A name or shape that arrays lacks is a
+    ValueError. pack() moves all values into one flat vector theta and
+    allocates one flat gradient vector grad, and each parameter's data and
+    grad become views into them, so an SGD step, clipping and clearing are
+    operations on two vectors. Only training packs: a model that only
+    decodes needs no gradient storage.
 
     Parameters change through `sgd_step`, which counts its steps in
     `updates`; a model keys what it keeps of a decoded example on that
@@ -816,7 +818,7 @@ class ParamStore:
 
     def __init__(self, rng, arrays=None):
         self.rng = rng
-        self.arrays = None if arrays is None else dict(arrays)  # the arrays not yet copied
+        self.arrays = None if arrays is None else dict(arrays)  # the arrays not yet taken
         self.params = {}
         self.theta = None
         self.grad = None
@@ -838,7 +840,7 @@ class ParamStore:
         elif self.arrays[name].shape != tuple(shape):
             raise ValueError(f"shape mismatch for parameter {name!r}")
         else:
-            data = self.arrays.pop(name).copy()
+            data = self.arrays.pop(name)
         p = self.params[name] = Tensor(data, True)
         return p
 
@@ -915,8 +917,9 @@ def save_arrays(path, manifest: dict, arrays: dict) -> None:
 
 
 def load_arrays(path):
-    """Read an archive that save_arrays wrote. A damaged one raises
-    zipfile.BadZipFile, KeyError or another ValueError."""
+    """Read an archive that save_arrays wrote, each payload straight into its
+    float64 array, so that no second copy of it is made. A damaged archive
+    raises zipfile.BadZipFile, KeyError or another ValueError."""
     with open(path, "rb") as handle:
         try:
             with zipfile.ZipFile(handle) as archive:
@@ -927,12 +930,31 @@ def load_arrays(path):
                 for name, shape in manifest["arrays"].items():
                     if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
                         raise ValueError(f"array {name!r}: shape {shape!r} is not a list of sizes")
-                    raw = archive.read(f"data/{name}")
-                    arrays[name] = (np.frombuffer(raw, dtype="<f8").astype(np.float64)
-                                    .reshape(shape))
+                    arrays[name] = _read_payload(archive, f"data/{name}", shape)
         except (NotImplementedError, RuntimeError, EOFError, OSError) as err:
             # zipfile's errors for damaged headers: a compression method or an
             # encryption flag that save_arrays never writes, a size past the
             # end of the file, an offset before its start
             raise zipfile.BadZipFile(f"{type(err).__name__}: {err}") from None
     return manifest, arrays
+
+
+_CHUNK = 1 << 16  # bytes of a payload read at a time
+
+
+def _read_payload(archive, member: str, shape) -> np.ndarray:
+    """The archive member's little-endian float64 values as an array of
+    shape, read in chunks into the array itself; a ValueError unless the
+    member's size fits the shape, checked before anything is allocated.
+    Reading to the member's end checks its CRC, as ZipFile.read does."""
+    info = archive.getinfo(member)
+    if info.file_size != 8 * math.prod(shape):
+        raise ValueError(f"{member}: {info.file_size} bytes do not fit the shape {shape}")
+    array = np.empty(shape, dtype="<f8")
+    flat = array.reshape(-1).view(np.uint8)
+    with archive.open(info) as payload:
+        for start in range(0, len(flat), _CHUNK):
+            chunk = flat[start : start + _CHUNK]
+            if payload.readinto(chunk) != len(chunk):
+                raise ValueError(f"{member}: the payload ends before its size")
+    return array.astype(np.float64, copy=False)  # no copy on a little-endian host

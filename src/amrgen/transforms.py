@@ -11,6 +11,10 @@
 All three come from one traversal, run once per graph object
 (AmrGraph.traversal), so that token positions, tree copies and Levi nodes
 stay aligned.
+
+The strings built here and kept (tree copy ids, anonymization placeholders
+and surfaces) are interned, as parse_penman interns a graph's own, so a
+corpus holds one object per distinct token.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from sys import intern
 
 import numpy as np
 
@@ -254,7 +259,7 @@ class _Traversal:
         copies below it unless nid is on the root path; returns the copy's id."""
         count = self.copies.get(nid, 0)
         self.copies[nid] = count + 1
-        tid = nid if count == 0 else f"{nid}#{count}"
+        tid = nid if count == 0 else intern(f"{nid}#{count}")
         label, tokens, tree_nodes = self.labels[nid], self.tokens, self.tree_nodes
         tree_nodes.append((tid, label))
         self.copy_of.append((tid, nid))
@@ -398,7 +403,7 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
     def placeholder(category):
         index = counters.get(category, 0)
         counters[category] = index + 1
-        return f"{category}_{index}"
+        return intern(f"{category}_{index}")
 
     removed = set()
     relabeled = {}
@@ -424,7 +429,7 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
             ops = constant_children(child)
             if ops is None or not ops:
                 continue
-            surface = " ".join(labels[c] for _, c in ops)
+            surface = intern(" ".join(labels[c] for _, c in ops))
             category = _NAME_CATEGORY.get(labels[nid], "other_name")
             token = placeholder(category)
             relabeled[nid] = token
@@ -442,7 +447,7 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
             parts = constant_children(nid)
             if parts is None or not parts:
                 continue
-            surface = " ".join(labels[c] for _, c in parts)
+            surface = intern(" ".join(labels[c] for _, c in parts))
             token = placeholder("date")
             relabeled[nid] = token
             removed.update(c for _, c in parts)

@@ -98,6 +98,30 @@ def golden_cases():
 
 
 # --------------------------------------------------------------------------
+# Interning: one string object per distinct value
+
+
+def graph_strings(graph):
+    """Every string an AmrGraph or AmrTree holds: its root, node ids and
+    labels, and each edge's endpoints and relation."""
+    yield graph.root
+    for node in graph.nodes:
+        yield from node
+    for edge in graph.edges:
+        yield from edge
+
+
+def assert_one_object_per_value(strings):
+    """Equal strings are one object, and some value comes more than once,
+    so that the check shows something."""
+    strings = list(strings)
+    first = {}
+    for s in strings:
+        assert first.setdefault(s, s) is s, f"two objects hold {s!r}"
+    assert len(first) < len(strings), "no value comes twice"
+
+
+# --------------------------------------------------------------------------
 # Random graph generators used by property tests
 
 

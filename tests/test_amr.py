@@ -14,7 +14,7 @@ from amrgen import amr
 from amrgen.amr import PenmanParseError, parse_penman, serialize_penman, validate
 
 import reference_penman
-from conftest import random_dag_graph
+from conftest import assert_one_object_per_value, graph_strings, random_dag_graph
 
 
 # --------------------------------------------------------------------------
@@ -78,6 +78,27 @@ def test_unquoted_atom_target_is_constant():
     g = parse_penman("(d / date-entity :year 2008)")
     assert g.edge_count == 1
     assert "2008" in [label for _, label in g.nodes]
+
+
+# --------------------------------------------------------------------------
+# Interning: graphs and sentences parsed separately share their strings
+
+
+def test_separately_parsed_graphs_share_one_object_per_token():
+    first = parse_penman('(sl / sleep-01 :arg0 (bo / boy :name (na / name :op1 "Paris"))'
+                         ' :quant 42 :arg1-of (ha / have-03 :arg0 bo))')
+    second = parse_penman('(bo / boy :arg0-of (sl / sleep-01 :quant 42)'
+                          ' :name (na / name :op1 "Paris"))')
+    assert_one_object_per_value([*graph_strings(first), *graph_strings(second)])
+    shared = set(graph_strings(first)) & set(graph_strings(second))
+    # a variable, a concept, a relation, both kinds of constant and a constant id
+    assert {"sl", "sleep-01", ":quant", "42", "Paris", "_c0"} <= shared
+
+
+def test_corpus_sentences_share_one_object_per_word():
+    examples = amr.read_corpus_text("# ::snt The boy sleeps\n(s / sleep-01)\n\n"
+                                    "# ::snt the BOY eats\n(e / eat-01)\n")
+    assert_one_object_per_value(w for ex in examples for w in ex.sentence)
 
 
 # --------------------------------------------------------------------------

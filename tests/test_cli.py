@@ -6,17 +6,20 @@ import subprocess
 import sys
 import zipfile
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import amrgen
-from amrgen import cli
+from amrgen import cli, evaluation
 from amrgen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, load_examples, main
 from amrgen.encoders import EncoderConfig
 from amrgen.seq2seq import TrainSettings
 from amrgen.tensor import load_arrays, save_arrays
 from amrgen.transforms import AnonymizationPolicy
+
+from conftest import assert_one_object_per_value
 
 TOY = Path(__file__).parent.parent / "src" / "amrgen" / "data" / "toy_corpus.txt"
 
@@ -148,6 +151,17 @@ def test_load_examples_roundtrip(small_jsonl):
     assert [ex.id for ex in examples] == ["ok-1", "ok-2"]
     assert examples[0].reference == ("the", "boy", "sleeps", "at", "night")
     assert examples[0].repr.sequence.tokens == ("sleep-01", ":arg0", "boy")
+
+
+def test_loaded_words_share_one_object_per_value(tmp_path):
+    # placeholders come from the anon_map, the sentence and the graph alike
+    out = tmp_path / "toy.jsonl"
+    assert main(["preprocess", "--input", str(TOY), "--out", str(out), "--anonymize"]) == EXIT_OK
+    examples = load_examples(out)
+    assert any(ex.anon_map for ex in examples)
+    assert_one_object_per_value(chain.from_iterable(
+        (*ex.reference, *ex.target, *chain(*ex.anon_map),
+         *(label for _, label in ex.repr.graph.nodes)) for ex in examples))
 
 
 # --------------------------------------------------------------------------
@@ -443,6 +457,22 @@ def test_evaluate_with_hyp_file(small_jsonl, tmp_path, capsys):
     assert report["examples"] == 2
 
 
+def test_evaluate_counts_each_pair_s_matches_once(toy_jsonl, tmp_path, capsys, monkeypatch):
+    references = [list(ex.reference) for ex in load_examples(toy_jsonl)]
+    hypotheses = references[1:] + references[:1]  # each the next example's reference
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("".join(" ".join(h) + "\n" for h in hypotheses))
+    calls, count = [], evaluation._clipped_matches
+    monkeypatch.setattr(evaluation, "_clipped_matches", lambda *a: calls.append(1) or count(*a))
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(toy_jsonl), "--hyp", str(hyp)]) == EXIT_OK
+    assert len(calls) == len(references) == 60  # one per pair for both metrics
+    sentences = [evaluation.sentence_metric(h, r) for h, r in zip(hypotheses, references)]
+    assert json.loads(capsys.readouterr().out) == {
+        "corpus_bleu": round(evaluation.corpus_bleu(hypotheses, references), 4),
+        "sentence_metric_mean": round(sum(sentences) / 60, 4), "examples": 60}
+
+
 def test_evaluate_ends_a_hypothesis_line_only_at_newline(small_jsonl, tmp_path, capsys):
     # "\x85" and "\u2028" are whitespace inside a line, not line breaks
     hyp = tmp_path / "hyp.txt"
@@ -552,9 +582,13 @@ def _config(key, value):
      (lambda manifest: [manifest], "manifest"),
      (lambda manifest: {**manifest, "arrays": list(manifest["arrays"])}, "arrays"),
      (lambda manifest: {**manifest, "config": [1]}, "config"),
-     (_config("gcn_layers", 2.5), "gcn_layers"), (_config("highway", "yes"), "highway")],
+     (_config("gcn_layers", 2.5), "gcn_layers"), (_config("highway", "yes"), "highway"),
+     (lambda manifest: {**manifest, "arrays": {**manifest["arrays"], "W_a": [1, 1]}}, "data/W_a"),
+     (lambda manifest: {**manifest, "arrays": {**manifest["arrays"], "W_a": [10**9] * 3}},
+      "data/W_a")],
     ids=["string dim", "string dropout", "string shape", "list manifest", "list arrays",
-         "list config", "fractional gcn layers", "string highway"],
+         "list config", "fractional gcn layers", "string highway", "shape of another size",
+         "shape past any memory"],
 )
 def test_damaged_checkpoint_manifest_is_data_error(damage, named, trained, small_jsonl, capsys):
     # save_arrays writes the arrays' shapes itself, so the manifest is rewritten in the zip
@@ -820,6 +854,67 @@ def test_contrastive_without_a_pair_to_score_is_data_error(text, message, traine
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1, captured
     assert err[0].startswith(f"data error: {message}"), err
+
+
+# --------------------------------------------------------------------------
+# bad records: every reader of a JSONL or hypothesis file, every kind of fault
+
+
+def _line(record, **fields):
+    return (json.dumps({**record, **fields}) + "\n").encode()
+
+
+_RECORD = {"id": "x-1", "penman": PENMAN, "sentence": ["the", "boy", "sleeps"], "anon_map": []}
+_PAIR = {"id": "ok-1", "reference": ["the", "boy"], "contrastive": ["the", "boys"],
+         "category": "number"}
+_NOT_UTF8 = '{"id": "caf\u00e9"}\n'.encode("latin-1")
+_BLANK_LINES = b"\n  \n\t\n"
+_BAD_FILES = {
+    "examples": {
+        "int word": _line(_RECORD, sentence=["the", 7]),
+        "null word": _line(_RECORD, sentence=[None, "boy"]),
+        "nested list word": _line(_RECORD, sentence=["the", ["boy"]]),
+        "anon_map entry of one": _line(_RECORD, anon_map=[["boy"]]),
+        "anon_map entry of three": _line(_RECORD, anon_map=[["rare_0", "boy", "boys"]]),
+        "int id": _line(_RECORD, id=7),
+        "list penman": _line(_RECORD, penman=[PENMAN]),
+        "not UTF-8": _NOT_UTF8,
+        "blank lines only": _BLANK_LINES,
+    },
+    "pairs": {
+        "int word": _line(_PAIR, reference=["the", 7]),
+        "null word": _line(_PAIR, contrastive=[None, "boys"]),
+        "nested list word": _line(_PAIR, reference=["the", ["boy"]]),
+        "int id": _line(_PAIR, id=7),
+        "not UTF-8": _NOT_UTF8,
+        "blank lines only": _BLANK_LINES,
+    },
+    "hypotheses": {"not UTF-8": _NOT_UTF8, "blank lines only": _BLANK_LINES},
+}
+_READERS = {  # the command line that reads {bad} with each reader, and the file it reads
+    "train --data": (["train", "--data", "{bad}", "--out", "{tmp}/x"], "examples"),
+    "evaluate --data": (["evaluate", "--data", "{bad}", "--hyp", "{hyp}"], "examples"),
+    "evaluate --hyp": (["evaluate", "--data", "{data}", "--hyp", "{bad}"], "hypotheses"),
+    "contrastive --pairs": (["contrastive", "--ckpt", "{ckpt}", "--data", "{data}",
+                             "--pairs", "{bad}"], "pairs"),
+}
+
+
+@pytest.mark.parametrize("reader, case", [
+    pytest.param(reader, case, id=f"{reader}-{case}")
+    for reader, (_, kind) in _READERS.items() for case in _BAD_FILES[kind]])
+def test_bad_record_is_one_line_data_error(reader, case, small_jsonl, tmp_path, capsys, request):
+    argv, kind = _READERS[reader]
+    bad, hyp = tmp_path / "bad", tmp_path / "hyp.txt"
+    bad.write_bytes(_BAD_FILES[kind][case])
+    hyp.write_text("the boy sleeps\n")
+    ckpt = request.getfixturevalue("trained") if "{ckpt}" in argv else None
+    paths = {"bad": bad, "hyp": hyp, "tmp": tmp_path, "data": small_jsonl, "ckpt": ckpt}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_DATA
+    captured = capsys.readouterr()  # one line, so no traceback either
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("data error:"), lines
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from amrgen.evaluation import (
     ContrastivePair,
     PronounAnnotation,
     _clipped_matches,
+    bleu_scores,
     bucket_report,
     contrastive_eval,
     corpus_bleu,
@@ -172,6 +173,23 @@ def test_metrics_equal_the_per_order_reference(pairs, max_n):
     assert corpus_bleu(hyps, refs, max_n) == _reference_corpus_bleu(hyps, refs, max_n)
     for hyp, ref in pairs:
         assert sentence_metric(hyp, ref, max_n) == _reference_sentence_metric(hyp, ref, max_n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(_SENTENCE, _SENTENCE.filter(bool)), min_size=1, max_size=4),
+       max_n=st.integers(1, 5))
+def test_bleu_scores_are_corpus_bleu_and_each_sentence_metric(pairs, max_n):
+    hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+    bleu, sentences = bleu_scores(hyps, refs, max_n)
+    assert bleu.hex() == corpus_bleu(hyps, refs, max_n).hex()
+    assert [s.hex() for s in sentences] == [sentence_metric(h, r, max_n).hex() for h, r in pairs]
+
+
+def test_bleu_scores_reject_what_the_two_metrics_reject():
+    with pytest.raises(ValueError, match="empty reference"):
+        bleu_scores([["a"]], [[]])
+    with pytest.raises(ValueError, match="length mismatch"):
+        bleu_scores([["a"]], [["a"], ["b"]])
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Decoder, scoring, decoding, training loop and checkpoints."""
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -753,8 +754,7 @@ def test_build_model_draws_no_random_values(toy10, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     model = ck.build_model()
     for name, p in model.params().items():
-        assert np.array_equal(p.data, ck.arrays[name]), name
-        assert p.data is not ck.arrays[name]
+        assert p.data is ck.arrays[name], name  # handed over, not copied
 
 
 def test_checkpoint_rejects_shape_mismatch(toy10, tmp_path):
@@ -840,6 +840,28 @@ def saved_checkpoint(toy10, tmp_path_factory):
     path = tmp_path_factory.mktemp("checkpoint") / "ck.bin"
     ck.save(path)
     return path.read_bytes(), ck.arrays, path.with_name("damaged.bin")
+
+
+def test_a_loaded_model_holds_each_parameter_once(toy10, tmp_path):
+    model = Seq2SeqModel(seq_config(embedding_dim=64, hidden_dim=64), *build_vocabs(toy10),
+                         seed=0)
+    params = {name: p.data for name, p in model.params().items()}
+    path = tmp_path / "ck.bin"
+    Checkpoint(config=model.config, src_vocab=model.src_vocab, tgt_vocab=model.tgt_vocab,
+               arrays=params, meta={}).save(path)
+    tracemalloc.start()
+    try:
+        checkpoint = Checkpoint.load(path)
+        loaded = checkpoint.build_model()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for name, p in loaded.params().items():
+        assert np.shares_memory(p.data, checkpoint.arrays[name]), name
+        assert np.array_equal(p.data, params[name]), name
+    # a payload read whole and then copied, or a model that copies the
+    # arrays, takes about twice the parameters' bytes
+    assert peak < 1.3 * sum(a.nbytes for a in params.values())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -7,6 +7,7 @@ Oracle notes:
   expected values here, independently of the implementation.
 """
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from amrgen.transforms import (
     to_tree,
 )
 
-from conftest import random_dag_graph, random_tree_graph
+from conftest import (assert_one_object_per_value, graph_strings, random_dag_graph,
+                      random_tree_graph)
 
 
 # --------------------------------------------------------------------------
@@ -286,6 +288,19 @@ def test_anonymize_deanonymize_sentence_roundtrip():
     anonymized = anonymize_sentence(sentence, mapping)
     assert anonymized == ["person_name_0", "visited", "location_name_0"]
     assert deanonymize(anonymized, mapping) == sentence
+
+
+def test_placeholders_and_tree_copy_ids_share_one_object_per_value():
+    text = ('(w / want-01 :arg0 (p / person :name (n / name :op1 "John"))'
+            ' :arg1 (g / go-01 :arg0 p :quant 12))')
+    anonymized = [anonymize(parse_penman(text), _policy(person=100)) for _ in range(2)]
+    assert_one_object_per_value(chain.from_iterable(
+        (*graph_strings(graph), *chain(*mapping)) for graph, mapping in anonymized))
+    assert {"person_name_0", "number_0", "rare_0"} <= set(dict(anonymized[0][1]))
+    trees = [to_tree(parse_penman(text)) for _ in range(2)]
+    assert_one_object_per_value(chain.from_iterable(
+        (*graph_strings(tree), *chain(*tree.copy_of)) for tree in trees))
+    assert "p#1" in dict(trees[0].copy_of)
 
 
 # --------------------------------------------------------------------------
