@@ -124,6 +124,10 @@ def parse_penman(text: str) -> AmrGraph:
     ordinary nodes, one per occurrence. Re-mentioned variables produce
     additional incoming edges on the existing node.
 
+    A variable named ``_c`` and digits, or one containing ``#``, is a parse
+    error: constants take the ids ``_c0``, ``_c1``, ... and the tree
+    transform names a re-mentioned variable's copies ``v#1``, ``v#2``, ...
+
     Every string the graph keeps (variable, concept, relation, constant and
     constant id) is interned with sys.intern, so graphs parsed separately
     share one object per distinct token.
@@ -168,6 +172,8 @@ def parse_penman(text: str) -> AmrGraph:
             fail("expected concept after '/'", min(var_k + 2, n - 1))
         if var in defs:
             fail(f"duplicate definition of variable {var!r}", var_k)
+        if "#" in var or var.startswith("_c") and var[2:].isdigit():
+            fail(f"variable name {var!r} is reserved for the ids the program makes", var_k)
         var = intern(var)
         defs[var] = (var, intern(value(toks[var_k + 2])))
         stack.append((var, pos, role))

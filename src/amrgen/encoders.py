@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .tensor import ACTIVATIONS as _ACTIVATIONS  # the GCN's activations by name
+from .tensor import ACTIVATIONS as _ACTIVATIONS  # read per GcnEncoder: perfbench's spans wrap it
 from .tensor import (
     Tensor,
     bilstm_batch,
@@ -52,8 +52,6 @@ class EncoderConfig:
     embedding_dim: int = 64
     hidden_dim: int = 64
     gcn_layers: int = 2
-    gcn_activation: str = "relu"
-    highway: bool = True
     dropout: float = 0.3
     edge_dropout: float = 0.1
 
@@ -83,8 +81,6 @@ class EncoderConfig:
         for name in ("dropout", "edge_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.gcn_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.gcn_activation!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -173,35 +169,25 @@ def adjacency(node_count: int, edges):
 
 
 class GcnEncoder:
-    """Direction-aware GCN with edge dropout and tanh highway gates.
+    """Direction-aware GCN (Marcheggiani & Titov, 2017) with edge dropout and
+    tanh highway gates (Srivastava et al., 2015).
 
-    Layer rule: h_i' = act(sum_in W_in h_j + sum_out W_out h_j + b), then
+    Layer rule: h_i' = relu(sum_in W_in h_j + sum_out W_out h_j + b), then
     out = t * tanh(h') + (1 - t) * h with t = sigmoid(h W_t + b_t).
-    Self-information flows only through the highway path. An input projection
-    is added when the input width differs from hidden_dim. Each layer is one
-    `gcn_layer` tape entry.
+    Self-information flows only through the highway path, since a Levi graph
+    has no self-loops. An input projection is added when the input width
+    differs from hidden_dim. Each layer is one `gcn_layer` tape entry.
     """
 
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dim: int,
-        layers: int,
-        store,
-        activation: str = "relu",
-        highway: bool = True,
-        edge_dropout: float = 0.1,
-        name: str = "gcn",
-    ):
-        self.activation = _ACTIVATIONS[activation]
+    def __init__(self, in_dim: int, hidden_dim: int, layers: int, store,
+                 edge_dropout: float = 0.1, name: str = "gcn"):
+        self.activation = _ACTIVATIONS["relu"]
         self.edge_dropout = edge_dropout
         self.proj = None
         if in_dim != hidden_dim:
             self.proj = store.uniform(f"{name}.proj", (in_dim, hidden_dim))
         weight, bias = (store.uniform, (hidden_dim, hidden_dim)), (store.zeros, (1, hidden_dim))
-        inits = {"W_in": weight, "W_out": weight, "b": bias}
-        if highway:
-            inits.update(W_t=weight, b_t=bias)
+        inits = {"W_in": weight, "W_out": weight, "b": bias, "W_t": weight, "b_t": bias}
         self.layers = [
             {key: init(f"{name}.{k}.{key}", shape) for key, (init, shape) in inits.items()}
             for k in range(layers)
@@ -232,7 +218,7 @@ class GcnEncoder:
                 if keeps is not None:
                     a_in, a_out = adjacency(n, edges[keeps[k]])
                 rows = gcn_layer(rows, a_in, a_out, layer["W_in"], layer["W_out"], layer["b"],
-                                 self.activation, layer.get("W_t"), layer.get("b_t"))
+                                 self.activation, layer["W_t"], layer["b_t"])
             outs.append(rows)
         return outs[0] if len(outs) == 1 else concat(outs)
 
@@ -257,15 +243,8 @@ class StackEncoder:
             self.bilstm = BiLstmEncoder(d if self.seq_first else h, h, store)
         struct_in = h if self.seq_first else d
         if "GCN" in kind:
-            self.struct = GcnEncoder(
-                struct_in,
-                h,
-                config.gcn_layers,
-                store,
-                activation=config.gcn_activation,
-                highway=config.highway,
-                edge_dropout=config.edge_dropout,
-            )
+            self.struct = GcnEncoder(struct_in, h, config.gcn_layers, store,
+                                     edge_dropout=config.edge_dropout)
         elif "TreeLSTM" in kind:
             self.struct = ChildSumTreeLstm(struct_in, h, store)
 

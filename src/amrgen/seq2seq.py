@@ -374,7 +374,7 @@ def train(
     model = Seq2SeqModel(config, src_vocab, tgt_vocab, seed=seed)
     store = model.store
     store.pack()
-    schedule = T.LrSchedule(settings.lr, settings.lr_decay)
+    lr = float(settings.lr)
     shuffle_rng = np.random.default_rng(seed + 1)
     dropout_rng = np.random.default_rng(seed + 2)
 
@@ -411,7 +411,7 @@ def train(
             if len(batch) > 1:  # dividing by 1 is exact
                 store.grad /= len(batch)
             grad_norms.append(T.clip_grad_norm(store, settings.clip_norm))
-            T.sgd_step(store, schedule.lr)
+            T.sgd_step(store, lr)
             epoch_losses.append(batch_loss)
 
         train_loss = float(np.mean(epoch_losses))
@@ -424,7 +424,7 @@ def train(
             "epoch": epoch,
             "train_loss": round(train_loss, 10),
             "dev_bleu": round(bleu, 6),
-            "lr": round(schedule.lr, 12),
+            "lr": round(lr, 12),
             "grad_norm_mean": round(float(np.mean(grad_norms)), 10),
             "grad_norm_max": round(max(grad_norms), 10),
             "tgt_tokens": tgt_tokens,
@@ -434,10 +434,10 @@ def train(
         if log_sink is not None:
             elapsed = time.monotonic() - started
             log_sink(f"epoch {epoch}: loss={train_loss:.4f} bleu={bleu:.2f} "
-                     f"lr={schedule.lr:.4f} ({elapsed:.1f}s)")
+                     f"lr={lr:.4f} ({elapsed:.1f}s)")
         if not fresh:
             continue
-        # schedule, patience and early stopping react only to fresh dev scores
+        # lr decay, patience and early stopping react only to fresh dev scores
         if bleu > best_bleu:
             best_bleu = bleu
             best_theta = store.theta.copy()
@@ -445,7 +445,7 @@ def train(
             stale = 0
         else:
             stale += 1
-        schedule.update(bleu)
+            lr *= settings.lr_decay
         if stale >= settings.patience:
             break
         if best_bleu >= 99.999:

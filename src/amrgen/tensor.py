@@ -751,13 +751,12 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
 
 
 def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_out: Tensor,
-              b: Tensor, activation, W_t: Tensor = None, b_t: Tensor = None) -> Tensor:
+              b: Tensor, activation, W_t: Tensor, b_t: Tensor) -> Tensor:
     """One GCN layer over the (N, h) rows of H as one tape entry. a_in and
     a_out = a_in^T are constant (N, N) arrays, a_in[v, u] counting the edges
     u -> v, and activation is one of ACTIVATIONS' functions. The layer's
-    messages are M = a_in H W_in + a_out H W_out + b and out = act(M). With
-    the highway weights W_t and b_t it returns t tanh(out) + (1 - t) H with
-    the gate t = sigmoid(H W_t + b_t), and out without them.
+    messages are M = a_in H W_in + a_out H W_out + b, and it returns
+    t tanh(act(M)) + (1 - t) H through the highway gate t = sigmoid(H W_t + b_t).
 
     The forward runs the composed kernels' operations in their order, so it
     gives their result to the bit; backward runs GEMMs of the same shapes as theirs.
@@ -766,31 +765,24 @@ def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_ou
     if h.ndim != 2 or h.shape[1] != W_in.shape[0] or a_in.shape != (len(h), len(h)):
         raise ShapeError(f"gcn_layer shape mismatch: {h.shape} @ {W_in.shape}, a_in {a_in.shape}")
     pre = a_in @ (h @ W_in.data) + a_out @ (h @ W_out.data) + b.data
-    out, slope = activation(pre)
-    inputs = (H, W_in, W_out, b)
-    if W_t is not None:
-        inputs += (W_t, b_t)
-        gate, gate_slope = _sigmoid_values(h @ W_t.data + b_t.data)
-        tanh_out = np.tanh(out)
-        out = gate * tanh_out + (1.0 - gate) * h
+    act, slope = activation(pre)
+    gate, gate_slope = _sigmoid_values(h @ W_t.data + b_t.data)
+    tanh_out = np.tanh(act)
+    out = gate * tanh_out + (1.0 - gate) * h
 
     def bwd(g):
-        d_h = None
-        if W_t is not None:
-            d_gate = g * (tanh_out - h) * gate_slope
-            _accumulate(W_t, h.T @ d_gate)
-            _accumulate(b_t, d_gate.sum(axis=0, keepdims=True))
-            d_h = g * (1.0 - gate) + d_gate @ W_t.data.T
-            g = g * gate * _tanh_slope(tanh_out)
-        d_pre = g * slope
+        d_gate = g * (tanh_out - h) * gate_slope
+        _accumulate(W_t, h.T @ d_gate)
+        _accumulate(b_t, d_gate.sum(axis=0, keepdims=True))
+        d_h = g * (1.0 - gate) + d_gate @ W_t.data.T
+        d_pre = g * gate * _tanh_slope(tanh_out) * slope
         _accumulate(b, d_pre.sum(axis=0, keepdims=True))
         d_in, d_out = a_out @ d_pre, a_in @ d_pre  # gradients of H W_in and H W_out
         _accumulate(W_in, h.T @ d_in)
         _accumulate(W_out, h.T @ d_out)
-        d_msg = d_in @ W_in.data.T + d_out @ W_out.data.T
-        _accumulate(H, d_msg if d_h is None else d_h + d_msg)
+        _accumulate(H, d_h + (d_in @ W_in.data.T + d_out @ W_out.data.T))
 
-    return _record(out, inputs, bwd)
+    return _record(out, (H, W_in, W_out, b, W_t, b_t), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -881,22 +873,6 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     if norm > max_norm and norm > 0.0:
         store.grad *= max_norm / norm
     return norm
-
-
-class LrSchedule:
-    """Multiplicative decay whenever the dev metric fails to improve."""
-
-    def __init__(self, initial_lr: float = 1.0, decay: float = 0.8):
-        self.lr = float(initial_lr)
-        self.decay = float(decay)
-        self.best = None
-
-    def update(self, dev_metric: float) -> float:
-        if self.best is None or dev_metric > self.best:
-            self.best = dev_metric
-        else:
-            self.lr *= self.decay
-        return self.lr
 
 
 # --------------------------------------------------------------------------

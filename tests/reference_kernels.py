@@ -145,14 +145,12 @@ def output_nll(rows, ids, lengths, W_o, b_o, W_v, b_v):
     return total
 
 
-def gcn_layer(H, a_in, a_out, W_in, W_out, b, activation, W_t=None, b_t=None):
+def gcn_layer(H, a_in, a_out, W_in, W_out, b, activation, W_t, b_t):
     """One GCN layer from single kernels; a_in and a_out are constant tensors
     and activation is a name in COMPOSED_ACTIVATIONS."""
     messages = T.add(
         T.add(T.matmul(a_in, T.matmul(H, W_in)), T.matmul(a_out, T.matmul(H, W_out))), b)
     out = COMPOSED_ACTIVATIONS[activation](messages)
-    if W_t is None:
-        return out
     t = T.sigmoid(T.add(T.matmul(H, W_t), b_t))
     one_minus = T.sub(Tensor(np.ones(t.shape)), t)
     return T.add(T.mul(t, T.tanh(out)), T.mul(one_minus, H))

@@ -93,6 +93,12 @@ def parse_penman(text: str) -> AmrGraph:
             raise PenmanParseError(
                 f"duplicate definition of variable {var!r}", var_tok[2], var_tok[3]
             )
+        if "#" in var or var.startswith("_c") and var[2:].isdigit():
+            raise PenmanParseError(
+                f"variable name {var!r} is reserved for the ids the program makes",
+                var_tok[2],
+                var_tok[3],
+            )
         defs[var] = concept_tok[1]
         order.append(var)
         while True:

@@ -118,6 +118,8 @@ def test_corpus_sentences_share_one_object_per_word():
         ("(x / c) extra", "unbalanced parentheses", 1, 9),
         ("(x / c :arg0)", "unexpected token ')'", 1, 13),
         ("(x /)", "expected concept", 1, 5),
+        ("(x / c :arg0 (_c0 / d))", "variable name '_c0' is reserved", 1, 15),
+        ("(x#1 / c)", "variable name 'x#1' is reserved", 1, 2),
     ],
 )
 def test_parse_errors(text, fragment, line, col):

@@ -101,6 +101,37 @@ def test_preprocess_skips_malformed(tmp_path, capsys):
     assert [r["id"] for r in records] == ["ok-1"]
 
 
+# variables named like the ids the program makes: the first constant's, and a
+# tree copy's of a re-mentioned variable
+RESERVED_VARIABLES = {
+    "constant id": '(_c0 / want-01 :ARG0 (b / boy) :ARG1 "x")',
+    "tree copy id": "(a / want-01 :ARG0 (a#1 / boy) :ARG1 (g / go-02 :ARG0 a))",
+}
+
+
+@pytest.mark.parametrize("penman", RESERVED_VARIABLES.values(), ids=RESERVED_VARIABLES)
+def test_preprocess_skips_a_reserved_variable(penman, tmp_path, capsys):
+    src = tmp_path / "reserved.amr"
+    src.write_text(GOOD_BLOCK + "\n# ::id reserved-1\n# ::snt the boy wants\n" + penman + "\n")
+    out = tmp_path / "reserved.jsonl"
+    assert main(["preprocess", "--input", str(src), "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "skipping malformed block 2" in err[0] and "reserved" in err[0], err
+    assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok-1"]
+
+
+@pytest.mark.parametrize("model", [["--model", "TreeLSTM"], ["--model", "GCN", "--repr", "tree"]],
+                         ids=["TreeLSTM", "GCN tree"])
+@pytest.mark.parametrize("penman", RESERVED_VARIABLES.values(), ids=RESERVED_VARIABLES)
+def test_train_on_a_reserved_variable_is_data_error(penman, model, small_jsonl, tmp_path, capsys):
+    data = tmp_path / "reserved.jsonl"
+    record = {"id": "reserved-1", "penman": penman, "sentence": ["the", "boy", "wants"]}
+    data.write_text(small_jsonl.read_text() + json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert train_quick(data, tmp_path / "model", extra=model) == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
+
+
 def test_preprocess_anonymize_records_map(tmp_path):
     src = tmp_path / "names.amr"
     src.write_text(
@@ -582,12 +613,12 @@ def _config(key, value):
      (lambda manifest: [manifest], "manifest"),
      (lambda manifest: {**manifest, "arrays": list(manifest["arrays"])}, "arrays"),
      (lambda manifest: {**manifest, "config": [1]}, "config"),
-     (_config("gcn_layers", 2.5), "gcn_layers"), (_config("highway", "yes"), "highway"),
+     (_config("gcn_layers", 2.5), "gcn_layers"),
      (lambda manifest: {**manifest, "arrays": {**manifest["arrays"], "W_a": [1, 1]}}, "data/W_a"),
      (lambda manifest: {**manifest, "arrays": {**manifest["arrays"], "W_a": [10**9] * 3}},
       "data/W_a")],
     ids=["string dim", "string dropout", "string shape", "list manifest", "list arrays",
-         "list config", "fractional gcn layers", "string highway", "shape of another size",
+         "list config", "fractional gcn layers", "shape of another size",
          "shape past any memory"],
 )
 def test_damaged_checkpoint_manifest_is_data_error(damage, named, trained, small_jsonl, capsys):
@@ -601,6 +632,21 @@ def test_damaged_checkpoint_manifest_is_data_error(damage, named, trained, small
     assert main(["generate", "--ckpt", str(trained), "--data", str(small_jsonl)]) == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error:") and named in err[0], err
+
+
+def test_gcn_checkpoint_without_highway_gates_is_data_error(small_jsonl, tmp_path, capsys):
+    # a GCN saved with "highway": false has no gate arrays; the GCN has none
+    # of that form now, so the checkpoint does not fit its configuration
+    assert train_quick(small_jsonl, tmp_path / "model", extra=["--model", "GCN"]) == EXIT_OK
+    path = tmp_path / "model" / "checkpoint.bin"
+    manifest, arrays = load_arrays(path)
+    gates = [name for name in arrays if name.endswith((".W_t", ".b_t"))]
+    assert gates == ["gcn.0.W_t", "gcn.0.b_t", "gcn.1.W_t", "gcn.1.b_t"]
+    manifest["config"]["highway"] = False
+    save_arrays(path, manifest, {k: v for k, v in arrays.items() if k not in gates})
+    capsys.readouterr()
+    assert main(["generate", "--ckpt", str(path), "--data", str(small_jsonl)]) == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
 
 
 def test_evaluate_length_mismatch_is_data_error(small_jsonl, tmp_path):

@@ -185,7 +185,7 @@ def test_gcn_direction_weights_differ():
     # messages along an edge use W_in at the head and W_out at the tail:
     # zeroing W_out must still leave incoming messages intact
     rng = np.random.default_rng(8)
-    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=False, edge_dropout=0.0)
+    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), edge_dropout=0.0)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     x = T.Tensor(np.random.default_rng(9).uniform(-1, 1, size=(3, 4)))
     base = gcn.encode([levi], x).data.copy()
@@ -193,9 +193,12 @@ def test_gcn_direction_weights_differ():
     no_out = gcn.encode([levi], x).data
     assert not np.array_equal(base, no_out)
     gcn.layers[0]["W_in"].data[...] = 0.0
-    nothing = gcn.encode([levi], x).data
-    # relu(0 + 0 + 0 bias) = 0 everywhere once both directions are silenced
-    assert np.allclose(nothing, 0.0)
+    gate_only = gcn.encode([levi], x).data
+    # relu(0 + 0 + 0 bias) = 0 everywhere once both directions are silenced,
+    # so only the highway's carry path (1 - t) x is left
+    layer = gcn.layers[0]
+    t = 1.0 / (1.0 + np.exp(-(x.data @ layer["W_t"].data + layer["b_t"].data)))
+    assert np.allclose(gate_only, (1.0 - t) * x.data, atol=1e-12)
 
 
 def test_gcn_receptive_field_grows_with_layers():
@@ -206,8 +209,7 @@ def test_gcn_receptive_field_grows_with_layers():
     x = np.random.default_rng(10).uniform(-1, 1, size=(5, 4))
 
     def delta_at_root(layers):
-        gcn = GcnEncoder(4, 4, layers, T.ParamStore(np.random.default_rng(11)), highway=False,
-                         edge_dropout=0.0)
+        gcn = GcnEncoder(4, 4, layers, T.ParamStore(np.random.default_rng(11)), edge_dropout=0.0)
         base = gcn.encode([levi], T.Tensor(x.copy())).data
         x2 = x.copy()
         x2[2] += 1.0  # concept node 'c'
@@ -222,7 +224,7 @@ def test_gcn_highway_keeps_input_path():
     # with all message weights zeroed the highway reduces to
     # t * tanh(0) + (1 - t) * h = h / 2 at zero-initialized gates
     rng = np.random.default_rng(12)
-    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=True, edge_dropout=0.0)
+    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), edge_dropout=0.0)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     for key in ("W_in", "W_out", "W_t"):
         gcn.layers[0][key].data[...] = 0.0
@@ -259,7 +261,7 @@ def test_gcn_edge_dropout_draws_once_per_layer():
 
 def test_gcn_edge_dropout_changes_messages():
     rng = np.random.default_rng(14)
-    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), highway=False, edge_dropout=0.9)
+    gcn = GcnEncoder(4, 4, 1, T.ParamStore(rng), edge_dropout=0.9)
     levi = transforms.to_levi(amr.parse_penman("(a / a-01 :arg0 (b / b-01))"))
     x = T.Tensor(np.random.default_rng(15).uniform(-1, 1, size=(3, 4)))
     eval_out = gcn.encode([levi], x).data

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amrgen import tensor as T, transforms
+from amrgen import evaluation, tensor as T, transforms
 from amrgen.encoders import KINDS, EncoderConfig, StackEncoder
 from amrgen.evaluation import ContrastivePair, contrastive_eval
 from amrgen.seq2seq import (
@@ -695,6 +695,21 @@ def test_train_seed_changes_result(toy10):
     assert log_a != log_b
 
 
+@pytest.mark.parametrize("patience, lrs", [(3, [1.0, 1.0, 1.0, 0.8, 0.64]),
+                                           (2, [1.0, 1.0, 1.0, 0.8])],
+                         ids=["patience 3", "patience 2"])
+def test_train_decays_lr_when_dev_bleu_does_not_improve(patience, lrs, toy10, monkeypatch):
+    # a tie is no improvement; the lr an epoch logs is the one it trained at,
+    # and patience counts the same epochs that decay it
+    bleus = [10.0, 12.0, 12.0, 11.0, 13.0]
+    scripted = iter(bleus)
+    monkeypatch.setattr(evaluation, "corpus_bleu", lambda hyps, refs: next(scripted))
+    _, log = train(toy10[:4], toy10[:2], seq_config(embedding_dim=4, hidden_dim=4), seed=0,
+                   settings=quick_settings(lr=1.0, max_epochs=5, patience=patience))
+    assert [entry["lr"] for entry in log] == lrs
+    assert [entry["dev_bleu"] for entry in log] == bleus[: len(lrs)]
+
+
 def test_train_nonfinite_loss_raises(toy10, monkeypatch):
     def bad_loss(self, examples, rng=None):
         return T.Tensor(np.array([[float("nan")]]))
@@ -769,6 +784,25 @@ def test_checkpoint_rejects_name_mismatch(toy10):
     del ck.arrays["W_a"]
     with pytest.raises(ValueError, match="parameter names"):
         ck.build_model()
+
+
+def test_a_checkpoint_with_the_gcn_switches_decodes_as_one_without(toy10, tmp_path):
+    # checkpoints once saved the GCN's activation and highway switch in
+    # their config; the keys are ignored, and the same arrays decode the same
+    config = seq_config(kind="GCNSeq", input_repr="graph", embedding_dim=8, hidden_dim=8)
+    model = Seq2SeqModel(config, *build_vocabs(toy10), seed=0)
+    model.b_v.data[0, model.tgt_vocab.index(EOS)] += 0.5  # so that hypotheses finish
+    old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+    Checkpoint(config=config, src_vocab=model.src_vocab, tgt_vocab=model.tgt_vocab,
+               arrays={name: p.data for name, p in model.params().items()}, meta={}).save(new)
+    manifest, arrays = T.load_arrays(new)
+    manifest["config"].update(gcn_activation="relu", highway=True)
+    T.save_arrays(old, manifest, arrays)
+    old_model, new_model = Checkpoint.load(old).build_model(), Checkpoint.load(new).build_model()
+    assert old_model.config == new_model.config == config
+    for ex in toy10[:4]:
+        for beam in (1, 5):  # tokens, log-prob (compared exactly) and truncation
+            assert old_model.beam_decode(ex, beam=beam) == new_model.beam_decode(ex, beam=beam)
 
 
 # The name and shape of every parameter in creation order, at embedding_dim 4,

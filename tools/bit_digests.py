@@ -1,13 +1,14 @@
 """Digests of the bytes that fixed seeds give, for comparing two trees of
 amrgen: a change that should keep the numbers prints the same lines on both.
 
-    PYTHONPATH=src python tools/bit_digests.py [--memorize]
+    PYTHONPATH=src python tools/bit_digests.py [--memorize] [--save DIR]
 
 It prints:
 - for every stacking at batch 1 and at batch 4, the sha256 of the
   checkpoint.bin and train_log.jsonl of 3 epochs on 14 toy graphs (dev: the
   next 7; dims 12/10, dropout 0.3, edge dropout 0.1, seed 3), and the last
-  epoch's train loss;
+  epoch's train loss; with --save DIR, the checkpoints and logs are kept
+  in DIR as <kind>-batch<b>.bin and .jsonl (see tools/ckpt_diff.py);
 - one sha256 over the greedy and beam decodes (beams 1, 2, 3, 5 and 6, at
   the default max_len and at 3) and the `score_sentence` of all 60 toy
   graphs, under untrained models of four stackings (dims 16, seed 5, +0.5
@@ -59,18 +60,19 @@ def _sha256(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def train_digests(kind, batch_size, examples, epochs=3):
+def train_digests(kind, batch_size, examples, epochs=3, save_dir=None):
     """The sha256 of the checkpoint and the log of a short training run on
-    examples[:14] with examples[14:21] as dev, and its last train loss."""
+    examples[:14] with examples[14:21] as dev, and its last train loss; the
+    two files are kept in save_dir when one is given."""
     config = EncoderConfig(kind=kind, embedding_dim=12,
                            hidden_dim=10, dropout=0.3, edge_dropout=0.1)
     settings = TrainSettings(batch_size=batch_size, max_epochs=epochs)
     checkpoint, log = train(examples[:14], examples[14:21], config, seed=3, settings=settings)
-    with tempfile.TemporaryDirectory() as folder:
-        checkpoint.save(os.path.join(folder, "checkpoint.bin"))
-        write_log(os.path.join(folder, "train_log.jsonl"), log)
-        return (_sha256(os.path.join(folder, "checkpoint.bin")),
-                _sha256(os.path.join(folder, "train_log.jsonl")), log[-1]["train_loss"])
+    with tempfile.TemporaryDirectory() as scratch:
+        stem = os.path.join(save_dir or scratch, f"{kind}-batch{batch_size}")
+        checkpoint.save(stem + ".bin")
+        write_log(stem + ".jsonl", log)
+        return _sha256(stem + ".bin"), _sha256(stem + ".jsonl"), log[-1]["train_loss"]
 
 
 def decode_digest(examples, kinds=DECODE_KINDS):
@@ -152,11 +154,16 @@ def main(argv=None):
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--memorize", action="store_true",
                         help="also run criterion 6's memorization (about a minute)")
+    parser.add_argument("--save", metavar="DIR",
+                        help="keep the checkpoints and logs that the train lines hash in DIR")
     args = parser.parse_args(argv)
+    if args.save:
+        os.makedirs(args.save, exist_ok=True)
     examples = toy_examples()
     for batch_size in (1, 4):
         for kind in KINDS:
-            checkpoint, log, loss = train_digests(kind, batch_size, examples)
+            checkpoint, log, loss = train_digests(kind, batch_size, examples,
+                                                  save_dir=args.save)
             print(f"train {kind:<12} batch {batch_size}: checkpoint {checkpoint[:16]} "
                   f"log {log[:16]} loss {loss!r}", flush=True)
     print(f"decode {decode_digest(examples)}", flush=True)
