@@ -26,7 +26,14 @@ class PenmanParseError(ValueError):
 
 class GraphTooDeepError(ValueError):
     """Raised when a path from a graph's root is too long for the canonical
-    traversal, which recurses once per node along it."""
+    walk, which recurses once per node along it."""
+
+
+class TreeTooLargeError(ValueError):
+    """Raised when a graph's reentrancy-split tree would have more nodes than
+    transforms.TREE_GROWTH_LIMIT allows per node and edge of the graph: where
+    re-mentions chain, each copies the whole subtree below it, and the tree
+    grows quadratically."""
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,23 @@ class AmrGraph:
 
     @cached_property
     def traversal(self) -> tuple:
-        """transforms._traverse of this graph, run once per graph object:
-        (sequence, tree, pos_tree, first_pos, edge_pos), which every derived
-        artifact reads; a GraphTooDeepError if a path from the root is longer
-        than the interpreter's recursion limit allows."""
-        from .transforms import _traverse  # deferred: transforms imports this module
+        """transforms.sequence_walk of this graph, run once per graph object
+        and shared by every artifact but the tree: (sequence, first_pos,
+        edge_pos); a GraphTooDeepError if a path of first mentions from the
+        root is longer than the interpreter's recursion limit allows."""
+        from .transforms import sequence_walk  # deferred: transforms imports this module
 
-        return _traverse(self)
+        return sequence_walk(self)
+
+    @cached_property
+    def tree_traversal(self) -> tuple:
+        """transforms.tree_walk of this graph, run on first read and at most
+        once per graph object: (tree, pos_tree), which only the tree
+        representation reads; a GraphTooDeepError as for traversal, or a
+        TreeTooLargeError."""
+        from .transforms import tree_walk  # deferred: transforms imports this module
+
+        return tree_walk(self)
 
     def indegrees(self) -> Counter:
         return Counter(child for _, _, child in self.edges)

@@ -18,8 +18,8 @@ from contextlib import contextmanager
 from sys import intern
 
 from . import __version__
-from .amr import (GraphTooDeepError, PenmanParseError, compute_stats, iter_blocks, parse_block,
-                  parse_penman, serialize_penman, validate)
+from .amr import (GraphTooDeepError, PenmanParseError, TreeTooLargeError, compute_stats,
+                  iter_blocks, parse_block, parse_penman, serialize_penman, validate)
 from .encoders import INPUT_REPRS, KINDS, EncoderConfig
 from .evaluation import (
     DEPENDENCY_BUCKETS,
@@ -49,6 +49,7 @@ from .transforms import (
     anonymize_sentence,
     linearize,
     prepare_example,
+    to_tree,
 )
 
 EXIT_OK = 0
@@ -152,7 +153,7 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationP
             if problems:
                 skips.append(f"invalid graph {example.id}: {problems[0].detail}")
                 continue
-            try:  # the traversal that every record reads, before any label counts
+            try:  # the sequence walk that every record reads, before any label counts
                 linearize(example.graph)
             except GraphTooDeepError as err:
                 skips.append(f"graph {example.id}: {err}")
@@ -222,10 +223,13 @@ def _interned_words(value):
     return None
 
 
-def load_examples(jsonl_path):
+def load_examples(jsonl_path, config=None):
     """Rebuild TrainExamples from a preprocessed JSONL file. Sentence and
     anon_map words are interned as they are checked, so the examples share
-    one object per distinct word with the graphs that parse_penman builds."""
+    one object per distinct word with the graphs that parse_penman builds.
+    For an EncoderConfig that reads trees (input_repr "tree"), each graph's
+    tree is built here too, so that a graph without one is a DataError
+    naming its file and line; other callers never build a tree."""
     examples = []
     for line_no, record in _jsonl_records(jsonl_path):
         if not isinstance(record.get("penman"), str):
@@ -239,7 +243,9 @@ def load_examples(jsonl_path):
             raise DataError(f"{jsonl_path}:{line_no}: anon_map must be a list of string pairs")
         try:
             example = prepare_example(parse_penman(record["penman"]))
-        except (PenmanParseError, GraphTooDeepError) as err:
+            if config is not None and config.input_repr == "tree":
+                to_tree(example.graph)
+        except (PenmanParseError, GraphTooDeepError, TreeTooLargeError) as err:
             raise DataError(f"{jsonl_path}:{line_no}: {err}") from None
         examples.append(
             TrainExample(
@@ -338,8 +344,8 @@ def cmd_train(args):
         check_seed(args.seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    examples = load_examples(args.data)
-    dev = load_examples(args.dev) if args.dev else examples
+    examples = load_examples(args.data, config)
+    dev = load_examples(args.dev, config) if args.dev else examples
     top = os.path.abspath(args.out)  # the nearest of --out and its ancestors that exists
     while not os.path.exists(top):
         top = os.path.dirname(top)
@@ -383,7 +389,7 @@ def _check_beam(beam):
 def cmd_generate(args):
     _check_beam(args.beam)
     model = _load_model(args.ckpt)
-    examples = load_examples(args.data)
+    examples = load_examples(args.data, model.config)
     lines = []
     # generate_all yields as it decodes, so each warning prints between examples
     for ex, (tokens, truncated) in zip(examples, generate_all(model, examples, beam=args.beam)):
@@ -421,12 +427,12 @@ def cmd_evaluate(args):
     if bool(args.hyp) == bool(args.ckpt):
         raise ConfigError("evaluate needs --hyp or --ckpt, not both")
     _check_beam(args.beam)
-    examples = load_examples(args.data)
+    model = None if args.hyp else _load_model(args.ckpt)
+    examples = load_examples(args.data, model and model.config)
     references = _references(examples)
-    if args.hyp:
+    if model is None:
         hypotheses = _read_hypotheses(args.hyp)
     else:
-        model = _load_model(args.ckpt)
         hypotheses = [tokens for tokens, _ in generate_all(model, examples, beam=args.beam)]
     if len(hypotheses) != len(references):
         raise DataError(
@@ -501,7 +507,7 @@ def load_pairs(path):
 
 def cmd_contrastive(args):
     model = _load_model(args.ckpt)
-    examples = {ex.id: ex for ex in load_examples(args.data)}
+    examples = {ex.id: ex for ex in load_examples(args.data, model.config)}
     pairs = load_pairs(args.pairs)
     if not any(pair.id in examples for pair in pairs):
         raise DataError(f"no contrastive pair in {args.pairs!r} names an example in "

@@ -8,9 +8,14 @@
 * Token sequence: depth-first linearization interleaving concept and relation
   tokens; reentrant targets re-emit their concept token only (no re-descent).
 
-All three come from one traversal, run once per graph object
-(AmrGraph.traversal), so that token positions, tree copies and Levi nodes
-stay aligned.
+All three follow one canonical depth-first walk, so that token positions,
+tree copies and Levi nodes stay aligned. Its sequence walk, which follows
+first mentions only, runs once per graph object (AmrGraph.traversal) and is
+shared by the sequence, the statistics, anonymization and the graph's Levi
+alignment. The tree walk, which also descends below re-mentions, runs only
+when the tree is first read (AmrGraph.tree_traversal: to_tree,
+ExampleRepr.tree, structures["tree"]), at most once per graph object, and
+stops with a TreeTooLargeError once the tree passes TREE_GROWTH_LIMIT.
 
 The strings built here and kept (tree copy ids, anonymization placeholders
 and surfaces) are interned, as parse_penman interns a graph's own, so a
@@ -28,7 +33,7 @@ from sys import intern
 
 import numpy as np
 
-from .amr import AmrGraph, GraphTooDeepError
+from .amr import AmrGraph, GraphTooDeepError, TreeTooLargeError
 
 
 @dataclass(frozen=True)
@@ -238,82 +243,128 @@ class TokenSequence:
         return len(self.tokens)
 
 
-class _Traversal:
-    """The lists and dicts that one canonical traversal fills in.
+# The tree walk stops once the tree has more nodes than this many per node
+# and edge of its graph. A tree has one node per edge plus the root where no
+# re-mentioned node has children; re-mentions that chain copy whole subtrees
+# into one another, and the tree grows quadratically. The toy corpus and the
+# benchmark's generated corpora (seeds 1-3) reach at most 1.11.
+TREE_GROWTH_LIMIT = 4
+
+
+class _Walk:
+    """One canonical depth-first walk of a graph: a node's concept token,
+    then for each out-edge in source order its relation token and the walk
+    below its target.
+
+    The sequence walk (tree False) follows first mentions only: a
+    re-mentioned node emits its concept token and stops. The tree walk makes
+    the same visits and emits the same tokens, and also walks below a
+    re-mention, emitting nothing there, unless the node is on the current
+    root path (cycle breaking). Each of its visits adds a tree node, the
+    source node's next copy, in pre-order: copies lists their source nodes,
+    and tree edge j, whose parent node and source edge are parents[j] and
+    edge_origin[j], leads to tree node j + 1. pos_tree holds the tree node
+    or edge that carries each emitted token. Past limit tree nodes it
+    raises TreeTooLargeError.
 
     visit recurses as a method. Do not make it a nested function that calls
     itself: the function would hold itself in its closure cell, a cycle that
     keeps all of the walk's lists and dicts alive until the cyclic collector
     runs, instead of freeing them when the walk returns."""
 
-    def __init__(self, graph: AmrGraph):
+    def __init__(self, graph: AmrGraph, tree: bool):
         self.labels, self.edges, self.out = graph.labels(), graph.edges, graph.out_index
-        self.tokens, self.alignment, self.pos_tree = [], [], []
-        self.tree_nodes, self.tree_edges, self.copy_of, self.edge_origin = [], [], [], []
+        self.tokens, self.alignment = [], []
         self.first_pos, self.edge_pos = {}, {}
-        self.path = set()  # the current root path, for cycle breaking
-        self.copies = {}  # node id -> tree copies made so far
+        self.tree = tree
+        if tree:
+            self.limit = TREE_GROWTH_LIMIT * (graph.node_count + graph.edge_count)
+            self.copies, self.parents, self.edge_origin, self.pos_tree = [], [], [], []
+            self.path = set()  # the current root path, for cycle breaking
 
     def visit(self, nid, emit):
-        """Add a tree copy of nid, and its concept token if emit, then the
-        copies below it unless nid is on the root path; returns the copy's id."""
-        count = self.copies.get(nid, 0)
-        self.copies[nid] = count + 1
-        tid = nid if count == 0 else intern(f"{nid}#{count}")
-        label, tokens, tree_nodes = self.labels[nid], self.tokens, self.tree_nodes
-        tree_nodes.append((tid, label))
-        self.copy_of.append((tid, nid))
-        emit_children = False
+        """Visit nid, emitting its concept token if emit."""
+        tree, tokens = self.tree, self.tokens
+        first = emit and nid not in self.first_pos
+        if tree:
+            node = len(self.copies)  # this visit's tree node
+            if node == self.limit:
+                raise TreeTooLargeError(
+                    f"graph's reentrancy-split tree too large: more than {node} nodes "
+                    f"({TREE_GROWTH_LIMIT} per node and edge of the graph)")
+            self.copies.append(nid)
         if emit:
-            if nid not in self.first_pos:
+            if first:
                 self.first_pos[nid] = len(tokens)
-                emit_children = True
-            tokens.append(label)
+            if tree:
+                self.pos_tree.append(node)
+            tokens.append(self.labels[nid])
             self.alignment.append(("node", nid))
-            self.pos_tree.append(len(tree_nodes) - 1)
-        path = self.path
-        if nid not in path:
-            path.add(nid)
-            edges, tree_edges = self.edges, self.tree_edges
+        if first or tree and nid not in self.path:
+            if tree:
+                self.path.add(nid)
+            edges = self.edges
             for eidx in self.out.get(nid, ()):
-                _, rel, child = edges[eidx]
-                slot = len(tree_edges)
-                tree_edges.append(None)
-                self.edge_origin.append(eidx)
-                if emit_children:
+                if tree:
+                    if first:
+                        self.pos_tree.append(len(self.parents))
+                    self.parents.append(node)
+                    self.edge_origin.append(eidx)
+                if first:
                     self.edge_pos[eidx] = len(tokens)
-                    tokens.append(rel)
+                    tokens.append(edges[eidx][1])
                     self.alignment.append(("edge", eidx))
-                    self.pos_tree.append(slot)
-                tree_edges[slot] = (tid, rel, self.visit(child, emit_children))
-            path.discard(nid)
-        return tid
+                self.visit(edges[eidx][2], first)
+            if tree:
+                self.path.discard(nid)
 
 
-def _traverse(graph: AmrGraph):
-    """The canonical depth-first traversal, which AmrGraph.traversal runs once
-    per graph object: (sequence, tree, pos_tree, first_pos, edge_pos), where
-    pos_tree holds per position its tree node index, or its tree edge index
-    for a relation token, first_pos maps each node id to the position of its
-    first mention, in mention order, and edge_pos each edge index to the
-    position of its relation token. A GraphTooDeepError if a path from the
-    root is longer than the interpreter's recursion limit allows."""
-    walk = _Traversal(graph)
+def _walk(graph: AmrGraph, tree: bool) -> _Walk:
+    """The walk of graph from its root; a GraphTooDeepError if a path from
+    the root is longer than the interpreter's recursion limit allows."""
+    walk = _Walk(graph, tree)
     try:
-        root_tid = walk.visit(graph.root, True)
+        walk.visit(graph.root, True)
     except RecursionError:
         raise GraphTooDeepError(
             "graph too deep to traverse: a path from its root is longer than the "
             f"recursion limit ({sys.getrecursionlimit()}) allows") from None
+    return walk
+
+
+def sequence_walk(graph: AmrGraph):
+    """The sequence walk, which AmrGraph.traversal runs once per graph
+    object: (sequence, first_pos, edge_pos), where first_pos maps each node
+    id to the position of its first mention, in mention order, and edge_pos
+    each edge index to the position of its relation token."""
+    walk = _walk(graph, False)
     sequence = TokenSequence(tokens=tuple(walk.tokens), alignment=tuple(walk.alignment))
+    return sequence, walk.first_pos, walk.edge_pos
+
+
+def tree_walk(graph: AmrGraph):
+    """The tree walk, which AmrGraph.tree_traversal runs on first read:
+    (tree, pos_tree), where pos_tree holds per sequence position its tree
+    node index, or its tree edge index for a relation token. The first copy
+    of a node keeps its id, later ones are id#1, id#2, ... A
+    TreeTooLargeError once the tree passes TREE_GROWTH_LIMIT nodes per node
+    and edge of the graph."""
+    walk = _walk(graph, True)
+    made, ids = {}, []
+    for nid in walk.copies:
+        count = made.get(nid, 0)
+        made[nid] = count + 1
+        ids.append(nid if count == 0 else intern(f"{nid}#{count}"))
+    labels, edges = walk.labels, graph.edges
     tree = AmrTree(
-        nodes=tuple(walk.tree_nodes),
-        edges=tuple(walk.tree_edges),
-        root=root_tid,
-        copy_of=tuple(walk.copy_of),
+        nodes=tuple((tid, labels[nid]) for tid, nid in zip(ids, walk.copies)),
+        edges=tuple((ids[parent], edges[eidx][1], ids[child])
+                    for child, (parent, eidx) in enumerate(zip(walk.parents, walk.edge_origin), 1)),
+        root=graph.root,
+        copy_of=tuple(zip(ids, walk.copies)),
         edge_origin=tuple(walk.edge_origin),
     )
-    return sequence, tree, tuple(walk.pos_tree), walk.first_pos, walk.edge_pos
+    return tree, tuple(walk.pos_tree)
 
 
 def linearize(graph: AmrGraph) -> TokenSequence:
@@ -321,7 +372,7 @@ def linearize(graph: AmrGraph) -> TokenSequence:
 
 
 def to_tree(graph: AmrGraph) -> AmrTree:
-    return graph.traversal[1]
+    return graph.tree_traversal[0]
 
 
 def to_levi(graph) -> LeviGraph:
@@ -350,7 +401,7 @@ def max_dependency_length(graph: AmrGraph) -> int:
     so a reentrant edge like finger->:part-of->he spans back to the first
     mention of ``he``.
     """
-    _, _, _, first_pos, edge_pos = graph.traversal
+    _, first_pos, edge_pos = graph.traversal
     longest = 0
     for eidx, (parent, _, child) in enumerate(graph.edges):
         rpos = edge_pos[eidx]
@@ -396,7 +447,7 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
     """
     labels = graph.labels()
     indegree = graph.indegrees()
-    traversal_order = list(graph.traversal[3])  # node ids in first-mention order
+    traversal_order = list(graph.traversal[1])  # node ids in first-mention order
 
     counters = {}
 
@@ -538,13 +589,18 @@ class ExampleRepr:
     """Everything the encoders need for one AMR, alignment included.
 
     structures maps each structural input_repr to its AlignedLevi: "graph"
-    keeps reentrancies, "tree" splits them.
+    keeps reentrancies, "tree" splits them. Equality leaves them out: they
+    follow from the graph, and comparing them would build them.
     """
 
     graph: AmrGraph
     sequence: TokenSequence
-    tree: AmrTree
-    structures: Mapping
+    structures: Mapping = field(compare=False)
+
+    @property
+    def tree(self) -> AmrTree:
+        """The graph's reentrancy-split tree, built on first read."""
+        return to_tree(self.graph)
 
 
 class _Structures(Mapping):
@@ -568,7 +624,7 @@ class _Structures(Mapping):
 
 
 def _aligned_graph(graph: AmrGraph) -> AlignedLevi:
-    sequence, _, _, first_pos, edge_pos = graph.traversal
+    sequence, first_pos, edge_pos = graph.traversal
     node_index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
     relations = len(graph.nodes)  # the Levi id of the first relation node
     pos = [node_index[ref] if kind == "node" else relations + ref
@@ -579,7 +635,8 @@ def _aligned_graph(graph: AmrGraph) -> AlignedLevi:
 
 
 def _aligned_tree(graph: AmrGraph) -> AlignedLevi:
-    sequence, tree, pos_tree, first_pos, edge_pos = graph.traversal
+    sequence, first_pos, edge_pos = graph.traversal
+    tree, pos_tree = graph.tree_traversal
     relations = len(tree.nodes)
     pos = [ref if kind == "node" else relations + ref
            for (kind, _), ref in zip(sequence.alignment, pos_tree)]
@@ -592,5 +649,4 @@ _ALIGNED = {"graph": _aligned_graph, "tree": _aligned_tree}
 
 
 def prepare_example(graph: AmrGraph) -> ExampleRepr:
-    sequence, tree, _, _, _ = graph.traversal
-    return ExampleRepr(graph=graph, sequence=sequence, tree=tree, structures=_Structures(graph))
+    return ExampleRepr(graph=graph, sequence=linearize(graph), structures=_Structures(graph))

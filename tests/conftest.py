@@ -154,6 +154,17 @@ def random_dag_graph(rng, max_nodes=8, extra_edges=3):
     return amr.AmrGraph(nodes=g.nodes, edges=tuple(edges), root=g.root)
 
 
+def random_cyclic_graph(rng, max_nodes=8, extra_edges=6):
+    """Random rooted graph: a tree plus edges between any two nodes, a node
+    and itself included, so re-mentions may chain and close cycles."""
+    g = random_tree_graph(rng, max_nodes=max_nodes)
+    ids = [nid for nid, _ in g.nodes]
+    extra = [(ids[int(rng.integers(0, len(ids)))], f":x{int(rng.integers(0, 3))}",
+              ids[int(rng.integers(0, len(ids)))])
+             for _ in range(int(rng.integers(0, extra_edges + 1)))]
+    return amr.AmrGraph(nodes=g.nodes, edges=g.edges + tuple(extra), root=g.root)
+
+
 # --------------------------------------------------------------------------
 # Gradient checking
 

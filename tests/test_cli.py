@@ -384,7 +384,7 @@ def test_unparsable_penman_names_its_file_and_line(command, small_jsonl, tmp_pat
     assert len(err) == 1 and err[0].startswith(f"data error: {bad}:2: unbalanced parentheses"), err
 
 
-# Graphs too deep for the canonical traversal, which recurses once per node
+# Graphs too deep for the canonical walk, which recurses once per node
 # along a path from the root: 5000 is far past the recursion limit, wherever
 # the walk starts.
 DEEP = 5000
@@ -402,16 +402,70 @@ def remention_penman(length):
     return f"(r / x :arg0 (a0 / x) {children})"
 
 
-@pytest.mark.parametrize("penman", [nested_penman(DEEP), remention_penman(DEEP)],
-                         ids=["nested", "remention-path"])
-def test_graph_too_deep_to_traverse_names_its_file_and_line(penman, tmp_path, capsys):
-    data = tmp_path / "deep.jsonl"
+def write_second_graph(path, penman):
+    """A JSONL file of a one-edge graph, then penman at line 2."""
     good = json.dumps({"id": "x-1", "penman": PENMAN, "sentence": ["the", "boy", "sleeps"]})
-    data.write_text(good + "\n" + json.dumps({"id": "x-2", "penman": penman}) + "\n")
+    path.write_text(good + "\n" + json.dumps({"id": "x-2", "penman": penman,
+                                              "sentence": ["the", "boy"]}) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("penman", [nested_penman(DEEP)], ids=["nested"])
+def test_graph_too_deep_to_traverse_names_its_file_and_line(penman, tmp_path, capsys):
+    data = write_second_graph(tmp_path / "deep.jsonl", penman)
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("the boy sleeps\nthe boy sleeps\n")
     assert main(["evaluate", "--data", str(data), "--hyp", str(hyp)]) == EXIT_DATA
     assert_one_line_error(capsys, f"data error: {data}:2: graph too deep to traverse")
+
+
+@pytest.fixture(scope="module")
+def tree_checkpoint(tmp_path_factory):
+    """A TreeLSTM checkpoint: generate, evaluate --ckpt and contrastive read
+    trees with it."""
+    folder = tmp_path_factory.mktemp("tree")
+    data = folder / "data.jsonl"
+    data.write_text(json.dumps({"id": "x-1", "penman": PENMAN,
+                                "sentence": ["the", "boy", "sleeps"]}) + "\n")
+    assert train_quick(data, folder / "model", extra=["--model", "TreeLSTM"]) == EXIT_OK
+    return folder / "model" / "checkpoint.bin"
+
+
+TREE_COMMANDS = {
+    "train": ["train", "--data", "{data}", "--out", "{out}", "--model", "TreeLSTM"],
+    "generate": ["generate", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "evaluate --ckpt": ["evaluate", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "contrastive": ["contrastive", "--ckpt", "{ckpt}", "--data", "{data}", "--pairs", "{pairs}"],
+}
+
+
+# A re-mention path of n nodes has a tree of about n * n / 2 nodes: each
+# a_i's tree copy holds copies of a_(i-1) ... a_0. 5000 is past the recursion
+# limit too, which the size bound stops the tree walk well before.
+@pytest.mark.parametrize("length", [900, DEEP])
+@pytest.mark.parametrize("command", TREE_COMMANDS)
+def test_tree_too_large_names_its_file_and_line(command, length, tree_checkpoint, tmp_path,
+                                                capsys):
+    data = write_second_graph(tmp_path / "paths.jsonl", remention_penman(length))
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"id": "x-1", "reference": ["a"], "contrastive": ["b"],
+                                 "category": "number"}) + "\n")
+    argv = [arg.format(data=data, out=tmp_path / "out", ckpt=tree_checkpoint, pairs=pairs)
+            for arg in TREE_COMMANDS[command]]
+    assert main(argv) == EXIT_DATA
+    assert_one_line_error(capsys, f"data error: {data}:2: graph's reentrancy-split tree too large")
+    assert not (tmp_path / "out").exists()
+
+
+def test_commands_that_read_no_tree_keep_a_remention_path(tmp_path, capsys):
+    src, out = tmp_path / "path.amr", tmp_path / "path.jsonl"
+    src.write_text(f"# ::id path-1\n# ::snt the boy\n{remention_penman(900)}\n")
+    assert main(["preprocess", "--input", str(src), "--out", str(out)]) == EXIT_OK
+    assert "wrote 1 examples (0 skipped)" in capsys.readouterr().out
+    data = write_second_graph(tmp_path / "deep.jsonl", remention_penman(DEEP))
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the boy sleeps\nthe boy\n")
+    assert main(["evaluate", "--data", str(data), "--hyp", str(hyp)]) == EXIT_OK
 
 
 DEEP_BLOCK = f"# ::id deep-1\n# ::snt deep\n{nested_penman(DEEP)}\n"

@@ -6,15 +6,18 @@ Oracle notes:
 * Levi size laws and the brute-force dependency-length oracle recompute the
   expected values here, independently of the implementation.
 """
+import json
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amrgen import amr, transforms
+from amrgen import amr, cli, transforms
 from amrgen.amr import parse_penman
+from amrgen.encoders import EncoderConfig
 from amrgen.transforms import (
     AnonymizationPolicy,
     anonymize,
@@ -27,8 +30,10 @@ from amrgen.transforms import (
     to_tree,
 )
 
-from conftest import (assert_one_object_per_value, graph_strings, random_dag_graph,
-                      random_tree_graph)
+from conftest import (assert_one_object_per_value, graph_strings, random_cyclic_graph,
+                      random_dag_graph, random_tree_graph)
+
+TOY = Path(__file__).parent.parent / "src" / "amrgen" / "data" / "toy_corpus.txt"
 
 
 # --------------------------------------------------------------------------
@@ -368,21 +373,122 @@ def test_prepare_example_alignment_properties(seed, max_nodes, extra):
             assert parents[levi.root] == 0
 
 
-def test_one_traversal_per_graph_object(monkeypatch):
-    traversed = []
-    real = transforms._traverse
-    monkeypatch.setattr(transforms, "_traverse", lambda g: traversed.append(g) or real(g))
+def test_one_sequence_walk_per_graph_object_and_a_tree_walk_only_when_read(monkeypatch,
+                                                                           tmp_path):
+    walked = {"sequence_walk": [], "tree_walk": []}  # the graphs each walk ran on
+    for name, graphs in walked.items():
+        real = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name,
+                            lambda g, real=real, graphs=graphs: graphs.append(g) or real(g))
+    # a corpus round, original, anonymized and loaded graphs, reads no tree
+    records, _, _ = cli.preprocess_corpus(str(TOY), anonymize_flag=True)
+    data = tmp_path / "toy.jsonl"
+    data.write_text("".join(json.dumps(record) + "\n" for record in records))
+    loaded = cli.load_examples(data)
+    assert len(walked["sequence_walk"]) == 3 * len(loaded) == 180
+    assert len({id(g) for g in walked["sequence_walk"]}) == 180
+    assert walked["tree_walk"] == []
+    # a loader that reads trees walks each graph's tree once, however often it is read
+    loaded = cli.load_examples(data, EncoderConfig(kind="TreeLSTM"))
+    for ex in loaded:
+        assert ex.repr.tree is to_tree(ex.repr.graph)
+        assert ex.repr.structures["tree"].levi.node_count >= ex.repr.tree.node_count
+    assert walked["tree_walk"] == [ex.repr.graph for ex in loaded]
+    assert len(walked["sequence_walk"]) == 240
+
+    walked["sequence_walk"].clear(), walked["tree_walk"].clear()
     text = "(e / eat-01 :arg0 (h / he) :arg1 (p / pizza) :instrument (f / finger :part-of h))"
     g = parse_penman(text)
-    sequence, tree = transforms.linearize(g), transforms.to_tree(g)
-    stats = amr.compute_stats(g)
+    sequence, stats = transforms.linearize(g), amr.compute_stats(g)
     ex = transforms.prepare_example(g)
-    assert [ex.structures[key].levi.node_count for key in ("graph", "tree")] == [8, 9]
-    assert traversed == [g]
-    assert (ex.sequence, ex.tree) == (sequence, tree)
-    # the result lives on the graph object: an equal graph parsed again traverses again
-    assert amr.compute_stats(parse_penman(text)) == stats
-    assert len(traversed) == 2
+    assert ex.structures["graph"].levi.node_count == 8
+    assert (walked["sequence_walk"], walked["tree_walk"]) == ([g], [])
+    assert ex.structures["tree"].levi.node_count == 9
+    assert (ex.sequence, ex.tree) == (sequence, to_tree(g))
+    assert (walked["sequence_walk"], walked["tree_walk"]) == ([g], [g])
+    # the result lives on the graph object: an equal graph parsed again walks
+    # again, and comparing examples builds no structure
+    again = transforms.prepare_example(parse_penman(text))
+    assert again == ex and amr.compute_stats(again.graph) == stats
+    assert (len(walked["sequence_walk"]), len(walked["tree_walk"])) == (2, 1)
+
+
+def reference_walk(graph):
+    """The canonical walk as one pass, in the simplest form: (tokens,
+    first_pos, edge_pos, tree nodes, tree edges, copy_of, edge_origin,
+    pos_tree)."""
+    labels, out = graph.labels(), graph.out_index
+    tokens, first_pos, edge_pos, pos_tree = [], {}, {}, []
+    nodes, edges, copy_of, origin, path, copies = [], [], [], [], [], Counter()
+
+    def visit(nid, emit):
+        tid = f"{nid}#{copies[nid]}" if copies[nid] else nid
+        copies[nid] += 1
+        nodes.append((tid, labels[nid]))
+        copy_of.append((tid, nid))
+        first = emit and nid not in first_pos
+        if emit:
+            if first:
+                first_pos[nid] = len(tokens)
+            pos_tree.append(len(nodes) - 1)
+            tokens.append(labels[nid])
+        if nid in path:
+            return tid
+        path.append(nid)
+        for eidx in out.get(nid, ()):
+            _, rel, child = graph.edges[eidx]
+            slot = len(edges)
+            edges.append(None)
+            origin.append(eidx)
+            if first:
+                edge_pos[eidx] = len(tokens)
+                pos_tree.append(slot)
+                tokens.append(rel)
+            edges[slot] = (tid, rel, visit(child, first))
+        path.pop()
+        return tid
+
+    visit(graph.root, True)
+    return tokens, first_pos, edge_pos, nodes, edges, copy_of, origin, pos_tree
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(3, 9), extra=st.integers(0, 8))
+def test_sequence_walk_and_tree_walk_agree(seed, max_nodes, extra):
+    g = random_cyclic_graph(np.random.default_rng(seed), max_nodes=max_nodes, extra_edges=extra)
+    tokens, ref_first, ref_edge, nodes, edges, ref_copy_of, origin, ref_pos = reference_walk(g)
+    sequence, first_pos, edge_pos = g.traversal
+    assert list(sequence.tokens) == tokens
+    assert list(first_pos.items()) == list(ref_first.items())
+    assert list(edge_pos.items()) == list(ref_edge.items())
+    if len(nodes) > transforms.TREE_GROWTH_LIMIT * (g.node_count + g.edge_count):
+        with pytest.raises(amr.TreeTooLargeError):
+            to_tree(g)
+        return
+    tree, pos_tree = g.tree_traversal
+    copy_of = dict(tree.copy_of)
+    for token, (kind, ref), place in zip(sequence.tokens, sequence.alignment, pos_tree,
+                                         strict=True):
+        if kind == "node":  # a tree copy of the node, labelled with its concept
+            assert tree.nodes[place][1] == token and copy_of[tree.nodes[place][0]] == ref
+        else:  # a tree edge from the edge, labelled with its relation
+            assert tree.edges[place][1] == token and tree.edge_origin[place] == ref
+    assert (list(tree.nodes), list(tree.edges), list(tree.copy_of), list(tree.edge_origin),
+            list(pos_tree)) == (nodes, edges, ref_copy_of, origin, ref_pos)
+
+
+def test_a_tree_past_the_growth_limit_is_tree_too_large_error():
+    # a re-mention path: each a_i re-mentions a_(i-1), so a_i's tree copy
+    # holds copies of a_(i-1) ... a_0, about n * n / 2 tree nodes in all
+    n = 900
+    children = " ".join(f":arg{i} (a{i} / x :arg0 a{i - 1})" for i in range(1, n))
+    g = parse_penman(f"(r / x :arg0 (a0 / x) {children})")
+    assert len(linearize(g)) == 1 + 2 * g.edge_count
+    assert amr.compute_stats(g).reentrancy_count == n - 1
+    limit = transforms.TREE_GROWTH_LIMIT * (g.node_count + g.edge_count)
+    for derive in (to_tree, lambda g: prepare_example(g).structures["tree"]):
+        with pytest.raises(amr.TreeTooLargeError, match=f"more than {limit} nodes"):
+            derive(g)
 
 
 def test_traversal_past_the_recursion_limit_is_graph_too_deep_error():

@@ -1,6 +1,7 @@
 """Memory that a loaded corpus holds: the tracemalloc peak of preprocessing a
-PENMAN corpus and loading the records back, and the string objects the
-records and the loaded examples keep against their distinct values.
+PENMAN corpus (`cli.preprocess_corpus` alone, and with writing the records
+and loading them back), and the string objects the records and the loaded
+examples keep against their distinct values.
 
     PYTHONPATH=src python tools/corpus_memory.py [PATH] [--anonymize]
 
@@ -51,13 +52,15 @@ def count_strings(*roots):
 
 def measure(path, anonymize=False):
     """Preprocess path, write the records as JSONL, load them back; returns
-    the records, the examples, the tracemalloc peak in bytes and the seconds
-    it took under tracemalloc."""
+    the records, the examples, the tracemalloc peaks in bytes of
+    preprocessing alone and of the whole, and the seconds it took under
+    tracemalloc."""
     with tempfile.TemporaryDirectory() as scratch:
         jsonl = os.path.join(scratch, "corpus.jsonl")
         tracemalloc.start()
         started = time.perf_counter()
         records, _, _ = cli.preprocess_corpus(path, anonymize_flag=anonymize)
+        _, preprocess_peak = tracemalloc.get_traced_memory()
         with open(jsonl, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -65,7 +68,7 @@ def measure(path, anonymize=False):
         seconds = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    return records, examples, peak, seconds
+    return records, examples, preprocess_peak, peak, seconds
 
 
 def main(argv=None) -> int:
@@ -77,12 +80,13 @@ def main(argv=None) -> int:
                         help="anonymize as `amrgen preprocess --anonymize` does")
     args = parser.parse_args(argv)
     try:
-        records, examples, peak, seconds = measure(args.path, args.anonymize)
+        records, examples, preprocess_peak, peak, seconds = measure(args.path, args.anonymize)
     except (cli.DataError, OSError) as err:
         print(f"corpus_memory: {err}", file=sys.stderr)
         return 3
     objects, distinct = count_strings(records, examples)
     print(f"examples: {len(examples)}")
+    print(f"tracemalloc peak of preprocess_corpus: {preprocess_peak / 2**20:.2f} MB")
     print(f"tracemalloc peak: {peak / 2**20:.2f} MB ({seconds:.2f} s traced)")
     print(f"strings kept: {objects} objects for {distinct} distinct values")
     return 0
