@@ -52,23 +52,23 @@ class AmrGraph:
     def labels(self) -> dict:
         return dict(self.nodes)
 
-    @cached_property
     def out_index(self) -> dict:
-        """parent id -> indices of its out-edges in source order, built once."""
+        """parent id -> indices of its out-edges in source order. It is built
+        anew on each call and not kept, so a reader builds it once."""
         index = {}
         for idx, edge in enumerate(self.edges):
             index.setdefault(edge[0], []).append(idx)
         return index
 
-    def out_edges(self, node_id: str) -> list:
-        return [self.edges[idx] for idx in self.out_index.get(node_id, ())]
-
     @cached_property
     def traversal(self) -> tuple:
         """transforms.sequence_walk of this graph, run once per graph object
-        and shared by every artifact but the tree: (sequence, first_pos,
-        edge_pos); a GraphTooDeepError if a path of first mentions from the
-        root is longer than the interpreter's recursion limit allows."""
+        and shared by every artifact but the tree: (sequence, first), where
+        sequence.alignment holds each position's Levi id (node index, or
+        node_count + edge index) and first each Levi id's first position.
+        It is all a loaded graph keeps beside its fields. A
+        GraphTooDeepError if a path of first mentions from the root is
+        longer than the interpreter's recursion limit allows."""
         from .transforms import sequence_walk  # deferred: transforms imports this module
 
         return sequence_walk(self)
@@ -280,7 +280,7 @@ def serialize_penman(graph: AmrGraph, indent: bool = False) -> str:
         return '"' + label.replace('"', "") + '"'
 
     parts, visited = [], set()
-    out, edges = graph.out_index, graph.edges
+    out, edges = graph.out_index(), graph.edges
     stack = [(graph.root, 0)]  # (node id, depth), or a string to emit
     while stack:
         entry = stack.pop()

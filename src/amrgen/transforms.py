@@ -12,8 +12,10 @@ All three follow one canonical depth-first walk, so that token positions,
 tree copies and Levi nodes stay aligned. Its sequence walk, which follows
 first mentions only, runs once per graph object (AmrGraph.traversal) and is
 shared by the sequence, the statistics, anonymization and the graph's Levi
-alignment. The tree walk, which also descends below re-mentions, runs only
-when the tree is first read (AmrGraph.tree_traversal: to_tree,
+alignment. It keeps two flat tuples beside the tokens: each position's Levi
+id and each Levi id's first position, which are the graph's AlignedLevi
+maps as they stand. The tree walk, which also descends below re-mentions,
+runs only when the tree is first read (AmrGraph.tree_traversal: to_tree,
 ExampleRepr.tree, structures["tree"]), at most once per graph object, and
 stops with a TreeTooLargeError once the tree passes TREE_GROWTH_LIMIT.
 
@@ -232,8 +234,9 @@ class AmrTree:
 class TokenSequence:
     """Linearized AMR: x_1..x_N with per-position provenance.
 
-    alignment[i] is ("node", node_id) for concept tokens and
-    ("edge", edge_index) for relation tokens.
+    alignment[i] is the Levi id of the token's source: the node's index in
+    graph.nodes for a concept token, node_count + the edge's index for a
+    relation token.
     """
 
     tokens: tuple
@@ -256,6 +259,11 @@ class _Walk:
     then for each out-edge in source order its relation token and the walk
     below its target.
 
+    The walk names nodes and edges by their Levi ids: node v is graph.nodes[v]
+    and edge e is Levi id node_count + e. alignment holds each token's Levi
+    id, and first_pos each Levi id's first position, None until it is
+    emitted.
+
     The sequence walk (tree False) follows first mentions only: a
     re-mentioned node emits its concept token and stops. The tree walk makes
     the same visits and emits the same tokens, and also walks below a
@@ -269,54 +277,63 @@ class _Walk:
 
     visit recurses as a method. Do not make it a nested function that calls
     itself: the function would hold itself in its closure cell, a cycle that
-    keeps all of the walk's lists and dicts alive until the cyclic collector
-    runs, instead of freeing them when the walk returns."""
+    keeps all of the walk's lists alive until the cyclic collector runs,
+    instead of freeing them when the walk returns."""
 
     def __init__(self, graph: AmrGraph, tree: bool):
-        self.labels, self.edges, self.out = graph.labels(), graph.edges, graph.out_index
+        index = {nid: v for v, (nid, _) in enumerate(graph.nodes)}
+        self.labels = [label for _, label in graph.nodes]
+        self.relations = len(self.labels)  # the Levi id of edge 0
+        self.edges = graph.edges
+        self.out = [[] for _ in self.labels]  # per node, its out-edges in source order
+        self.targets = []  # per edge, its target node
+        for eidx, (parent, _, child) in enumerate(graph.edges):
+            self.out[index[parent]].append(eidx)
+            self.targets.append(index[child])
+        self.root = index[graph.root]
         self.tokens, self.alignment = [], []
-        self.first_pos, self.edge_pos = {}, {}
+        self.first_pos = [None] * (self.relations + len(self.edges))
         self.tree = tree
         if tree:
             self.limit = TREE_GROWTH_LIMIT * (graph.node_count + graph.edge_count)
             self.copies, self.parents, self.edge_origin, self.pos_tree = [], [], [], []
             self.path = set()  # the current root path, for cycle breaking
 
-    def visit(self, nid, emit):
-        """Visit nid, emitting its concept token if emit."""
-        tree, tokens = self.tree, self.tokens
-        first = emit and nid not in self.first_pos
+    def visit(self, v, emit):
+        """Visit node v, emitting its concept token if emit."""
+        tree, tokens, first_pos = self.tree, self.tokens, self.first_pos
+        first = emit and first_pos[v] is None
         if tree:
             node = len(self.copies)  # this visit's tree node
             if node == self.limit:
                 raise TreeTooLargeError(
                     f"graph's reentrancy-split tree too large: more than {node} nodes "
                     f"({TREE_GROWTH_LIMIT} per node and edge of the graph)")
-            self.copies.append(nid)
+            self.copies.append(v)
         if emit:
             if first:
-                self.first_pos[nid] = len(tokens)
+                first_pos[v] = len(tokens)
             if tree:
                 self.pos_tree.append(node)
-            tokens.append(self.labels[nid])
-            self.alignment.append(("node", nid))
-        if first or tree and nid not in self.path:
+            tokens.append(self.labels[v])
+            self.alignment.append(v)
+        if first or tree and v not in self.path:
             if tree:
-                self.path.add(nid)
-            edges = self.edges
-            for eidx in self.out.get(nid, ()):
+                self.path.add(v)
+            edges, targets, relations = self.edges, self.targets, self.relations
+            for eidx in self.out[v]:
                 if tree:
                     if first:
                         self.pos_tree.append(len(self.parents))
                     self.parents.append(node)
                     self.edge_origin.append(eidx)
                 if first:
-                    self.edge_pos[eidx] = len(tokens)
+                    first_pos[relations + eidx] = len(tokens)
                     tokens.append(edges[eidx][1])
-                    self.alignment.append(("edge", eidx))
-                self.visit(edges[eidx][2], first)
+                    self.alignment.append(relations + eidx)
+                self.visit(targets[eidx], first)
             if tree:
-                self.path.discard(nid)
+                self.path.discard(v)
 
 
 def _walk(graph: AmrGraph, tree: bool) -> _Walk:
@@ -324,7 +341,7 @@ def _walk(graph: AmrGraph, tree: bool) -> _Walk:
     the root is longer than the interpreter's recursion limit allows."""
     walk = _Walk(graph, tree)
     try:
-        walk.visit(graph.root, True)
+        walk.visit(walk.root, True)
     except RecursionError:
         raise GraphTooDeepError(
             "graph too deep to traverse: a path from its root is longer than the "
@@ -334,12 +351,13 @@ def _walk(graph: AmrGraph, tree: bool) -> _Walk:
 
 def sequence_walk(graph: AmrGraph):
     """The sequence walk, which AmrGraph.traversal runs once per graph
-    object: (sequence, first_pos, edge_pos), where first_pos maps each node
-    id to the position of its first mention, in mention order, and edge_pos
-    each edge index to the position of its relation token."""
+    object: (sequence, first), two flat tuples of Levi ids and positions.
+    sequence.alignment holds each position's Levi id, and first each Levi
+    id's first position: a node's first mention, an edge's relation token.
+    They are the graph's AlignedLevi pos_to_node and init_pos as they are."""
     walk = _walk(graph, False)
     sequence = TokenSequence(tokens=tuple(walk.tokens), alignment=tuple(walk.alignment))
-    return sequence, walk.first_pos, walk.edge_pos
+    return sequence, tuple(walk.first_pos)
 
 
 def tree_walk(graph: AmrGraph):
@@ -350,18 +368,19 @@ def tree_walk(graph: AmrGraph):
     TreeTooLargeError once the tree passes TREE_GROWTH_LIMIT nodes per node
     and edge of the graph."""
     walk = _walk(graph, True)
-    made, ids = {}, []
-    for nid in walk.copies:
-        count = made.get(nid, 0)
-        made[nid] = count + 1
-        ids.append(nid if count == 0 else intern(f"{nid}#{count}"))
+    names = [nid for nid, _ in graph.nodes]
+    made, ids = [0] * len(names), []
+    for v in walk.copies:
+        count = made[v]
+        made[v] = count + 1
+        ids.append(names[v] if count == 0 else intern(f"{names[v]}#{count}"))
     labels, edges = walk.labels, graph.edges
     tree = AmrTree(
-        nodes=tuple((tid, labels[nid]) for tid, nid in zip(ids, walk.copies)),
+        nodes=tuple((tid, labels[v]) for tid, v in zip(ids, walk.copies)),
         edges=tuple((ids[parent], edges[eidx][1], ids[child])
                     for child, (parent, eidx) in enumerate(zip(walk.parents, walk.edge_origin), 1)),
         root=graph.root,
-        copy_of=tuple(zip(ids, walk.copies)),
+        copy_of=tuple((tid, names[v]) for tid, v in zip(ids, walk.copies)),
         edge_origin=tuple(walk.edge_origin),
     )
     return tree, tuple(walk.pos_tree)
@@ -401,11 +420,11 @@ def max_dependency_length(graph: AmrGraph) -> int:
     so a reentrant edge like finger->:part-of->he spans back to the first
     mention of ``he``.
     """
-    _, first_pos, edge_pos = graph.traversal
+    _, first = graph.traversal
+    first_of = {nid: first[v] for v, (nid, _) in enumerate(graph.nodes)}
     longest = 0
-    for eidx, (parent, _, child) in enumerate(graph.edges):
-        rpos = edge_pos[eidx]
-        longest = max(longest, abs(rpos - first_pos[parent]), abs(first_pos[child] - rpos))
+    for rpos, (parent, _, child) in zip(first[graph.node_count:], graph.edges):
+        longest = max(longest, abs(rpos - first_of[parent]), abs(first_of[child] - rpos))
     return longest
 
 
@@ -447,7 +466,10 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
     """
     labels = graph.labels()
     indegree = graph.indegrees()
-    traversal_order = list(graph.traversal[1])  # node ids in first-mention order
+    out, edges = graph.out_index(), graph.edges
+    sequence, first = graph.traversal
+    traversal_order = [graph.nodes[v][0] for pos, v in enumerate(sequence.alignment)
+                       if v < graph.node_count and first[v] == pos]  # first-mention order
 
     counters = {}
 
@@ -462,8 +484,9 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
 
     def constant_children(nid):
         children = []
-        for _, rel, child in graph.out_edges(nid):
-            if graph.out_edges(child) or indegree.get(child, 0) > 1:
+        for eidx in out.get(nid, ()):
+            _, rel, child = edges[eidx]
+            if child in out or indegree.get(child, 0) > 1:
                 return None
             children.append((rel, child))
         return children
@@ -472,7 +495,8 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
     for nid in traversal_order:
         if nid in removed:
             continue
-        for _, rel, child in graph.out_edges(nid):
+        for eidx in out.get(nid, ()):
+            _, rel, child = edges[eidx]
             if rel != ":name" or labels.get(child) != "name":
                 continue
             if indegree.get(child, 0) > 1:
@@ -523,9 +547,7 @@ def anonymize(graph: AmrGraph, policy: AnonymizationPolicy):
     nodes = tuple(
         (nid, relabeled.get(nid, label)) for nid, label in graph.nodes if nid not in removed
     )
-    edges = tuple(
-        e for e in graph.edges if e[0] not in removed and e[2] not in removed
-    )
+    edges = tuple(e for e in edges if e[0] not in removed and e[2] not in removed)
     return AmrGraph(nodes=nodes, edges=edges, root=graph.root), tuple(mapping)
 
 
@@ -624,24 +646,18 @@ class _Structures(Mapping):
 
 
 def _aligned_graph(graph: AmrGraph) -> AlignedLevi:
-    sequence, first_pos, edge_pos = graph.traversal
-    node_index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
-    relations = len(graph.nodes)  # the Levi id of the first relation node
-    pos = [node_index[ref] if kind == "node" else relations + ref
-           for kind, ref in sequence.alignment]
-    init = [first_pos[nid] for nid, _ in graph.nodes]
-    init += [edge_pos[eidx] for eidx in range(len(graph.edges))]
-    return AlignedLevi(to_levi(graph), tuple(pos), tuple(init))
+    sequence, first = graph.traversal  # the walk's Levi ids are the graph's own
+    return AlignedLevi(to_levi(graph), sequence.alignment, first)
 
 
 def _aligned_tree(graph: AmrGraph) -> AlignedLevi:
-    sequence, first_pos, edge_pos = graph.traversal
+    sequence, first = graph.traversal
     tree, pos_tree = graph.tree_traversal
-    relations = len(tree.nodes)
-    pos = [ref if kind == "node" else relations + ref
-           for (kind, _), ref in zip(sequence.alignment, pos_tree)]
-    init = [first_pos[nid] for _, nid in tree.copy_of]
-    init += [edge_pos[eidx] for eidx in tree.edge_origin]
+    nodes, relations = graph.node_count, tree.node_count
+    pos = [ref if v < nodes else relations + ref for v, ref in zip(sequence.alignment, pos_tree)]
+    first_of = {nid: first[v] for v, (nid, _) in enumerate(graph.nodes)}
+    init = [first_of[nid] for _, nid in tree.copy_of]
+    init += [first[nodes + eidx] for eidx in tree.edge_origin]
     return AlignedLevi(to_levi(tree), tuple(pos), tuple(init))
 
 

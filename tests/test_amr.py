@@ -198,20 +198,20 @@ def test_parse_matches_the_character_scanner_on_quotes_and_whitespace(text):
 def _isomorphic(a: amr.AmrGraph, b: amr.AmrGraph) -> bool:
     """Graph equality up to node renaming, via canonical traversal signatures."""
 
-    def signature(g, nid, seen):
+    def signature(g, out, nid, seen):
         if nid in seen:
             return ("back", seen[nid])
         seen = dict(seen)
         seen[nid] = len(seen)
         children = tuple(
-            (rel, signature(g, child, seen))
+            (rel, signature(g, out, child, seen))
             for _, rel, child in sorted(
-                g.out_edges(nid), key=lambda e: (e[1], g.labels()[e[2]])
+                (g.edges[idx] for idx in out.get(nid, ())), key=lambda e: (e[1], g.labels()[e[2]])
             )
         )
         return (g.labels()[nid], children)
 
-    return signature(a, a.root, {}) == signature(b, b.root, {})
+    return signature(a, a.out_index(), a.root, {}) == signature(b, b.out_index(), b.root, {})
 
 
 def test_round_trip_golden(golden_cases):

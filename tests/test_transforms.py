@@ -46,9 +46,23 @@ def test_golden_linearization(golden_cases):
         assert list(seq.tokens) == fields["tokens"], name
 
 
+def _graph_sources(graph):
+    """Per Levi id of graph, the ("node", id) or ("edge", index) it stands
+    for: the graph's nodes in order, then its edges in order."""
+    return ([("node", nid) for nid, _ in graph.nodes]
+            + [("edge", eidx) for eidx in range(len(graph.edges))])
+
+
+def _tagged(graph, alignment):
+    """An alignment of Levi ids as ("node", id) and ("edge", index) tuples."""
+    sources = _graph_sources(graph)
+    return [sources[lid] for lid in alignment]
+
+
 def test_linearization_alignment(figure_graph):
     seq = linearize(figure_graph)
-    kinds = [kind for kind, _ in seq.alignment]
+    assert all(type(lid) is int for lid in seq.alignment)
+    kinds = [kind for kind, _ in _tagged(figure_graph, seq.alignment)]
     # alternating provenance: concept, relation, concept, ...
     assert kinds == ["node", "edge"] * 4 + ["node"]
     # the reentrant 'he' tokens map to the same source node
@@ -195,7 +209,7 @@ def brute_force_maxdep(graph):
     seq = linearize(graph)
     first = {}
     rel = {}
-    for pos, (kind, ref) in enumerate(seq.alignment):
+    for pos, (kind, ref) in enumerate(_tagged(graph, seq.alignment)):
         if kind == "node" and ref not in first:
             first[ref] = pos
         if kind == "edge":
@@ -337,11 +351,9 @@ def _levi_sources(ex, input_repr):
     it stands for, from the documented layout: the structure's nodes in order,
     then one relation node per edge in edge order."""
     if input_repr == "graph":
-        nodes = [nid for nid, _ in ex.graph.nodes]
-        edges = list(range(len(ex.graph.edges)))
-    else:
-        nodes = [nid for _, nid in ex.tree.copy_of]
-        edges = list(ex.tree.edge_origin)
+        return _graph_sources(ex.graph)
+    nodes = [nid for _, nid in ex.tree.copy_of]
+    edges = list(ex.tree.edge_origin)
     return [("node", nid) for nid in nodes] + [("edge", eidx) for eidx in edges]
 
 
@@ -350,7 +362,7 @@ def _levi_sources(ex, input_repr):
 def test_prepare_example_alignment_properties(seed, max_nodes, extra):
     g = random_dag_graph(np.random.default_rng(seed), max_nodes=max_nodes, extra_edges=extra)
     ex = prepare_example(g)
-    alignment = ex.sequence.alignment
+    alignment = _tagged(g, ex.sequence.alignment)
     for input_repr, aligned in ex.structures.items():
         levi = aligned.levi
         sources = _levi_sources(ex, input_repr)
@@ -413,11 +425,29 @@ def test_one_sequence_walk_per_graph_object_and_a_tree_walk_only_when_read(monke
     assert (len(walked["sequence_walk"]), len(walked["tree_walk"])) == (2, 1)
 
 
+def test_a_loaded_graph_keeps_only_its_sequence_walk(tmp_path):
+    records, _, _ = cli.preprocess_corpus(str(TOY), anonymize_flag=True)
+    data = tmp_path / "toy.jsonl"
+    data.write_text("".join(json.dumps(record) + "\n" for record in records))
+    for ex in cli.load_examples(data):
+        # the fields and the cached walk, and no out-edge index or tree
+        assert set(vars(ex.repr.graph)) == {"nodes", "edges", "root", "traversal"}
+        sequence, first = ex.repr.graph.traversal
+        assert all(type(item) is tuple for item in (sequence.tokens, sequence.alignment, first))
+
+
+def test_the_graph_structure_reads_the_walks_own_tuples(figure_example):
+    aligned = figure_example.structures["graph"]
+    sequence, first = figure_example.graph.traversal
+    assert aligned.pos_to_node is sequence.alignment is figure_example.sequence.alignment
+    assert aligned.init_pos is first
+
+
 def reference_walk(graph):
     """The canonical walk as one pass, in the simplest form: (tokens,
     first_pos, edge_pos, tree nodes, tree edges, copy_of, edge_origin,
     pos_tree)."""
-    labels, out = graph.labels(), graph.out_index
+    labels, out = graph.labels(), graph.out_index()
     tokens, first_pos, edge_pos, pos_tree = [], {}, {}, []
     nodes, edges, copy_of, origin, path, copies = [], [], [], [], [], Counter()
 
@@ -457,18 +487,20 @@ def reference_walk(graph):
 def test_sequence_walk_and_tree_walk_agree(seed, max_nodes, extra):
     g = random_cyclic_graph(np.random.default_rng(seed), max_nodes=max_nodes, extra_edges=extra)
     tokens, ref_first, ref_edge, nodes, edges, ref_copy_of, origin, ref_pos = reference_walk(g)
-    sequence, first_pos, edge_pos = g.traversal
+    sequence, first = g.traversal
     assert list(sequence.tokens) == tokens
-    assert list(first_pos.items()) == list(ref_first.items())
-    assert list(edge_pos.items()) == list(ref_edge.items())
+    # each Levi id's first position: a node's first mention, an edge's
+    # relation token, None for one the walk never reaches
+    assert first == (tuple(ref_first.get(nid) for nid, _ in g.nodes)
+                     + tuple(ref_edge.get(eidx) for eidx in range(g.edge_count)))
     if len(nodes) > transforms.TREE_GROWTH_LIMIT * (g.node_count + g.edge_count):
         with pytest.raises(amr.TreeTooLargeError):
             to_tree(g)
         return
     tree, pos_tree = g.tree_traversal
     copy_of = dict(tree.copy_of)
-    for token, (kind, ref), place in zip(sequence.tokens, sequence.alignment, pos_tree,
-                                         strict=True):
+    for token, (kind, ref), place in zip(sequence.tokens, _tagged(g, sequence.alignment),
+                                         pos_tree, strict=True):
         if kind == "node":  # a tree copy of the node, labelled with its concept
             assert tree.nodes[place][1] == token and copy_of[tree.nodes[place][0]] == ref
         else:  # a tree edge from the edge, labelled with its relation

@@ -1,7 +1,9 @@
 """Memory that a loaded corpus holds: the tracemalloc peak of preprocessing a
 PENMAN corpus (`cli.preprocess_corpus` alone, and with writing the records
-and loading them back), and the string objects the records and the loaded
-examples keep against their distinct values.
+and loading them back), the bytes the loaded examples hold per graph
+(`cli.load_examples` alone, measured after `gc.collect()`), and the string
+objects the records and the loaded examples keep against their distinct
+values.
 
     PYTHONPATH=src python tools/corpus_memory.py [PATH] [--anonymize]
 
@@ -14,6 +16,7 @@ distinct values: the rest are each record's id and PENMAN text and each
 example's id.
 """
 import argparse
+import gc
 import json
 import os
 import sys
@@ -53,7 +56,8 @@ def count_strings(*roots):
 def measure(path, anonymize=False):
     """Preprocess path, write the records as JSONL, load them back; returns
     the records, the examples, the tracemalloc peaks in bytes of
-    preprocessing alone and of the whole, and the seconds it took under
+    preprocessing alone and of the whole, the bytes that loading left
+    allocated once the collector has run, and the seconds it took under
     tracemalloc."""
     with tempfile.TemporaryDirectory() as scratch:
         jsonl = os.path.join(scratch, "corpus.jsonl")
@@ -64,11 +68,15 @@ def measure(path, anonymize=False):
         with open(jsonl, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
         examples = cli.load_examples(jsonl)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
         seconds = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    return records, examples, preprocess_peak, peak, seconds
+    return records, examples, preprocess_peak, peak, held, seconds
 
 
 def main(argv=None) -> int:
@@ -80,7 +88,8 @@ def main(argv=None) -> int:
                         help="anonymize as `amrgen preprocess --anonymize` does")
     args = parser.parse_args(argv)
     try:
-        records, examples, preprocess_peak, peak, seconds = measure(args.path, args.anonymize)
+        records, examples, preprocess_peak, peak, held, seconds = measure(args.path,
+                                                                         args.anonymize)
     except (cli.DataError, OSError) as err:
         print(f"corpus_memory: {err}", file=sys.stderr)
         return 3
@@ -88,6 +97,8 @@ def main(argv=None) -> int:
     print(f"examples: {len(examples)}")
     print(f"tracemalloc peak of preprocess_corpus: {preprocess_peak / 2**20:.2f} MB")
     print(f"tracemalloc peak: {peak / 2**20:.2f} MB ({seconds:.2f} s traced)")
+    print(f"loaded examples hold: {held / 2**20:.2f} MB, {held / len(examples):.0f} bytes "
+          "per graph")
     print(f"strings kept: {objects} objects for {distinct} distinct values")
     return 0
 
