@@ -17,6 +17,8 @@ from collections import Counter
 from contextlib import contextmanager
 from sys import intern
 
+import numpy as np
+
 from . import __version__
 from .amr import (GraphTooDeepError, PenmanParseError, TreeTooLargeError, compute_stats,
                   iter_blocks, parse_block, parse_penman, serialize_penman, validate)
@@ -388,6 +390,9 @@ def _check_beam(beam):
 
 def cmd_generate(args):
     _check_beam(args.beam)
+    if args.out and (os.path.isdir(args.out)  # checked before the decoding it would waste
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        raise DataError(f"--out {args.out!r} must name a file in a directory that exists")
     model = _load_model(args.ckpt)
     examples = load_examples(args.data, model.config)
     lines = []
@@ -490,14 +495,8 @@ def load_pairs(path):
             contrastive = _interned_words(record["contrastive"])
             if reference is None or contrastive is None:
                 raise ValueError("reference and contrastive must be lists of strings")
-            pairs.append(
-                ContrastivePair(
-                    id=record["id"],
-                    reference=reference,
-                    contrastive=contrastive,
-                    category=record["category"],
-                )
-            )
+            pairs.append(ContrastivePair(id=record["id"], reference=reference,
+                                         contrastive=contrastive, category=record["category"]))
         except (KeyError, ValueError) as err:
             raise DataError(f"{path}:{line_no}: bad contrastive pair ({err})") from None
     if not pairs:
@@ -670,7 +669,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as done:  # after --help; argument errors raise ConfigError
             return done.code
-        return args.func(args)
+        # a saturated gate overflows harmlessly; a diverged model is a NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,13 +16,11 @@ from .tensor import ACTIVATIONS as _ACTIVATIONS  # read per GcnEncoder: perfbenc
 from .tensor import (
     Tensor,
     bilstm_batch,
-    concat,
     dropout,
     embedding_lookup,
     gcn_layer,
     lstm_step,
     matmul,
-    slice_rows,
     tree_lstm_down,
     tree_lstm_up,
 )
@@ -176,7 +174,8 @@ class GcnEncoder:
     out = t * tanh(h') + (1 - t) * h with t = sigmoid(h W_t + b_t).
     Self-information flows only through the highway path, since a Levi graph
     has no self-loops. An input projection is added when the input width
-    differs from hidden_dim. Each layer is one `gcn_layer` tape entry.
+    differs from hidden_dim. Each layer is one `gcn_layer` tape entry over
+    all the graphs of a batch.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, layers: int, store,
@@ -202,25 +201,21 @@ class GcnEncoder:
 
     def encode(self, levis, inputs: Tensor, draws=None) -> Tensor:
         """The states of the Levi graphs' nodes, whose rows of inputs come
-        one graph after another. The layers run over each graph in turn, and
-        draws holds each graph's edge masks from `draw`; without them no
+        one graph after another. Each layer runs once over all the rows,
+        and draws holds each graph's edge masks from `draw`; without them no
         edge is dropped."""
         h = matmul(inputs, self.proj) if self.proj is not None else inputs
-        outs, start = [], 0
+        per_graph = []  # each graph's (a_in, a_out) for every layer
         for levi, keeps in zip(levis, draws or [None] * len(levis)):
-            n = levi.node_count
-            rows = h if len(levis) == 1 else slice_rows(h, start, start + n)
-            start += n
             edges = np.asarray(levi.edges, dtype=np.intp).reshape(-1, 2)
             if keeps is None:
-                a_in, a_out = adjacency(n, edges)
-            for k, layer in enumerate(self.layers):
-                if keeps is not None:
-                    a_in, a_out = adjacency(n, edges[keeps[k]])
-                rows = gcn_layer(rows, a_in, a_out, layer["W_in"], layer["W_out"], layer["b"],
-                                 self.activation, layer["W_t"], layer["b_t"])
-            outs.append(rows)
-        return outs[0] if len(outs) == 1 else concat(outs)
+                per_graph.append([adjacency(levi.node_count, edges)] * len(self.layers))
+            else:
+                per_graph.append([adjacency(levi.node_count, edges[keep]) for keep in keeps])
+        for layer, graphs in zip(self.layers, zip(*per_graph)):
+            h = gcn_layer(h, graphs, layer["W_in"], layer["W_out"], layer["b"], self.activation,
+                          layer["W_t"], layer["b_t"])
+        return h
 
 
 class StackEncoder:

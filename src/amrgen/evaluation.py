@@ -192,21 +192,12 @@ def bucket_report(
 
 
 def _bucket_row(label, members, scores, systems, baseline):
-    if not members:
-        return BucketRow(
-            label=label,
-            count=0,
-            baseline_mean=None,
-            deltas=tuple((s, None) for s in systems if s != baseline),
-        )
-    base = sum(scores[baseline][i] for i in members) / len(members)
-    deltas = []
-    for system in systems:
-        if system == baseline:
-            continue
-        mean = sum(scores[system][i] for i in members) / len(members)
-        deltas.append((system, mean - base))
-    return BucketRow(label=label, count=len(members), baseline_mean=base, deltas=tuple(deltas))
+    def mean(system):  # None for an empty bucket
+        return sum(scores[system][i] for i in members) / len(members) if members else None
+
+    base = mean(baseline)
+    deltas = tuple((s, None if base is None else mean(s) - base) for s in systems if s != baseline)
+    return BucketRow(label=label, count=len(members), baseline_mean=base, deltas=deltas)
 
 
 def format_bucket_table(rows, bucketing: str, baseline: str) -> str:
@@ -341,14 +332,8 @@ def make_contrastive_pairs(sentences: dict, annotations) -> list:
         def emit(category, replacement_tokens):
             contrastive = tokens[: ann.index] + replacement_tokens + tokens[ann.index + 1 :]
             if contrastive != tokens:
-                pairs.append(
-                    ContrastivePair(
-                        id=ann.id,
-                        reference=tuple(tokens),
-                        contrastive=tuple(contrastive),
-                        category=category,
-                    )
-                )
+                pairs.append(ContrastivePair(id=ann.id, reference=tuple(tokens),
+                                             contrastive=tuple(contrastive), category=category))
 
         if ann.antecedent:
             emit("antecedent", ann.antecedent.lower().split())

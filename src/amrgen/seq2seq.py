@@ -7,6 +7,7 @@ each. Runs are bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -23,11 +24,8 @@ from .vocab import BOS, EOS, SOURCE_SPECIALS, TARGET_SPECIALS, UNK, Vocab
 
 
 class NumericError(RuntimeError):
-    """Divergent (non-finite) loss during training."""
-
-    def __init__(self, message, batch_id=None):
-        super().__init__(message)
-        self.batch_id = batch_id
+    """A divergent model: a non-finite training loss, or a non-finite
+    log-prob from a search or `score_sentence`."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ class Seq2SeqModel:
         rows, (targets,) = self._teacher_forced(self._encoded(ex), [tokens])
         log_probs = output_rows(rows.data, self.W_o.data, self.b_o.data, self.W_v.data,
                                 self.b_v.data)
-        return float(log_probs[np.arange(len(targets)), targets].sum())
+        return _finite(float(log_probs[np.arange(len(targets)), targets].sum()), ex, "scoring")
 
     def greedy_decode(self, ex: TrainExample, max_len: int = None):
         """Beam search with a beam of 1; see beam_decode."""
@@ -238,7 +236,7 @@ class Seq2SeqModel:
             done.insert(0, (greedy[0][1:], greedy[1], True))
         results = done + [(ids[1:], logp, True) for ids, logp, _ in hyps]
         ids, logp, truncated = max(results, key=_normalized)
-        return [self.tgt_vocab.token(i) for i in ids], logp, truncated
+        return [self.tgt_vocab.token(i) for i in ids], _finite(logp, ex, "decoding"), truncated
 
     def _step(self, token_ids, ctx, s, c, att):
         """`decoder.decoder_step` with the model's weights, each row of ctx,
@@ -249,6 +247,12 @@ class Seq2SeqModel:
 
 
 _FIRST = itemgetter(0)
+
+
+def _finite(logp: float, ex: TrainExample, task: str) -> float:
+    if not math.isfinite(logp):
+        raise NumericError(f"{ex.id}: log-prob {logp} in {task}: the model has diverged")
+    return logp
 
 
 def _normalized(result) -> float:
@@ -404,10 +408,7 @@ def train(
                 batch_loss = loss.item() / len(batch)
                 T.backward(tape, loss)
             if not np.isfinite(batch_loss):
-                raise NumericError(
-                    f"non-finite loss in epoch {epoch}, batch starting at {start}",
-                    batch_id=start // settings.batch_size,
-                )
+                raise NumericError(f"non-finite loss in epoch {epoch}, batch starting at {start}")
             if len(batch) > 1:  # dividing by 1 is exact
                 store.grad /= len(batch)
             grad_norms.append(T.clip_grad_norm(store, settings.clip_norm))

@@ -468,6 +468,15 @@ def _block_matmul(x, w, lone):
     return out
 
 
+def _lone_rows(sizes):
+    """The rows of the one-row blocks among blocks of the given row counts
+    stacked one after another, for `_block_matmul`; none when there is one
+    row in all."""
+    sizes = np.asarray(sizes)
+    firsts = np.cumsum(sizes) - sizes
+    return firsts[sizes == 1] if sizes.sum() > 1 else firsts[:0]
+
+
 def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b: Tensor,
                  U_b: Tensor, b_b: Tensor) -> Tensor:
     """Both directions of a BiLSTM over a batch of sequences as one tape
@@ -501,9 +510,7 @@ def bilstm_batch(X: Tensor, lengths, W_f: Tensor, U_f: Tensor, b_f: Tensor, W_b:
                          f"and {U_b.shape}")
     pack = Packing(lengths)
     packed = (pack.rows, pack.reversed_rows)  # X's rows' packed rows in each direction
-    sizes = np.array(lengths)
-    firsts = np.cumsum(sizes) - sizes
-    lone = firsts[sizes == 1] if rows > 1 else firsts[:0]
+    lone = _lone_rows(lengths)
     x = X.data
     xw = np.empty((rows, 2, 4 * n))
     xw[packed[0], 0] = _block_matmul(x, W_f.data, lone) + b_f.data
@@ -604,7 +611,7 @@ def tree_lstm_up(X: Tensor, W: Tensor, U: Tensor, Uf: Tensor, b: Tensor, forest)
         raise ShapeError(f"tree_lstm_up shape mismatch: {X.shape} @ {W.shape}, forest of "
                          f"{forest.sizes} nodes")
     rows, n = X.shape[0], Uf.shape[0]
-    xw = _block_matmul(X.data, W.data, forest.lone_rows) + b.data
+    xw = _block_matmul(X.data, W.data, _lone_rows(forest.sizes)) + b.data
     kids, u_mat, uf = forest.kids, U.data, Uf.data
     act = np.empty((rows, 3, n))  # i, o, u
     c_all = np.empty((rows, n))
@@ -750,23 +757,35 @@ def tree_lstm_down(H: Tensor, W: Tensor, U: Tensor, b: Tensor, Wr: Tensor, br: T
 # Fused GCN layer
 
 
-def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_out: Tensor,
-              b: Tensor, activation, W_t: Tensor, b_t: Tensor) -> Tensor:
-    """One GCN layer over the (N, h) rows of H as one tape entry. a_in and
-    a_out = a_in^T are constant (N, N) arrays, a_in[v, u] counting the edges
-    u -> v, and activation is one of ACTIVATIONS' functions. The layer's
-    messages are M = a_in H W_in + a_out H W_out + b, and it returns
-    t tanh(act(M)) + (1 - t) H through the highway gate t = sigmoid(H W_t + b_t).
+def gcn_layer(H: Tensor, graphs, W_in: Tensor, W_out: Tensor, b: Tensor, activation,
+              W_t: Tensor, b_t: Tensor) -> Tensor:
+    """One GCN layer over the rows of H, several graphs' nodes one graph
+    after another, as one tape entry. graphs holds each graph's constant
+    (a_in, a_out = a_in^T) arrays, a_in[v, u] counting the edges u -> v, and
+    activation is one of ACTIVATIONS' functions. A graph's messages are
+    M = a_in H W_in + a_out H W_out + b over its own rows, and the layer
+    returns t tanh(act(M)) + (1 - t) H through the gate t = sigmoid(H W_t + b_t).
 
-    The forward runs the composed kernels' operations in their order, so it
-    gives their result to the bit; backward runs GEMMs of the same shapes as theirs.
+    H's products are GEMMs over all rows, one-row products for one-node
+    graphs (`_block_matmul`), and only the aggregation runs per graph, so a
+    graph's rows have the bits of running it alone, which are those of the
+    composed kernels' operations. Backward runs GEMMs of the same shapes as
+    theirs, with the weight gradients over all rows at once.
     """
     h = H.data
-    if h.ndim != 2 or h.shape[1] != W_in.shape[0] or a_in.shape != (len(h), len(h)):
-        raise ShapeError(f"gcn_layer shape mismatch: {h.shape} @ {W_in.shape}, a_in {a_in.shape}")
-    pre = a_in @ (h @ W_in.data) + a_out @ (h @ W_out.data) + b.data
+    sizes = [len(a_in) for a_in, _ in graphs]
+    if (h.ndim != 2 or h.shape[1] != W_in.shape[0] or sum(sizes) != len(h)
+            or any(a.shape != (n, n) for pair, n in zip(graphs, sizes) for a in pair)):
+        raise ShapeError(f"gcn_layer shape mismatch: {h.shape} @ {W_in.shape}, graphs of "
+                         f"{sizes} nodes")
+    blocks = [slice(end - n, end) for end, n in zip(itertools.accumulate(sizes), sizes)]
+    lone = _lone_rows(sizes)
+    hw_in, hw_out = _block_matmul(h, W_in.data, lone), _block_matmul(h, W_out.data, lone)
+    pre = np.empty_like(hw_in)
+    for (a_in, a_out), r in zip(graphs, blocks):
+        pre[r] = a_in @ hw_in[r] + a_out @ hw_out[r] + b.data
     act, slope = activation(pre)
-    gate, gate_slope = _sigmoid_values(h @ W_t.data + b_t.data)
+    gate, gate_slope = _sigmoid_values(_block_matmul(h, W_t.data, lone) + b_t.data)
     tanh_out = np.tanh(act)
     out = gate * tanh_out + (1.0 - gate) * h
 
@@ -777,7 +796,9 @@ def gcn_layer(H: Tensor, a_in: np.ndarray, a_out: np.ndarray, W_in: Tensor, W_ou
         d_h = g * (1.0 - gate) + d_gate @ W_t.data.T
         d_pre = g * gate * _tanh_slope(tanh_out) * slope
         _accumulate(b, d_pre.sum(axis=0, keepdims=True))
-        d_in, d_out = a_out @ d_pre, a_in @ d_pre  # gradients of H W_in and H W_out
+        d_in, d_out = np.empty_like(d_pre), np.empty_like(d_pre)  # of H W_in and H W_out
+        for (a_in, a_out), r in zip(graphs, blocks):
+            d_in[r], d_out[r] = a_out @ d_pre[r], a_in @ d_pre[r]
         _accumulate(W_in, h.T @ d_in)
         _accumulate(W_out, h.T @ d_out)
         _accumulate(H, d_h + (d_in @ W_in.data.T + d_out @ W_out.data.T))

@@ -92,10 +92,10 @@ class Forest:
     parent in that order or, for a root's child, one past its end (ups),
     the places that put them back in `down`'s order (unsort), and per
     depth a (start, stop, shared) level: their span and whether two of
-    them share a parent. `lone_rows` are the rows of one-node trees,
-    and `down_pass.lone` the places of the one child of two-node trees,
-    when other rows are beside them. The levels are derived on first read,
-    so a tree that is only ever joined with others never derives its own.
+    them share a parent. `down_pass.lone` are the places of the one child
+    of two-node trees, when other rows are beside them. The levels are
+    derived on first read, so a tree that is only ever joined with others
+    never derives its own.
     """
 
     def __init__(self, sizes, roots, kids, kid_parent, down, down_parent, height, depth):
@@ -145,11 +145,6 @@ class Forest:
         two = np.repeat(sizes == 2, sizes - 1)[order]
         lone = np.flatnonzero(two) if len(order) > 1 else order[:0]
         return DownPass(kids, parents, ups, np.argsort(order), levels, lone)
-
-    @cached_property
-    def lone_rows(self):
-        sizes = np.array(self.sizes)
-        return self.roots[sizes == 1] if sizes.sum() > 1 else self.roots[:0]
 
     @classmethod
     def tree(cls, node_count: int, edges, root: int) -> "Forest":

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import zipfile
 from collections import Counter
 from itertools import chain
@@ -13,7 +14,8 @@ import pytest
 
 import amrgen
 from amrgen import cli, evaluation
-from amrgen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, load_examples, main
+from amrgen.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser,
+                        load_examples, main)
 from amrgen.encoders import EncoderConfig
 from amrgen.seq2seq import TrainSettings
 from amrgen.tensor import load_arrays, save_arrays
@@ -531,6 +533,23 @@ def test_generate_writes_hypotheses(trained, small_jsonl, tmp_path):
     assert len(lines) == 2  # one line per example, possibly empty
 
 
+@pytest.mark.parametrize("out", ["directory", "missing/x.txt"])
+def test_generate_out_that_cannot_be_written_is_data_error_before_decoding(
+        out, trained, small_jsonl, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("loaded the checkpoint or decoded before checking --out")
+
+    monkeypatch.setattr(cli, "_load_model", fail)
+    monkeypatch.setattr(cli, "generate_all", fail)
+    (tmp_path / "directory").mkdir()
+    target = tmp_path / out
+    code = main(["generate", "--ckpt", str(trained), "--data", str(small_jsonl),
+                 "--out", str(target)])
+    assert code == EXIT_DATA
+    assert_one_line_error(capsys, "data error:")
+    assert not target.is_file() and not any((tmp_path / "directory").iterdir())
+
+
 def test_evaluate_with_hyp_file(small_jsonl, tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("the boy sleeps at night\na dog runs in paris\n")
@@ -701,6 +720,47 @@ def test_gcn_checkpoint_without_highway_gates_is_data_error(small_jsonl, tmp_pat
     capsys.readouterr()
     assert main(["generate", "--ckpt", str(path), "--data", str(small_jsonl)]) == EXIT_DATA
     assert_one_line_error(capsys, "data error:")
+
+
+def test_a_saturated_gate_trains_without_a_numpy_warning(toy_jsonl, tmp_path, capsys):
+    # at lr 1000 the highway and LSTM gates' sigmoids overflow exp, and their
+    # values (0 or 1) are right
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(toy_jsonl), "--out", str(tmp_path / "run"),
+                     "--lr", "1000", "--epochs", "3", "--batch-size", "20"])
+    assert code == EXIT_OK
+    assert [str(w.message) for w in caught] == []
+    assert all(line.startswith("epoch ") for line in capsys.readouterr().err.splitlines())
+
+
+def test_a_diverged_training_run_is_a_numeric_failure(toy_jsonl, tmp_path, capsys):
+    # the one update makes the forward overflow, and dev decoding reads NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(toy_jsonl), "--out", str(tmp_path / "run"),
+                     "--lr", "1e308", "--epochs", "1", "--batch-size", "100"])
+    assert code == EXIT_NUMERIC
+    assert_one_line_error(capsys, "numeric failure:")
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate", "contrastive"])
+def test_a_diverged_checkpoint_is_a_numeric_failure(command, trained, small_jsonl, tmp_path,
+                                                    capsys):
+    manifest, arrays = load_arrays(trained)
+    save_arrays(trained, manifest, {name: a + float("inf") for name, a in arrays.items()})
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"id": "ok-1", "reference": ["the", "boy"],
+                                 "contrastive": ["a", "boy"], "category": "number"}) + "\n")
+    extra = ["--pairs", str(pairs)] if command == "contrastive" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--ckpt", str(trained), "--data", str(small_jsonl), *extra])
+    assert code == EXIT_NUMERIC
+    assert_one_line_error(capsys, "numeric failure:")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_evaluate_length_mismatch_is_data_error(small_jsonl, tmp_path):

@@ -362,17 +362,22 @@ def test_stack_gradients(kind, figure_example):
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_batch_encodes_as_its_examples_do_one_by_one(kind):
     """A batch's rows are each example's rows encoded alone, with the same
-    dropout and edge-dropout masks when the draws come from one rng."""
+    dropout and edge-dropout masks when the draws come from one rng. A
+    one-node graph's row is a one-row product alone, which rounds
+    differently from a GEMM's rows at dims 64."""
     rng = np.random.default_rng(21)
     graph_of = random_dag_graph if default_repr(kind) == "graph" else random_tree_graph
-    examples = [transforms.prepare_example(graph_of(rng)) for _ in range(5)]
+    graphs = [graph_of(rng) for _ in range(5)]
+    graphs.insert(2, amr.AmrGraph(nodes=(("a", "c0"),), edges=(), root="a"))
+    examples = [transforms.prepare_example(g) for g in graphs]
     vocab = Vocab.build(ex.sequence.tokens for ex in examples)
-    enc, _ = make_encoder(kind, vocab, dropout=0.3, edge_dropout=0.2)
-    for seed in (None, 3):
-        batch = enc.encode(examples, rng=None if seed is None else np.random.default_rng(seed))
-        one_rng = None if seed is None else np.random.default_rng(seed)
-        alone = np.concatenate([enc.encode([ex], rng=one_rng).data for ex in examples])
-        assert np.array_equal(batch.data, alone)
+    for d, h in ((4, 6), (64, 64)):
+        enc, _ = make_encoder(kind, vocab, d=d, h=h, dropout=0.3, edge_dropout=0.2)
+        for seed in (None, 3):
+            batch = enc.encode(examples, rng=None if seed is None else np.random.default_rng(seed))
+            one_rng = None if seed is None else np.random.default_rng(seed)
+            alone = np.concatenate([enc.encode([ex], rng=one_rng).data for ex in examples])
+            assert np.array_equal(batch.data, alone), (d, h, seed)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Every differentiable kernel is checked against central finite differences on
 random instances; the comparison itself is the oracle. relu inputs are kept
 away from the kink, where finite differences are undefined.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -692,7 +694,7 @@ def _fused_kernel_cases(rng):
     x, W, U, b = _lstm_params(rng, 2, 3, n)
     X, bilstm = _bilstm_inputs(rng, [3, 1, 2], 2, n)
     tree = _tree_params(rng, 8, 2, n)
-    a_in, a_out, gcn = _gcn_inputs(rng, 5, 7, n)
+    graphs, gcn = _gcn_inputs(rng, (3, 1, 2), n)
     examples, weights = _decoder_batch_inputs(rng, [3, 1, 2], [2, 3, 1], 4, 2, n)
     ids, s0, enc, enc_proj, sizes = _joined(examples)
     out_ids, out_lengths, output = _output_inputs(rng, 5, n, 4, 2)
@@ -702,7 +704,7 @@ def _fused_kernel_cases(rng):
         "bilstm_batch": (lambda X, *w: T.bilstm_batch(X, [3, 1, 2], *w), [X, *bilstm]),
         "tree_lstm_up": (lambda *p: T.tree_lstm_up(*p, forest), [tree[k] for k in UP]),
         "tree_lstm_down": (lambda *p: T.tree_lstm_down(*p, forest), [tree[k] for k in DOWN]),
-        "gcn_layer": (lambda H, *w: _fused_gcn(a_in, a_out, [H, *w], "tanh"), gcn),
+        "gcn_layer": (lambda H, *w: _fused_gcn(graphs, [H, *w], "tanh"), gcn),
         "initial_state": (lambda e, W, b: D.initial_state(e, [2, 1, 3], W, b),
                           [_param(rng, 6, n), _param(rng, n, n), _param(rng, 1, n)]),
         "decoder_batch": (lambda *t: D.decoder_batch(ids, t[0], t[1], t[2], sizes, *t[3:]),
@@ -1073,23 +1075,38 @@ def _batch_of_one(ids, tensors):
     return D.decoder_batch([ids], s0, enc, enc_proj, [enc.shape[0]], *weights)
 
 
-def _gcn_inputs(rng, nodes, edge_count, h):
-    edges = rng.integers(0, nodes, size=(edge_count, 2))  # repeats and self-loops included
-    a_in, a_out = adjacency(nodes, edges)
-    weights = [_param(rng, nodes, h), _param(rng, h, h), _param(rng, h, h), _param(rng, 1, h),
-               _param(rng, h, h), _param(rng, 1, h)]
-    return a_in, a_out, weights
+# node counts of a batch's graphs: batches of 1, 2 and 5 graphs, one-node graphs among them
+GCN_BATCHES = [(5,), (1,), (4, 1), (3, 1, 6, 1, 2)]
 
 
-def _fused_gcn(a_in, a_out, weights, activation):
+def _gcn_inputs(rng, sizes, h, drop=0.0):
+    """Random graphs of the given node counts as gcn_layer's (a_in, a_out)
+    pairs, each edge kept with probability 1 - drop as edge dropout keeps
+    it, and the layer's stacked rows and weights."""
+    graphs = []
+    for n in sizes:
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n + 1)), 2))  # repeats, loops
+        graphs.append(adjacency(n, edges[rng.random(len(edges)) >= drop]))
+    weights = [_param(rng, sum(sizes), h), _param(rng, h, h), _param(rng, h, h),
+               _param(rng, 1, h), _param(rng, h, h), _param(rng, 1, h)]
+    return graphs, weights
+
+
+def _fused_gcn(graphs, weights, activation):
     H, W_in, W_out, b, W_t, b_t = weights
-    return T.gcn_layer(H, a_in, a_out, W_in, W_out, b, T.ACTIVATIONS[activation], W_t, b_t)
+    return T.gcn_layer(H, graphs, W_in, W_out, b, T.ACTIVATIONS[activation], W_t, b_t)
 
 
-def _composed_gcn(a_in, a_out, weights, activation):
+def _composed_gcn(graphs, weights, activation):
+    """The composed layer on each graph's slice of the rows, joined."""
     H, W_in, W_out, b, W_t, b_t = weights
-    return reference_kernels.gcn_layer(H, Tensor(a_in), Tensor(a_out), W_in, W_out, b,
-                                       activation, W_t, b_t)
+    outs, start = [], 0
+    for a_in, a_out in graphs:
+        rows = T.slice_rows(H, start, start + len(a_in))
+        start += len(a_in)
+        outs.append(reference_kernels.gcn_layer(rows, Tensor(a_in), Tensor(a_out), W_in, W_out,
+                                                b, activation, W_t, b_t))
+    return T.concat(outs)
 
 
 def _values_and_grads(kernel, tensors, w):
@@ -1120,21 +1137,25 @@ def test_decoder_sequence_matches_composed(seed, steps, rows, vocab, d, h):
         assert np.abs(got - want).max() <= 1e-9
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**16), nodes=st.integers(1, 10), edge_count=st.integers(0, 20),
-       h=st.integers(1, 5), activation=st.sampled_from(sorted(T.ACTIVATIONS)))
-def test_gcn_layer_matches_composed(seed, nodes, edge_count, h, activation):
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), h=st.integers(1, 5),
+       activation=st.sampled_from(sorted(T.ACTIVATIONS)))
+def test_gcn_layer_matches_composed(seed, h, activation):
+    """One entry for the batch, whose rows are each graph's composed layer
+    to the bit, for every batch of GCN_BATCHES with and without edge
+    dropout."""
     rng = np.random.default_rng(seed)
-    a_in, a_out, weights = _gcn_inputs(rng, nodes, edge_count, h)
-    w = Tensor(_rand(rng, nodes, h))
-    fused, fused_grads, entries = _values_and_grads(
-        lambda: _fused_gcn(a_in, a_out, weights, activation), weights, w)
-    composed, composed_grads, _ = _values_and_grads(
-        lambda: _composed_gcn(a_in, a_out, weights, activation), weights, w)
-    assert entries == 3
-    assert np.array_equal(fused, composed)  # the composed operations, in order
-    for got, want in zip(fused_grads, composed_grads):
-        assert np.abs(got - want).max() <= 1e-9
+    for sizes, drop in itertools.product(GCN_BATCHES, (0.0, 0.5)):
+        graphs, weights = _gcn_inputs(rng, sizes, h, drop)
+        w = Tensor(_rand(rng, sum(sizes), h))
+        fused, fused_grads, entries = _values_and_grads(
+            lambda: _fused_gcn(graphs, weights, activation), weights, w)
+        composed, composed_grads, _ = _values_and_grads(
+            lambda: _composed_gcn(graphs, weights, activation), weights, w)
+        assert entries == 3
+        assert np.array_equal(fused, composed)  # the composed operations, in order
+        for got, want in zip(fused_grads, composed_grads):
+            assert np.abs(got - want).max() <= 1e-9
 
 
 def _step_weights(rng, vocab, d, h):
@@ -1348,7 +1369,21 @@ def test_decoder_batch_rejects_mismatched_inputs():
 @pytest.mark.parametrize("activation", sorted(T.ACTIVATIONS))
 @pytest.mark.parametrize("seed", range(2))
 def test_gcn_layer_grad(seed, activation):
+    """For every batch of GCN_BATCHES, with and without edge dropout."""
     rng = np.random.default_rng(seed)
-    a_in, a_out, weights = _gcn_inputs(rng, 5, 7, 3)
-    w = Tensor(_rand(rng, 5, 3))
-    _check(weights, lambda: T.sum_all(T.mul(_fused_gcn(a_in, a_out, weights, activation), w)))
+    for sizes, drop in itertools.product(GCN_BATCHES, (0.0, 0.5)):
+        graphs, weights = _gcn_inputs(rng, sizes, 3, drop)
+        w = Tensor(_rand(rng, sum(sizes), 3))
+        _check(weights, lambda: T.sum_all(T.mul(_fused_gcn(graphs, weights, activation), w)))
+
+
+def test_gcn_layer_rejects_mismatched_inputs():
+    rng = np.random.default_rng(0)
+    graphs, weights = _gcn_inputs(rng, (4, 1), 3)
+    a_in, a_out = graphs[0]
+    for bad in ([graphs[0]], [*graphs, graphs[1]], [(a_in, a_out[:3]), graphs[1]],
+                [(a_in[:, :3], a_out), graphs[1]]):
+        with pytest.raises(ShapeError):
+            _fused_gcn(bad, weights, "relu")
+    with pytest.raises(ShapeError):
+        _fused_gcn(graphs, [weights[0], _param(rng, 2, 3), *weights[2:]], "relu")
