@@ -24,11 +24,6 @@ class PenmanParseError(ValueError):
         self.col = col
 
 
-class GraphTooDeepError(ValueError):
-    """Raised when a path from a graph's root is too long for the canonical
-    walk, which recurses once per node along it."""
-
-
 class TreeTooLargeError(ValueError):
     """Raised when a graph's reentrancy-split tree would have more nodes than
     transforms.TREE_GROWTH_LIMIT allows per node and edge of the graph: where
@@ -66,9 +61,8 @@ class AmrGraph:
         and shared by every artifact but the tree: (sequence, first), where
         sequence.alignment holds each position's Levi id (node index, or
         node_count + edge index) and first each Levi id's first position.
-        It is all a loaded graph keeps beside its fields. A
-        GraphTooDeepError if a path of first mentions from the root is
-        longer than the interpreter's recursion limit allows."""
+        It is all a loaded graph keeps beside its fields. The walk keeps a
+        stack of its own, so a graph of any depth has one."""
         from .transforms import sequence_walk  # deferred: transforms imports this module
 
         return sequence_walk(self)
@@ -77,8 +71,8 @@ class AmrGraph:
     def tree_traversal(self) -> tuple:
         """transforms.tree_walk of this graph, run on first read and at most
         once per graph object: (tree, pos_tree), which only the tree
-        representation reads; a GraphTooDeepError as for traversal, or a
-        TreeTooLargeError."""
+        representation reads, at any depth as for traversal; a
+        TreeTooLargeError past transforms.TREE_GROWTH_LIMIT."""
         from .transforms import tree_walk  # deferred: transforms imports this module
 
         return tree_walk(self)

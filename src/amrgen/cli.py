@@ -20,8 +20,8 @@ from sys import intern
 import numpy as np
 
 from . import __version__
-from .amr import (GraphTooDeepError, PenmanParseError, TreeTooLargeError, compute_stats,
-                  iter_blocks, parse_block, parse_penman, serialize_penman, validate)
+from .amr import (PenmanParseError, TreeTooLargeError, compute_stats, iter_blocks, parse_block,
+                  parse_penman, serialize_penman, validate)
 from .encoders import INPUT_REPRS, KINDS, EncoderConfig
 from .evaluation import (
     DEPENDENCY_BUCKETS,
@@ -132,9 +132,9 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationP
                       log=lambda m: None):
     """Parse, transform and serialize a PENMAN corpus into JSONL records.
 
-    A block that does not parse, a graph that is invalid and one too deep to
-    traverse are skipped, each with one logged line. With none left, the
-    DataError names the first one skipped instead.
+    A block that does not parse and a graph that is invalid are skipped,
+    each with one logged line. With none left, the DataError names the first
+    one skipped instead.
 
     Returns (records, skipped count, stats list).
     """
@@ -154,11 +154,6 @@ def preprocess_corpus(input_path, anonymize_flag=False, threshold=AnonymizationP
             problems = validate(example.graph)
             if problems:
                 skips.append(f"invalid graph {example.id}: {problems[0].detail}")
-                continue
-            try:  # the sequence walk that every record reads, before any label counts
-                linearize(example.graph)
-            except GraphTooDeepError as err:
-                skips.append(f"graph {example.id}: {err}")
                 continue
             examples.append(example)
     if not examples:
@@ -247,7 +242,7 @@ def load_examples(jsonl_path, config=None):
             example = prepare_example(parse_penman(record["penman"]))
             if config is not None and config.input_repr == "tree":
                 to_tree(example.graph)
-        except (PenmanParseError, GraphTooDeepError, TreeTooLargeError) as err:
+        except (PenmanParseError, TreeTooLargeError) as err:
             raise DataError(f"{jsonl_path}:{line_no}: {err}") from None
         examples.append(
             TrainExample(
@@ -278,6 +273,8 @@ def cmd_preprocess(args):
     if args.rare_threshold < 0:
         raise ConfigError(f"--rare-threshold must be >= 0 (0 makes no concept rare), got "
                           f"{args.rare_threshold}")
+    if os.path.isdir(args.out):  # checked before the corpus pass it would waste
+        raise DataError(f"--out {args.out!r} is a directory; it must name a file")
     records, skipped, stats_list = preprocess_corpus(
         args.input, anonymize_flag=args.anonymize, threshold=args.rare_threshold,
         log=lambda m: print(m, file=sys.stderr),

@@ -18,6 +18,8 @@ maps as they stand. The tree walk, which also descends below re-mentions,
 runs only when the tree is first read (AmrGraph.tree_traversal: to_tree,
 ExampleRepr.tree, structures["tree"]), at most once per graph object, and
 stops with a TreeTooLargeError once the tree passes TREE_GROWTH_LIMIT.
+The walk keeps a stack of its own instead of recursing, so both modes take
+a graph of any depth, whatever the depth of the caller's stack.
 
 The strings built here and kept (tree copy ids, anonymization placeholders
 and surfaces) are interned, as parse_penman interns a graph's own, so a
@@ -26,7 +28,6 @@ corpus holds one object per distinct token.
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from sys import intern
 
 import numpy as np
 
-from .amr import AmrGraph, GraphTooDeepError, TreeTooLargeError
+from .amr import AmrGraph, TreeTooLargeError
 
 
 @dataclass(frozen=True)
@@ -270,78 +271,72 @@ class _Walk:
     or edge that carries each emitted token. Past limit tree nodes it
     raises TreeTooLargeError.
 
-    visit recurses as a method. Do not make it a nested function that calls
-    itself: the function would hold itself in its closure cell, a cycle that
-    keeps all of the walk's lists alive until the cyclic collector runs,
-    instead of freeing them when the walk returns."""
+    The walk keeps a stack of its own instead of recursing, so a graph's
+    depth has no limit."""
 
     def __init__(self, graph: AmrGraph, tree: bool):
         index = {nid: v for v, (nid, _) in enumerate(graph.nodes)}
-        self.labels = [label for _, label in graph.nodes]
-        self.relations = len(self.labels)  # the Levi id of edge 0
-        self.edges = graph.edges
-        self.out = [[] for _ in self.labels]  # per node, its out-edges in source order
-        self.targets = []  # per edge, its target node
-        for eidx, (parent, _, child) in enumerate(graph.edges):
-            self.out[index[parent]].append(eidx)
-            self.targets.append(index[child])
-        self.root = index[graph.root]
-        self.tokens, self.alignment = [], []
-        self.first_pos = [None] * (self.relations + len(self.edges))
-        self.tree = tree
+        self.labels = labels = [label for _, label in graph.nodes]
+        relations = len(labels)  # the Levi id of edge 0
+        edges = graph.edges
+        out = [[] for _ in labels]  # per node, its out-edges in source order
+        targets = []  # per edge, its target node
+        for eidx, (parent, _, child) in enumerate(edges):
+            out[index[parent]].append(eidx)
+            targets.append(index[child])
+        self.tokens, self.alignment = tokens, alignment = [], []
+        self.first_pos = first_pos = [None] * (relations + len(edges))
         if tree:
-            self.limit = TREE_GROWTH_LIMIT * (graph.node_count + graph.edge_count)
-            self.copies, self.parents, self.edge_origin, self.pos_tree = [], [], [], []
-            self.path = set()  # the current root path, for cycle breaking
-
-    def visit(self, v, emit):
-        """Visit node v, emitting its concept token if emit."""
-        tree, tokens, first_pos = self.tree, self.tokens, self.first_pos
-        first = emit and first_pos[v] is None
-        if tree:
-            node = len(self.copies)  # this visit's tree node
-            if node == self.limit:
-                raise TreeTooLargeError(
-                    f"graph's reentrancy-split tree too large: more than {node} nodes "
-                    f"({TREE_GROWTH_LIMIT} per node and edge of the graph)")
-            self.copies.append(v)
-        if emit:
-            if first:
-                first_pos[v] = len(tokens)
-            if tree:
-                self.pos_tree.append(node)
-            tokens.append(self.labels[v])
-            self.alignment.append(v)
-        if first or tree and v not in self.path:
-            if tree:
-                self.path.add(v)
-            edges, targets, relations = self.edges, self.targets, self.relations
-            for eidx in self.out[v]:
+            limit = TREE_GROWTH_LIMIT * (graph.node_count + graph.edge_count)
+            copies, parents, edge_origin, pos_tree = [], [], [], []
+            self.copies, self.parents, self.edge_origin, self.pos_tree = (
+                copies, parents, edge_origin, pos_tree)
+            path = set()  # the current root path, for cycle breaking
+        node = None  # the visit's tree node, in the tree walk
+        # a frame per node whose out-edges are being walked: the edges still
+        # to walk, the node, its tree node, and whether they emit tokens
+        frames = [(iter((None,)), None, None, True)]  # the root, reached by no edge
+        while frames:
+            edges_left, u, above, emit = frames[-1]
+            for eidx in edges_left:
+                if eidx is None:
+                    v = index[graph.root]
+                else:
+                    if tree:
+                        if emit:
+                            pos_tree.append(len(parents))
+                        parents.append(above)
+                        edge_origin.append(eidx)
+                    if emit:
+                        first_pos[relations + eidx] = len(tokens)
+                        tokens.append(edges[eidx][1])
+                        alignment.append(relations + eidx)
+                    v = targets[eidx]
+                first = emit and first_pos[v] is None
                 if tree:
+                    node = len(copies)
+                    if node == limit:
+                        raise TreeTooLargeError(
+                            f"graph's reentrancy-split tree too large: more than {node} nodes "
+                            f"({TREE_GROWTH_LIMIT} per node and edge of the graph)")
+                    copies.append(v)
+                if emit:
                     if first:
-                        self.pos_tree.append(len(self.parents))
-                    self.parents.append(node)
-                    self.edge_origin.append(eidx)
-                if first:
-                    first_pos[relations + eidx] = len(tokens)
-                    tokens.append(edges[eidx][1])
-                    self.alignment.append(relations + eidx)
-                self.visit(targets[eidx], first)
-            if tree:
-                self.path.discard(v)
-
-
-def _walk(graph: AmrGraph, tree: bool) -> _Walk:
-    """The walk of graph from its root; a GraphTooDeepError if a path from
-    the root is longer than the interpreter's recursion limit allows."""
-    walk = _Walk(graph, tree)
-    try:
-        walk.visit(walk.root, True)
-    except RecursionError:
-        raise GraphTooDeepError(
-            "graph too deep to traverse: a path from its root is longer than the "
-            f"recursion limit ({sys.getrecursionlimit()}) allows") from None
-    return walk
+                        first_pos[v] = len(tokens)
+                    if tree:
+                        pos_tree.append(node)
+                    tokens.append(labels[v])
+                    alignment.append(v)
+                below = out[v]
+                if below and (first or tree and v not in path):
+                    if tree:
+                        path.add(v)
+                    frames.append((iter(below), v, node, first))
+                    break  # walk below v before u's next edge
+            else:  # every edge below u is walked
+                frames.pop()
+                if tree:
+                    path.discard(u)
 
 
 def sequence_walk(graph: AmrGraph):
@@ -350,7 +345,7 @@ def sequence_walk(graph: AmrGraph):
     sequence.alignment holds each position's Levi id, and first each Levi
     id's first position: a node's first mention, an edge's relation token.
     They are the graph's AlignedLevi pos_to_node and init_pos as they are."""
-    walk = _walk(graph, False)
+    walk = _Walk(graph, False)
     sequence = TokenSequence(tokens=tuple(walk.tokens), alignment=tuple(walk.alignment))
     return sequence, tuple(walk.first_pos)
 
@@ -362,7 +357,7 @@ def tree_walk(graph: AmrGraph):
     of a node keeps its id, later ones are id#1, id#2, ... A
     TreeTooLargeError once the tree passes TREE_GROWTH_LIMIT nodes per node
     and edge of the graph."""
-    walk = _walk(graph, True)
+    walk = _Walk(graph, True)
     names = [nid for nid, _ in graph.nodes]
     made, ids = [0] * len(names), []
     for v in walk.copies:

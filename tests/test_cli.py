@@ -386,9 +386,9 @@ def test_unparsable_penman_names_its_file_and_line(command, small_jsonl, tmp_pat
     assert len(err) == 1 and err[0].startswith(f"data error: {bad}:2: unbalanced parentheses"), err
 
 
-# Graphs too deep for the canonical walk, which recurses once per node
-# along a path from the root: 5000 is far past the recursion limit, wherever
-# the walk starts.
+# Paths from the root far longer than Python's recursion limit (about
+# 1,000 frames) allows a recursive walk: the canonical walk keeps a stack of
+# its own, so they are walked like any other graph.
 DEEP = 5000
 
 
@@ -412,13 +412,13 @@ def write_second_graph(path, penman):
     return path
 
 
-@pytest.mark.parametrize("penman", [nested_penman(DEEP)], ids=["nested"])
-def test_graph_too_deep_to_traverse_names_its_file_and_line(penman, tmp_path, capsys):
-    data = write_second_graph(tmp_path / "deep.jsonl", penman)
+def test_evaluate_keeps_a_deeply_nested_graph(tmp_path, capsys):
+    data = write_second_graph(tmp_path / "deep.jsonl", nested_penman(DEEP))
     hyp = tmp_path / "hyp.txt"
-    hyp.write_text("the boy sleeps\nthe boy sleeps\n")
-    assert main(["evaluate", "--data", str(data), "--hyp", str(hyp)]) == EXIT_DATA
-    assert_one_line_error(capsys, f"data error: {data}:2: graph too deep to traverse")
+    hyp.write_text("the boy sleeps\nthe boy\n")
+    assert main(["evaluate", "--data", str(data), "--hyp", str(hyp)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and "corpus_bleu" in json.loads(captured.out)
 
 
 @pytest.fixture(scope="module")
@@ -442,8 +442,8 @@ TREE_COMMANDS = {
 
 
 # A re-mention path of n nodes has a tree of about n * n / 2 nodes: each
-# a_i's tree copy holds copies of a_(i-1) ... a_0. 5000 is past the recursion
-# limit too, which the size bound stops the tree walk well before.
+# a_i's tree copy holds copies of a_(i-1) ... a_0, so the size bound stops
+# the tree walk long before it reaches the end of a long path.
 @pytest.mark.parametrize("length", [900, DEEP])
 @pytest.mark.parametrize("command", TREE_COMMANDS)
 def test_tree_too_large_names_its_file_and_line(command, length, tree_checkpoint, tmp_path,
@@ -473,9 +473,8 @@ def test_commands_that_read_no_tree_keep_a_remention_path(tmp_path, capsys):
 DEEP_BLOCK = f"# ::id deep-1\n# ::snt deep\n{nested_penman(DEEP)}\n"
 
 
-@pytest.mark.parametrize("block, reason", [(BAD_BLOCK, "malformed block 1: unbalanced"),
-                                           (DEEP_BLOCK, "graph deep-1: graph too deep")],
-                         ids=["malformed", "too-deep"])
+@pytest.mark.parametrize("block, reason", [(BAD_BLOCK, "malformed block 1: unbalanced")],
+                         ids=["malformed"])
 def test_preprocess_with_every_block_skipped_is_one_line_data_error(block, reason, tmp_path,
                                                                    capsys):
     src, out = tmp_path / "bad.amr", tmp_path / "bad.jsonl"
@@ -486,17 +485,28 @@ def test_preprocess_with_every_block_skipped_is_one_line_data_error(block, reaso
     assert not out.exists()
 
 
-def test_preprocess_skips_a_graph_too_deep_to_traverse(tmp_path, capsys):
+def test_preprocess_keeps_a_deeply_nested_graph(tmp_path, capsys):
     src, out = tmp_path / "mixed.amr", tmp_path / "mixed.jsonl"
     src.write_text(GOOD_BLOCK + "\n" + DEEP_BLOCK + "\n"
                    + "# ::id ok-2\n# ::snt a dog runs\n(r / run-02 :arg0 (d / dog))\n")
     assert main(["preprocess", "--input", str(src), "--out", str(out)]) == EXIT_OK
     captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("skipping graph deep-1: graph too deep"), err
-    assert "wrote 2 examples (1 skipped)" in captured.out
-    assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok-1", "ok-2"]
-    assert json.loads((tmp_path / "mixed.stats.json").read_text())["skipped"] == 1
+    assert captured.err == "" and "wrote 3 examples (0 skipped)" in captured.out
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["id"] for r in records] == ["ok-1", "deep-1", "ok-2"]
+    assert records[1]["tokens"] == ["x", ":arg0"] * DEEP + ["y"]
+    assert (records[1]["stats"]["max_dep_len"], records[1]["stats"]["reentrancies"]) == (1, 0)
+    assert json.loads((tmp_path / "mixed.stats.json").read_text())["skipped"] == 0
+
+
+def test_preprocess_out_that_is_a_directory_is_data_error_before_parsing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "parse_block",
+                        lambda *args, **kwargs: pytest.fail("parsed before checking --out"))
+    (tmp_path / "out").mkdir()
+    assert main(["preprocess", "--input", str(TOY), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert_one_line_error(capsys, "data error: --out")
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_parser_defaults_are_the_dataclass_defaults():

@@ -523,10 +523,31 @@ def test_a_tree_past_the_growth_limit_is_tree_too_large_error():
             derive(g)
 
 
-def test_traversal_past_the_recursion_limit_is_graph_too_deep_error():
+def nested_chain(depth):
+    """A chain of depth + 1 nodes, each nested in the one before."""
+    return parse_penman("".join(f"(a{i} / x :arg0 " for i in range(depth)) + "(z / y)"
+                        + ")" * depth)
+
+
+def test_a_chain_far_past_the_recursion_limit_is_walked():
     depth = 5000
-    g = parse_penman("".join(f"(a{i} / x :arg0 " for i in range(depth)) + "(z / y)"
-                     + ")" * depth)
-    for derive in (linearize, to_tree, prepare_example, amr.compute_stats):
-        with pytest.raises(amr.GraphTooDeepError, match="graph too deep to traverse"):
-            derive(g)
+    g = nested_chain(depth)
+    assert linearize(g).tokens == ("x", ":arg0") * depth + ("y",)
+    assert amr.compute_stats(g) == amr.GraphStats(0, 1, depth + 1, depth)
+    tree = to_tree(g)
+    assert tree.node_count == depth + 1 and set(tree.edges) == set(g.edges)
+    assert prepare_example(g).structures["tree"].levi.node_count == 2 * depth + 1
+
+
+def at_depth(frames, derive, graph):
+    """derive(graph) called from frames more stack frames down."""
+    return derive(graph) if frames == 0 else at_depth(frames - 1, derive, graph)
+
+
+def test_a_deep_graph_walks_the_same_from_deep_in_the_stack():
+    def derived(example):
+        return example, example.structures["graph"], example.structures["tree"]
+
+    for derive in (linearize, to_tree, lambda g: derived(prepare_example(g)),
+                   amr.compute_stats):
+        assert at_depth(400, derive, nested_chain(700)) == derive(nested_chain(700))
